@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .experiment import (
+    TRUNCATION_TOL,
     build_problems,
     paper_config,
     read_placement_csv,
@@ -76,6 +77,7 @@ def cmd_evaluate(args) -> int:
         indices = read_placement_csv(args.placement)
     info = run_evaluate(config, indices=indices, threads=args.threads)
     print("wrote %s (%d rows)" % (os.path.join(info["out"], "sdr.csv"), len(info["rows"])))
+    print("expansion truncation error %.2e (tolerance %g)" % (info["truncation_error"], TRUNCATION_TOL))
     return 0
 
 

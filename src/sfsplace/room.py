@@ -36,6 +36,7 @@ __all__ = [
     "room_transfer",
     "room_transfer_many",
     "room_transfer_coeffs",
+    "transfer_matrix",
 ]
 
 
@@ -135,17 +136,47 @@ def _image_arrays(room: RoomModel, source):
     return pos, gain
 
 
+# Hankel arguments per block of sources in transfer_matrix (at least one
+# source per block): keeps the (points x sources x images) work arrays at a
+# few MB however many sources a call holds.
+_TRANSFER_BLOCK = 1 << 18
+
+
+def transfer_matrix(points, sources, freq: Frequency, room: RoomModel | None = None) -> np.ndarray:
+    """(n_points, n_sources) transfer functions, free field or reverberant.
+
+    Entry (p, s) is the sum over the images of source s (the source alone
+    in free field) of gain * (i/4) H_0^(1)(k |point_p - image|), with
+    sources processed in blocks so the work arrays stay bounded.
+    """
+    pts = _as_points(points)
+    srcs = _as_points(sources)
+    if room is None:
+        pos = srcs[:, None, :]
+        gain = np.ones((len(srcs), 1))
+    else:
+        tables = [_image_arrays(room, s) for s in srcs]
+        pos = np.stack([t[0] for t in tables])
+        gain = np.stack([t[1] for t in tables])
+    per_source = len(pts) * pos.shape[1]
+    step = max(1, _TRANSFER_BLOCK // max(per_source, 1))
+    out = np.empty((len(pts), len(srcs)), dtype=np.complex128)
+    for lo in range(0, len(srcs), step):
+        blk = pos[lo:lo + step]
+        d = np.hypot(
+            pts[:, 0][:, None, None] - blk[None, :, :, 0],
+            pts[:, 1][:, None, None] - blk[None, :, :, 1],
+        )
+        if np.any(d < 1e-12):
+            raise ValueError("a receiver point coincides with a source or an image")
+        h0 = specfun.hankel1_orders(0, freq.wavenumber * d.ravel())[0].reshape(d.shape)
+        out[:, lo:lo + step] = 0.25j * np.einsum("psi,si->ps", h0, gain[lo:lo + step])
+    return out
+
+
 def room_transfer_many(room: RoomModel, points, source, freq: Frequency) -> np.ndarray:
     """Reverberant transfer function at an (n, 2) array of receiver points."""
-    pts = _as_points(points)
-    pos, gain = _image_arrays(room, source)
-    d = np.hypot(
-        pts[:, 0][:, None] - pos[None, :, 0], pts[:, 1][:, None] - pos[None, :, 1]
-    )
-    if np.any(d < 1e-12):
-        raise ValueError("a receiver point coincides with the source or an image")
-    h0 = specfun.hankel1_orders(0, freq.wavenumber * d.ravel())[0].reshape(d.shape)
-    return 0.25j * (h0 @ gain)
+    return transfer_matrix(points, [_as_xy(source)], freq, room)[:, 0]
 
 
 def room_transfer(room: RoomModel, receiver, source, freq: Frequency) -> complex:

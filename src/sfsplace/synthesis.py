@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import specfun
-from .room import RoomModel, _image_arrays, room_transfer_many
+from .room import RoomModel, _image_arrays, transfer_matrix
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
@@ -33,7 +33,6 @@ from .wavefield import (
     _alt_sign,
     _as_points,
     _basis_matrix,
-    green2d_many,
 )
 
 __all__ = [
@@ -200,8 +199,8 @@ def _normal_system(coeff_matrix, weight, target=None):
     if target is None:
         return gram, None
     b = np.asarray(target.values if isinstance(target, ExpansionCoeffs) else target)
-    if b.shape != (c.shape[0],):
-        raise ValueError("target length must match coefficient rows")
+    if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
+        raise ValueError("target rows must match coefficient rows")
     return gram, wc.conj().T @ b
 
 
@@ -210,6 +209,8 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
 
     d = (C^H W C + lam I)^{-1} C^H W b via a Hermitian positive-definite
     solve; lam > 0 keeps the system well posed even for rank-deficient C.
+    A (K, A) target is A right-hand sides sharing one factorization and
+    gives (L, A) drivers, one column per target column.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("regularization constant must be positive")
@@ -266,14 +267,7 @@ def build_pressure_matching(
     same solvers and placement costs as the coefficient-domain problem.
     """
     pts = _as_points(control_points)
-    srcs = _as_points(sources)
-    cols = []
-    for s in srcs:
-        if room is None:
-            cols.append(green2d_many(pts, s, freq))
-        else:
-            cols.append(room_transfer_many(room, pts, s, freq))
-    c = np.stack(cols, axis=1)
+    c = transfer_matrix(pts, sources, freq, room)
     b = np.asarray(desired(pts), dtype=np.complex128)
     if b.shape != (len(pts),):
         raise ValueError("desired-field evaluator returned a wrong-shaped array")
@@ -288,14 +282,7 @@ def synthesize_field(
     d = np.asarray(drivers)
     if d.shape != (len(srcs),):
         raise ValueError("one driving signal per source required")
-    pts = _as_points(points)
-    out = np.zeros(len(pts), dtype=np.complex128)
-    for dl, s in zip(d, srcs):
-        if room is None:
-            out += dl * green2d_many(pts, s, freq)
-        else:
-            out += dl * room_transfer_many(room, pts, s, freq)
-    return out
+    return transfer_matrix(points, srcs, freq, room) @ d
 
 
 def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:

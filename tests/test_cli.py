@@ -8,17 +8,21 @@ import pytest
 from sfsplace.cli import main
 from sfsplace.config import ExperimentConfig, square_loop
 from sfsplace.experiment import (
+    TRUNCATION_TOL,
+    TruncationError,
     baseline_indices,
     build_problems,
     evaluate_placements,
-    field_grids,
+    place_greedy,
     read_placement_csv,
     read_sdr_csv,
     run_evaluate,
     run_place,
 )
 from sfsplace.placement import prior_from_direction_range
-from sfsplace.wavefield import Frequency, expansion_for
+from sfsplace.room import room_transfer_many
+from sfsplace.synthesis import region_grid, sdr, solve_wmm, synthesis_lambda
+from sfsplace.wavefield import Frequency, PlaneWave, expansion_for, planewave_coeffs
 
 
 def _toy_doc(out, **over):
@@ -207,6 +211,82 @@ def test_field_dumps_with_sidecars(tmp_path):
     )
 
 
+def _room_doc(out, method):
+    return _toy_doc(
+        out,
+        method=method,
+        room={"size_x": 4.0, "size_y": 3.0, "reflection": [0.7, 0.6, 0.8, 0.5],
+              "max_reflection_order": 4},
+        evaluation={"angles_deg": [-30.0, 0.0, 20.0], "grid_spacing": 0.05},
+    )
+
+
+def _direct_sdrs(config, problem, indices, angles):
+    """SDRs from the superposed image-source transfer on the grid, per angle."""
+    room = config.room_model()
+    cand = config.candidate_positions()
+    freq = problem.freq
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+    transfer = np.column_stack([room_transfer_many(room, grid, cand[i], freq) for i in indices])
+    if problem.control_points is None:
+        c = problem.coeff[:, list(indices)]
+    else:
+        ctrl = problem.control_points
+        c = np.column_stack([room_transfer_many(room, ctrl, cand[i], freq) for i in indices])
+    lam = synthesis_lambda(c, problem.weight, scale=config.lambda_synth_scale)
+    out = []
+    for angle in angles:
+        phi = math.radians(angle)
+        kvec = freq.wavenumber * np.array([math.cos(phi), math.sin(phi)])
+        if problem.control_points is None:
+            b = planewave_coeffs(PlaneWave(phi), problem.cfg, freq).values
+        else:
+            b = np.exp(1j * (problem.control_points @ kvec))
+        d = solve_wmm(c, problem.weight, b, lam)
+        out.append(sdr(np.exp(1j * (grid @ kvec)), transfer @ d))
+    return out
+
+
+@pytest.mark.parametrize("method", ["wmm", "pressure-matching"])
+def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
+    config = ExperimentConfig.from_dict(_room_doc(tmp_path / "run", method))
+    problems = build_problems(config)
+    placements = {"proposed": place_greedy(config, problems).indices}
+    for name in config.baselines:
+        placements[name] = baseline_indices(config, name)
+    angles = config.evaluation.angles_deg
+    rows, err = evaluate_placements(config, problems, placements)
+    assert 0.0 < err <= TRUNCATION_TOL
+    got = {(r[3], r[0]): r[2] for r in rows}
+    assert len(got) == len(placements) * len(angles)
+    for name, idx in placements.items():
+        want = _direct_sdrs(config, problems[0], idx, angles)
+        for angle, w in zip(angles, want):
+            assert got[(name, angle)] == pytest.approx(w, abs=1e-4)
+
+
+def test_spot_check_rejects_source_at_the_rim(tmp_path):
+    # a candidate at 1.02 R: the truncated expansion cannot represent it
+    # on the grid, and evaluation must stop before writing any SDR table
+    out = tmp_path / "run"
+    doc = _toy_doc(
+        out,
+        candidates={"positions": [[0.306, 0.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]]},
+        baselines=[],
+    )
+    doc["evaluation"]["placement"] = [1, 0]
+    config = ExperimentConfig.from_dict(doc)
+    with pytest.raises(TruncationError) as info:
+        run_evaluate(config)
+    msg = str(info.value)
+    measured = float(msg.split("error ")[1].split()[0])
+    assert measured > TRUNCATION_TOL
+    assert ("tolerance %g" % TRUNCATION_TOL) in msg and "(0.306, 0)" in msg
+    assert not (out / "sdr.csv").exists()
+    assert main(["evaluate", "--config", _write(tmp_path, doc)]) == 1
+    assert not (out / "sdr.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # other subcommands
 
@@ -278,6 +358,8 @@ def test_room_evaluation_uses_reverberant_transfer(tmp_path):
     s_free = [r[2] for r in r_free["rows"]]
     s_room = [r[2] for r in r_room["rows"]]
     assert not np.allclose(s_free, s_room, atol=0.1)
+    for info in (r_free, r_room):
+        assert 0.0 < info["truncation_error"] <= TRUNCATION_TOL
 
 
 def test_baseline_indices_regular_b_spacing(tmp_path):

@@ -11,6 +11,7 @@ from sfsplace.room import (
     room_transfer,
     room_transfer_coeffs,
     room_transfer_many,
+    transfer_matrix,
 )
 from sfsplace.wavefield import (
     CircularRegion,
@@ -190,6 +191,21 @@ def test_room_transfer_many_matches_scalar():
     vals = room_transfer_many(ROOM, pts, src, F1K)
     for p, v in zip(pts, vals):
         assert v == pytest.approx(room_transfer(ROOM, p, src, F1K))
+
+
+@pytest.mark.parametrize("room", [None, STUDY_ROOM])
+def test_transfer_matrix_columns_are_image_sums(monkeypatch, room):
+    # a tiny block size forces several source blocks per call
+    monkeypatch.setattr("sfsplace.room._TRANSFER_BLOCK", 8)
+    srcs = np.array([[-1.5, -1.5], [1.2, 0.9], [0.4, -1.7], [-2.0, 1.1], [1.9, -0.3]])
+    pts = np.array([[0.5, 0.3], [0.0, 0.0], [0.9, -0.2], [-0.3, 0.6]])
+    got = transfer_matrix(pts, srcs, F1K, room)
+    assert got.shape == (4, 5)
+    for j, s in enumerate(srcs):
+        imgs = [ImageSource(Point2(*s), 1.0, 0)] if room is None else image_sources(room, s)
+        for i, p in enumerate(pts):
+            want = sum(im.gain * green2d(p, im.position, F1K) for im in imgs)
+            assert got[i, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_room_transfer_coeffs_reproduce_interior_field():

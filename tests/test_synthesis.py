@@ -195,6 +195,20 @@ def test_solve_wmm_rejects_bad_inputs():
         solve_wmm(c_bad, w, b, 1e-4)
 
 
+def test_solve_wmm_batched_targets_match_column_solves():
+    c, w, _ = _random_system(14)
+    rng = np.random.default_rng(15)
+    targets = rng.standard_normal((41, 5)) + 1j * rng.standard_normal((41, 5))
+    lam = synthesis_lambda(c, w)
+    batched = solve_wmm(c, w, targets, lam)
+    assert batched.shape == (8, 5)
+    for a in range(5):
+        single = solve_wmm(c, w, targets[:, a], lam)
+        assert np.linalg.norm(batched[:, a] - single) <= 1e-12 * np.linalg.norm(single)
+    with pytest.raises(ValueError):
+        solve_wmm(c, w, targets[:40], lam)
+
+
 def test_solve_mode_matching_is_identity_weighted_wmm():
     rng = np.random.default_rng(8)
     c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
