@@ -7,7 +7,7 @@ Subcommands:
   priors           dump the per-frequency prior moments as CSV
   selftest         quick internal oracle checks
 
-Flags --out and --seed override the corresponding config fields;
+Flag --out overrides the configured output directory;
 SFSPLACE_* environment variables override any scalar config key.
 """
 
@@ -40,11 +40,6 @@ from .wavefield import Frequency, expansion_for
 def _add_common(p, config_required=True):
     p.add_argument("--config", required=config_required, help="JSON config file")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p.add_argument("--threads", type=int, default=1, help="evaluation threads")
-    p.add_argument(
-        "--format", choices=("csv",), default="csv", help="table output format"
-    )
 
 
 def _load(args) -> ExperimentConfig:
@@ -52,20 +47,15 @@ def _load(args) -> ExperimentConfig:
     doc = config.to_dict()
     if args.out is not None:
         doc["output_dir"] = args.out
-    if args.seed is not None:
-        doc["seed"] = args.seed
     return ExperimentConfig.from_dict(doc)
 
 
 def cmd_place(args) -> int:
     config = _load(args)
-    info = run_place(config, threads=args.threads)
+    info = run_place(config)
     result = info["result"]
     print("selected %d sources: %s" % (len(result.indices), list(result.indices)))
-    print(
-        "cost %.6g -> %.6g in %d work units"
-        % (result.cost_trace[0], result.cost_trace[-1], result.work_units)
-    )
+    print("cost %.6g -> %.6g" % (result.cost_trace[0], result.cost_trace[-1]))
     print("wrote %s" % os.path.join(info["out"], "placement.csv"))
     return 0
 
@@ -256,11 +246,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("evaluate", help="evaluate a placement over an angle sweep")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=1, help="evaluation threads")
     p.add_argument("--placement", help="placement CSV (defaults to config placement)")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("reproduce-paper", help="run the built-in reverberant study")
     _add_common(p, config_required=False)
+    p.add_argument("--threads", type=int, default=1, help="evaluation threads")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("priors", help="dump prior moments per frequency")

@@ -245,7 +245,6 @@ class ExperimentConfig:
     baselines: tuple[str, ...] = ()
     evaluation: EvalSpec = field(default_factory=EvalSpec)
     output_dir: str = "out"
-    seed: int = 0
     sound_speed: float = 343.0
 
     def __post_init__(self):
@@ -288,7 +287,6 @@ class ExperimentConfig:
         if any(b not in _BASELINES for b in baselines):
             raise ValueError("baselines must be among %s" % (_BASELINES,))
         object.__setattr__(self, "baselines", baselines)
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "sound_speed", _finite(self.sound_speed))
         if self.sound_speed <= 0.0:
             raise ValueError("sound_speed must be positive")
@@ -344,7 +342,6 @@ class ExperimentConfig:
             "baselines": list(self.baselines),
             "evaluation": self.evaluation.to_dict(),
             "output_dir": self.output_dir,
-            "seed": self.seed,
             "sound_speed": self.sound_speed,
         }
         if self.room is not None:
@@ -365,7 +362,7 @@ class ExperimentConfig:
             "candidates", "region", "prior", "frequencies", "gamma", "n_select",
             "room", "min_decrease", "lambda_select", "lambda_synth_scale",
             "method", "pm_control_spacing", "baselines", "evaluation",
-            "output_dir", "seed", "sound_speed",
+            "output_dir", "sound_speed",
         }
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
@@ -412,7 +409,6 @@ class ExperimentConfig:
             baselines=tuple(doc.get("baselines", ())),
             evaluation=evaluation,
             output_dir=doc.get("output_dir", "out"),
-            seed=doc.get("seed", 0),
             sound_speed=doc.get("sound_speed", 343.0),
         )
 
@@ -485,7 +481,7 @@ def load_config(path: str, environ=None) -> ExperimentConfig:
     """Read a JSON config file and apply environment overrides.
 
     Overrides act on the resolved document, so defaulted keys the file
-    omits (seed, lambda_select, ...) are overridable too.
+    omits (lambda_select, sound_speed, ...) are overridable too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

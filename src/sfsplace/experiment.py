@@ -472,7 +472,7 @@ def _echo_config(config, out, name="config.json"):
         fh.write(config.to_json())
 
 
-def run_place(config: ExperimentConfig, out_dir=None, threads=1):
+def run_place(config: ExperimentConfig, out_dir=None):
     """Greedy placement (plus flagged baselines); writes placement + trace."""
     out = _ensure_out(config, out_dir)
     _echo_config(config, out)
@@ -543,7 +543,6 @@ def paper_config(broadband=False, output_dir="paper_out") -> ExperimentConfig:
             angles_deg=tuple(float(a) for a in range(-45, 46)), grid_spacing=0.01
         ),
         output_dir=output_dir,
-        seed=0,
         sound_speed=343.0,
     )
 
@@ -607,10 +606,6 @@ def run_reproduce(out_dir="paper_out", threads=1):
         "broadband": {
             name: {("%g" % f): float(np.mean(v)) for f, v in sorted(bins.items())}
             for name, bins in sorted(per_bin.items())
-        },
-        "work_units": {
-            "narrowband": result_nb.work_units,
-            "broadband": result_bb.work_units,
         },
     }
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:

@@ -4,21 +4,21 @@ The cost of a candidate subset S is the expected regularized regional
 reproduction error over a statistical prior of desired fields,
 
     J(S) = E_b[ min_d (C_S d - b)^H W (C_S d - b) + lam ||d||^2 ]
-         = tr(W R) - tr(A_S T_SS),
+         = tr(Q_S R),   Q_S = W - W C_S (C_S^H W C_S + lam I)^{-1} C_S^H W,
 
-with G = C^H W C, T = C^H W R W C, A_S = (G_SS + lam I)^{-1}, and
-R = Sigma + mu mu^H the second moment of the prior on the desired-field
+with R = Sigma + mu mu^H the second moment of the prior on the desired-field
 coefficients b. Only (mu, Sigma) enter J, so any two-moment-matched
-distribution gives the same cost. Greedy selection adds one source at a
-time, growing the cached inverse A by a bordered rank-one block update;
-evaluating all candidates at step l costs O(N l^2) and a full run of L
-picks O(N L^3).
+distribution gives the same cost. Greedy selection keeps, per frequency
+bin, the residual Q_S (K x K) with Z = Q_S C and Y = R Z (K x N). Adding
+candidate c changes J by -z_c^H y_c / (lam + c^H z_c), and a pick is one
+rank-one update of all three: each step costs O(K N) per bin, memory
+stays K x N per bin, and the denominator never falls below lam.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -35,7 +35,6 @@ from .wavefield import (
 from . import specfun
 
 __all__ = [
-    "NumericalBreakdown",
     "FieldPrior",
     "DirectionRangePrior",
     "prior_from_direction_range",
@@ -43,8 +42,7 @@ __all__ = [
     "placement_cost",
     "state_cost",
     "candidate_deltas",
-    "extend_inverse",
-    "rebuild_inverse",
+    "add_candidate",
     "PlacementResult",
     "BroadbandBin",
     "BroadbandSpec",
@@ -54,17 +52,7 @@ __all__ = [
     "exhaustive_place",
     "regular_placement_a",
     "regular_placement_b",
-    "predicted_work",
 ]
-
-# rank-one growth fails when the effective pivot vanishes relative to the
-# new diagonal entry; lam > 0 makes this rare but duplicate candidates at
-# tiny lam can trigger it
-BREAKDOWN_RTOL = 1e-12
-
-
-class NumericalBreakdown(Exception):
-    """Pivot too small for a stable rank-one inverse update."""
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -193,164 +181,124 @@ def prior_from_direction_range(
 # ---------------------------------------------------------------------------
 # selection state and cost
 
+# Decreases within this fraction of the best one count as tied, so the
+# lowest index wins even when the last bit of rounding splits an exact tie
+# (mirror-image candidates under a mirror-symmetric prior).
+TIE_RTOL = 1e-12
 
-class WorkCounter:
-    """Mutable tally of complex multiply-accumulate work, from array shapes."""
 
-    __slots__ = ("units",)
-
-    def __init__(self):
-        self.units = 0
-
-    def add(self, n):
-        self.units += int(n)
+def _problem_arrays(coeff_matrix, weight, prior: FieldPrior, lam: float):
+    """Validated (C, W) of one bin as complex arrays."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("regularization constant must be positive")
+    c = np.ascontiguousarray(coeff_matrix, dtype=np.complex128)
+    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
+    if c.ndim != 2 or w.shape != (c.shape[0], c.shape[0]):
+        raise ValueError("coefficient and weight shapes are inconsistent")
+    if prior.size != c.shape[0]:
+        raise ValueError("prior dimension must match coefficient rows")
+    return c, _hermitize(np.asarray(w, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Greedy-selection snapshot: indices, cached inverse, Gram blocks.
+    """Greedy-selection state of one bin in residual form.
 
-    gram = C^H W C and tmat = C^H W R W C are shared read-only across all
-    states derived from one problem; a_inv tracks (gram_SS + lam I)^{-1}.
+    q is Q_S (K x K), z = Q_S C and y = R z (K x N, one column per
+    candidate). Arrays are never modified in place: add_candidate returns
+    a new state, so earlier states stay valid.
     """
 
-    gram: np.ndarray
-    tmat: np.ndarray
-    j_empty: float
+    coeff: np.ndarray
+    second_moment: np.ndarray
     lam: float
+    q: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
     selected: tuple[int, ...] = ()
-    a_inv: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.complex128))
-    work: WorkCounter = field(default_factory=WorkCounter)
 
     @classmethod
     def from_problem(cls, coeff_matrix, weight, prior: FieldPrior, lam: float) -> "SelectionState":
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError("regularization constant must be positive")
-        c = np.ascontiguousarray(coeff_matrix, dtype=np.complex128)
-        w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
-        if c.ndim != 2 or w.shape != (c.shape[0], c.shape[0]):
-            raise ValueError("coefficient and weight shapes are inconsistent")
-        if prior.size != c.shape[0]:
-            raise ValueError("prior dimension must match coefficient rows")
-        wc = w @ c
-        gram = _hermitize(c.conj().T @ wc)
-        rwc = prior.second_moment @ wc
-        tmat = _hermitize(wc.conj().T @ rwc)
-        j_empty = float(np.sum(w * prior.second_moment.T).real)  # tr(W R)
-        return cls(gram=gram, tmat=tmat, j_empty=j_empty, lam=lam)
+        c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
+        z = w @ c
+        r = prior.second_moment
+        return cls(coeff=c, second_moment=r, lam=lam, q=w, z=z, y=r @ z)
 
     @property
     def n_candidates(self) -> int:
-        return self.gram.shape[0]
+        return self.coeff.shape[1]
 
 
 def state_cost(state: SelectionState) -> float:
-    """J for the state's current selection, via the cached inverse."""
-    if not state.selected:
-        return state.j_empty
-    sel = list(state.selected)
-    t_ss = state.tmat[np.ix_(sel, sel)]
-    return state.j_empty - float(np.sum(state.a_inv * t_ss.T).real)
+    """J for the state's current selection: tr(Q_S R), O(K^2)."""
+    return float(np.sum(state.q * state.second_moment.T).real)
 
 
-def candidate_deltas(state: SelectionState, candidates=None) -> np.ndarray:
-    """Exact J decrease for adding each candidate; +inf where unusable.
+def candidate_deltas(state: SelectionState) -> np.ndarray:
+    """Exact J change for adding each candidate; +inf for selected ones.
 
-    Uses the bordered-inverse identity: appending nu changes the trace
-    term by (u^H T_SS u - 2 Re(u^H t) + tau) / rho with u = A a. Entries
-    for already-selected candidates, or with a vanishing pivot rho, are
-    masked with +inf. The T quadratic form is PSD, so each decrease is
-    clipped at zero and J is exactly non-increasing along any greedy run.
+    Delta_c = -z_c^H R z_c / (lam + c^H Q_S c). Both quadratic forms are
+    PSD and clipped at zero, so every change is <= 0 and the denominator
+    never falls below lam.
     """
-    n = state.n_candidates
-    if candidates is None:
-        cand = np.setdiff1d(np.arange(n), np.array(state.selected, dtype=int))
-    else:
-        cand = np.asarray(candidates, dtype=int)
-    out = np.full(n, np.inf)
-    if cand.size == 0:
-        return out
-    l = len(state.selected)
-    g_new = state.gram[cand, cand].real + state.lam
-    tau = state.tmat[cand, cand].real
-    if l == 0:
-        rho = g_new.copy()
-        bracket = tau.copy()
-        state.work.add(5 * cand.size)
-    else:
-        sel = list(state.selected)
-        a = state.gram[np.ix_(sel, cand)]
-        u = state.a_inv @ a
-        t_sc = state.tmat[np.ix_(sel, cand)]
-        t_ss = state.tmat[np.ix_(sel, sel)]
-        bracket = (
-            np.einsum("ik,ij,jk->k", u.conj(), t_ss, u).real
-            - 2.0 * np.einsum("ik,ik->k", u.conj(), t_sc).real
-            + tau
-        )
-        rho = g_new - np.einsum("ik,ik->k", a.conj(), u).real
-        state.work.add(cand.size * (2 * l * l + 3 * l + 5))
-    ok = rho > BREAKDOWN_RTOL * g_new
-    np.clip(bracket, 0.0, None, out=bracket)
-    out[cand[ok]] = -bracket[ok] / rho[ok]
+    num = np.einsum("kn,kn->n", state.z.conj(), state.y).real
+    den = np.einsum("kn,kn->n", state.coeff.conj(), state.z).real
+    out = -np.clip(num, 0.0, None) / (state.lam + np.clip(den, 0.0, None))
+    out[list(state.selected)] = np.inf
     return out
 
 
-def extend_inverse(state: SelectionState, new_index: int) -> SelectionState:
-    """Grow the cached inverse by one candidate in O(l^2)."""
-    new_index = int(new_index)
-    if not 0 <= new_index < state.n_candidates:
+def add_candidate(state: SelectionState, index: int) -> SelectionState:
+    """Select one more candidate: a rank-one update of q, z and y in O(K N).
+
+    Q' = Q - z_c z_c^H / (lam + c^H z_c); z and y follow from Q' C = Q C
+    - z_c (z_c^H C) / (lam + c^H z_c) and y = R z.
+    """
+    index = int(index)
+    if not 0 <= index < state.n_candidates:
         raise ValueError("candidate index out of range")
-    if new_index in state.selected:
+    if index in state.selected:
         raise ValueError("candidate already selected")
-    l = len(state.selected)
-    g_new = state.gram[new_index, new_index].real + state.lam
-    if l == 0:
-        if g_new <= 0.0:
-            raise NumericalBreakdown("nonpositive leading pivot")
-        a_inv = np.array([[1.0 / g_new]], dtype=np.complex128)
-    else:
-        sel = list(state.selected)
-        a = state.gram[sel, new_index]
-        u = state.a_inv @ a
-        rho = g_new - float((a.conj() @ u).real)
-        if rho <= BREAKDOWN_RTOL * g_new:
-            raise NumericalBreakdown(f"pivot {rho:.3e} too small for candidate {new_index}")
-        a_inv = np.empty((l + 1, l + 1), dtype=np.complex128)
-        a_inv[:l, :l] = state.a_inv + np.outer(u, u.conj()) / rho
-        a_inv[:l, l] = -u / rho
-        a_inv[l, :l] = -u.conj() / rho
-        a_inv[l, l] = 1.0 / rho
-    state.work.add(2 * l * l + 4 * l + 8)
-    return replace(state, selected=state.selected + (new_index,), a_inv=a_inv)
-
-
-def rebuild_inverse(state: SelectionState, selected=None) -> SelectionState:
-    """Recompute the cached inverse directly; breakdown recovery path."""
-    sel = tuple(int(i) for i in (state.selected if selected is None else selected))
-    if len(set(sel)) != len(sel):
-        raise ValueError("selected indices must be unique")
-    g = state.gram[np.ix_(sel, sel)] + state.lam * np.eye(len(sel))
-    a_inv = _hermitize(np.linalg.inv(_hermitize(g)))
-    state.work.add(len(sel) ** 3)
-    return replace(state, selected=sel, a_inv=a_inv)
+    zc = state.z[:, index]
+    den = state.lam + max(float(np.vdot(state.coeff[:, index], zc).real), 0.0)
+    # einsum, not a BLAS gemv: a threaded gemv this small costs more in
+    # thread hand-offs than in arithmetic when the cores are busy
+    u = np.einsum("k,kn->n", zc.conj(), state.coeff) / den
+    return replace(
+        state,
+        q=state.q - np.outer(zc, zc.conj()) / den,
+        z=state.z - np.outer(zc, u),
+        y=state.y - np.outer(state.y[:, index], u),
+        selected=state.selected + (index,),
+    )
 
 
 def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float) -> float:
-    """Reference J(S) by direct inversion: tr(D R), D = W - W C_S A C_S^H W."""
+    """Reference J(S) = tr(Q_S R) by a direct factorization.
+
+    With W = B B^H and the full SVD B^H C_S = U diag(s) V^H,
+    Q_S = (B U) diag(f) (B U)^H, f_i = lam / (s_i^2 + lam) (1 past the
+    rank). Nothing cancels, so Q_S stays accurate on both sides of L = K:
+    the Woodbury form W - W C_S A C_S^H W loses digits once the selection
+    spans the mode space, and the push-through form lam (W C_S C_S^H +
+    lam I)^{-1} W before it does.
+    """
     c = np.asarray(coeff_matrix, dtype=np.complex128)
     w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
     sel = [int(i) for i in selected]
     if len(set(sel)) != len(sel) or any(not 0 <= i < c.shape[1] for i in sel):
         raise ValueError("selected indices must be unique and in range")
     if sel:
-        cs = c[:, sel]
-        wcs = w @ cs
-        a = np.linalg.inv(_hermitize(cs.conj().T @ wcs) + lam * np.eye(len(sel)))
-        d = w - wcs @ a @ wcs.conj().T
+        evals, evecs = np.linalg.eigh(_hermitize(w))
+        b = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        u, s, _ = np.linalg.svd(b.conj().T @ c[:, sel])
+        f = np.ones(w.shape[0])
+        f[: s.size] = lam / (s ** 2 + lam)
+        g = b @ u
+        q = (g * f) @ g.conj().T
     else:
-        d = w
-    j = complex(np.sum(d * prior.second_moment.T))
+        q = w
+    j = complex(np.sum(q * prior.second_moment.T))
     scale = max(abs(j), abs(float(np.sum(w * prior.second_moment.T).real)), 1e-300)
     if abs(j.imag) > 1e-9 * scale:
         raise ValueError("placement cost has a non-negligible imaginary part")
@@ -363,11 +311,10 @@ def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """Selection order, the J trace (J(empty set) first), and work tally."""
+    """Selection order and the J trace (J(empty set) first)."""
 
     indices: tuple[int, ...]
     cost_trace: np.ndarray
-    work_units: int
 
 
 @dataclass(frozen=True)
@@ -413,7 +360,8 @@ def greedy_place_broadband(
 
     Stops after n_select picks, or earlier once the best available cost
     decrease falls below min_decrease relative to the empty-set cost.
-    Ties go to the lowest candidate index.
+    Ties (within TIE_RTOL of the best decrease) go to the lowest
+    candidate index. Each trace entry is the exact weighted tr(Q_S R).
     """
     n = spec.n_candidates
     if n == 0:
@@ -427,31 +375,16 @@ def greedy_place_broadband(
         SelectionState.from_problem(b.coeff_matrix, b.weight, b.prior, lam) for b in spec.bins
     ]
     gammas = [b.gamma for b in spec.bins]
-    trace = [sum(g * s.j_empty for g, s in zip(gammas, states))]
-    selected: list[int] = []
+    trace = [sum(g * state_cost(s) for g, s in zip(gammas, states))]
     for _ in range(limit):
         deltas = sum(g * candidate_deltas(s) for g, s in zip(gammas, states))
-        pick = int(np.argmin(deltas))
-        if not np.isfinite(deltas[pick]):
-            # all pivots broke down: refresh every cached inverse and retry
-            states = [rebuild_inverse(s) for s in states]
-            deltas = sum(g * candidate_deltas(s) for g, s in zip(gammas, states))
-            pick = int(np.argmin(deltas))
-            if not np.isfinite(deltas[pick]):
-                raise NumericalBreakdown("no candidate admits a stable update")
+        best = float(np.min(deltas))
+        pick = int(np.flatnonzero(deltas <= best + TIE_RTOL * abs(best))[0])
         if min_decrease is not None and -deltas[pick] < min_decrease * trace[0]:
             break
-        grown = []
-        for s in states:
-            try:
-                grown.append(extend_inverse(s, pick))
-            except NumericalBreakdown:
-                grown.append(rebuild_inverse(s, selected=s.selected + (pick,)))
-        states = grown
-        selected.append(pick)
-        trace.append(trace[-1] + deltas[pick])
-    work = sum(s.work.units for s in states)
-    return PlacementResult(tuple(selected), np.asarray(trace), work)
+        states = [add_candidate(s, pick) for s in states]
+        trace.append(sum(g * state_cost(s) for g, s in zip(gammas, states)))
+    return PlacementResult(states[0].selected, np.asarray(trace))
 
 
 def greedy_place(
@@ -479,32 +412,29 @@ def exhaustive_place(coeff_matrix, weight, prior: FieldPrior, lam: float, n_sele
     """Globally optimal n_select-subset by full enumeration (oracle scale).
 
     Returns (indices, cost); ties resolve to the lexicographically first
-    subset. Guarded to at most 10^6 subsets.
+    subset. Guarded to at most 10^6 subsets. Each subset costs
+    J = tr(W R) - tr((G_SS + lam I)^{-1} T_SS) with G = C^H W C and
+    T = C^H W R W C.
     """
-    c = np.asarray(coeff_matrix, dtype=np.complex128)
+    c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
     n = c.shape[1]
     if not 1 <= n_select <= n:
         raise ValueError("n_select must lie in [1, n_candidates]")
     if math.comb(n, n_select) > 10 ** 6:
         raise ValueError("subset count exceeds the enumeration guard")
-    ref = SelectionState.from_problem(c, weight, prior, lam)
+    wc = w @ c
+    gram = _hermitize(c.conj().T @ wc)
+    tmat = _hermitize(wc.conj().T @ (prior.second_moment @ wc))
+    j_empty = float(np.sum(w * prior.second_moment.T).real)
     eye = lam * np.eye(n_select)
     best_idx, best_cost = None, np.inf
     for combo in combinations(range(n), n_select):
         sel = list(combo)
-        a = np.linalg.inv(ref.gram[np.ix_(sel, sel)] + eye)
-        cost = ref.j_empty - float(np.sum(a * ref.tmat[np.ix_(sel, sel)].T).real)
+        a = np.linalg.inv(gram[np.ix_(sel, sel)] + eye)
+        cost = j_empty - float(np.sum(a * tmat[np.ix_(sel, sel)].T).real)
         if cost < best_cost:
             best_idx, best_cost = combo, cost
     return best_idx, best_cost
-
-
-def predicted_work(n_candidates: int, n_select: int, n_bins: int = 1) -> int:
-    """Closed-form complex-op prediction for a full greedy run, O(N L^3)."""
-    total = 0
-    for l in range(n_select):
-        total += (n_candidates - l + 1) * (2 * l * l + 4 * l + 8)
-    return n_bins * total
 
 
 # ---------------------------------------------------------------------------

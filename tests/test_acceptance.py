@@ -20,8 +20,8 @@ from sfsplace.placement import (
     DirectionRangePrior,
     FieldPrior,
     SelectionState,
+    add_candidate,
     exhaustive_place,
-    extend_inverse,
     greedy_place,
     placement_cost,
     prior_from_direction_range,
@@ -80,7 +80,7 @@ def test_criterion_1_incremental_inverse_matches_direct():
     rng = np.random.default_rng(0)
     n, dim, n_select, lam = 30, 12, 10, 1e-4
     t0 = time.perf_counter()
-    worst_inv = 0.0
+    worst_q = 0.0
     worst_cost = 0.0
     for _ in range(100):
         coeff = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
@@ -88,25 +88,26 @@ def test_criterion_1_incremental_inverse_matches_direct():
         prior = _random_prior(rng, dim)
         result = greedy_place(coeff, weight, prior, lam, n_select=n_select)
         _TRACES.append(result.cost_trace)
-        # replay the picks so every intermediate cached inverse is inspected
+        # replay the picks so every intermediate residual state is inspected
         state = SelectionState.from_problem(coeff, weight, prior, lam)
-        for idx in result.indices:
-            state = extend_inverse(state, idx)
+        for step, idx in enumerate(result.indices, start=1):
+            state = add_candidate(state, idx)
             sel = list(state.selected)
-            gram = state.gram[np.ix_(sel, sel)] + lam * np.eye(len(sel))
-            resid = np.abs(state.a_inv @ gram - np.eye(len(sel))).max()
-            worst_inv = max(worst_inv, resid)
-        direct = placement_cost(result.indices, prior, coeff, weight, lam)
-        rel = abs(result.cost_trace[-1] - direct) / max(abs(direct), 1e-300)
-        worst_cost = max(worst_cost, rel)
+            wcs = weight @ coeff[:, sel]
+            gram = wcs.conj().T @ coeff[:, sel] + lam * np.eye(len(sel))
+            direct_q = weight - wcs @ np.linalg.solve(gram, wcs.conj().T)
+            worst_q = max(worst_q, np.abs(state.q - direct_q).max() / np.abs(weight).max())
+            direct = placement_cost(sel, prior, coeff, weight, lam)
+            rel = abs(result.cost_trace[step] - direct) / max(abs(direct), 1e-300)
+            worst_cost = max(worst_cost, rel)
     elapsed = time.perf_counter() - t0
-    ok = worst_inv < 1e-8 and worst_cost < 1e-9 and elapsed < 10.0
+    ok = worst_q < 1e-8 and worst_cost < 1e-9 and elapsed < 10.0
     _report(
         1,
         ok,
-        "100 instances (N=30, M=12, L=10): max inverse residual %.2e (< 1e-8), "
-        "max incremental-vs-direct cost rel diff %.2e (< 1e-9), %.1f s (< 10 s)"
-        % (worst_inv, worst_cost, elapsed),
+        "100 instances (N=30, M=12, L=10), every step: max |Q - Q_S| / max|W| "
+        "%.2e (< 1e-8), max trace-vs-direct cost rel diff %.2e (< 1e-9), "
+        "%.1f s (< 10 s)" % (worst_q, worst_cost, elapsed),
     )
     assert ok
 

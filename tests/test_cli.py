@@ -169,10 +169,14 @@ def test_cli_out_and_seed_overrides(tmp_path):
     out = tmp_path / "orig"
     moved = tmp_path / "moved"
     cfg = _write(tmp_path, _toy_doc(out))
-    assert main(["place", "--config", cfg, "--out", str(moved), "--seed", "9"]) == 0
+    assert main(["place", "--config", cfg, "--out", str(moved)]) == 0
     assert not out.exists()
     echoed = json.loads((moved / "config.json").read_text())
-    assert echoed["seed"] == 9
+    assert echoed["output_dir"] == str(moved)
+    # nothing is random, so there is no seed to override
+    with pytest.raises(SystemExit) as exc:
+        main(["place", "--config", cfg, "--seed", "9"])
+    assert exc.value.code == 2
 
 
 def test_env_override_changes_run(tmp_path, monkeypatch):

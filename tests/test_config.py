@@ -87,7 +87,7 @@ def test_round_trip_full_featured():
         evaluation={"angles_deg": [0.0, 10.0], "grid_spacing": 0.02,
                     "write_fields": True, "desired": "point_source",
                     "desired_position": [-1.0, 0.0], "placement": [0, 3, 5]},
-        seed=11,
+        lambda_select=3e-4,
         sound_speed=340.0,
         output_dir="elsewhere",
     )
@@ -193,22 +193,22 @@ def test_room_scalar_reflection_broadcasts():
 
 
 def test_env_overrides_scalars():
-    doc = _toy_doc(seed=0)
+    doc = _toy_doc(lambda_select=1e-5)
     out = apply_env_overrides(
         doc,
         environ={
-            "SFSPLACE_SEED": "7",
+            "SFSPLACE_LAMBDA_SELECT": "7e-4",
             "SFSPLACE_N_SELECT": "2",
             "SFSPLACE_PRIOR__ANGLE_MIN_DEG": "-30.0",
             "UNRELATED": "1",
         },
     )
-    assert out["seed"] == 7
+    assert out["lambda_select"] == 7e-4
     assert out["n_select"] == 2
     assert out["prior"]["angle_min_deg"] == -30.0
-    assert doc.get("seed") == 0  # original untouched
+    assert doc.get("lambda_select") == 1e-5  # original untouched
     config = ExperimentConfig.from_dict(out)
-    assert config.seed == 7 and config.prior.angle_min_deg == -30.0
+    assert config.lambda_select == 7e-4 and config.prior.angle_min_deg == -30.0
 
 
 def test_env_override_strings_pass_through():
@@ -231,6 +231,6 @@ def test_env_override_unknown_key_raises():
 def test_load_config_applies_environment(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_toy_doc()))
-    config = load_config(str(path), environ={"SFSPLACE_SEED": "3"})
-    assert config.seed == 3
-    assert load_config(str(path), environ={}).seed == 0
+    config = load_config(str(path), environ={"SFSPLACE_LAMBDA_SELECT": "3e-4"})
+    assert config.lambda_select == 3e-4
+    assert load_config(str(path), environ={}).lambda_select == 1e-5
