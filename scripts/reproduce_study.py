@@ -1,6 +1,6 @@
 """Run the built-in reverberant study end to end and print the summary.
 
-Equivalent to `sfsplace reproduce-paper`; takes a few minutes.
+Equivalent to `sfsplace reproduce-paper`; takes about 20 seconds on two cores.
 
 Usage: python scripts/reproduce_study.py [--out DIR] [--threads N]
 """

@@ -31,7 +31,7 @@ from .placement import (
     regular_placement_a,
     regular_placement_b,
 )
-from .room import room_transfer_coeffs, transfer_matrix
+from .room import transfer_matrix
 from .synthesis import (
     WeightMatrix,
     identity_weight,
@@ -48,7 +48,6 @@ from .wavefield import (
     _basis_matrix,
     expansion_for,
     planewave_coeffs,
-    pointsource_coeffs,
 )
 
 
@@ -229,10 +228,8 @@ class _GridEvaluation:
             self.desired = transfer_matrix(grid, pos, freq, room)
             if problem.control_points is not None:
                 self.targets = transfer_matrix(problem.control_points, pos, freq, room)
-            elif room is None:
-                self.targets = pointsource_coeffs(pos[0], cfg, freq).values[:, None]
             else:
-                self.targets = room_transfer_coeffs(room, pos[0], cfg, freq).values[:, None]
+                self.targets = source_coeff_matrix(pos, cfg, freq, room)
         else:
             self.desired = _plane_waves(grid, freq, angles)
             if problem.control_points is not None:

@@ -6,28 +6,23 @@ sources follow the Allen-Berkley construction: with corner coordinates
 x' = x + Lx/2, the x-line images sit at 2 n Lx +/- x' and carry
 beta_left^|n-q| beta_right^|n| (q = 0 keeps +x', q = 1 flips), and the
 same along y; a 2D image is a pair of 1D images with the reflection
-counts adding. Images are enumerated up to a total reflection count and
-summed in the frequency domain against (i/4) H_0^(1)(k d).
+counts adding. None of offset 2 n L, sign and gain depends on the
+source, so one table per room, up to a total reflection count, places
+the images of any number of sources at once. The transfer sums them in
+the frequency domain against (i/4) H_0^(1)(k d); synthesis expands the
+same images with Graf's addition theorem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .wavefield import (
-    ExpansionCoeffs,
-    ExpansionConfig,
-    Frequency,
-    Point2,
-    _alt_sign,
-    _as_points,
-    _as_xy,
-)
+from .wavefield import Frequency, Point2, _as_points, _as_xy
 
 __all__ = [
     "RoomModel",
@@ -35,7 +30,6 @@ __all__ = [
     "image_sources",
     "room_transfer",
     "room_transfer_many",
-    "room_transfer_coeffs",
     "transfer_matrix",
 ]
 
@@ -84,8 +78,22 @@ class ImageSource:
     order: int
 
 
-def _axis_images(coord, length, beta_lo, beta_hi, max_count):
-    """1D mirror images: (position, gain, reflection count) triples."""
+class _ImageTable(NamedTuple):
+    """Mirror images of one room, independent of the source position.
+
+    Image i of a source s sits at (offset[i] + sign[i] * (s + L/2)) - L/2
+    on each axis (L the room size) and carries gain[i] after order[i]
+    reflections.
+    """
+
+    offset: np.ndarray  # (I, 2) axis offsets 2 n L
+    sign: np.ndarray  # (I, 2) +1 keeps, -1 flips the corner coordinate
+    gain: np.ndarray  # (I,)
+    order: np.ndarray  # (I,)
+
+
+def _axis_images(length, beta_lo, beta_hi, max_count):
+    """1D mirror images: (offset, sign, gain, reflection count, n, q) tuples."""
     out = []
     nmax = max_count // 2 + 1
     for n in range(-nmax, nmax + 1):
@@ -94,46 +102,60 @@ def _axis_images(coord, length, beta_lo, beta_hi, max_count):
             if count > max_count:
                 continue
             gain = (beta_lo ** abs(n - q)) * (beta_hi ** abs(n))
-            pos = 2.0 * n * length + (coord if q == 0 else -coord)
-            out.append((pos, gain, count, n, q))
+            out.append((2.0 * n * length, 1.0 - 2.0 * q, gain, count, n, q))
     return out
 
 
-def image_sources(room: RoomModel, source) -> list[ImageSource]:
-    """All mirror images with nonzero gain up to the room's reflection order.
+def _image_table(room: RoomModel) -> _ImageTable:
+    """All images with nonzero gain up to the room's reflection order.
 
-    The list is deterministically ordered: by total reflection count first,
-    so the direct source is always element 0.
+    Rows are ordered by total reflection count first, so the direct source
+    is always row 0.
     """
-    sx, sy = _as_xy(source)
-    if not room.contains((sx, sy)):
-        raise ValueError("source must lie strictly inside the room")
     bl, br, bb, bt = room.reflection
     order = room.max_reflection_order
-    xi = _axis_images(sx + 0.5 * room.size_x, room.size_x, bl, br, order)
-    yi = _axis_images(sy + 0.5 * room.size_y, room.size_y, bb, bt, order)
-    items = []
-    for (px, gx, cx, nx, qx) in xi:
-        for (py, gy, cy, ny, qy) in yi:
+    rows = []
+    for (ox, sx, gx, cx, nx, qx) in _axis_images(room.size_x, bl, br, order):
+        for (oy, sy, gy, cy, ny, qy) in _axis_images(room.size_y, bb, bt, order):
             count = cx + cy
-            if count > order:
-                continue
             gain = gx * gy
-            if gain == 0.0:
-                continue
-            items.append((count, nx, ny, qx, qy, px, py, gain))
-    items.sort(key=lambda t: t[:5])
+            if count <= order and gain != 0.0:
+                rows.append((count, nx, ny, qx, qy, ox, oy, sx, sy, gain))
+    rows.sort(key=lambda r: r[:5])
+    count, _, _, _, _, ox, oy, sx, sy, gain = zip(*rows)
+    return _ImageTable(
+        np.column_stack([ox, oy]), np.column_stack([sx, sy]), np.array(gain), np.array(count)
+    )
+
+
+def _images(sources, room: RoomModel | None):
+    """(positions (S, I, 2), gains (I,)) of the images of every source.
+
+    In free field each source is its own single image with unit gain; in a
+    room every source must lie strictly inside it.
+    """
+    srcs = _as_points(sources)
+    if room is None:
+        return srcs[:, None, :], np.ones(1)
+    half = 0.5 * np.array([room.size_x, room.size_y])
+    outside = np.flatnonzero(np.any(np.abs(srcs) >= half, axis=1))
+    if outside.size:
+        raise ValueError(
+            "source %d at (%.6g, %.6g) must lie strictly inside the room"
+            % (outside[0], *srcs[outside[0]])
+        )
+    table = _image_table(room)
+    return (table.offset + table.sign * (srcs[:, None, :] + half)) - half, table.gain
+
+
+def image_sources(room: RoomModel, source) -> list[ImageSource]:
+    """Per-source view of the room's image table, direct source first."""
+    pos, gain = _images([_as_xy(source)], room)
+    order = _image_table(room).order
     return [
-        ImageSource(Point2(px - 0.5 * room.size_x, py - 0.5 * room.size_y), gain, count)
-        for (count, nx, ny, qx, qy, px, py, gain) in items
+        ImageSource(Point2(float(x), float(y)), float(g), int(c))
+        for (x, y), g, c in zip(pos[0], gain, order)
     ]
-
-
-def _image_arrays(room: RoomModel, source):
-    imgs = image_sources(room, source)
-    pos = np.array([[im.position.x, im.position.y] for im in imgs])
-    gain = np.array([im.gain for im in imgs])
-    return pos, gain
 
 
 # Hankel arguments per block of sources in transfer_matrix (at least one
@@ -150,18 +172,11 @@ def transfer_matrix(points, sources, freq: Frequency, room: RoomModel | None = N
     sources processed in blocks so the work arrays stay bounded.
     """
     pts = _as_points(points)
-    srcs = _as_points(sources)
-    if room is None:
-        pos = srcs[:, None, :]
-        gain = np.ones((len(srcs), 1))
-    else:
-        tables = [_image_arrays(room, s) for s in srcs]
-        pos = np.stack([t[0] for t in tables])
-        gain = np.stack([t[1] for t in tables])
+    pos, gain = _images(sources, room)
     per_source = len(pts) * pos.shape[1]
     step = max(1, _TRANSFER_BLOCK // max(per_source, 1))
-    out = np.empty((len(pts), len(srcs)), dtype=np.complex128)
-    for lo in range(0, len(srcs), step):
+    out = np.empty((len(pts), len(pos)), dtype=np.complex128)
+    for lo in range(0, len(pos), step):
         blk = pos[lo:lo + step]
         d = np.hypot(
             pts[:, 0][:, None, None] - blk[None, :, :, 0],
@@ -170,7 +185,7 @@ def transfer_matrix(points, sources, freq: Frequency, room: RoomModel | None = N
         if np.any(d < 1e-12):
             raise ValueError("a receiver point coincides with a source or an image")
         h0 = specfun.hankel1_orders(0, freq.wavenumber * d.ravel())[0].reshape(d.shape)
-        out[:, lo:lo + step] = 0.25j * np.einsum("psi,si->ps", h0, gain[lo:lo + step])
+        out[:, lo:lo + step] = 0.25j * np.einsum("psi,i->ps", h0, gain)
     return out
 
 
@@ -183,35 +198,3 @@ def room_transfer(room: RoomModel, receiver, source, freq: Frequency) -> complex
     """Reverberant transfer function between two points inside the room."""
     rx, ry = _as_xy(receiver)
     return complex(room_transfer_many(room, np.array([[rx, ry]]), source, freq)[0])
-
-
-def room_transfer_coeffs(
-    room: RoomModel, source, cfg: ExpansionConfig, freq: Frequency
-) -> ExpansionCoeffs:
-    """Interior expansion coefficients of the reverberant field.
-
-    Sums the Graf-theorem coefficients of every mirror image; each image
-    must lie outside the expansion validity disc.
-    """
-    pos, gain = _image_arrays(room, source)
-    cx, cy = cfg.center
-    dx = pos[:, 0] - cx
-    dy = pos[:, 1] - cy
-    dist = np.hypot(dx, dy)
-    if cfg.valid_radius > 0.0:
-        bad = np.flatnonzero(dist <= cfg.valid_radius)
-        if bad.size:
-            raise ValueError(
-                "image source at (%.6g, %.6g) lies inside the expansion validity disc"
-                % (pos[bad[0], 0], pos[bad[0], 1])
-            )
-    elif np.any(dist < 1e-12):
-        raise ValueError("an image source coincides with the expansion center")
-    phi = np.arctan2(dy, dx)
-    m = cfg.orders
-    h_pos = specfun.hankel1_orders(cfg.max_order, freq.wavenumber * dist)  # (M+1, n_img)
-    h_full = _alt_sign(np.abs(m))[:, None] * h_pos[np.abs(m), :]
-    nonneg = m >= 0
-    h_full[nonneg] = h_pos[m[nonneg], :]
-    vals = 0.25j * ((h_full * np.exp(-1j * np.outer(m, phi))) @ gain)
-    return ExpansionCoeffs(vals, cfg)

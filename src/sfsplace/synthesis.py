@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import specfun
-from .room import RoomModel, _image_arrays, transfer_matrix
+from .room import RoomModel, _images, transfer_matrix
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
@@ -150,39 +150,31 @@ def source_coeff_matrix(
 ) -> np.ndarray:
     """Transfer-function expansion coefficients, one column per source.
 
-    Free-field columns are Graf-theorem point-source expansions; with a room
-    each column sums the expansions of every mirror image. Sources (and all
-    their images) must lie outside the expansion validity disc.
+    Column s is the Graf-theorem expansion (i/4) H_m^(1)(k d) e^{-i m phi}
+    summed over the images of source s (the source alone in free field),
+    (d, phi) being the polar coordinates of each image about cfg.center.
+    Sources (and all their images) must lie outside the expansion validity
+    disc.
     """
-    pos = _as_points(positions)
-    if room is None:
-        src = pos
-        gains = np.ones(len(pos))
-        groups = len(pos), 1
-    else:
-        stacks = [_image_arrays(room, p) for p in pos]
-        n_img = len(stacks[0][1])
-        src = np.concatenate([s[0] for s in stacks], axis=0)
-        gains = np.concatenate([s[1] for s in stacks])
-        groups = len(pos), n_img
+    pos, gains = _images(positions, room)
     cx, cy = cfg.center
-    dx = src[:, 0] - cx
-    dy = src[:, 1] - cy
+    dx = pos[..., 0] - cx
+    dy = pos[..., 1] - cy
     dist = np.hypot(dx, dy)
-    bad = np.flatnonzero(dist <= max(cfg.valid_radius, 1e-12))
+    bad = np.argwhere(dist <= max(cfg.valid_radius, 1e-12))
     if bad.size:
         raise ValueError(
             "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
-            % (src[bad[0], 0], src[bad[0], 1])
+            % tuple(pos[tuple(bad[0])])
         )
-    phi = np.arctan2(dy, dx)
     m = cfg.orders
-    h_pos = specfun.hankel1_orders(cfg.max_order, freq.wavenumber * dist)
+    h_pos = specfun.hankel1_orders(cfg.max_order, freq.wavenumber * dist.ravel())
     h_full = _alt_sign(np.abs(m))[:, None] * h_pos[np.abs(m), :]
     nonneg = m >= 0
     h_full[nonneg] = h_pos[m[nonneg], :]
-    cols = 0.25j * h_full * np.exp(-1j * np.outer(m, phi)) * gains[None, :]
-    return cols.reshape(cfg.size, groups[0], groups[1]).sum(axis=2)
+    phase = np.exp(-1j * (m[:, None, None] * np.arctan2(dy, dx)))
+    cols = 0.25j * h_full.reshape(phase.shape) * phase * gains
+    return cols.sum(axis=2)
 
 
 def _normal_system(coeff_matrix, weight, target=None):

@@ -7,9 +7,10 @@ Conventions (time dependence exp(-i w t)):
 * interior expansion about a center c: u(r) = sum_m a_m J_m(k r') exp(i m phi'),
   with (r', phi') polar coordinates of r - c.
 
-Expansion coefficients follow from the Jacobi-Anger identity for plane waves
-and from Graf's addition theorem for exterior point sources (valid strictly
-inside the source distance).
+Plane-wave coefficients follow from the Jacobi-Anger identity; exterior
+point sources and their room images are expanded with Graf's addition
+theorem by synthesis.source_coeff_matrix (valid strictly inside the source
+distance).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "green2d",
     "green2d_many",
     "planewave_coeffs",
-    "pointsource_coeffs",
     "evaluate_expansion",
     "evaluate_expansion_many",
 ]
@@ -222,30 +222,6 @@ def planewave_coeffs(pw: PlaneWave, cfg: ExpansionConfig, freq: Frequency) -> Ex
     cx, cy = cfg.center
     center_phase = np.exp(1j * k * (math.cos(pw.direction) * cx + math.sin(pw.direction) * cy))
     vals = pw.amplitude * _ipow(m) * np.exp(-1j * m * pw.direction) * center_phase
-    return ExpansionCoeffs(vals, cfg)
-
-
-def pointsource_coeffs(source, cfg: ExpansionConfig, freq: Frequency) -> ExpansionCoeffs:
-    """Expansion coefficients of an exterior point source (Graf's theorem).
-
-    a_m = (i/4) H_m^(1)(k d) exp(-i m phi_s), with (d, phi_s) the polar
-    coordinates of the source about cfg.center. Requires d > valid_radius.
-    """
-    sx, sy = _as_xy(source)
-    cx, cy = cfg.center
-    dx, dy = sx - cx, sy - cy
-    d = math.hypot(dx, dy)
-    if cfg.valid_radius > 0.0:
-        if d <= cfg.valid_radius:
-            raise ValueError("point source lies inside the expansion validity disc")
-    elif d < _COINCIDENT_TOL:
-        raise ValueError("point source coincides with the expansion center")
-    phi_s = math.atan2(dy, dx)
-    m = cfg.orders
-    h_pos = specfun.hankel1_orders(cfg.max_order, np.asarray([freq.wavenumber * d]))[:, 0]
-    h_full = _alt_sign(np.abs(m)) * h_pos[np.abs(m)]
-    h_full[m >= 0] = h_pos[m[m >= 0]]
-    vals = 0.25j * h_full * np.exp(-1j * m * phi_s)
     return ExpansionCoeffs(vals, cfg)
 
 

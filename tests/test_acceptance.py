@@ -26,7 +26,7 @@ from sfsplace.placement import (
     placement_cost,
     prior_from_direction_range,
 )
-from sfsplace.room import room_transfer_coeffs, room_transfer_many
+from sfsplace.room import room_transfer_many
 from sfsplace.specfun import bessel_j_orders, bessel_y_orders
 from sfsplace.synthesis import (
     source_coeff_matrix,
@@ -35,11 +35,11 @@ from sfsplace.synthesis import (
 )
 from sfsplace.wavefield import (
     CircularRegion,
+    ExpansionCoeffs,
     Frequency,
     evaluate_expansion_many,
     expansion_for,
     green2d_many,
-    pointsource_coeffs,
 )
 
 # the reference study geometry used by criteria 3, 4 and 6
@@ -165,14 +165,14 @@ def test_criterion_3_expansion_fidelity():
     t0 = time.perf_counter()
 
     direct = green2d_many(points, source, freq)
-    series = evaluate_expansion_many(pointsource_coeffs(source, cfg, freq), points, freq)
+    coeffs = ExpansionCoeffs(source_coeff_matrix([source], cfg, freq)[:, 0], cfg)
+    series = evaluate_expansion_many(coeffs, points, freq)
     err_free = float(np.max(np.abs(series - direct) / np.abs(direct)))
 
     room = RoomSpec(5.0, 4.0, 0.8, max_reflection_order=3).to_model()
     direct_room = room_transfer_many(room, points, source, freq)
-    series_room = evaluate_expansion_many(
-        room_transfer_coeffs(room, source, cfg, freq), points, freq
-    )
+    coeffs_room = ExpansionCoeffs(source_coeff_matrix([source], cfg, freq, room)[:, 0], cfg)
+    series_room = evaluate_expansion_many(coeffs_room, points, freq)
     err_room = float(np.max(np.abs(series_room - direct_room) / np.abs(direct_room)))
 
     elapsed = time.perf_counter() - t0

@@ -127,13 +127,19 @@ def test_evaluate_rejects_bad_indices(tmp_path):
         run_evaluate(config, indices=(3, 3))
 
 
-def test_exact_representability_hits_sdr_cap(tmp_path):
+@pytest.mark.parametrize(
+    "room",
+    [None, {"size_x": 3.0, "size_y": 2.6, "reflection": 0.7, "max_reflection_order": 3}],
+    ids=["free-field", "room"],
+)
+def test_exact_representability_hits_sdr_cap(tmp_path, room):
     # desired field = one selected source's own field; with a tiny ridge
     # the solver recovers it to numerical precision
     out = tmp_path / "run"
     pts = square_loop(2.0, 8)
     doc = _toy_doc(
         out,
+        room=room,
         baselines=[],
         lambda_synth_scale=1e-12,
         evaluation={

@@ -9,12 +9,13 @@ from sfsplace.room import (
     RoomModel,
     image_sources,
     room_transfer,
-    room_transfer_coeffs,
     room_transfer_many,
     transfer_matrix,
 )
+from sfsplace.synthesis import source_coeff_matrix
 from sfsplace.wavefield import (
     CircularRegion,
+    ExpansionCoeffs,
     Frequency,
     Point2,
     evaluate_expansion_many,
@@ -100,21 +101,26 @@ def test_hand_enumerated_two_by_two_room():
     assert _as_multiset(got) == _as_multiset(expected)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_images_match_unfolding_oracle(seed):
+@pytest.mark.parametrize(
+    "seed,order",
+    [pytest.param(seed, 5, id=str(seed)) for seed in range(3)]
+    + [pytest.param(seed, 10, id="%d-order10" % seed) for seed in range(3)],
+)
+def test_images_match_unfolding_oracle(seed, order):
+    # order 10 is the study's reflection order
     rng = np.random.default_rng(seed)
     room = RoomModel(
         float(rng.uniform(1.5, 6.0)),
         float(rng.uniform(1.5, 6.0)),
         tuple(rng.uniform(0.05, 1.0, 4)),
-        max_reflection_order=5,
+        max_reflection_order=order,
     )
     src = (
         float(rng.uniform(-0.45, 0.45) * room.size_x),
         float(rng.uniform(-0.45, 0.45) * room.size_y),
     )
     got = [(im.position.x, im.position.y, im.gain, im.order) for im in image_sources(room, src)]
-    assert _as_multiset(got) == _as_multiset(_unfold_images(room, src, 5))
+    assert _as_multiset(got) == _as_multiset(_unfold_images(room, src, order))
 
 
 @pytest.mark.parametrize("order,count", [(0, 1), (1, 5), (2, 13), (10, 221)])
@@ -214,7 +220,7 @@ def test_room_transfer_coeffs_reproduce_interior_field():
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     cfg = expansion_for(region, F1K)
     src = (-1.5, -1.5)
-    coeffs = room_transfer_coeffs(STUDY_ROOM, src, cfg, F1K)
+    coeffs = ExpansionCoeffs(source_coeff_matrix([src], cfg, F1K, STUDY_ROOM)[:, 0], cfg)
     rng = np.random.default_rng(7)
     r = region.radius * 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 50))
     th = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -226,15 +232,13 @@ def test_room_transfer_coeffs_reproduce_interior_field():
 
 
 def test_room_transfer_coeffs_order_zero_matches_point_source():
-    from sfsplace.wavefield import pointsource_coeffs
-
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     cfg = expansion_for(region, F1K)
     room = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=0)
     src = (-1.5, -1.5)
-    got = room_transfer_coeffs(room, src, cfg, F1K)
-    want = pointsource_coeffs(src, cfg, F1K)
-    np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+    got = source_coeff_matrix([src], cfg, F1K, room)
+    want = source_coeff_matrix([src], cfg, F1K)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_source_on_or_outside_walls_rejected():
@@ -242,6 +246,15 @@ def test_source_on_or_outside_walls_rejected():
         image_sources(STUDY_ROOM, (2.5, 0.0))  # on the right wall
     with pytest.raises(ValueError):
         image_sources(STUDY_ROOM, (0.0, 7.0))
+    # only a later source is bad: the whole array is checked
+    cfg = expansion_for(CircularRegion(Point2(0.5, 0.3), 0.5), F1K)
+    pts = np.array([[0.5, 0.3]])
+    for bad in ([2.5, 0.0], [0.0, -2.0], [0.0, 7.0]):
+        srcs = np.array([[-1.5, -1.5], [1.2, 0.9], bad])
+        with pytest.raises(ValueError, match="source 2 "):
+            transfer_matrix(pts, srcs, F1K, STUDY_ROOM)
+        with pytest.raises(ValueError, match="source 2 "):
+            source_coeff_matrix(srcs, cfg, F1K, STUDY_ROOM)
 
 
 def test_receiver_coincident_with_source_rejected():
@@ -251,11 +264,13 @@ def test_receiver_coincident_with_source_rejected():
 
 def test_image_inside_validity_disc_rejected():
     room = RoomModel.uniform(2.0, 2.0, 0.8, max_reflection_order=2)
-    region = CircularRegion(Point2(0.8, 0.0), 0.5)
+    region = CircularRegion(Point2(1.1, 0.0), 0.3)
     cfg = expansion_for(region, F1K)
-    # the right-wall image of (0.9, 0) lands at (1.1, 0), 0.3 from the center
-    with pytest.raises(ValueError):
-        room_transfer_coeffs(room, (0.9, 0.0), cfg, F1K)
+    # (0.75, 0) is 0.35 from the center, outside the disc; its right-wall
+    # image lands at (1.25, 0), 0.15 from the center
+    source_coeff_matrix([(0.75, 0.0)], cfg, F1K)
+    with pytest.raises(ValueError, match=r"\(1\.25, 0\)"):
+        source_coeff_matrix([(0.75, 0.0)], cfg, F1K, room)
 
 
 def test_room_model_validation():

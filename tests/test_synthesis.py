@@ -341,28 +341,6 @@ def test_quadratic_form_tracks_grid_error():
     assert abs(grid - quad) / quad < 0.02
 
 
-def test_source_coeff_matrix_columns_match_point_source():
-    from sfsplace.wavefield import pointsource_coeffs
-
-    srcs = np.array([[2.5, 0.1], [-1.0, 2.2], [0.5, -1.9]])
-    c = source_coeff_matrix(srcs, CFG, F1K)
-    assert c.shape == (CFG.size, 3)
-    for i, s in enumerate(srcs):
-        np.testing.assert_allclose(c[:, i], pointsource_coeffs(s, CFG, F1K).values, rtol=1e-12)
-
-
-def test_source_coeff_matrix_room_columns_match_room_coeffs():
-    from sfsplace.room import room_transfer_coeffs
-
-    room = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=2)
-    srcs = np.array([[-1.5, -1.5], [1.5, 1.2]])
-    c = source_coeff_matrix(srcs, CFG, F1K, room=room)
-    for i, s in enumerate(srcs):
-        np.testing.assert_allclose(
-            c[:, i], room_transfer_coeffs(room, s, CFG, F1K).values, rtol=1e-12
-        )
-
-
 def test_source_coeff_matrix_rejects_interior_source():
     with pytest.raises(ValueError):
         source_coeff_matrix(np.array([[0.6, 0.4]]), CFG, F1K)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfsplace.synthesis import source_coeff_matrix
 from sfsplace.wavefield import (
     CircularRegion,
     ExpansionCoeffs,
@@ -17,7 +18,6 @@ from sfsplace.wavefield import (
     green2d,
     green2d_many,
     planewave_coeffs,
-    pointsource_coeffs,
     truncation_order,
 )
 
@@ -32,6 +32,10 @@ def _disc_points(region, n, seed, radius_fraction=0.95):
     r = region.radius * radius_fraction * np.sqrt(rng.uniform(0.0, 1.0, n))
     th = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.c_[region.center.x + r * np.cos(th), region.center.y + r * np.sin(th)]
+
+
+def _pointsource_coeffs(source, cfg, freq):
+    return ExpansionCoeffs(source_coeff_matrix([source], cfg, freq)[:, 0], cfg)
 
 
 def test_truncation_order_reference_case():
@@ -128,7 +132,7 @@ def test_pointsource_expansion_matches_green2d():
     # corner of the candidate square, 2.74 m from the region center
     src = (-1.5, -1.5)
     cfg = expansion_for(REGION, F1K)
-    coeffs = pointsource_coeffs(src, cfg, F1K)
+    coeffs = _pointsource_coeffs(src, cfg, F1K)
     pts = _disc_points(REGION, 50, 0)
     got = evaluate_expansion_many(coeffs, pts, F1K)
     ref = green2d_many(pts, src, F1K)
@@ -152,7 +156,7 @@ def test_pointsource_convergence_randomized():
             region.center.y + ratio * region.radius * math.sin(ang),
         )
         pts = _disc_points(region, 50, 200 + trial)
-        got = evaluate_expansion_many(pointsource_coeffs(src, cfg, freq), pts, freq)
+        got = evaluate_expansion_many(_pointsource_coeffs(src, cfg, freq), pts, freq)
         ref = green2d_many(pts, src, freq)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-5
 
@@ -163,8 +167,8 @@ def test_pointsource_mirror_symmetry():
     cfg = ExpansionConfig(8, Point2(0.4, -0.2), valid_radius=0.3)
     freq = Frequency(700.0)
     dx, dy = 0.9, 0.6
-    c = pointsource_coeffs((cfg.center.x + dx, cfg.center.y + dy), cfg, freq).values
-    cm = pointsource_coeffs((cfg.center.x + dx, cfg.center.y - dy), cfg, freq).values
+    c = _pointsource_coeffs((cfg.center.x + dx, cfg.center.y + dy), cfg, freq).values
+    cm = _pointsource_coeffs((cfg.center.x + dx, cfg.center.y - dy), cfg, freq).values
     m = cfg.orders
     expected = ((-1.0) ** np.abs(m)) * c[::-1]
     np.testing.assert_allclose(cm, expected, rtol=1e-12)
@@ -173,10 +177,10 @@ def test_pointsource_mirror_symmetry():
 def test_pointsource_inside_validity_disc_raises():
     cfg = expansion_for(REGION, F1K)
     with pytest.raises(ValueError):
-        pointsource_coeffs((0.6, 0.3), cfg, F1K)
+        _pointsource_coeffs((0.6, 0.3), cfg, F1K)
     # boundary counts as inside
     with pytest.raises(ValueError):
-        pointsource_coeffs((1.0, 0.3), cfg, F1K)
+        _pointsource_coeffs((1.0, 0.3), cfg, F1K)
 
 
 def test_evaluate_expansion_center_picks_zero_order():
