@@ -58,6 +58,8 @@ class FrequencyProblem:
     coeff/weight/prior live in the coefficient domain for wmm and
     mode-matching, and in the control-point pressure domain for
     pressure-matching (control_points set, weight = cell_area * I).
+    columns names the candidate of each coeff column when the problem was
+    built for a subset of the candidates (None: every candidate, in order).
     """
 
     freq: Frequency
@@ -68,6 +70,7 @@ class FrequencyProblem:
     gamma: float
     control_points: np.ndarray | None = None
     cell_area: float = 0.0
+    columns: tuple[int, ...] | None = None
 
 
 def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
@@ -83,10 +86,19 @@ def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     return region_grid(config.region, spacing=spacing), float(spacing) ** 2
 
 
-def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
+def build_problems(config: ExperimentConfig, columns=None) -> tuple[FrequencyProblem, ...]:
+    """One FrequencyProblem per configured frequency.
+
+    With columns (candidate indices) the coefficient matrices hold only
+    those candidates, in that order: enough to evaluate placements drawn
+    from them, but not to place.
+    """
     region = config.region
     room = config.room_model()
     cand = config.candidate_positions()
+    if columns is not None:
+        columns = tuple(int(i) for i in columns)
+        cand = cand[list(columns)]
     direction_range = config.prior.to_range()
     if config.method == "pressure-matching":
         ctrl, cell = pm_control_points(config)
@@ -112,6 +124,7 @@ def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
                     gamma=gamma,
                     control_points=ctrl,
                     cell_area=cell,
+                    columns=columns,
                 )
             )
             continue
@@ -127,6 +140,7 @@ def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
                 weight=weight,
                 prior=coeff_prior,
                 gamma=gamma,
+                columns=columns,
             )
         )
     return tuple(problems)
@@ -144,6 +158,8 @@ def to_broadband_spec(problems) -> BroadbandSpec:
 def place_greedy(config: ExperimentConfig, problems=None) -> PlacementResult:
     if problems is None:
         problems = build_problems(config)
+    if any(p.columns is not None for p in problems):
+        raise ValueError("placement needs problems built for every candidate")
     return greedy_place_broadband(
         to_broadband_spec(problems),
         config.lambda_select,
@@ -243,8 +259,15 @@ class _GridEvaluation:
         union = sorted({int(i) for sel in selections for i in sel})
         self.column = {i: j for j, i in enumerate(union)}
         sources = config.candidate_positions()[union]
+        at = union
+        if problem.columns is not None:
+            where = {c: j for j, c in enumerate(problem.columns)}
+            if not where.keys() >= set(union):
+                raise ValueError("placements use candidates the problem was not built for")
+            at = [where[i] for i in union]
+        self.solve_coeff = problem.coeff[:, at]
         if problem.control_points is None:
-            self.coeff = problem.coeff[:, union]
+            self.coeff = self.solve_coeff
         else:
             self.coeff = source_coeff_matrix(sources, cfg, freq, room=room)
         self.truncation_error = self._spot_check(grid, sources, union)
@@ -269,17 +292,16 @@ class _GridEvaluation:
 
     def synthesize(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(grid field, drivers) of one placement, one column per angle."""
-        idx = list(indices)
-        c_solve = self.problem.coeff[:, idx]
+        cols = [self.column[i] for i in indices]
+        c_solve = self.solve_coeff[:, cols]
         weight = self.problem.weight
         lam = synthesis_lambda(c_solve, weight, scale=self.config.lambda_synth_scale)
         drivers = solve_wmm(c_solve, weight, self.targets, lam)
-        c_syn = self.coeff[:, [self.column[i] for i in idx]]
-        return self.basis.T @ (c_syn @ drivers), drivers
+        return self.basis.T @ (self.coeff[:, cols] @ drivers), drivers
 
     def sdrs(self, indices) -> list[float]:
         u_syn, _ = self.synthesize(indices)
-        return [sdr(self.desired[:, a], u_syn[:, a]) for a in range(u_syn.shape[1])]
+        return sdr(self.desired, u_syn).tolist()
 
 
 def _eval_angles(config) -> tuple:
@@ -498,10 +520,11 @@ def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None, threads=1
     n = config.candidates.count
     if any(not 0 <= i < n for i in indices) or len(set(indices)) != len(indices):
         raise ValueError("placement indices must be distinct and in [0, %d)" % n)
-    problems = build_problems(config)
     placements = {"proposed": indices}
     for name in config.baselines:
         placements[name] = baseline_indices(config, name)
+    union = sorted({i for idx in placements.values() for i in idx})
+    problems = build_problems(config, columns=union)
     rows, truncation_error = evaluate_placements(
         config, problems, placements, threads=threads
     )

@@ -333,7 +333,11 @@ def hankel1_orders(max_order, x):
         if max_order == 1:
             out[1] = j1 + 1j * y1
         return out.reshape((max_order + 1,) + arr.shape)
-    return bessel_j_orders(max_order, x) + 1j * bessel_y_orders(max_order, x)
+    j = bessel_j_orders(max_order, x)
+    out = np.empty(j.shape, dtype=np.complex128)
+    out.real = j
+    out.imag = bessel_y_orders(max_order, x)
+    return out
 
 
 def _scalar_series_j(m, x):

@@ -30,7 +30,6 @@ from .wavefield import (
     ExpansionConfig,
     ExpansionCoeffs,
     Frequency,
-    _alt_sign,
     _as_points,
     _basis_matrix,
 )
@@ -150,11 +149,17 @@ def source_coeff_matrix(
 ) -> np.ndarray:
     """Transfer-function expansion coefficients, one column per source.
 
-    Column s is the Graf-theorem expansion (i/4) H_m^(1)(k d) e^{-i m phi}
-    summed over the images of source s (the source alone in free field),
-    (d, phi) being the polar coordinates of each image about cfg.center.
-    Sources (and all their images) must lie outside the expansion validity
-    disc.
+    Row m of column s is the Graf-theorem coefficient (i/4) H_m^(1)(k d)
+    e^{-i m phi} summed over the images of source s (the source alone in
+    free field), (d, phi) being the polar coordinates of each image about
+    cfg.center. Sources (and all their images) must lie outside the
+    expansion validity disc.
+
+    The phases are never evaluated per order: z = e^{-i phi} is formed once
+    per image and raised order by order (z^m by repeated multiplication),
+    and each order m >= 0 is one contraction over the images of the
+    gain-weighted Hankel block. The negative orders reuse it through
+    H_{-m} = (-1)^m H_m and e^{i m phi} = conj(z^m).
     """
     pos, gains = _images(positions, room)
     cx, cy = cfg.center
@@ -167,14 +172,18 @@ def source_coeff_matrix(
             "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
             % tuple(pos[tuple(bad[0])])
         )
-    m = cfg.orders
-    h_pos = specfun.hankel1_orders(cfg.max_order, freq.wavenumber * dist.ravel())
-    h_full = _alt_sign(np.abs(m))[:, None] * h_pos[np.abs(m), :]
-    nonneg = m >= 0
-    h_full[nonneg] = h_pos[m[nonneg], :]
-    phase = np.exp(-1j * (m[:, None, None] * np.arctan2(dy, dx)))
-    cols = 0.25j * h_full.reshape(phase.shape) * phase * gains
-    return cols.sum(axis=2)
+    top = cfg.max_order
+    h = specfun.hankel1_orders(top, freq.wavenumber * dist.ravel())
+    h = h.reshape((top + 1,) + dist.shape)
+    h *= gains
+    z = (dx - 1j * dy) / dist
+    zm = np.ones_like(z)
+    out = np.empty((cfg.size, dist.shape[0]), dtype=np.complex128)
+    for m in range(top + 1):
+        out[top + m] = np.einsum("si,si->s", h[m], zm)
+        out[top - m] = (-1) ** m * np.einsum("si,si->s", h[m], zm.conj())
+        zm *= z
+    return 0.25j * out
 
 
 def _normal_system(coeff_matrix, weight, target=None):
@@ -292,23 +301,24 @@ def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:
     return np.c_[region.center.x + xx[keep], region.center.y + yy[keep]]
 
 
-def sdr(u_des, u_syn, cell_area: float = 1.0) -> float:
+def sdr(u_des, u_syn):
     """Signal-to-distortion ratio in dB over a uniform sample grid.
 
-    10 log10(sum |u_des|^2 / sum |u_des - u_syn|^2), capped at 300 dB for
-    a vanishing error. The cell area scales both energies and cancels; it
-    is accepted so callers can pass physical energies around consistently.
+    10 log10(sum |u_des|^2 / sum |u_des - u_syn|^2), summed over axis 0 and
+    capped at 300 dB for a vanishing error: a float for 1-D samples, one
+    value per column for (G, A) samples. Non-finite samples and a desired
+    column with zero energy are rejected.
     """
     des = np.asarray(u_des)
     syn = np.asarray(u_syn)
     if des.shape != syn.shape:
         raise ValueError("field sample arrays must have equal shape")
-    if not (cell_area > 0.0):
-        raise ValueError("cell_area must be positive")
-    sig = cell_area * float(np.sum(np.abs(des) ** 2))
-    if sig <= 0.0:
+    if not (np.all(np.isfinite(des)) and np.all(np.isfinite(syn))):
+        raise ValueError("field samples must be finite; SDR undefined")
+    sig = np.sum(np.abs(des) ** 2, axis=0)
+    if np.any(sig <= 0.0):
         raise ValueError("desired field has zero energy; SDR undefined")
-    err = cell_area * float(np.sum(np.abs(des - syn) ** 2))
-    if err == 0.0:
-        return SDR_CAP_DB
-    return min(10.0 * math.log10(sig / err), SDR_CAP_DB)
+    err = np.sum(np.abs(des - syn) ** 2, axis=0)
+    with np.errstate(divide="ignore"):
+        value = np.minimum(10.0 * np.log10(sig / err), SDR_CAP_DB)
+    return float(value) if value.ndim == 0 else value

@@ -275,6 +275,26 @@ def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
             assert got[(name, angle)] == pytest.approx(w, abs=1e-4)
 
 
+@pytest.mark.parametrize("method", ["wmm", "pressure-matching"])
+def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
+    config = ExperimentConfig.from_dict(_room_doc(tmp_path / "run", method))
+    full = build_problems(config)
+    info = run_evaluate(config, indices=place_greedy(config, full).indices)
+    union = sorted({i for idx in info["placements"].values() for i in idx})
+    assert len(union) < config.candidates.count
+    want = evaluate_placements(config, full, info["placements"]).rows
+    assert [r[:2] + r[3:] for r in info["rows"]] == [r[:2] + r[3:] for r in want]
+    np.testing.assert_allclose([r[2] for r in info["rows"]], [r[2] for r in want], atol=1e-9)
+    part = build_problems(config, columns=union)
+    got, ref = part[0].coeff, full[0].coeff[:, union]
+    assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))
+    with pytest.raises(ValueError, match="every candidate"):
+        place_greedy(config, part)
+    other = min(set(range(config.candidates.count)) - set(union))
+    with pytest.raises(ValueError, match="not built for"):
+        evaluate_placements(config, part, {"proposed": (union[0], other)})
+
+
 def test_spot_check_rejects_source_at_the_rim(tmp_path):
     # a candidate at 1.02 R: the truncated expansion cannot represent it
     # on the grid, and evaluation must stop before writing any SDR table

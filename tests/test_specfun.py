@@ -86,6 +86,15 @@ def test_large_argument_beyond_target_range():
     assert rel.max() < 1e-9
 
 
+def test_hankel_block_parts_are_bessel_blocks():
+    # the block is assembled in place: real part J, imaginary part Y, bit for bit
+    x = np.linspace(2.0, 400.0, 997)
+    h = sf.hankel1_orders(29, x)
+    assert h.shape == (30, x.size)
+    assert np.array_equal(h.real, sf.bessel_j_orders(29, x))
+    assert np.array_equal(h.imag, sf.bessel_y_orders(29, x))
+
+
 def test_order_block_matches_scalars():
     x = np.array([0.3, 2.0, 14.0, 120.0])
     block = sf.bessel_j_orders(6, x)
