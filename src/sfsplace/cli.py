@@ -37,8 +37,8 @@ from .placement import prior_from_direction_range
 from .wavefield import Frequency, expansion_for
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required, help="JSON config file")
+def _add_common(p):
+    p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", help="output directory (overrides config)")
 
 
@@ -72,14 +72,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out = args.out if args.out is not None else "paper_out"
-    summary = run_reproduce(out_dir=out, threads=args.threads)
+    summary = run_reproduce(out_dir=args.out, threads=args.threads)
     for name, stats in sorted(summary["narrowband"].items()):
         print(
             "narrowband %-10s mean %.2f dB, 0 deg %.2f dB"
             % (name, stats["mean_sdr_db"], stats["sdr_at_0deg_db"])
         )
-    print("wrote %s" % os.path.join(out, "summary.json"))
+    print("wrote %s" % os.path.join(args.out, "summary.json"))
     return 0
 
 
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("reproduce-paper", help="run the built-in reverberant study")
-    _add_common(p, config_required=False)
+    p.add_argument("--out", default="paper_out", help="output directory")
     p.add_argument("--threads", type=int, default=1, help="evaluation threads")
     p.set_defaults(fn=cmd_reproduce)
 
@@ -260,12 +259,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_priors)
 
     p = sub.add_parser("selftest", help="run quick internal oracle checks")
-    _add_common(p, config_required=False)
     p.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
-    if args.command in ("reproduce-paper", "selftest") and args.config is not None:
-        parser.error("%s does not take --config" % args.command)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -25,7 +25,6 @@ from .placement import (
     BroadbandSpec,
     FieldPrior,
     PlacementResult,
-    _hermitize,
     greedy_place_broadband,
     prior_from_direction_range,
     regular_placement_a,
@@ -34,6 +33,7 @@ from .placement import (
 from .room import transfer_matrix
 from .synthesis import (
     WeightMatrix,
+    _point_gram,
     identity_weight,
     region_grid,
     sdr,
@@ -53,13 +53,14 @@ from .wavefield import (
 
 @dataclass(frozen=True)
 class FrequencyProblem:
-    """Placement inputs for one frequency bin.
+    """Placement inputs for one frequency bin, in the coefficient domain.
 
-    coeff/weight/prior live in the coefficient domain for wmm and
-    mode-matching, and in the control-point pressure domain for
-    pressure-matching (control_points set, weight = cell_area * I).
-    columns names the candidate of each coeff column when the problem was
-    built for a subset of the candidates (None: every candidate, in order).
+    Every method shares the Graf coefficient matrix and the direction-range
+    prior; only the weight differs (wmm: closed-form region Gram; mode
+    matching: identity; pressure matching: Gram of the basis over the
+    control grid, see pm_control_points). columns names the candidate of
+    each coeff column when the problem was built for a subset of the
+    candidates (None: every candidate, in order).
     """
 
     freq: Frequency
@@ -68,16 +69,18 @@ class FrequencyProblem:
     weight: WeightMatrix
     prior: FieldPrior
     gamma: float
-    control_points: np.ndarray | None = None
-    cell_area: float = 0.0
     columns: tuple[int, ...] | None = None
 
 
 def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """Control grid for the pressure-matching method.
+    """Control grid and cell area of the pressure-matching method.
 
     Default spacing is a quarter wavelength at the highest configured
     frequency, dense enough to sample every mode the region supports.
+    Pressure matching weighs the expansion by the Gram matrix of its
+    basis over these points (each weighted by the cell area): the
+    pressure-matching cost of the control-point transfer, taken through
+    the expansion.
     """
     spacing = config.pm_control_spacing
     if spacing is None:
@@ -100,45 +103,24 @@ def build_problems(config: ExperimentConfig, columns=None) -> tuple[FrequencyPro
         columns = tuple(int(i) for i in columns)
         cand = cand[list(columns)]
     direction_range = config.prior.to_range()
-    if config.method == "pressure-matching":
-        ctrl, cell = pm_control_points(config)
     problems = []
     for f_hz, gamma in zip(config.frequencies, config.gamma):
         freq = Frequency(f_hz, sound_speed=config.sound_speed)
         cfg = expansion_for(region, freq)
-        coeff_prior = prior_from_direction_range(direction_range, cfg, freq)
-        if config.method == "pressure-matching":
-            basis = _basis_matrix(cfg, ctrl, freq)
-            mu = basis.T @ coeff_prior.mean
-            r = _hermitize(basis.T @ coeff_prior.second_moment @ basis.conj())
-            prior = FieldPrior(
-                mu, _hermitize(r - np.outer(mu, mu.conj())), second_moment=r
-            )
-            problems.append(
-                FrequencyProblem(
-                    freq=freq,
-                    cfg=cfg,
-                    coeff=transfer_matrix(ctrl, cand, freq, room),
-                    weight=WeightMatrix(cell * np.eye(len(ctrl))),
-                    prior=prior,
-                    gamma=gamma,
-                    control_points=ctrl,
-                    cell_area=cell,
-                    columns=columns,
-                )
-            )
-            continue
         if config.method == "wmm":
             weight = weight_matrix_circle(region, cfg, freq)
-        else:  # mode-matching
+        elif config.method == "mode-matching":
             weight = identity_weight(cfg.size)
+        else:  # pressure-matching
+            ctrl, cell = pm_control_points(config)
+            weight = _point_gram(cfg, ctrl, freq, cell)
         problems.append(
             FrequencyProblem(
                 freq=freq,
                 cfg=cfg,
                 coeff=source_coeff_matrix(cand, cfg, freq, room=room),
                 weight=weight,
-                prior=coeff_prior,
+                prior=prior_from_direction_range(direction_range, cfg, freq),
                 gamma=gamma,
                 columns=columns,
             )
@@ -228,9 +210,9 @@ def _spot_check_points(grid, region) -> np.ndarray:
 class _GridEvaluation:
     """Evaluation data of one frequency, shared by every placement in it.
 
-    Holds the grid basis, the exact desired field and the solve-domain
-    targets (one column per angle), and the expansion coefficients of the
-    union of selected sources, spot-checked against the direct transfer.
+    Holds the grid basis, the exact desired field and its expansion
+    coefficients (one column per angle), and the expansion coefficients of
+    the union of selected sources, spot-checked against the direct transfer.
     """
 
     def __init__(self, config, problem, grid, angles, selections):
@@ -242,20 +224,14 @@ class _GridEvaluation:
         if ev.desired == "point_source":
             pos = [ev.desired_position]
             self.desired = transfer_matrix(grid, pos, freq, room)
-            if problem.control_points is not None:
-                self.targets = transfer_matrix(problem.control_points, pos, freq, room)
-            else:
-                self.targets = source_coeff_matrix(pos, cfg, freq, room)
+            self.targets = source_coeff_matrix(pos, cfg, freq, room)
         else:
             self.desired = _plane_waves(grid, freq, angles)
-            if problem.control_points is not None:
-                self.targets = _plane_waves(problem.control_points, freq, angles)
-            else:
-                coeffs = [
-                    planewave_coeffs(PlaneWave(math.radians(a)), cfg, freq).values
-                    for a in angles
-                ]
-                self.targets = np.array(coeffs).reshape(len(angles), cfg.size).T
+            coeffs = [
+                planewave_coeffs(PlaneWave(math.radians(a)), cfg, freq).values
+                for a in angles
+            ]
+            self.targets = np.array(coeffs).reshape(len(angles), cfg.size).T
         union = sorted({int(i) for sel in selections for i in sel})
         self.column = {i: j for j, i in enumerate(union)}
         sources = config.candidate_positions()[union]
@@ -265,11 +241,7 @@ class _GridEvaluation:
             if not where.keys() >= set(union):
                 raise ValueError("placements use candidates the problem was not built for")
             at = [where[i] for i in union]
-        self.solve_coeff = problem.coeff[:, at]
-        if problem.control_points is None:
-            self.coeff = self.solve_coeff
-        else:
-            self.coeff = source_coeff_matrix(sources, cfg, freq, room=room)
+        self.coeff = problem.coeff[:, at]
         self.truncation_error = self._spot_check(grid, sources, union)
 
     def _spot_check(self, grid, sources, union) -> float:
@@ -292,12 +264,11 @@ class _GridEvaluation:
 
     def synthesize(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(grid field, drivers) of one placement, one column per angle."""
-        cols = [self.column[i] for i in indices]
-        c_solve = self.solve_coeff[:, cols]
+        c = self.coeff[:, [self.column[i] for i in indices]]
         weight = self.problem.weight
-        lam = synthesis_lambda(c_solve, weight, scale=self.config.lambda_synth_scale)
-        drivers = solve_wmm(c_solve, weight, self.targets, lam)
-        return self.basis.T @ (self.coeff[:, cols] @ drivers), drivers
+        lam = synthesis_lambda(c, weight, scale=self.config.lambda_synth_scale)
+        drivers = solve_wmm(c, weight, self.targets, lam)
+        return self.basis.T @ (c @ drivers), drivers
 
     def sdrs(self, indices) -> list[float]:
         u_syn, _ = self.synthesize(indices)

@@ -84,8 +84,19 @@ class WeightMatrix:
 
 
 def identity_weight(size: int) -> WeightMatrix:
-    """Unit weights: plain (unweighted) mode or pressure matching."""
+    """Unit weights: plain (unweighted) mode matching, W = I."""
     return WeightMatrix(np.eye(size, dtype=np.complex128))
+
+
+def _point_gram(cfg: ExpansionConfig, points, freq: Frequency, weights) -> WeightMatrix:
+    """Gram matrix of the basis under a point quadrature with the given weights.
+
+    The field of coefficients a at point p is sum_m a_m b_m(p), so
+    sum_p w_p |u(p)|^2 = a^H W a with W = conj(B) diag(w) B^T.
+    """
+    basis = _basis_matrix(cfg, points, freq)
+    w = (basis.conj() * weights) @ basis.T
+    return WeightMatrix(0.5 * (w + w.conj().T))
 
 
 def weight_matrix_circle(
@@ -138,10 +149,7 @@ def weight_matrix_quadrature(
     pts = np.empty((n_radial * n_angular, 2))
     pts[:, 0] = region.center.x + np.outer(r, np.cos(th)).ravel()
     pts[:, 1] = region.center.y + np.outer(r, np.sin(th)).ravel()
-    basis = _basis_matrix(cfg, pts, freq)
-    weights = (wth * np.repeat(wr, n_angular))[None, :]
-    w = (basis * weights) @ basis.conj().T
-    return WeightMatrix(0.5 * (w + w.conj().T))
+    return _point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
 
 
 def source_coeff_matrix(
@@ -266,6 +274,8 @@ def build_pressure_matching(
     pressures (desired is a callable mapping an (n, 2) point array to
     complex samples), and W is the identity; the triple plugs into the
     same solvers and placement costs as the coefficient-domain problem.
+    The pipeline takes pressure matching through the expansion (the
+    control-grid Gram as W); this direct form is its reference.
     """
     pts = _as_points(control_points)
     c = transfer_matrix(pts, sources, freq, room)

@@ -14,15 +14,28 @@ from sfsplace.experiment import (
     build_problems,
     evaluate_placements,
     place_greedy,
+    pm_control_points,
     read_placement_csv,
     read_sdr_csv,
     run_evaluate,
     run_place,
 )
-from sfsplace.placement import prior_from_direction_range
-from sfsplace.room import room_transfer_many
-from sfsplace.synthesis import region_grid, sdr, solve_wmm, synthesis_lambda
-from sfsplace.wavefield import Frequency, PlaneWave, expansion_for, planewave_coeffs
+from sfsplace.placement import FieldPrior, greedy_place, prior_from_direction_range
+from sfsplace.room import room_transfer_many, transfer_matrix
+from sfsplace.synthesis import (
+    WeightMatrix,
+    region_grid,
+    sdr,
+    solve_wmm,
+    synthesis_lambda,
+)
+from sfsplace.wavefield import (
+    Frequency,
+    PlaneWave,
+    _basis_matrix,
+    expansion_for,
+    planewave_coeffs,
+)
 
 
 def _toy_doc(out, **over):
@@ -232,27 +245,34 @@ def _room_doc(out, method):
 
 
 def _direct_sdrs(config, problem, indices, angles):
-    """SDRs from the superposed image-source transfer on the grid, per angle."""
+    """SDRs from the superposed image-source transfer on the grid, per angle.
+
+    Pressure matching is solved directly over its control points (transfer
+    to each point, weight cell * I, the plane wave sampled at the points),
+    the other methods with their own coefficient-domain problem.
+    """
     room = config.room_model()
     cand = config.candidate_positions()
     freq = problem.freq
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     transfer = np.column_stack([room_transfer_many(room, grid, cand[i], freq) for i in indices])
-    if problem.control_points is None:
-        c = problem.coeff[:, list(indices)]
-    else:
-        ctrl = problem.control_points
+    pm = config.method == "pressure-matching"
+    if pm:
+        ctrl, cell = pm_control_points(config)
         c = np.column_stack([room_transfer_many(room, ctrl, cand[i], freq) for i in indices])
-    lam = synthesis_lambda(c, problem.weight, scale=config.lambda_synth_scale)
+        weight = WeightMatrix(cell * np.eye(len(ctrl)))
+    else:
+        c, weight = problem.coeff[:, list(indices)], problem.weight
+    lam = synthesis_lambda(c, weight, scale=config.lambda_synth_scale)
     out = []
     for angle in angles:
         phi = math.radians(angle)
         kvec = freq.wavenumber * np.array([math.cos(phi), math.sin(phi)])
-        if problem.control_points is None:
-            b = planewave_coeffs(PlaneWave(phi), problem.cfg, freq).values
+        if pm:
+            b = np.exp(1j * (ctrl @ kvec))
         else:
-            b = np.exp(1j * (problem.control_points @ kvec))
-        d = solve_wmm(c, problem.weight, b, lam)
+            b = planewave_coeffs(PlaneWave(phi), problem.cfg, freq).values
+        d = solve_wmm(c, weight, b, lam)
         out.append(sdr(np.exp(1j * (grid @ kvec)), transfer @ d))
     return out
 
@@ -293,6 +313,41 @@ def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     other = min(set(range(config.candidates.count)) - set(union))
     with pytest.raises(ValueError, match="not built for"):
         evaluate_placements(config, part, {"proposed": (union[0], other)})
+
+
+def test_pressure_matching_matches_dense_control_grid_problem(tmp_path):
+    # pressure matching over 973 control points (about 36 x K), posed
+    # directly: control-point transfer, weight cell * I and the prior
+    # mapped onto the points; greedy must pick as the coefficient-domain
+    # pipeline does, with the same cost at every step
+    doc = _toy_doc(
+        tmp_path / "run",
+        method="pressure-matching",
+        pm_control_spacing=0.017,
+        candidates={"square": {"size": 2.0, "count": 24}},
+        n_select=6,
+        room={"size_x": 4.0, "size_y": 3.0, "reflection": [0.7, 0.6, 0.8, 0.5],
+              "max_reflection_order": 2},
+    )
+    config = ExperimentConfig.from_dict(doc)
+    (problem,) = build_problems(config)
+    ctrl, cell = pm_control_points(config)
+    assert len(ctrl) == 973 and len(ctrl) > 30 * problem.cfg.size
+    freq = problem.freq
+    cand = config.candidate_positions()
+    c = transfer_matrix(ctrl, cand, freq, config.room_model())
+    basis = _basis_matrix(problem.cfg, ctrl, freq)
+    mu = basis.T @ problem.prior.mean
+    r = basis.T @ problem.prior.second_moment @ basis.conj()
+    r = 0.5 * (r + r.conj().T)
+    prior = FieldPrior(mu, r - np.outer(mu, mu.conj()), second_moment=r)
+    direct = greedy_place(
+        c, WeightMatrix(cell * np.eye(len(ctrl))), prior, config.lambda_select,
+        n_select=config.n_select,
+    )
+    got = place_greedy(config, (problem,))
+    assert got.indices == direct.indices
+    np.testing.assert_allclose(got.cost_trace, direct.cost_trace, rtol=1e-6)
 
 
 def test_spot_check_rejects_source_at_the_rim(tmp_path):
@@ -353,6 +408,11 @@ def test_bad_config_path_fails(tmp_path, capsys):
 def test_reproduce_rejects_config_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["reproduce-paper", "--config", "x.json"])
+
+
+def test_selftest_rejects_out_flag():
+    with pytest.raises(SystemExit):
+        main(["selftest", "--out", "x"])
 
 
 # ---------------------------------------------------------------------------

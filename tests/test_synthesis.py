@@ -127,6 +127,25 @@ def test_weight_quadrature_offset_center_converged():
     assert np.max(np.abs(w1.entries - w2.entries)) / scale < 1e-9
 
 
+def test_weight_quadrature_offset_center_matches_grid_energy():
+    # the field is sum_m a_m J_m e^{i m phi}, so the regional energy is
+    # a^H W a with W = conj(B) diag(w) B^T; off center W is complex and its
+    # transpose gives a wrong energy (tens of percent here)
+    from sfsplace.wavefield import ExpansionCoeffs, ExpansionConfig
+
+    cfg = ExpansionConfig(max_order=14, center=Point2(0.1, -0.2), valid_radius=0.0)
+    region = CircularRegion(Point2(0.4, 0.2), 0.3)
+    w = weight_matrix_quadrature(region, cfg, F1K).entries
+    spacing = 0.002
+    grid = region_grid(region, spacing=spacing)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        a = rng.standard_normal(cfg.size) + 1j * rng.standard_normal(cfg.size)
+        u = evaluate_expansion_many(ExpansionCoeffs(a, cfg), grid, F1K)
+        brute = float(np.sum(np.abs(u) ** 2)) * spacing ** 2
+        assert float((a.conj() @ w @ a).real) == pytest.approx(brute, rel=1e-3)
+
+
 def test_weight_quadrature_angular_node_floor_enforced():
     with pytest.raises(ValueError):
         weight_matrix_quadrature(REGION, CFG, F1K, n_angular=4 * CFG.max_order - 4)
