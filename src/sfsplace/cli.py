@@ -42,6 +42,13 @@ def _add_common(p):
     p.add_argument("--out", help="output directory (overrides config)")
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     doc = config.to_dict()
@@ -245,13 +252,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("evaluate", help="evaluate a placement over an angle sweep")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1, help="evaluation threads")
+    p.add_argument("--threads", type=_positive_int, default=1, help="evaluation threads")
     p.add_argument("--placement", help="placement CSV (defaults to config placement)")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("reproduce-paper", help="run the built-in reverberant study")
     p.add_argument("--out", default="paper_out", help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="evaluation threads")
+    p.add_argument("--threads", type=_positive_int, default=1, help="evaluation threads")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("priors", help="dump prior moments per frequency")

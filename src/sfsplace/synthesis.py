@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import specfun
 from .room import RoomModel, _images, transfer_matrix
@@ -54,7 +53,7 @@ __all__ = [
 SDR_CAP_DB = 300.0
 
 
-class ConditioningError(Exception):
+class ConditioningError(ValueError):
     """The regularized normal equations could not be solved reliably."""
 
 
@@ -216,8 +215,9 @@ def _normal_system(coeff_matrix, weight, target=None):
 def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
     """Ridge-regularized weighted least squares driving signals.
 
-    d = (C^H W C + lam I)^{-1} C^H W b via a Hermitian positive-definite
-    solve; lam > 0 keeps the system well posed even for rank-deficient C.
+    d = (C^H W C + lam I)^{-1} C^H W b from numpy's Cholesky factor
+    G = L L^H: one solve with L, then one with L^H. lam > 0 keeps the
+    system well posed even for rank-deficient C.
     A (K, A) target is A right-hand sides sharing one factorization and
     gives (L, A) drivers, one column per target column.
     """
@@ -228,9 +228,10 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
         raise ConditioningError("normal equations contain non-finite entries")
     gram[np.diag_indices_from(gram)] += lam
     try:
-        d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"normal equations not positive definite: {exc}") from None
+    d = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
     if not np.all(np.isfinite(d)):
         raise ConditioningError("solution contains non-finite entries")
     return d

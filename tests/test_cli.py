@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from sfsplace import cli
 from sfsplace.cli import main
 from sfsplace.config import ExperimentConfig, square_loop
 from sfsplace.experiment import (
@@ -23,6 +27,7 @@ from sfsplace.experiment import (
 from sfsplace.placement import FieldPrior, greedy_place, prior_from_direction_range
 from sfsplace.room import room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
+    ConditioningError,
     WeightMatrix,
     region_grid,
     sdr,
@@ -394,6 +399,64 @@ def test_priors_subcommand_matches_library(tmp_path):
         prior.covariance,
         atol=1e-15,
     )
+
+
+def test_conditioning_error_is_a_clean_cli_error(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ConditioningError("normal equations not positive definite: test")
+
+    monkeypatch.setattr(cli, "run_evaluate", fail)
+    cfg = _write(tmp_path, _toy_doc(tmp_path / "run"))
+    assert main(["evaluate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: normal equations not positive definite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reproduce-paper"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_must_be_positive(tmp_path, monkeypatch, capsys, command, threads):
+    def never(*args, **kwargs):
+        raise AssertionError("command ran despite an invalid --threads")
+
+    monkeypatch.setattr(cli, "run_evaluate", never)
+    monkeypatch.setattr(cli, "run_reproduce", never)
+    argv = [command, "--threads", threads]
+    if command == "evaluate":
+        argv += ["--config", _write(tmp_path, _toy_doc(tmp_path / "run"))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # a fresh interpreter: pytest and the test oracles already import scipy
+    script = textwrap.dedent(
+        """
+        import sys
+        import sfsplace
+        from sfsplace import cli
+
+        config = cli._toy_config(sys.argv[1])
+        info = cli.run_place(config)
+        cli.run_evaluate(config, indices=info["result"].indices)
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "run")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "sdr.csv").exists()
 
 
 def test_selftest_passes():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from sfsplace.room import RoomModel, _images, room_transfer_many
 from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
+    _normal_system,
     build_pressure_matching,
     identity_weight,
     region_grid,
@@ -214,6 +216,25 @@ def test_solve_wmm_rejects_bad_inputs():
     c_bad[0, 0] = np.inf
     with pytest.raises(ConditioningError):
         solve_wmm(c_bad, w, b, 1e-4)
+    # a raw indefinite weight makes C^H W C + lam I indefinite
+    with pytest.raises(ConditioningError, match="not positive definite"):
+        solve_wmm(c, -np.eye(c.shape[0]), b, 1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-8, 1e-12])
+def test_solve_wmm_matches_scipy_cholesky(scale):
+    for seed in range(20):
+        c, w, _ = _random_system(100 + seed)
+        rng = np.random.default_rng(200 + seed)
+        targets = rng.standard_normal((41, 5)) + 1j * rng.standard_normal((41, 5))
+        lam = synthesis_lambda(c, w, scale)
+        for target in (targets[:, 0], targets):
+            gram, rhs = _normal_system(c, w, target)
+            gram[np.diag_indices_from(gram)] += lam
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+            got = solve_wmm(c, w, target, lam)
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_solve_wmm_batched_targets_match_column_solves():
