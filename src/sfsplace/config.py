@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -27,17 +27,56 @@ _BASELINES = ("regular_a", "regular_b")
 
 
 def _finite(x) -> float:
-    v = float(x)
+    try:
+        v = float(x)
+    except TypeError:
+        raise ValueError("config numbers must be numbers, got %r" % (x,)) from None
     if not math.isfinite(v):
         raise ValueError("config numbers must be finite")
     return v
 
 
+def _integer(x, name) -> int:
+    """x as an int; booleans and non-integral values are rejected, not truncated."""
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if isinstance(x, bool) or v is None or v != x:
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    return v
+
+
 def _point(x) -> tuple[float, float]:
-    seq = tuple(_finite(v) for v in x)
+    try:
+        seq = tuple(_finite(v) for v in x)
+    except TypeError:
+        raise ValueError("points are [x, y] pairs") from None
     if len(seq) != 2:
         raise ValueError("points are [x, y] pairs")
     return seq
+
+
+def _section(doc, name, known, required=()):
+    """The JSON object doc at config key name, with its keys checked."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object" % name)
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError("unknown %s keys: %s" % (name, sorted(unknown)))
+    for key in required:
+        if key not in doc:
+            raise ValueError("%s is missing required key %r" % (name, key))
+    return doc
+
+
+def _spec(cls, doc, name):
+    """cls built from the JSON object doc, its keys checked against cls's fields."""
+    known = [f.name for f in fields(cls)]
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return cls(**_section(doc, name, known, required))
 
 
 @dataclass(frozen=True)
@@ -53,13 +92,19 @@ class RoomSpec:
         refl = self.reflection
         if isinstance(refl, (int, float)):
             refl = (float(refl),) * 4
+        if not isinstance(refl, (list, tuple)):
+            raise ValueError("reflection is a scalar or [left, right, bottom, top]")
         refl = tuple(_finite(b) for b in refl)
         if len(refl) != 4:
             raise ValueError("reflection is a scalar or [left, right, bottom, top]")
         object.__setattr__(self, "reflection", refl)
         object.__setattr__(self, "size_x", _finite(self.size_x))
         object.__setattr__(self, "size_y", _finite(self.size_y))
-        object.__setattr__(self, "max_reflection_order", int(self.max_reflection_order))
+        object.__setattr__(
+            self,
+            "max_reflection_order",
+            _integer(self.max_reflection_order, "room.max_reflection_order"),
+        )
 
     def to_model(self) -> RoomModel:
         return RoomModel(
@@ -96,7 +141,7 @@ class CandidateSpec:
             if self.square_size is None or self.square_count is None:
                 raise ValueError("square candidates need both size and count")
             size = _finite(self.square_size)
-            count = int(self.square_count)
+            count = _integer(self.square_count, "candidates.square.count")
             if size <= 0.0 or count < 1:
                 raise ValueError("square candidates need size > 0 and count >= 1")
             object.__setattr__(self, "square_size", size)
@@ -209,7 +254,15 @@ class EvalSpec:
         elif self.desired_position is not None:
             raise ValueError("desired_position only applies to point_source")
         if self.placement is not None:
-            object.__setattr__(self, "placement", tuple(int(i) for i in self.placement))
+            if not isinstance(self.placement, (list, tuple)):
+                raise ValueError("evaluation.placement must be a list of candidate indices")
+            object.__setattr__(
+                self,
+                "placement",
+                tuple(_integer(i, "evaluation.placement") for i in self.placement),
+            )
+        if not isinstance(self.write_fields, bool):
+            raise ValueError("evaluation.write_fields must be true or false")
 
     def to_dict(self) -> dict:
         out = {
@@ -266,7 +319,7 @@ class ExperimentConfig:
         object.__setattr__(self, "gamma", gamma)
         if self.region_radius <= 0.0:
             raise ValueError("region radius must be positive")
-        object.__setattr__(self, "n_select", int(self.n_select))
+        object.__setattr__(self, "n_select", _integer(self.n_select, "n_select"))
         if not 1 <= self.n_select <= self.candidates.count:
             raise ValueError("n_select must lie in [1, candidate count]")
         if self.min_decrease is not None:
@@ -283,6 +336,8 @@ class ExperimentConfig:
             )
             if self.pm_control_spacing <= 0.0:
                 raise ValueError("pm_control_spacing must be positive")
+        if not isinstance(self.baselines, (list, tuple)):
+            raise ValueError("baselines must be a list")
         baselines = tuple(self.baselines)
         if any(b not in _BASELINES for b in baselines):
             raise ValueError("baselines must be among %s" % (_BASELINES,))
@@ -357,24 +412,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        unknown = set(doc) - {
-            "candidates", "region", "prior", "frequencies", "gamma", "n_select",
-            "room", "min_decrease", "lambda_select", "lambda_synth_scale",
-            "method", "pm_control_spacing", "baselines", "evaluation",
-            "output_dir", "sound_speed",
-        }
-        if unknown:
-            raise ValueError("unknown config keys: %s" % sorted(unknown))
-        for key in ("candidates", "region", "prior", "frequencies", "n_select"):
-            if key not in doc:
-                raise ValueError("config is missing required key %r" % key)
+        doc = _section(
+            doc,
+            "config",
+            (
+                "candidates", "region", "prior", "frequencies", "gamma", "n_select",
+                "room", "min_decrease", "lambda_select", "lambda_synth_scale",
+                "method", "pm_control_spacing", "baselines", "evaluation",
+                "output_dir", "sound_speed",
+            ),
+            ("candidates", "region", "prior", "frequencies", "n_select"),
+        )
 
-        cand_doc = doc["candidates"]
+        cand_doc = _section(doc["candidates"], "candidates", ("positions", "square"))
         if "positions" in cand_doc:
             candidates = CandidateSpec(positions=cand_doc["positions"])
         elif "square" in cand_doc:
-            sq = cand_doc["square"]
+            sq = _section(
+                cand_doc["square"],
+                "candidates.square",
+                ("size", "count", "center"),
+                ("size", "count"),
+            )
             candidates = CandidateSpec(
                 square_size=sq["size"],
                 square_count=sq["count"],
@@ -383,14 +442,17 @@ class ExperimentConfig:
         else:
             raise ValueError("candidates: give either a square generator or positions")
 
-        region = doc["region"]
-        prior = PriorSpec(**doc["prior"])
-        room = None if doc.get("room") is None else RoomSpec(**doc["room"])
-        freqs = _resolve_sweep(doc["frequencies"])
-        eval_doc = dict(doc.get("evaluation", {}))
-        if "angles_deg" in eval_doc:
-            eval_doc["angles_deg"] = _resolve_sweep(eval_doc["angles_deg"], allow_empty=True)
-        evaluation = EvalSpec(**eval_doc)
+        region = _section(doc["region"], "region", ("center", "radius"), ("center", "radius"))
+        prior = _spec(PriorSpec, doc["prior"], "prior")
+        room = None if doc.get("room") is None else _spec(RoomSpec, doc["room"], "room")
+        freqs = _resolve_sweep(doc["frequencies"], "frequencies")
+        eval_doc = doc.get("evaluation", {})
+        if isinstance(eval_doc, dict) and "angles_deg" in eval_doc:
+            angles = _resolve_sweep(
+                eval_doc["angles_deg"], "evaluation.angles_deg", allow_empty=True
+            )
+            eval_doc = dict(eval_doc, angles_deg=angles)
+        evaluation = _spec(EvalSpec, eval_doc, "evaluation")
 
         return cls(
             candidates=candidates,
@@ -406,7 +468,7 @@ class ExperimentConfig:
             lambda_synth_scale=doc.get("lambda_synth_scale", 1e-3),
             method=doc.get("method", "wmm"),
             pm_control_spacing=doc.get("pm_control_spacing"),
-            baselines=tuple(doc.get("baselines", ())),
+            baselines=doc.get("baselines", ()),
             evaluation=evaluation,
             output_dir=doc.get("output_dir", "out"),
             sound_speed=doc.get("sound_speed", 343.0),
@@ -417,15 +479,19 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _resolve_sweep(value, allow_empty=False):
+def _resolve_sweep(value, name, allow_empty=False):
     """Expand {start, stop, step} shorthand into an explicit list."""
     if isinstance(value, dict):
-        start, stop, step = value["start"], value["stop"], value["step"]
+        keys = ("start", "stop", "step")
+        sweep = _section(value, name, keys, keys)
+        start, stop, step = (_finite(sweep[k]) for k in keys)
         if step <= 0 or stop < start:
             raise ValueError("sweep needs step > 0 and stop >= start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(float(start + i * step) for i in range(n))
-    out = tuple(float(v) for v in value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s must be a list or a {start, stop, step} sweep" % name)
+    out = tuple(_finite(v) for v in value)
     if not out and not allow_empty:
         raise ValueError("empty sweep")
     return out

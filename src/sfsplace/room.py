@@ -28,7 +28,6 @@ __all__ = [
     "RoomModel",
     "ImageSource",
     "image_sources",
-    "room_transfer",
     "room_transfer_many",
     "transfer_matrix",
 ]
@@ -192,9 +191,3 @@ def transfer_matrix(points, sources, freq: Frequency, room: RoomModel | None = N
 def room_transfer_many(room: RoomModel, points, source, freq: Frequency) -> np.ndarray:
     """Reverberant transfer function at an (n, 2) array of receiver points."""
     return transfer_matrix(points, [_as_xy(source)], freq, room)[:, 0]
-
-
-def room_transfer(room: RoomModel, receiver, source, freq: Frequency) -> complex:
-    """Reverberant transfer function between two points inside the room."""
-    rx, ry = _as_xy(receiver)
-    return complex(room_transfer_many(room, np.array([[rx, ry]]), source, freq)[0])

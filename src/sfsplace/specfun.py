@@ -26,9 +26,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "bessel_j",
-    "bessel_y",
-    "hankel1",
     "bessel_j_orders",
     "bessel_y_orders",
     "hankel1_orders",
@@ -338,72 +335,3 @@ def hankel1_orders(max_order, x):
     out.real = j
     out.imag = bessel_y_orders(max_order, x)
     return out
-
-
-def _scalar_series_j(m, x):
-    # sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!), log-scaled leading factor
-    lead = m * math.log(0.5 * x) - math.lgamma(m + 1)
-    if lead < -745.0:
-        return 0.0
-    t = math.exp(lead)
-    q = 0.25 * x * x
-    acc = t
-    for k in range(1, 10):
-        t *= -q / (k * (m + k))
-        acc += t
-    return acc
-
-
-def _check_order(order):
-    idx = int(order)
-    if idx != order:
-        raise ValueError("order must be an integer")
-    return idx
-
-
-def _check_scalar_x(x):
-    if isinstance(x, complex) or not math.isfinite(float(x)):
-        raise ValueError("x must be a finite real number")
-    return float(x)
-
-
-def bessel_j(order, x):
-    """Bessel function of the first kind, integer order, x >= 0.
-
-    Negative orders use the reflection J_{-m} = (-1)^m J_m.
-    """
-    order = _check_order(order)
-    x = _check_scalar_x(x)
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    m = abs(order)
-    if x == 0.0:
-        val = 1.0 if m == 0 else 0.0
-    elif x < 0.5:
-        val = _scalar_series_j(m, x)
-    else:
-        val = float(bessel_j_orders(m, np.asarray([x]))[m, 0])
-    if order < 0 and m % 2:
-        val = -val
-    return float(val)
-
-
-def bessel_y(order, x):
-    """Bessel function of the second kind, integer order, x > 0.
-
-    Negative orders use the reflection Y_{-m} = (-1)^m Y_m.
-    """
-    order = _check_order(order)
-    x = _check_scalar_x(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    m = abs(order)
-    val = float(bessel_y_orders(m, np.asarray([x]))[m, 0])
-    if order < 0 and m % 2:
-        val = -val
-    return val
-
-
-def hankel1(order, x):
-    """Outgoing Hankel function H_m^(1)(x) = J_m(x) + i Y_m(x), x > 0."""
-    return complex(bessel_j(order, x) + 1j * bessel_y(order, x))

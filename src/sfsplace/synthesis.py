@@ -41,10 +41,8 @@ __all__ = [
     "identity_weight",
     "source_coeff_matrix",
     "solve_wmm",
-    "solve_mode_matching",
     "build_pressure_matching",
     "synthesis_lambda",
-    "synthesize_field",
     "wmm_residual",
     "region_grid",
     "sdr",
@@ -237,12 +235,6 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
     return d
 
 
-def solve_mode_matching(coeff_matrix, target, lam: float) -> np.ndarray:
-    """Unweighted coefficient matching: solve_wmm with W = I."""
-    c = np.asarray(coeff_matrix)
-    return solve_wmm(c, identity_weight(c.shape[0]), target, lam)
-
-
 def synthesis_lambda(coeff_matrix, weight, scale: float = 1e-3) -> float:
     """Regularizer proportional to the top eigenvalue of C^H W C.
 
@@ -284,17 +276,6 @@ def build_pressure_matching(
     if b.shape != (len(pts),):
         raise ValueError("desired-field evaluator returned a wrong-shaped array")
     return c, identity_weight(len(pts)), b
-
-
-def synthesize_field(
-    sources, drivers, points, freq: Frequency, room: RoomModel | None = None
-) -> np.ndarray:
-    """Superposed pressure field of driven sources at the given points."""
-    srcs = _as_points(sources)
-    d = np.asarray(drivers)
-    if d.shape != (len(srcs),):
-        raise ValueError("one driving signal per source required")
-    return transfer_matrix(points, srcs, freq, room) @ d
 
 
 def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:

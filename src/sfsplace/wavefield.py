@@ -33,10 +33,8 @@ __all__ = [
     "PlaneWave",
     "truncation_order",
     "expansion_for",
-    "green2d",
     "green2d_many",
     "planewave_coeffs",
-    "evaluate_expansion",
     "evaluate_expansion_many",
 ]
 
@@ -192,18 +190,8 @@ def _alt_sign(m):
     return 1.0 - 2.0 * (np.mod(m, 2)).astype(np.float64)
 
 
-def green2d(receiver, source, freq: Frequency) -> complex:
-    """Free-field 2D Green's function (i/4) H_0^(1)(k d) between two points."""
-    rx, ry = _as_xy(receiver)
-    sx, sy = _as_xy(source)
-    d = math.hypot(rx - sx, ry - sy)
-    if d < _COINCIDENT_TOL:
-        raise ValueError("receiver coincides with the source")
-    return complex(0.25j * specfun.hankel1(0, freq.wavenumber * d))
-
-
 def green2d_many(points, source, freq: Frequency) -> np.ndarray:
-    """Vectorized green2d for an (n, 2) array of receiver points."""
+    """Free-field Green's function (i/4) H_0^(1)(k d) at an (n, 2) array of receivers."""
     pts = _as_points(points)
     sx, sy = _as_xy(source)
     d = np.hypot(pts[:, 0] - sx, pts[:, 1] - sy)
@@ -245,9 +233,3 @@ def evaluate_expansion_many(coeffs: ExpansionCoeffs, points, freq: Frequency) ->
     pts = _as_points(points)
     basis = _basis_matrix(coeffs.config, pts, freq)
     return coeffs.values @ basis
-
-
-def evaluate_expansion(coeffs: ExpansionCoeffs, point, freq: Frequency) -> complex:
-    """Evaluate the truncated expansion at a single point."""
-    px, py = _as_xy(point)
-    return complex(evaluate_expansion_many(coeffs, np.array([[px, py]]), freq)[0])

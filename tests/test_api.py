@@ -1,0 +1,46 @@
+"""The public surface: every exported name resolves, and deleted ones stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import sfsplace
+
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(sfsplace.__path__) if not m.name.startswith("_")
+)
+
+# scalar twins and one-line wrappers of array functions, removed in favour
+# of the array functions the pipeline uses
+DELETED = {
+    "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
+                "_check_scalar_x"),
+    "wavefield": ("green2d", "evaluate_expansion"),
+    "room": ("room_transfer",),
+    "synthesis": ("solve_mode_matching", "synthesize_field"),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module("sfsplace." + name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing
+
+
+def test_package_all_resolves_sorted_and_unique():
+    exported = sfsplace.__all__
+    assert list(exported) == sorted(set(exported))
+    assert not [n for n in exported if not hasattr(sfsplace, n)]
+
+
+@pytest.mark.parametrize("module_name", sorted(DELETED))
+def test_deleted_names_are_gone(module_name):
+    module = importlib.import_module("sfsplace." + module_name)
+    for name in DELETED[module_name]:
+        assert not hasattr(module, name), "sfsplace.%s.%s" % (module_name, name)
+        assert not hasattr(sfsplace, name), "sfsplace.%s" % name
+        assert name not in getattr(module, "__all__", ())

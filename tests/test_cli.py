@@ -468,6 +468,14 @@ def test_bad_config_path_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_config_is_a_clean_cli_error(tmp_path, capsys):
+    doc = _toy_doc(tmp_path / "out", prior={"angle_mn_deg": -45.0, "angle_max_deg": 45.0})
+    assert main(["place", "--config", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "angle_mn_deg" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_rejects_config_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["reproduce-paper", "--config", "x.json"])

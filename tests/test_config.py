@@ -145,8 +145,69 @@ def test_gamma_scalar_broadcast():
     ],
 )
 def test_invalid_documents_raise(mutate):
-    with pytest.raises((ValueError, KeyError, TypeError)):
+    with pytest.raises(ValueError):
         ExperimentConfig.from_dict(_toy_doc(**mutate))
+
+
+_ROOM = {"size_x": 4.0, "size_y": 3.0, "reflection": 0.5}
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        ({"prior": {"angle_mn_deg": -45.0, "angle_max_deg": 45.0}}, "angle_mn_deg"),
+        ({"prior": {"angle_min_deg": -45.0}}, "angle_max_deg"),
+        ({"prior": [-45.0, 45.0]}, "prior"),
+        ({"room": dict(_ROOM, max_order=2)}, "max_order"),
+        ({"room": {"size_x": 4.0, "reflection": 0.5}}, "size_y"),
+        ({"evaluation": {"angles": [0.0]}}, "angles"),
+        ({"region": {"center": [0.0, 0.0]}}, "radius"),
+        ({"region": {"center": [0.0, 0.0], "radius": 0.3, "radus": 0.2}}, "radus"),
+        ({"candidates": {"square": {"count": 12}}}, "size"),
+        ({"candidates": {"square": {"size": 2.0, "count": 12, "centre": [0, 0]}}}, "centre"),
+        ({"candidates": {"positions": [[1.5, 0.0]], "extra": 1}}, "extra"),
+        ({"frequencies": {"start": 100.0, "stop": 200.0}}, "step"),
+        ({"frequencies": 500.0}, "frequencies"),
+        ({"evaluation": {"angles_deg": {"start": 0.0, "step": 1.0}}}, "stop"),
+    ],
+)
+def test_malformed_nested_keys_name_the_key(mutate, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(_toy_doc(**mutate))
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        ({"n_select": 2.7}, "n_select"),
+        ({"n_select": True}, "n_select"),
+        ({"n_select": "3"}, "n_select"),
+        ({"candidates": {"square": {"size": 2.0, "count": 10.5}}}, "count"),
+        ({"candidates": {"square": {"size": 2.0, "count": True}}}, "count"),
+        ({"room": dict(_ROOM, max_reflection_order=2.5)}, "max_reflection_order"),
+        ({"room": dict(_ROOM, max_reflection_order=False)}, "max_reflection_order"),
+        ({"evaluation": {"placement": [0, 1.5]}}, "placement"),
+        ({"evaluation": {"placement": [0, True]}}, "placement"),
+        ({"evaluation": {"write_fields": "no"}}, "write_fields"),
+        ({"evaluation": {"write_fields": 1}}, "write_fields"),
+    ],
+)
+def test_integer_and_boolean_fields_are_not_truncated(mutate, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(_toy_doc(**mutate))
+
+
+def test_integral_floats_are_accepted_as_integers():
+    config = ExperimentConfig.from_dict(
+        _toy_doc(
+            n_select=3.0,
+            room=dict(_ROOM, max_reflection_order=2.0),
+            evaluation={"placement": [0.0, 4.0], "write_fields": False},
+        )
+    )
+    assert config.n_select == 3 and isinstance(config.n_select, int)
+    assert config.room.max_reflection_order == 2
+    assert config.evaluation.placement == (0, 4)
 
 
 def test_geometry_must_fit_the_room():
@@ -226,6 +287,22 @@ def test_env_override_unknown_key_raises():
     # list-valued keys are not scalar, so they are not overridable
     with pytest.raises(ValueError):
         apply_env_overrides(_toy_doc(), environ={"SFSPLACE_FREQUENCIES": "[1.0]"})
+
+
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        ("SFSPLACE_N_SELECT", "2.7"),
+        ("SFSPLACE_N_SELECT", "true"),
+        ("SFSPLACE_CANDIDATES__SQUARE__COUNT", "10.5"),
+        ("SFSPLACE_EVALUATION__WRITE_FIELDS", "no"),
+    ],
+)
+def test_env_overrides_pass_the_same_checks(tmp_path, name, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_toy_doc()))
+    with pytest.raises(ValueError, match=name[len("SFSPLACE_"):].split("__")[-1].lower()):
+        load_config(str(path), environ={name: raw})
 
 
 def test_load_config_applies_environment(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from sfsplace.config import square_loop
 from sfsplace.placement import (
     BroadbandBin,
     BroadbandSpec,
@@ -29,7 +30,6 @@ from sfsplace.synthesis import (
     region_grid,
     solve_wmm,
     source_coeff_matrix,
-    synthesize_field,
     weight_matrix_circle,
     wmm_residual,
 )
@@ -387,6 +387,29 @@ def test_greedy_more_sources_than_modes():
             assert result.cost_trace[step] == pytest.approx(direct, rel=1e-9)
 
 
+def test_greedy_large_n_matches_direct_oracles():
+    # the freefield-n4000 benchmark problem: 4000 candidates on the paper's
+    # 3 m square, K = 59 at 2 kHz, and L = 100 > K picks
+    region = CircularRegion(Point2(0.5, 0.3), 0.5)
+    f2k = Frequency(2000.0)
+    cfg = expansion_for(region, f2k)
+    assert cfg.size == 59
+    c = source_coeff_matrix(square_loop(3.0, 4000), cfg, f2k)
+    w = weight_matrix_circle(region, cfg, f2k)
+    prior = prior_from_direction_range(RANGE45, cfg, f2k)
+    lam = 1e-5
+    result = greedy_place(c, w, prior, lam, n_select=100)
+    assert len(result.indices) == 100
+    for step in range(10, 101, 10):
+        direct = placement_cost(result.indices[:step], prior, c, w, lam)
+        assert result.cost_trace[step] == pytest.approx(direct, rel=1e-9)
+    state = SelectionState.from_problem(c, w, prior, lam)
+    for idx in result.indices:
+        state = add_candidate(state, idx)
+    direct_q = _direct_q(c, w.entries, state.selected, lam)
+    assert np.max(np.abs(state.q - direct_q)) <= 1e-8 * np.max(np.abs(w.entries))
+
+
 def test_greedy_min_decrease_stopping():
     c, w, prior = _random_problem(55, n=10)
     halted = greedy_place(c, w, prior, 1e-3, n_select=5, min_decrease=2.0)
@@ -522,8 +545,8 @@ def test_pressure_matching_cost_tracks_regional_error():
     # the same placement cost through three routes: coefficient-domain
     # with the region Gram weighting, pressure samples scaled by the cell
     # area, and a brute-force dense-grid residual of the solved field
+    from sfsplace.room import transfer_matrix
     from sfsplace.synthesis import build_pressure_matching
-    from sfsplace.wavefield import green2d_many
 
     freq = Frequency(500.0)
     region = CircularRegion(Point2(0.0, 0.0), 0.5)
@@ -554,6 +577,6 @@ def test_pressure_matching_cost_tracks_regional_error():
     # brute force: solve on the coefficient route, integrate the error
     d = solve_wmm(c_coeff[:, sel], w_coeff, b, lam)
     fine = region_grid(region, spacing=0.005)
-    err = synthesize_field(srcs[sel], d, fine, freq) - np.exp(1j * (fine @ kvec))
+    err = transfer_matrix(fine, srcs[sel], freq) @ d - np.exp(1j * (fine @ kvec))
     brute = float(np.sum(np.abs(err) ** 2)) * 0.005 ** 2 + lam * float(np.vdot(d, d).real)
     assert j_coeff == pytest.approx(brute, rel=0.10)

@@ -8,7 +8,6 @@ from sfsplace.room import (
     ImageSource,
     RoomModel,
     image_sources,
-    room_transfer,
     room_transfer_many,
     transfer_matrix,
 )
@@ -20,7 +19,7 @@ from sfsplace.wavefield import (
     Point2,
     evaluate_expansion_many,
     expansion_for,
-    green2d,
+    green2d_many,
 )
 
 F1K = Frequency(1000.0)
@@ -73,7 +72,9 @@ def test_order_zero_is_free_field():
     assert len(imgs) == 1
     assert imgs[0] == ImageSource(Point2(1.0, -0.5), 1.0, 0)
     rcv = (-0.7, 0.4)
-    assert room_transfer(room, rcv, src, F1K) == pytest.approx(green2d(rcv, src, F1K))
+    assert transfer_matrix([rcv], [src], F1K, room)[0, 0] == pytest.approx(
+        green2d_many([rcv], src, F1K)[0]
+    )
 
 
 def test_hand_enumerated_two_by_two_room():
@@ -175,9 +176,10 @@ def test_room_transfer_is_gain_weighted_image_sum():
     src = (-1.5, -1.5)
     rcv = (0.8, 0.1)
     total = sum(
-        im.gain * green2d(rcv, im.position, F1K) for im in image_sources(STUDY_ROOM, src)
+        im.gain * green2d_many([rcv], im.position, F1K)[0]
+        for im in image_sources(STUDY_ROOM, src)
     )
-    assert room_transfer(STUDY_ROOM, rcv, src, F1K) == pytest.approx(total, rel=1e-12)
+    assert transfer_matrix([rcv], [src], F1K, STUDY_ROOM)[0, 0] == pytest.approx(total, rel=1e-12)
 
 
 def test_room_transfer_mirror_symmetry():
@@ -186,8 +188,8 @@ def test_room_transfer_mirror_symmetry():
     room = RoomModel(3.0, 2.5, (0.3, 0.9, 0.6, 0.4), max_reflection_order=6)
     flipped = RoomModel(3.0, 2.5, (0.9, 0.3, 0.6, 0.4), max_reflection_order=6)
     src, rcv = (0.7, -0.3), (-0.4, 0.8)
-    a = room_transfer(room, rcv, src, F1K)
-    b = room_transfer(flipped, (-rcv[0], rcv[1]), (-src[0], src[1]), F1K)
+    a = transfer_matrix([rcv], [src], F1K, room)[0, 0]
+    b = transfer_matrix([(-rcv[0], rcv[1])], [(-src[0], src[1])], F1K, flipped)[0, 0]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -195,8 +197,10 @@ def test_room_transfer_many_matches_scalar():
     src = (0.6, 0.4)
     pts = np.array([[0.0, 0.0], [-0.5, 0.7], [0.3, -0.9]])
     vals = room_transfer_many(ROOM, pts, src, F1K)
+    imgs = image_sources(ROOM, src)
     for p, v in zip(pts, vals):
-        assert v == pytest.approx(room_transfer(ROOM, p, src, F1K))
+        want = sum(im.gain * green2d_many([p], im.position, F1K)[0] for im in imgs)
+        assert v == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("room", [None, STUDY_ROOM])
@@ -210,7 +214,7 @@ def test_transfer_matrix_columns_are_image_sums(monkeypatch, room):
     for j, s in enumerate(srcs):
         imgs = [ImageSource(Point2(*s), 1.0, 0)] if room is None else image_sources(room, s)
         for i, p in enumerate(pts):
-            want = sum(im.gain * green2d(p, im.position, F1K) for im in imgs)
+            want = sum(im.gain * green2d_many([p], im.position, F1K)[0] for im in imgs)
             assert got[i, j] == pytest.approx(want, rel=1e-12)
 
 
@@ -259,7 +263,7 @@ def test_source_on_or_outside_walls_rejected():
 
 def test_receiver_coincident_with_source_rejected():
     with pytest.raises(ValueError):
-        room_transfer(STUDY_ROOM, (1.0, 1.0), (1.0, 1.0), F1K)
+        transfer_matrix([(1.0, 1.0)], [(1.0, 1.0)], F1K, STUDY_ROOM)
 
 
 def test_image_inside_validity_disc_rejected():

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from sfsplace import specfun
-from sfsplace.room import RoomModel, _images, room_transfer_many
+from sfsplace.room import RoomModel, _images, room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
@@ -17,11 +17,9 @@ from sfsplace.synthesis import (
     identity_weight,
     region_grid,
     sdr,
-    solve_mode_matching,
     solve_wmm,
     source_coeff_matrix,
     synthesis_lambda,
-    synthesize_field,
     weight_matrix_circle,
     weight_matrix_quadrature,
     wmm_residual,
@@ -33,7 +31,6 @@ from sfsplace.wavefield import (
     Point2,
     evaluate_expansion_many,
     expansion_for,
-    green2d,
     green2d_many,
     planewave_coeffs,
 )
@@ -256,14 +253,13 @@ def test_solve_mode_matching_is_identity_weighted_wmm():
     c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     lam = 1e-3
-    d = solve_mode_matching(c, b, lam)
-    np.testing.assert_allclose(d, solve_wmm(c, identity_weight(5), b, lam), rtol=1e-13)
+    d = solve_wmm(c, identity_weight(5), b, lam)
     # normal-equation oracle
     ref = np.linalg.solve(
         c.conj().T @ c + lam * np.eye(3), c.conj().T @ b
     )
     assert np.linalg.norm(d - ref) / np.linalg.norm(ref) < 1e-8
-    assert np.all(solve_mode_matching(c, np.zeros(5, dtype=complex), lam) == 0.0)
+    assert np.all(solve_wmm(c, identity_weight(5), np.zeros(5, dtype=complex), lam) == 0.0)
 
 
 def test_synthesis_lambda_power_iteration_oracle():
@@ -297,12 +293,10 @@ def test_synthesize_field_superposition_and_single_source():
     pts = rng.uniform(-0.5, 0.5, (20, 2))
     d1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     d2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    f1 = synthesize_field(srcs, d1, pts, F1K)
-    f2 = synthesize_field(srcs, d2, pts, F1K)
-    both = synthesize_field(srcs, d1 + d2, pts, F1K)
-    np.testing.assert_allclose(both, f1 + f2, rtol=1e-12)
-    assert np.all(synthesize_field(srcs, np.zeros(3, dtype=complex), pts, F1K) == 0.0)
-    one = synthesize_field(srcs[:1], np.array([1.0 + 0j]), pts, F1K)
+    t = transfer_matrix(pts, srcs, F1K)
+    np.testing.assert_allclose(t @ (d1 + d2), t @ d1 + t @ d2, rtol=1e-12)
+    assert np.all(t @ np.zeros(3, dtype=complex) == 0.0)
+    one = transfer_matrix(pts, srcs[:1], F1K) @ np.array([1.0 + 0j])
     np.testing.assert_allclose(one, green2d_many(pts, srcs[0], F1K), rtol=1e-13)
 
 
@@ -313,7 +307,7 @@ def test_synthesize_field_in_room_matches_transfer():
     pts = np.array([[0.5, 0.3], [0.0, 0.0], [0.9, -0.2]])
     want = d[0] * room_transfer_many(room, pts, srcs[0], F1K)
     want += d[1] * room_transfer_many(room, pts, srcs[1], F1K)
-    np.testing.assert_allclose(synthesize_field(srcs, d, pts, F1K, room=room), want, rtol=1e-13)
+    np.testing.assert_allclose(transfer_matrix(pts, srcs, F1K, room) @ d, want, rtol=1e-13)
 
 
 def test_sdr_reference_points():
@@ -404,7 +398,7 @@ def test_quadratic_form_tracks_grid_error():
     pts = region_grid(REGION, spacing=spacing)
     kvec = freq.wavenumber * np.array([math.cos(pw.direction), math.sin(pw.direction)])
     u_des = np.exp(1j * (pts @ kvec))
-    u_syn = synthesize_field(srcs, d, pts, freq)
+    u_syn = transfer_matrix(pts, srcs, freq) @ d
     grid = float(np.sum(np.abs(u_des - u_syn) ** 2)) * spacing ** 2
     grid += lam * float(np.vdot(d, d).real)
     assert abs(grid - quad) / quad < 0.02
@@ -456,7 +450,7 @@ def test_pressure_matching_triple():
     c, w, b = build_pressure_matching(
         pts, srcs, lambda p: green2d_many(p, (2.0, 1.0), F1K), F1K
     )
-    assert c[0, 0] == pytest.approx(green2d((0.4, 0.2), (2.0, 1.0), F1K))
+    assert c[0, 0] == pytest.approx(green2d_many([(0.4, 0.2)], (2.0, 1.0), F1K)[0])
     assert np.all(w.entries == np.eye(1))
     assert b[0] == pytest.approx(c[0, 0])
 
