@@ -103,10 +103,11 @@ def build_problems(config: ExperimentConfig, columns=None) -> tuple[FrequencyPro
         columns = tuple(int(i) for i in columns)
         cand = cand[list(columns)]
     direction_range = config.prior.to_range()
+    freqs = [Frequency(f_hz, sound_speed=config.sound_speed) for f_hz in config.frequencies]
+    bins = [(expansion_for(region, freq), freq) for freq in freqs]
+    coeffs = source_coeff_matrix(cand, bins, room=room)
     problems = []
-    for f_hz, gamma in zip(config.frequencies, config.gamma):
-        freq = Frequency(f_hz, sound_speed=config.sound_speed)
-        cfg = expansion_for(region, freq)
+    for (cfg, freq), coeff, gamma in zip(bins, coeffs, config.gamma):
         if config.method == "wmm":
             weight = weight_matrix_circle(region, cfg, freq)
         elif config.method == "mode-matching":
@@ -118,7 +119,7 @@ def build_problems(config: ExperimentConfig, columns=None) -> tuple[FrequencyPro
             FrequencyProblem(
                 freq=freq,
                 cfg=cfg,
-                coeff=source_coeff_matrix(cand, cfg, freq, room=room),
+                coeff=coeff,
                 weight=weight,
                 prior=prior_from_direction_range(direction_range, cfg, freq),
                 gamma=gamma,
@@ -224,7 +225,7 @@ class _GridEvaluation:
         if ev.desired == "point_source":
             pos = [ev.desired_position]
             self.desired = transfer_matrix(grid, pos, freq, room)
-            self.targets = source_coeff_matrix(pos, cfg, freq, room)
+            self.targets = source_coeff_matrix(pos, [(cfg, freq)], room)[0]
         else:
             self.desired = _plane_waves(grid, freq, angles)
             coeffs = [

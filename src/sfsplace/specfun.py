@@ -13,15 +13,27 @@ The order-block functions return all orders 0..max_order at once for an
 array of arguments; that layout is what the field-expansion code consumes
 and is where vectorization pays off.
 
-The ascending series for Y0/Y1 cancels up to ~7 digits by x = 17, so the
-band x in [6, 17) is evaluated in extended precision (np.longdouble); on
-x86 that keeps the seeds good to ~1e-12 relative, which the downstream
-identity tolerances need.
+The order-0/1 seeds come from one of five regimes, picked by each
+argument's own x (never by the other arguments of a call):
+
+* x < 6: ascending series to degree 30 in x^2/4, in float64;
+* 6 <= x < 17: the same series to degree 58 in extended precision
+  (np.longdouble). The series for Y0/Y1 cancels up to ~7 digits by
+  x = 17; on x86 the extra precision keeps the seeds good to ~1e-12
+  relative, which the downstream identity tolerances need;
+* x >= 17: Hankel's expansion with the fewest P/Q terms (each, in powers
+  of 1/x^2) whose first omitted term is below the float64 floor: 10 terms
+  for 17 <= x < 30, 6 for 30 <= x < 60 and 4 for x >= 60. One cos/sin
+  pair serves both orders.
+
+hankel1_orders computes the seeds once per argument and feeds J0/J1 to
+the J block and Y0/Y1 to the Y block.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -33,19 +45,13 @@ __all__ = [
 
 _EULER_GAMMA = float(np.longdouble("0.577215664901532860606512090082"))
 
-# Seed regime boundaries. Below _X_DOUBLE the ascending series is safe in
-# float64; above _X_ASYM the asymptotic expansion's smallest term is below
-# 2e-15; in between the series runs in longdouble.
-_X_DOUBLE = 6.0
-_X_ASYM = 17.0
 _TINY_X = 1e-6
 
 _RESCALE = 1e250
 
 _SERIES_DEG = 64
-_DEG_LOW = 30       # enough for x < 6  (q < 9)
-_DEG_MID = 58       # enough for x < 17 (q < 72.25)
-_ASYM_TERMS = 16    # P/Q polynomial degree in 1/x^2
+# Hankel expansion terms (P and Q each) of the widest band, 17 <= x < 30
+_ASYM_MAX_TERMS = 10
 
 
 def _build_series_tables():
@@ -87,17 +93,16 @@ def _build_asym_tables():
     for nu in (0, 1):
         mu = 4.0 * nu * nu
         c = 1.0
-        pc = np.zeros(_ASYM_TERMS)
-        qc = np.zeros(_ASYM_TERMS)
+        pc = np.zeros(_ASYM_MAX_TERMS)
+        qc = np.zeros(_ASYM_MAX_TERMS)
         pc[0] = 1.0
-        for j in range(2 * _ASYM_TERMS - 1):
+        for j in range(2 * _ASYM_MAX_TERMS - 1):
             c = c * (mu - (2 * j + 1) ** 2) / (8.0 * (j + 1))
             sign = -1.0 if ((j + 1) // 2) % 2 else 1.0
             if (j + 1) % 2:
                 qc[(j + 1) // 2] = sign * c
             else:
                 pc[(j + 1) // 2] = sign * c
-    # note: table depends on nu; store per nu
         out[nu] = (pc, qc)
     return out
 
@@ -112,8 +117,8 @@ def _horner(coeffs, q):
     return acc
 
 
-def _series_seeds(x, dtype, deg, want_y, want_one):
-    """Ascending series (DLMF 10.2.2, 10.8.1-2) for x below _X_ASYM."""
+def _series_seeds(x, want_y, want_one, dtype, deg):
+    """Ascending series (DLMF 10.2.2, 10.8.1-2) to degree deg in x^2/4."""
     xl = x.astype(dtype)
     q = 0.25 * xl * xl
     ld = dtype is np.longdouble
@@ -142,50 +147,61 @@ def _series_seeds(x, dtype, deg, want_y, want_one):
     )
 
 
-def _asym_seeds(x, want_y, want_one):
-    """Hankel asymptotic expansion (DLMF 10.17.3) for x >= _X_ASYM."""
+def _asym_seeds(x, want_y, want_one, terms):
+    """Hankel's expansion (DLMF 10.17.3) to `terms` P and Q terms each.
+
+    One cos/sin pair serves both orders: with omega_1 = omega_0 - pi/2,
+    cos omega_1 = sin omega_0 and sin omega_1 = -cos omega_0.
+    """
     amp = np.sqrt(2.0 / (np.pi * x))
     z = 1.0 / (x * x)
-    vals = []
-    for nu in (0, 1) if want_one else (0,):
-        pc, qc = _ASYM_TABLES[nu]
-        p = _horner(pc, z)
-        q = _horner(qc, z) / x
-        omega = x - nu * (np.pi / 2.0) - np.pi / 4.0
-        c, s = np.cos(omega), np.sin(omega)
-        jv = amp * (p * c - q * s)
-        yv = amp * (p * s + q * c) if want_y else None
-        vals.append((jv, yv))
-    j0, y0 = vals[0]
-    j1, y1 = vals[1] if want_one else (None, None)
+    omega = x - np.pi / 4.0
+    c, s = np.cos(omega), np.sin(omega)
+    pc, qc = _ASYM_TABLES[0]
+    p = _horner(pc[:terms], z)
+    q = _horner(qc[:terms], z) / x
+    j0 = amp * (p * c - q * s)
+    y0 = amp * (p * s + q * c) if want_y else None
+    if not want_one:
+        return j0, None, y0, None
+    pc, qc = _ASYM_TABLES[1]
+    p = _horner(pc[:terms], z)
+    q = _horner(qc[:terms], z) / x
+    j1 = amp * (p * s + q * c)
+    y1 = amp * (q * s - p * c) if want_y else None
     return j0, j1, y0, y1
+
+
+# (lower edge, upper edge, seed function) of each regime in the module docstring
+_SEED_REGIMES = (
+    (0.0, 6.0, partial(_series_seeds, dtype=np.float64, deg=30)),
+    (6.0, 17.0, partial(_series_seeds, dtype=np.longdouble, deg=58)),
+    (17.0, 30.0, partial(_asym_seeds, terms=_ASYM_MAX_TERMS)),
+    (30.0, 60.0, partial(_asym_seeds, terms=6)),
+    (60.0, math.inf, partial(_asym_seeds, terms=4)),
+)
 
 
 def _seeds(x, want_y, want_one):
-    """Order-0/1 values for a positive 1-d array, piecewise by regime."""
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x) if want_one else None
-    y0 = np.empty_like(x) if want_y else None
-    y1 = np.empty_like(x) if (want_y and want_one) else None
+    """(J0, J1, Y0, Y1) of a positive 1-d array, None where not wanted.
 
-    lo = x < _X_DOUBLE
-    mid = ~lo & (x < _X_ASYM)
-    hi = x >= _X_ASYM
-    for mask, fn in (
-        (lo, lambda xs: _series_seeds(xs, np.float64, _DEG_LOW, want_y, want_one)),
-        (mid, lambda xs: _series_seeds(xs, np.longdouble, _DEG_MID, want_y, want_one)),
-        (hi, lambda xs: _asym_seeds(xs, want_y, want_one)),
-    ):
-        if mask.any():
-            a, b, c, d = fn(x[mask])
-            j0[mask] = a
-            if want_one:
-                j1[mask] = b
-            if want_y:
-                y0[mask] = c
-                if want_one:
-                    y1[mask] = d
-    return j0, j1, y0, y1
+    Each argument takes the regime of its own x, so a value never depends
+    on the other arguments of the call.
+    """
+    parts = None
+    for lo, hi, fn in _SEED_REGIMES:
+        mask = (x >= lo) & (x < hi)
+        if parts is None and mask.all():
+            return fn(x, want_y, want_one)
+        if not mask.any():
+            continue
+        values = fn(x[mask], want_y, want_one)
+        if parts is None:
+            parts = tuple(None if v is None else np.empty_like(x) for v in values)
+        for part, v in zip(parts, values):
+            if part is not None:
+                part[mask] = v
+    return parts
 
 
 def _j_orders_tiny(max_order, x):
@@ -231,14 +247,72 @@ def _j_orders_miller(max_order, x):
     return out
 
 
-def _j_orders_upward(max_order, x, j0, j1):
-    out = np.empty((max_order + 1, x.size))
-    out[0] = j0
-    if max_order >= 1:
-        out[1] = j1
-    for m in range(1, max_order):
-        out[m + 1] = (2.0 * m / x) * out[m] - out[m - 1]
+def _recur_up(out, x, f0, f1):
+    """Rows 0, 1 of out from f0, f1, then f_{m+1} = (2m/x) f_m - f_{m-1}."""
+    out[0] = f0
+    if len(out) > 1:
+        out[1] = f1
+    step = np.empty_like(x) if len(out) > 2 else None
+    for m in range(1, len(out) - 1):
+        np.divide(2.0 * m, x, out=step)
+        np.multiply(step, out[m], out=step)
+        np.subtract(step, out[m - 1], out=out[m + 1])
     return out
+
+
+def _j_seeded(max_order, x):
+    """Arguments whose J block recurs upward from the order-0/1 seeds.
+
+    Upward recurrence is stable for J while m < x; below 2 max_order + 20
+    Miller's recurrence takes over, and below _TINY_X the two-term series.
+    """
+    if max_order <= 1:
+        return x >= _TINY_X
+    return x >= 2.0 * max_order + 20.0
+
+
+def _j_block(max_order, x, seeded, j0, j1, out):
+    """J_0..J_max_order(x) into out, from the order-0/1 seeds j0, j1 where seeded.
+
+    The upward recurrence runs in place over every column, from zero seeds
+    outside `seeded` (zeros recur to zeros, x = 0 to NaN); those columns
+    are then overwritten by the tiny-argument series or Miller's recurrence.
+    """
+    if seeded.all():
+        _recur_up(out, x, j0, j1)
+    elif seeded.any():
+        j0 = np.where(seeded, j0, 0.0)
+        j1 = np.where(seeded, j1, 0.0) if max_order >= 1 else None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _recur_up(out, x, j0, j1)
+    tiny = x < _TINY_X
+    if tiny.any():
+        out[:, tiny] = _j_orders_tiny(max_order, x[tiny])
+    miller = ~(tiny | seeded)
+    if miller.any():
+        out[:, miller] = _j_orders_miller(max_order, x[miller])
+    return out
+
+
+def _y_block(x, y0, y1, out):
+    """Y_0..Y_{len(out)-1}(x) into out; entries past float64 range become -inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        _recur_up(out, x, y0, y1)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[np.maximum.accumulate(bad, axis=0)] = -np.inf
+    return out
+
+
+def _as_order(max_order) -> int:
+    """max_order as an int; booleans, non-integral and negative values raise."""
+    try:
+        m = int(max_order)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if isinstance(max_order, (bool, np.bool_)) or m is None or m != max_order or m < 0:
+        raise ValueError("max_order must be a nonnegative integer, got %r" % (max_order,))
+    return m
 
 
 def _as_positive_array(x, name, allow_zero):
@@ -259,41 +333,20 @@ def bessel_j_orders(max_order, x):
 
     Parameters
     ----------
-    max_order : int, >= 0
+    max_order : int, >= 0 (an integral float is accepted)
     x : array_like, nonnegative
 
     Returns
     -------
     ndarray, shape (max_order + 1,) + shape(x)
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=True)
-    out = np.empty((max_order + 1, flat.size))
-    tiny = flat < _TINY_X
-    if tiny.any():
-        out[:, tiny] = _j_orders_tiny(max_order, flat[tiny])
-    rest = ~tiny
-    if rest.any():
-        xr = flat[rest]
-        if max_order <= 1:
-            j0, j1, _, _ = _seeds(xr, want_y=False, want_one=(max_order == 1))
-            sub = np.empty((max_order + 1, xr.size))
-            sub[0] = j0
-            if max_order == 1:
-                sub[1] = j1
-            out[:, rest] = sub
-        else:
-            split = 2.0 * max_order + 20.0
-            low = xr < split
-            cols = np.where(rest)[0]
-            if low.any():
-                out[:, cols[low]] = _j_orders_miller(max_order, xr[low])
-            high = ~low
-            if high.any():
-                xh = xr[high]
-                j0, j1, _, _ = _seeds(xh, want_y=False, want_one=True)
-                out[:, cols[high]] = _j_orders_upward(max_order, xh, j0, j1)
+    seeded = _j_seeded(max_order, flat)
+    j0 = j1 = None
+    if seeded.any():
+        j0, j1, _, _ = _seeds(flat, want_y=False, want_one=(max_order >= 1))
+    out = _j_block(max_order, flat, seeded, j0, j1, np.empty((max_order + 1, flat.size)))
     return out.reshape((max_order + 1,) + arr.shape)
 
 
@@ -302,36 +355,25 @@ def bessel_y_orders(max_order, x):
 
     Entries whose true magnitude exceeds the float64 range come back as -inf.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=False)
     _, _, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order >= 1))
-    out = np.empty((max_order + 1, flat.size))
-    out[0] = y0
-    if max_order >= 1:
-        out[1] = y1
-    with np.errstate(invalid="ignore", over="ignore"):
-        for m in range(1, max_order):
-            out[m + 1] = (2.0 * m / flat) * out[m] - out[m - 1]
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[np.maximum.accumulate(bad, axis=0)] = -np.inf
+    out = _y_block(flat, y0, y1, np.empty((max_order + 1, flat.size)))
     return out.reshape((max_order + 1,) + arr.shape)
 
 
 def hankel1_orders(max_order, x):
-    """H_m^(1)(x) = J_m(x) + i Y_m(x) for orders 0..max_order; x > 0."""
-    if max_order <= 1:
-        # fast path for field grids: one piecewise pass computes both parts
-        arr, flat = _as_positive_array(x, "x", allow_zero=False)
-        j0, j1, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order == 1))
-        out = np.empty((max_order + 1, flat.size), dtype=np.complex128)
-        out[0] = j0 + 1j * y0
-        if max_order == 1:
-            out[1] = j1 + 1j * y1
-        return out.reshape((max_order + 1,) + arr.shape)
-    j = bessel_j_orders(max_order, x)
-    out = np.empty(j.shape, dtype=np.complex128)
-    out.real = j
-    out.imag = bessel_y_orders(max_order, x)
-    return out
+    """H_m^(1)(x) = J_m(x) + i Y_m(x) for orders 0..max_order; x > 0.
+
+    One seed pass serves both parts: the J block takes the order-0/1 seeds
+    where it recurs upward, the Y block everywhere. Each block is written
+    straight into its part of the complex result, bit for bit the block
+    bessel_j_orders or bessel_y_orders returns.
+    """
+    max_order = _as_order(max_order)
+    arr, flat = _as_positive_array(x, "x", allow_zero=False)
+    j0, j1, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order >= 1))
+    out = np.empty((max_order + 1, flat.size), dtype=np.complex128)
+    _j_block(max_order, flat, _j_seeded(max_order, flat), j0, j1, out.real)
+    _y_block(flat, y0, y1, out.imag)
+    return out.reshape((max_order + 1,) + arr.shape)

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .room import RoomModel, _images, transfer_matrix
+from .room import RoomModel, _images
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
     ExpansionCoeffs,
     Frequency,
-    _as_points,
     _basis_matrix,
 )
 
@@ -41,9 +40,7 @@ __all__ = [
     "identity_weight",
     "source_coeff_matrix",
     "solve_wmm",
-    "build_pressure_matching",
     "synthesis_lambda",
-    "wmm_residual",
     "region_grid",
     "sdr",
 ]
@@ -149,41 +146,54 @@ def weight_matrix_quadrature(
     return _point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
 
 
-def source_coeff_matrix(
-    positions, cfg: ExpansionConfig, freq: Frequency, room: RoomModel | None = None
-) -> np.ndarray:
-    """Transfer-function expansion coefficients, one column per source.
+def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[np.ndarray]:
+    """Transfer-function expansion coefficients, one matrix per bin.
 
-    Row m of column s is the Graf-theorem coefficient (i/4) H_m^(1)(k d)
-    e^{-i m phi} summed over the images of source s (the source alone in
-    free field), (d, phi) being the polar coordinates of each image about
-    cfg.center. Sources (and all their images) must lie outside the
-    expansion validity disc.
+    bins holds (cfg, freq) pairs. In each bin's matrix, row m of column s is
+    the Graf-theorem coefficient (i/4) H_m^(1)(k d) e^{-i m phi} summed over
+    the images of source s (the source alone in free field), (d, phi) being
+    the polar coordinates of each image about cfg.center. Sources (and all
+    their images) must lie outside each bin's expansion validity disc.
 
-    The phases are never evaluated per order: z = e^{-i phi} is formed once
-    per image and raised order by order (z^m by repeated multiplication),
-    and each order m >= 0 is one contraction over the images of the
-    gain-weighted Hankel block. The negative orders reuse it through
-    H_{-m} = (-1)^m H_m and e^{i m phi} = conj(z^m).
+    The image geometry (positions, gains, d and z = e^{-i phi}) depends on
+    neither frequency nor order, so one call builds it once and every bin
+    about the same center shares it. The phases are never evaluated per
+    order: z^m is raised by repeated multiplication, and each order m >= 0
+    is one contraction over the images of the gain-weighted Hankel block.
+    The negative orders reuse it through H_{-m} = (-1)^m H_m and
+    e^{i m phi} = conj(z^m).
     """
     pos, gains = _images(positions, room)
-    cx, cy = cfg.center
-    dx = pos[..., 0] - cx
-    dy = pos[..., 1] - cy
-    dist = np.hypot(dx, dy)
-    bad = np.argwhere(dist <= max(cfg.valid_radius, 1e-12))
-    if bad.size:
-        raise ValueError(
-            "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
-            % tuple(pos[tuple(bad[0])])
-        )
-    top = cfg.max_order
-    h = specfun.hankel1_orders(top, freq.wavenumber * dist.ravel())
-    h = h.reshape((top + 1,) + dist.shape)
+    center = None
+    out = []
+    for cfg, freq in bins:
+        if cfg.center != center:
+            center = cfg.center
+            dx = pos[..., 0] - center[0]
+            dy = pos[..., 1] - center[1]
+            dist = np.hypot(dx, dy)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = (dx - 1j * dy) / dist  # a zero distance fails the check below
+        bad = np.argwhere(dist <= max(cfg.valid_radius, 1e-12))
+        if bad.size:
+            raise ValueError(
+                "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
+                % tuple(pos[tuple(bad[0])])
+            )
+        out.append(_graf_coeffs(cfg.max_order, freq.wavenumber * dist, z, gains))
+    return out
+
+
+def _graf_coeffs(top, kd, z, gains):
+    """(2 top + 1, S) Graf coefficients of the images at k d = kd, e^{-i phi} = z.
+
+    Its Hankel block, the working memory, is freed on return, so a
+    multi-bin call holds one bin's block at a time.
+    """
+    h = specfun.hankel1_orders(top, kd.ravel()).reshape((top + 1,) + kd.shape)
     h *= gains
-    z = (dx - 1j * dy) / dist
     zm = np.ones_like(z)
-    out = np.empty((cfg.size, dist.shape[0]), dtype=np.complex128)
+    out = np.empty((2 * top + 1, kd.shape[0]), dtype=np.complex128)
     for m in range(top + 1):
         out[top + m] = np.einsum("si,si->s", h[m], zm)
         out[top - m] = (-1) ** m * np.einsum("si,si->s", h[m], zm.conj())
@@ -245,37 +255,6 @@ def synthesis_lambda(coeff_matrix, weight, scale: float = 1e-3) -> float:
     if gram.size == 0:
         return 0.0
     return scale * float(np.linalg.eigvalsh(gram)[-1])
-
-
-def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
-    """Regularized weighted residual F(d); the quantity solve_wmm minimizes."""
-    c = np.asarray(coeff_matrix, dtype=np.complex128)
-    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
-    b = np.asarray(target.values if isinstance(target, ExpansionCoeffs) else target)
-    d = np.asarray(drivers)
-    r = c @ d - b
-    val = float((r.conj() @ (w @ r)).real) + lam * float((d.conj() @ d).real)
-    return val
-
-
-def build_pressure_matching(
-    control_points, sources, desired, freq: Frequency, room: RoomModel | None = None
-):
-    """Pressure-matching problem triple (C, W, b) over discrete control points.
-
-    C holds transfer functions source -> control point, b the desired
-    pressures (desired is a callable mapping an (n, 2) point array to
-    complex samples), and W is the identity; the triple plugs into the
-    same solvers and placement costs as the coefficient-domain problem.
-    The pipeline takes pressure matching through the expansion (the
-    control-grid Gram as W); this direct form is its reference.
-    """
-    pts = _as_points(control_points)
-    c = transfer_matrix(pts, sources, freq, room)
-    b = np.asarray(desired(pts), dtype=np.complex128)
-    if b.shape != (len(pts),):
-        raise ValueError("desired-field evaluator returned a wrong-shaped array")
-    return c, identity_weight(len(pts)), b
 
 
 def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:

@@ -1,0 +1,60 @@
+"""Direct reference computations the tests check the library against.
+
+None of these is on a pipeline path: each recomputes a quantity the
+library gets another way (a closed form, a recurrence, a reused geometry),
+so a test can compare the two.
+"""
+
+import numpy as np
+import scipy.special
+
+from sfsplace.room import RoomModel, _images, transfer_matrix
+from sfsplace.synthesis import WeightMatrix, identity_weight
+from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points
+
+
+def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
+    """Regularized weighted residual F(d); the quantity solve_wmm minimizes."""
+    c = np.asarray(coeff_matrix, dtype=np.complex128)
+    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
+    b = np.asarray(target.values if isinstance(target, ExpansionCoeffs) else target)
+    d = np.asarray(drivers)
+    r = c @ d - b
+    val = float((r.conj() @ (w @ r)).real) + lam * float((d.conj() @ d).real)
+    return val
+
+
+def build_pressure_matching(
+    control_points, sources, desired, freq: Frequency, room: RoomModel | None = None
+):
+    """Pressure-matching problem triple (C, W, b) over discrete control points.
+
+    C holds transfer functions source -> control point, b the desired
+    pressures (desired is a callable mapping an (n, 2) point array to
+    complex samples), and W is the identity; the triple plugs into the
+    same solvers and placement costs as the coefficient-domain problem.
+    The pipeline takes pressure matching through the expansion (the
+    control-grid Gram as W); this direct form is its reference.
+    """
+    pts = _as_points(control_points)
+    c = transfer_matrix(pts, sources, freq, room)
+    b = np.asarray(desired(pts), dtype=np.complex128)
+    if b.shape != (len(pts),):
+        raise ValueError("desired-field evaluator returned a wrong-shaped array")
+    return c, identity_weight(len(pts)), b
+
+
+def graf_coeffs(positions, cfg, freq: Frequency, room: RoomModel | None = None):
+    """(K, S) Graf coefficients summed directly over the images.
+
+    Entry (m, s) is sum_i gain_i (i/4) H_m^(1)(k d_i) e^{-i m phi_i}, with
+    scipy's Hankel function and an arctan2 phase per order and image, the
+    image geometry rebuilt for this one bin.
+    """
+    pos, gains = _images(positions, room)
+    dx = pos[..., 0] - cfg.center[0]
+    dy = pos[..., 1] - cfg.center[1]
+    m = cfg.orders[:, None, None]
+    h = scipy.special.hankel1(m, freq.wavenumber * np.hypot(dx, dy))
+    phase = np.exp(-1j * m * np.arctan2(dy, dx))
+    return 0.25j * np.sum(gains * h * phase, axis=2)

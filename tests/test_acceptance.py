@@ -129,7 +129,7 @@ def test_criterion_2_greedy_vs_exhaustive():
         cands = np.column_stack(
             [region.center[0] + ring * np.cos(angles), region.center[1] + ring * np.sin(angles)]
         )
-        coeff = source_coeff_matrix(cands, cfg, freq)
+        coeff = source_coeff_matrix(cands, [(cfg, freq)])[0]
         weight = weight_matrix_circle(region, cfg, freq)
         lo = rng.uniform(-np.pi, np.pi)
         prior = prior_from_direction_range(
@@ -165,13 +165,13 @@ def test_criterion_3_expansion_fidelity():
     t0 = time.perf_counter()
 
     direct = green2d_many(points, source, freq)
-    coeffs = ExpansionCoeffs(source_coeff_matrix([source], cfg, freq)[:, 0], cfg)
+    coeffs = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)])[0][:, 0], cfg)
     series = evaluate_expansion_many(coeffs, points, freq)
     err_free = float(np.max(np.abs(series - direct) / np.abs(direct)))
 
     room = RoomSpec(5.0, 4.0, 0.8, max_reflection_order=3).to_model()
     direct_room = room_transfer_many(room, points, source, freq)
-    coeffs_room = ExpansionCoeffs(source_coeff_matrix([source], cfg, freq, room)[:, 0], cfg)
+    coeffs_room = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)], room)[0][:, 0], cfg)
     series_room = evaluate_expansion_many(coeffs_room, points, freq)
     err_room = float(np.max(np.abs(series_room - direct_room) / np.abs(direct_room)))
 
@@ -221,7 +221,7 @@ def test_criterion_5_cost_matches_monte_carlo():
     cfg = expansion_for(region, freq)
     angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     cands = 1.8 * np.column_stack([np.cos(angles), np.sin(angles)])
-    coeff = source_coeff_matrix(cands, cfg, freq)
+    coeff = source_coeff_matrix(cands, [(cfg, freq)])[0]
     weight = weight_matrix_circle(region, cfg, freq)
     prior = prior_from_direction_range(
         DirectionRangePrior(np.deg2rad(-40.0), np.deg2rad(40.0)), cfg, freq

@@ -31,7 +31,6 @@ from sfsplace.synthesis import (
     solve_wmm,
     source_coeff_matrix,
     weight_matrix_circle,
-    wmm_residual,
 )
 from sfsplace.wavefield import (
     CircularRegion,
@@ -42,6 +41,8 @@ from sfsplace.wavefield import (
     expansion_for,
     planewave_coeffs,
 )
+
+from oracles import build_pressure_matching, wmm_residual
 
 F1K = Frequency(1000.0)
 RANGE45 = DirectionRangePrior(math.radians(-45.0), math.radians(45.0))
@@ -359,7 +360,7 @@ def test_greedy_tie_breaks_to_lowest_index():
     w = weight_matrix_circle(region, cfg, f2k)
     upper, lower = (-1.5, 0.435), (-1.5, 0.165)
     for pair in ((upper, lower), (lower, upper)):
-        c = source_coeff_matrix(np.array(pair), cfg, f2k)
+        c = source_coeff_matrix(np.array(pair), [(cfg, f2k)])[0]
         assert greedy_place(c, w, prior, 1e-5, n_select=1).indices == (0,)
 
 
@@ -394,7 +395,7 @@ def test_greedy_large_n_matches_direct_oracles():
     f2k = Frequency(2000.0)
     cfg = expansion_for(region, f2k)
     assert cfg.size == 59
-    c = source_coeff_matrix(square_loop(3.0, 4000), cfg, f2k)
+    c = source_coeff_matrix(square_loop(3.0, 4000), [(cfg, f2k)])[0]
     w = weight_matrix_circle(region, cfg, f2k)
     prior = prior_from_direction_range(RANGE45, cfg, f2k)
     lam = 1e-5
@@ -546,7 +547,6 @@ def test_pressure_matching_cost_tracks_regional_error():
     # with the region Gram weighting, pressure samples scaled by the cell
     # area, and a brute-force dense-grid residual of the solved field
     from sfsplace.room import transfer_matrix
-    from sfsplace.synthesis import build_pressure_matching
 
     freq = Frequency(500.0)
     region = CircularRegion(Point2(0.0, 0.0), 0.5)
@@ -555,7 +555,7 @@ def test_pressure_matching_cost_tracks_regional_error():
     srcs = np.c_[2.0 * np.cos(phis), 2.0 * np.sin(phis)]
     pw = PlaneWave(math.radians(15.0), 1.0)
     b = planewave_coeffs(pw, cfg, freq)
-    c_coeff = source_coeff_matrix(srcs, cfg, freq)
+    c_coeff = source_coeff_matrix(srcs, [(cfg, freq)])[0]
     w_coeff = weight_matrix_circle(region, cfg, freq)
     kvec = freq.wavenumber * np.array([math.cos(pw.direction), math.sin(pw.direction)])
 

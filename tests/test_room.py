@@ -224,7 +224,7 @@ def test_room_transfer_coeffs_reproduce_interior_field():
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     cfg = expansion_for(region, F1K)
     src = (-1.5, -1.5)
-    coeffs = ExpansionCoeffs(source_coeff_matrix([src], cfg, F1K, STUDY_ROOM)[:, 0], cfg)
+    coeffs = ExpansionCoeffs(source_coeff_matrix([src], [(cfg, F1K)], STUDY_ROOM)[0][:, 0], cfg)
     rng = np.random.default_rng(7)
     r = region.radius * 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 50))
     th = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -240,8 +240,8 @@ def test_room_transfer_coeffs_order_zero_matches_point_source():
     cfg = expansion_for(region, F1K)
     room = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=0)
     src = (-1.5, -1.5)
-    got = source_coeff_matrix([src], cfg, F1K, room)
-    want = source_coeff_matrix([src], cfg, F1K)
+    got = source_coeff_matrix([src], [(cfg, F1K)], room)[0]
+    want = source_coeff_matrix([src], [(cfg, F1K)])[0]
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -258,7 +258,7 @@ def test_source_on_or_outside_walls_rejected():
         with pytest.raises(ValueError, match="source 2 "):
             transfer_matrix(pts, srcs, F1K, STUDY_ROOM)
         with pytest.raises(ValueError, match="source 2 "):
-            source_coeff_matrix(srcs, cfg, F1K, STUDY_ROOM)
+            source_coeff_matrix(srcs, [(cfg, F1K)], STUDY_ROOM)[0]
 
 
 def test_receiver_coincident_with_source_rejected():
@@ -272,9 +272,9 @@ def test_image_inside_validity_disc_rejected():
     cfg = expansion_for(region, F1K)
     # (0.75, 0) is 0.35 from the center, outside the disc; its right-wall
     # image lands at (1.25, 0), 0.15 from the center
-    source_coeff_matrix([(0.75, 0.0)], cfg, F1K)
+    source_coeff_matrix([(0.75, 0.0)], [(cfg, F1K)])[0]
     with pytest.raises(ValueError, match=r"\(1\.25, 0\)"):
-        source_coeff_matrix([(0.75, 0.0)], cfg, F1K, room)
+        source_coeff_matrix([(0.75, 0.0)], [(cfg, F1K)], room)[0]
 
 
 def test_room_model_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_hankel_block_parts_are_bessel_blocks():
     assert np.array_equal(h.imag, sf.bessel_y_orders(29, x))
 
 
+@pytest.mark.parametrize("max_order", [0, 1, 40])
+def test_order_blocks_mix_every_regime_without_warnings(max_order):
+    # tiny, series, Miller and upward columns side by side in one call: the
+    # Hankel parts stay the Bessel blocks bit for bit, and the in-place
+    # upward pass over non-seeded columns (x = 0 included) warns of nothing
+    x = np.concatenate([[1e-9, 5e-7], np.logspace(-3.0, 3.5, 400)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = sf.bessel_j_orders(max_order, np.r_[0.0, x])
+        h = sf.hankel1_orders(max_order, x)
+        y = sf.bessel_y_orders(max_order, x)
+    assert np.array_equal(h.real, j[:, 1:])
+    assert np.array_equal(h.imag, y)
+    assert j[0, 0] == 1.0 and np.all(j[1:, 0] == 0.0)
+    # |J| <= 1; near its zeros the upward recurrence is good to ~1e-14 absolute
+    np.testing.assert_allclose(j[:, 1:], sp.jv(np.arange(max_order + 1)[:, None], x),
+                               rtol=1e-10, atol=1e-13)
+
+
 def test_order_block_matches_scalars():
     # row m of the order-6 block against the order-m block's top row and scipy
     x = np.array([0.3, 2.0, 14.0, 120.0])
@@ -157,3 +177,54 @@ def test_j_zero_argument_scalar():
     assert out.shape == (5,)
     assert out[0] == 1.0
     assert np.all(out[1:] == 0.0)
+
+
+ORDER_BLOCKS = [sf.bessel_j_orders, sf.bessel_y_orders, sf.hankel1_orders]
+
+
+@pytest.mark.parametrize("fn", ORDER_BLOCKS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "order", [2.5, 0.5, True, np.True_, -1, -1.0, np.int64(-2), math.nan, math.inf, "3", None]
+)
+def test_order_must_be_a_nonnegative_integer(fn, order):
+    with pytest.raises(ValueError):
+        fn(order, np.array([1.0, 40.0]))
+
+
+@pytest.mark.parametrize("fn", ORDER_BLOCKS, ids=lambda f: f.__name__)
+def test_integral_orders_of_any_type_agree(fn):
+    x = np.array([0.5, 8.0, 25.0, 90.0])
+    want = fn(3, x)
+    for order in (np.int64(3), np.int32(3), 3.0, np.float64(3.0)):
+        assert np.array_equal(fn(order, x), want)
+
+
+# lower edges of the seed regimes: longdouble series, then Hankel's
+# expansion with 10, 6 and 4 terms
+SEED_EDGES = (6.0, 17.0, 30.0, 60.0)
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 29])
+def test_hankel_matches_scipy_across_seed_regimes(max_order):
+    # both sides of every regime edge plus a log sweep; measured 4.3e-13
+    # (8.3e-14 from x = 17 up, at every order)
+    edges = [e + d for e in SEED_EDGES for d in (-1e-9, 1e-9)]
+    x = np.concatenate([edges, np.logspace(-3.0, math.log10(3000.0), 2000)])
+    h = sf.hankel1_orders(max_order, x)
+    ref = sp.hankel1(np.arange(max_order + 1)[:, None], x[None, :])
+    assert np.max(np.abs(h - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_hankel_computes_the_seeds_once(monkeypatch):
+    # one seed pass feeds both the J and the Y block
+    calls = []
+    seeds = sf._seeds
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.size)
+        return seeds(x, *args, **kwargs)
+
+    monkeypatch.setattr(sf, "_seeds", counted)
+    x = np.linspace(0.5, 400.0, 1001)  # every regime, Miller and upward J
+    sf.hankel1_orders(29, x)
+    assert calls == [x.size]

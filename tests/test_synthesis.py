@@ -7,13 +7,11 @@ import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from sfsplace import specfun
-from sfsplace.room import RoomModel, _images, room_transfer_many, transfer_matrix
+from sfsplace.room import RoomModel, room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
     _normal_system,
-    build_pressure_matching,
     identity_weight,
     region_grid,
     sdr,
@@ -22,10 +20,10 @@ from sfsplace.synthesis import (
     synthesis_lambda,
     weight_matrix_circle,
     weight_matrix_quadrature,
-    wmm_residual,
 )
 from sfsplace.wavefield import (
     CircularRegion,
+    ExpansionConfig,
     Frequency,
     PlaneWave,
     Point2,
@@ -34,6 +32,8 @@ from sfsplace.wavefield import (
     green2d_many,
     planewave_coeffs,
 )
+
+from oracles import build_pressure_matching, graf_coeffs, wmm_residual
 
 REGION = CircularRegion(Point2(0.5, 0.3), 0.5)
 PAPER_ROOM = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=10)
@@ -388,7 +388,7 @@ def test_quadratic_form_tracks_grid_error():
     srcs = np.c_[
         REGION.center.x + 2.0 * np.cos(phis), REGION.center.y + 2.0 * np.sin(phis)
     ]
-    c = source_coeff_matrix(srcs, cfg, freq)
+    c = source_coeff_matrix(srcs, [(cfg, freq)])[0]
     pw = PlaneWave(direction=math.radians(20.0), amplitude=1.0)
     b = planewave_coeffs(pw, cfg, freq)
     lam = synthesis_lambda(c, w)
@@ -402,19 +402,6 @@ def test_quadratic_form_tracks_grid_error():
     grid = float(np.sum(np.abs(u_des - u_syn) ** 2)) * spacing ** 2
     grid += lam * float(np.vdot(d, d).real)
     assert abs(grid - quad) / quad < 0.02
-
-
-def _direct_graf_coeffs(positions, cfg, freq, room=None):
-    # oracle: exp(-i m phi) evaluated for every order and image, summed directly
-    pos, gains = _images(positions, room)
-    dx = pos[..., 0] - cfg.center[0]
-    dy = pos[..., 1] - cfg.center[1]
-    dist = np.hypot(dx, dy)
-    m = cfg.orders
-    h_pos = specfun.hankel1_orders(cfg.max_order, freq.wavenumber * dist)
-    h = np.where((m % 2 == 1) & (m < 0), -1.0, 1.0)[:, None, None] * h_pos[np.abs(m)]
-    phase = np.exp(-1j * m[:, None, None] * np.arctan2(dy, dx))
-    return 0.25j * np.sum(h * phase * gains, axis=2)
 
 
 @pytest.mark.parametrize("room", [None, PAPER_ROOM], ids=["free-field", "room-order10"])
@@ -433,15 +420,32 @@ def test_source_coeff_matrix_matches_direct_graf_sum(room):
         [[cx + REGION.radius * (1.0 + 1e-6), cy]],
         np.c_[cx + rad * np.cos(phi), cy + rad * np.sin(phi)],
     ]
-    got = source_coeff_matrix(srcs, cfg, freq, room)
-    want = _direct_graf_coeffs(srcs, cfg, freq, room)
+    got = source_coeff_matrix(srcs, [(cfg, freq)], room)[0]
+    want = graf_coeffs(srcs, cfg, freq, room)
     err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert err.max() < 1e-12
 
 
+def test_source_coeff_matrix_bins_match_one_call_per_bin():
+    # bins about the region center share one geometry; a bin about another
+    # center rebuilds it; each bin checks its own validity disc
+    room = RoomModel(5.0, 4.0, (0.8, 0.7, 0.9, 0.6), max_reflection_order=2)
+    f2k = Frequency(2000.0)
+    off_center = ExpansionConfig(max_order=12, center=Point2(-0.2, 0.1), valid_radius=0.4)
+    bins = [(CFG, F1K), (expansion_for(REGION, f2k), f2k), (off_center, F1K), (CFG, f2k)]
+    srcs = np.array([[1.8, 1.2], [-1.5, 0.4], [0.9, -1.6]])
+    got = source_coeff_matrix(srcs, bins, room)
+    assert len(got) == len(bins)
+    for (cfg, freq), coeff in zip(bins, got):
+        assert np.array_equal(coeff, source_coeff_matrix(srcs, [(cfg, freq)], room)[0])
+    wide = ExpansionConfig(max_order=5, center=REGION.center, valid_radius=1.6)
+    with pytest.raises(ValueError, match="validity disc"):
+        source_coeff_matrix(srcs, bins[:1] + [(wide, F1K)], room)
+
+
 def test_source_coeff_matrix_rejects_interior_source():
     with pytest.raises(ValueError):
-        source_coeff_matrix(np.array([[0.6, 0.4]]), CFG, F1K)
+        source_coeff_matrix(np.array([[0.6, 0.4]]), [(CFG, F1K)])[0]
 
 
 def test_pressure_matching_triple():

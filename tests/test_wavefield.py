@@ -34,7 +34,7 @@ def _disc_points(region, n, seed, radius_fraction=0.95):
 
 
 def _pointsource_coeffs(source, cfg, freq):
-    return ExpansionCoeffs(source_coeff_matrix([source], cfg, freq)[:, 0], cfg)
+    return ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)])[0][:, 0], cfg)
 
 
 def test_truncation_order_reference_case():
