@@ -1,8 +1,8 @@
 """Run the built-in reverberant study end to end and print the summary.
 
-Equivalent to `sfsplace reproduce-paper`; takes about 20 seconds on two cores.
+Equivalent to `sfsplace reproduce-paper`; takes under 10 seconds on two cores.
 
-Usage: python scripts/reproduce_study.py [--out DIR] [--threads N]
+Usage: python scripts/reproduce_study.py [--out DIR]
 """
 
 import argparse
@@ -14,9 +14,8 @@ from sfsplace import run_reproduce
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="paper_out")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
-    summary = run_reproduce(out_dir=args.out, threads=args.threads)
+    summary = run_reproduce(out_dir=args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 

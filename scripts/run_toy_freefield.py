@@ -11,7 +11,6 @@ from sfsplace import ExperimentConfig, run_evaluate, run_place
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="toy_out")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     config = ExperimentConfig.from_dict(
@@ -31,7 +30,7 @@ def main():
     )
     info = run_place(config)
     print("greedy picks:", list(info["result"].indices))
-    ev = run_evaluate(config, indices=info["result"].indices, threads=args.threads)
+    ev = run_evaluate(config, indices=info["result"].indices)
     print("angle_deg  freq_hz  sdr_db  method")
     for angle, f, s, name in ev["rows"]:
         print("%9.1f  %7.0f  %6.2f  %s" % (angle, f, s, name))

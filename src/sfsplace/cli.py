@@ -7,8 +7,10 @@ Subcommands:
   priors           dump the per-frequency prior moments as CSV
   selftest         quick internal oracle checks
 
-Flag --out overrides the configured output directory;
-SFSPLACE_* environment variables override any scalar config key.
+place, evaluate and priors take --config FILE and --out DIR (overrides the
+configured output directory); evaluate also takes --placement CSV;
+reproduce-paper takes only --out DIR. SFSPLACE_* environment variables
+override any scalar config key.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ def _add_common(p):
     p.add_argument("--out", help="output directory (overrides config)")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
-
-
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     doc = config.to_dict()
@@ -72,14 +67,14 @@ def cmd_evaluate(args) -> int:
     indices = None
     if args.placement is not None:
         indices = read_placement_csv(args.placement)
-    info = run_evaluate(config, indices=indices, threads=args.threads)
+    info = run_evaluate(config, indices=indices)
     print("wrote %s (%d rows)" % (os.path.join(info["out"], "sdr.csv"), len(info["rows"])))
     print("expansion truncation error %.2e (tolerance %g)" % (info["truncation_error"], TRUNCATION_TOL))
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    summary = run_reproduce(out_dir=args.out, threads=args.threads)
+    summary = run_reproduce(out_dir=args.out)
     for name, stats in sorted(summary["narrowband"].items()):
         print(
             "narrowband %-10s mean %.2f dB, 0 deg %.2f dB"
@@ -187,7 +182,7 @@ def _check_determinism():
         for out in (out1, out2):
             config = _toy_config(out)
             info = run_place(config)
-            run_evaluate(config, indices=info["result"].indices, threads=2)
+            run_evaluate(config, indices=info["result"].indices)
         # config.json is excluded: it echoes the differing output_dir
         for name in ("placement.csv", "cost_trace.csv", "sdr.csv"):
             same = filecmp.cmp(
@@ -252,13 +247,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("evaluate", help="evaluate a placement over an angle sweep")
     _add_common(p)
-    p.add_argument("--threads", type=_positive_int, default=1, help="evaluation threads")
     p.add_argument("--placement", help="placement CSV (defaults to config placement)")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("reproduce-paper", help="run the built-in reverberant study")
     p.add_argument("--out", default="paper_out", help="output directory")
-    p.add_argument("--threads", type=_positive_int, default=1, help="evaluation threads")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("priors", help="dump prior moments per frequency")

@@ -4,7 +4,7 @@ Turns an ExperimentConfig into per-frequency placement problems, runs
 the greedy selection plus the equal-spacing baselines, evaluates
 synthesized fields on a grid over the target region, and writes the
 CSV/JSON artifacts. All outputs are deterministic functions of the
-config (thread count only changes scheduling, never values or bytes).
+config.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -283,55 +281,23 @@ def _eval_angles(config) -> tuple:
     return tuple(config.evaluation.angles_deg)
 
 
-def evaluate_placements(
-    config: ExperimentConfig,
-    problems,
-    placements: dict,
-    threads: int = 1,
-    angles=None,
-) -> Evaluation:
+def evaluate_placements(config: ExperimentConfig, problems, placements: dict) -> Evaluation:
     """SDR rows (angle_deg | None, freq_hz, sdr_db, method), canonically sorted,
     and the largest spot-check truncation error over the frequencies.
-
-    Placements of one frequency run concurrently; results are ordered
-    after the join so output never depends on scheduling.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    angles = _eval_angles(config) if angles is None else tuple(angles)
+    angles = _eval_angles(config)
     names = sorted(placements)
     rows = []
     worst = 0.0
-    selections = [placements[n] for n in names]
-    parallel = threads > 1 and len(names) > 1
-    with ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
-        for problem in problems:
-            ev = _GridEvaluation(config, problem, grid, angles, selections)
-            worst = max(worst, ev.truncation_error)
-            per_name = pool.map(ev.sdrs, selections) if parallel else map(ev.sdrs, selections)
-            for name, sdrs in zip(names, per_name):
-                rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, sdrs))
+    for problem in problems:
+        ev = _GridEvaluation(config, problem, grid, angles, placements.values())
+        worst = max(worst, ev.truncation_error)
+        for name in names:
+            sdrs = ev.sdrs(placements[name])
+            rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, sdrs))
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
-
-
-def _fields(ev, indices):
-    u_syn, drivers = ev.synthesize(indices)
-    u_syn, u_des = u_syn[:, 0], ev.desired[:, 0]
-    rms = math.sqrt(float(np.mean(np.abs(u_des) ** 2)))
-    return {
-        "synthesized": u_syn,
-        "desired": u_des,
-        "error": (u_syn - u_des) / rms,
-        "normalization": rms,
-        "drivers": drivers[:, 0],
-    }
-
-
-def field_grids(config, problem, indices, angle_deg):
-    """Synthesized/desired/normalized-error fields on the evaluation grid."""
-    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ev = _GridEvaluation(config, problem, grid, (angle_deg,), [indices])
-    return dict(_fields(ev, indices), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +387,39 @@ def _field_meta(config, freq_hz, angle_deg, kind, extra=None):
     return meta
 
 
-def write_field_set(out_dir, config, problem, placements, angle_deg, tag=""):
-    """Field dumps for one (angle, frequency): desired once, per-method rest."""
+def write_field_set(out_dir, config, problem, placements, angles, tag=""):
+    """Field dumps of one frequency: per angle the desired field, and per
+    placement the synthesized field and the error normalized by the desired
+    field's rms. One evaluation and one solve per placement serve every angle.
+    """
     f_hz = problem.freq.hz
-    stem = "field%s_f%s_a%s" % (tag, ("%g" % f_hz), _angle_tag(angle_deg))
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    names = sorted(placements)
-    ev = _GridEvaluation(config, problem, grid, (angle_deg,), [placements[n] for n in names])
-    write_field_csv(
-        os.path.join(out_dir, stem + "_desired"),
-        grid,
-        ev.desired[:, 0],
-        _field_meta(config, f_hz, angle_deg, "desired"),
-    )
-    for name in names:
-        fields = _fields(ev, placements[name])
-        for kind in ("synthesized", "error"):
-            extra = {"method": name}
-            if kind == "error":
-                extra["normalization"] = fields["normalization"]
+    ev = _GridEvaluation(config, problem, grid, angles, placements.values())
+    rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in ev.desired.T]
+    stems = [
+        os.path.join(out_dir, "field%s_f%s_a%s" % (tag, ("%g" % f_hz), _angle_tag(a)))
+        for a in angles
+    ]
+    for j, (a, stem) in enumerate(zip(angles, stems)):
+        write_field_csv(
+            stem + "_desired", grid, ev.desired[:, j], _field_meta(config, f_hz, a, "desired")
+        )
+    for name, indices in placements.items():
+        u_syn, _ = ev.synthesize(indices)
+        for j, (a, stem) in enumerate(zip(angles, stems)):
             write_field_csv(
-                os.path.join(out_dir, "%s_%s_%s" % (stem, name, kind)),
+                "%s_%s_synthesized" % (stem, name),
                 grid,
-                fields[kind],
-                _field_meta(config, f_hz, angle_deg, kind, extra),
+                u_syn[:, j],
+                _field_meta(config, f_hz, a, "synthesized", {"method": name}),
+            )
+            write_field_csv(
+                "%s_%s_error" % (stem, name),
+                grid,
+                (u_syn[:, j] - ev.desired[:, j]) / rms[j],
+                _field_meta(
+                    config, f_hz, a, "error", {"method": name, "normalization": rms[j]}
+                ),
             )
 
 
@@ -480,7 +455,7 @@ def run_place(config: ExperimentConfig, out_dir=None):
     return {"result": result, "problems": problems, "placements": placements, "out": out}
 
 
-def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None, threads=1):
+def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None):
     """Evaluate a placement (plus flagged baselines); writes the SDR table."""
     out = _ensure_out(config, out_dir)
     _echo_config(config, out)
@@ -497,14 +472,11 @@ def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None, threads=1
         placements[name] = baseline_indices(config, name)
     union = sorted({i for idx in placements.values() for i in idx})
     problems = build_problems(config, columns=union)
-    rows, truncation_error = evaluate_placements(
-        config, problems, placements, threads=threads
-    )
+    rows, truncation_error = evaluate_placements(config, problems, placements)
     write_sdr_csv(os.path.join(out, "sdr.csv"), rows)
     if config.evaluation.write_fields:
         for problem in problems:
-            for angle in _eval_angles(config):
-                write_field_set(out, config, problem, placements, angle)
+            write_field_set(out, config, problem, placements, _eval_angles(config))
     return {
         "rows": rows,
         "placements": placements,
@@ -554,7 +526,7 @@ def _method_stats(rows):
     return out
 
 
-def run_reproduce(out_dir="paper_out", threads=1):
+def run_reproduce(out_dir="paper_out"):
     """Full reverberant study: narrowband + broadband, all three methods."""
     cfg_nb = paper_config(broadband=False, output_dir=out_dir)
     cfg_bb = paper_config(broadband=True, output_dir=out_dir)
@@ -581,14 +553,14 @@ def run_reproduce(out_dir="paper_out", threads=1):
     write_trace_csv(os.path.join(out, "cost_trace_broadband.csv"), result_bb.cost_trace)
 
     nb_placements = dict(base, proposed=result_nb.indices)
-    rows_nb = evaluate_placements(cfg_nb, problems_nb, nb_placements, threads=threads).rows
+    rows_nb = evaluate_placements(cfg_nb, problems_nb, nb_placements).rows
     write_sdr_csv(os.path.join(out, "sdr_narrowband.csv"), rows_nb)
 
     bb_placements = dict(base, proposed=result_bb.indices)
-    rows_bb = evaluate_placements(cfg_bb, problems_bb, bb_placements, threads=threads).rows
+    rows_bb = evaluate_placements(cfg_bb, problems_bb, bb_placements).rows
     write_sdr_csv(os.path.join(out, "sdr_broadband.csv"), rows_bb)
 
-    write_field_set(out, cfg_nb, problems_nb[0], nb_placements, 0.0, tag="_nb")
+    write_field_set(out, cfg_nb, problems_nb[0], nb_placements, (0.0,), tag="_nb")
 
     per_bin = {}
     for angle, f, s, name in rows_bb:

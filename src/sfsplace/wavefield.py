@@ -186,10 +186,6 @@ def _ipow(m):
     return _IPOW[np.mod(m, 4)]
 
 
-def _alt_sign(m):
-    return 1.0 - 2.0 * (np.mod(m, 2)).astype(np.float64)
-
-
 def green2d_many(points, source, freq: Frequency) -> np.ndarray:
     """Free-field Green's function (i/4) H_0^(1)(k d) at an (n, 2) array of receivers."""
     pts = _as_points(points)
@@ -214,18 +210,25 @@ def planewave_coeffs(pw: PlaneWave, cfg: ExpansionConfig, freq: Frequency) -> Ex
 
 
 def _basis_matrix(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency) -> np.ndarray:
-    """J_m(k r') e^{i m phi'} for all orders x points, shape (2M+1, n)."""
+    """J_m(k r') e^{i m phi'} for all orders x points, shape (2M+1, n).
+
+    w^m = e^{i m phi'} is stepped by multiplication, and J_{-m} = (-1)^m J_m
+    fills row M-m from the same order: no full-size temporary beside the
+    Bessel block.
+    """
     cx, cy = cfg.center
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
-    r = np.hypot(dx, dy)
-    phi = np.arctan2(dy, dx)
-    m = cfg.orders
-    j_pos = specfun.bessel_j_orders(cfg.max_order, freq.wavenumber * r)
-    j_full = _alt_sign(np.abs(m))[:, None] * j_pos[np.abs(m), :]
-    nonneg = m >= 0
-    j_full[nonneg] = j_pos[m[nonneg], :]
-    return j_full * np.exp(1j * np.outer(m, phi))
+    top = cfg.max_order
+    j = specfun.bessel_j_orders(top, freq.wavenumber * np.hypot(dx, dy))
+    w = np.exp(1j * np.arctan2(dy, dx))
+    wm = np.ones_like(w)
+    out = np.empty((2 * top + 1, len(w)), dtype=np.complex128)
+    for m in range(top + 1):
+        out[top + m] = j[m] * wm
+        out[top - m] = (-1) ** m * j[m] * wm.conj()
+        wm *= w
+    return out
 
 
 def evaluate_expansion_many(coeffs: ExpansionCoeffs, points, freq: Frequency) -> np.ndarray:

@@ -72,7 +72,7 @@ def _random_prior(rng, size):
 def study(tmp_path_factory):
     out = tmp_path_factory.mktemp("study")
     t0 = time.perf_counter()
-    summary = run_reproduce(out_dir=str(out), threads=2)
+    summary = run_reproduce(out_dir=str(out))
     return {"summary": summary, "out": out, "elapsed": time.perf_counter() - t0}
 
 
@@ -318,7 +318,7 @@ def test_criterion_7_monotone_traces_and_determinism(study, tmp_path):
         traces.append(np.loadtxt(study["out"] / name, delimiter=",", skiprows=1)[:, 1])
     monotone = all(np.all(np.diff(t) <= 0.0) for t in traces)
 
-    def run(tag, threads):
+    def run(tag):
         out = tmp_path / tag
         doc = {
             "candidates": {"square": {"size": 2.4, "count": 16}},
@@ -338,22 +338,20 @@ def test_criterion_7_monotone_traces_and_determinism(study, tmp_path):
         assert main([
             "evaluate", "--config", str(cfg),
             "--placement", str(out / "placement.csv"),
-            "--threads", str(threads),
         ]) == 0
         names = ("placement.csv", "cost_trace.csv", "placement_regular_b.csv", "sdr.csv")
         return {n: (out / n).read_bytes() for n in names}
 
-    first = run("a", threads=1)
-    repeat = run("b", threads=1)
-    threaded = run("c", threads=4)
-    identical = first == repeat and first == threaded
+    first = run("a")
+    repeat = run("b")
+    identical = first == repeat
 
     ok = monotone and identical
     _report(
         7,
         ok,
-        "%d greedy traces non-increasing: %s; repeated and multi-threaded runs "
-        "byte-identical: %s" % (len(traces), monotone, identical),
+        "%d greedy traces non-increasing: %s; repeated runs byte-identical: %s"
+        % (len(traces), monotone, identical),
     )
     assert ok
 

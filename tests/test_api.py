@@ -18,6 +18,7 @@ DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x"),
     "wavefield": ("green2d", "evaluate_expansion"),
+    "experiment": ("field_grids",),
     "room": ("room_transfer",),
     "synthesis": ("solve_mode_matching", "synthesize_field", "wmm_residual",
                   "build_pressure_matching"),

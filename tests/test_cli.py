@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from sfsplace import cli
+from sfsplace import cli, experiment
 from sfsplace.cli import main
 from sfsplace.config import ExperimentConfig, square_loop
 from sfsplace.experiment import (
@@ -23,6 +24,7 @@ from sfsplace.experiment import (
     read_sdr_csv,
     run_evaluate,
     run_place,
+    run_reproduce,
 )
 from sfsplace.placement import FieldPrior, greedy_place, prior_from_direction_range
 from sfsplace.room import room_transfer_many, transfer_matrix
@@ -176,19 +178,6 @@ def test_exact_representability_hits_sdr_cap(tmp_path, room):
     assert text[1].startswith("nan,")
 
 
-def test_evaluate_threaded_rows_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    doc1, doc2 = _toy_doc(out1), _toy_doc(out2)
-    config1 = ExperimentConfig.from_dict(doc1)
-    config2 = ExperimentConfig.from_dict(doc2)
-    info1 = run_place(config1)
-    info2 = run_place(config2)
-    run_evaluate(config1, indices=info1["result"].indices, threads=1)
-    run_evaluate(config2, indices=info2["result"].indices, threads=4)
-    assert (out1 / "sdr.csv").read_bytes() == (out2 / "sdr.csv").read_bytes()
-    assert (out1 / "placement.csv").read_bytes() == (out2 / "placement.csv").read_bytes()
-
-
 def test_cli_out_and_seed_overrides(tmp_path):
     out = tmp_path / "orig"
     moved = tmp_path / "moved"
@@ -211,22 +200,34 @@ def test_env_override_changes_run(tmp_path, monkeypatch):
     assert len(read_placement_csv(str(out / "placement.csv"))) == 3
 
 
-def test_field_dumps_with_sidecars(tmp_path):
+def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
     out = tmp_path / "run"
     doc = _toy_doc(
         out,
-        baselines=[],
-        evaluation={"angles_deg": [0.0], "grid_spacing": 0.05,
+        frequencies=[500.0, 700.0],
+        baselines=["regular_b"],
+        evaluation={"angles_deg": [-15.0, 0.0, 15.0], "grid_spacing": 0.05,
                     "write_fields": True, "placement": [0, 7]},
     )
     cfg = _write(tmp_path, doc)
+    builds = []
+    init = experiment._GridEvaluation.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[1].freq.hz)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiment._GridEvaluation, "__init__", counted)
     assert main(["evaluate", "--config", cfg]) == 0
+    # one evaluation per bin for the SDR table, one per bin for the dumps
+    assert sorted(builds) == [500.0, 500.0, 700.0, 700.0]
+    monkeypatch.undo()
+
     stem = out / "field_f500_a0_proposed_synthesized"
     assert stem.with_suffix(".csv").exists()
     meta = json.loads((out / "field_f500_a0_proposed_error.meta.json").read_text())
     assert meta["kind"] == "error" and meta["normalization"] > 0.0
     des = np.loadtxt(out / "field_f500_a0_desired.csv", delimiter=",", skiprows=1)
-    grid_doc = des[:, 0] + 1j * 0
     # desired plane wave at 0 deg: unit modulus everywhere on the grid
     mag = np.hypot(des[:, 2], des[:, 3])
     np.testing.assert_allclose(mag, 1.0, atol=1e-12)
@@ -237,6 +238,33 @@ def test_field_dumps_with_sidecars(tmp_path):
     np.testing.assert_allclose(
         err[:, 2] + 1j * err[:, 3], diff / meta["normalization"], atol=1e-12
     )
+
+    # every angle's columns match a one-angle evaluation of that angle
+    config = ExperimentConfig.from_dict(doc)
+    placements = {"proposed": (0, 7), "regular_b": baseline_indices(config, "regular_b")}
+    union = sorted({i for idx in placements.values() for i in idx})
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+
+    def load(name):
+        values = np.loadtxt(out / (name + ".csv"), delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(values[:, :2], grid)
+        return values[:, 2] + 1j * values[:, 3]
+
+    for problem in build_problems(config, columns=union):
+        for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
+            stem = "field_f%g_a%s" % (problem.freq.hz, tag)
+            for name, idx in placements.items():
+                ev = experiment._GridEvaluation(config, problem, grid, (angle,), [idx])
+                want = ev.synthesize(idx)[0][:, 0]
+                rms = math.sqrt(float(np.mean(np.abs(ev.desired[:, 0]) ** 2)))
+                meta = json.loads((out / ("%s_%s_error.meta.json" % (stem, name))).read_text())
+                assert meta["angle_deg"] == angle and meta["method"] == name
+                assert meta["normalization"] == pytest.approx(rms, rel=1e-12)
+                got = load("%s_%s_synthesized" % (stem, name))
+                assert np.max(np.abs(got - want)) <= 1e-12 * rms
+                got = load("%s_%s_error" % (stem, name))
+                assert np.max(np.abs(got - (want - ev.desired[:, 0]) / rms)) <= 1e-12
+    assert len(list(out.glob("field_*.csv"))) == 2 * 3 * (1 + 2 * 2)
 
 
 def _room_doc(out, method):
@@ -413,19 +441,17 @@ def test_conditioning_error_is_a_clean_cli_error(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "reproduce-paper"])
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_must_be_positive(tmp_path, monkeypatch, capsys, command, threads):
+def test_evaluation_has_no_threads_knob(tmp_path, monkeypatch, capsys):
+    for fn in (evaluate_placements, run_evaluate, run_reproduce):
+        assert "threads" not in inspect.signature(fn).parameters, fn.__name__
+
     def never(*args, **kwargs):
-        raise AssertionError("command ran despite an invalid --threads")
+        raise AssertionError("evaluate ran despite an unknown --threads")
 
     monkeypatch.setattr(cli, "run_evaluate", never)
-    monkeypatch.setattr(cli, "run_reproduce", never)
-    argv = [command, "--threads", threads]
-    if command == "evaluate":
-        argv += ["--config", _write(tmp_path, _toy_doc(tmp_path / "run"))]
+    cfg = _write(tmp_path, _toy_doc(tmp_path / "run"))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["evaluate", "--config", cfg, "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from sfsplace.wavefield import (
     Frequency,
     PlaneWave,
     Point2,
+    _basis_matrix,
     evaluate_expansion_many,
     expansion_for,
     green2d_many,
@@ -189,6 +190,24 @@ def test_evaluate_expansion_center_picks_zero_order():
     vals[6] = 9.9  # order 2, killed by J_2(0) = 0
     coeffs = ExpansionCoeffs(vals, cfg)
     assert evaluate_expansion_many(coeffs, [(0.2, 0.2)], F1K)[0] == pytest.approx(2.5 - 1.0j)
+
+
+def test_basis_matrix_matches_scipy_at_high_order():
+    # every row m in -M..M against J_m(k r) e^{i m phi}, including the
+    # center (r = 0) and the branch cut of the angle (phi = pi)
+    cfg = ExpansionConfig(47, REGION.center, valid_radius=REGION.radius)
+    freq = Frequency(4000.0)
+    pts = np.vstack([
+        _disc_points(REGION, 500, seed=47, radius_fraction=1.0),
+        [REGION.center, (REGION.center.x - 0.5, REGION.center.y)],
+    ])
+    basis = _basis_matrix(cfg, pts, freq)
+    dx, dy = pts[:, 0] - REGION.center.x, pts[:, 1] - REGION.center.y
+    kr, phi = freq.wavenumber * np.hypot(dx, dy), np.arctan2(dy, dx)
+    m = cfg.orders[:, None]
+    want = sp.jv(m, kr) * np.exp(1j * m * phi)
+    assert basis.shape == want.shape
+    assert np.max(np.abs(basis - want)) <= 1e-12
 
 
 @given(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
