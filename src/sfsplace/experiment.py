@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -269,8 +270,11 @@ class _GridEvaluation:
         drivers = solve_wmm(c, weight, self.targets, lam)
         return self.basis.T @ (c @ drivers), drivers
 
-    def sdrs(self, indices) -> list[float]:
+    def sdrs(self, indices, dump=None) -> list[float]:
+        """SDR per angle of one placement; dump, if given, gets its grid field."""
         u_syn, _ = self.synthesize(indices)
+        if dump is not None:
+            dump(u_syn)
         return sdr(self.desired, u_syn).tolist()
 
 
@@ -281,9 +285,14 @@ def _eval_angles(config) -> tuple:
     return tuple(config.evaluation.angles_deg)
 
 
-def evaluate_placements(config: ExperimentConfig, problems, placements: dict) -> Evaluation:
+def evaluate_placements(
+    config: ExperimentConfig, problems, placements: dict, field_dir=None
+) -> Evaluation:
     """SDR rows (angle_deg | None, freq_hz, sdr_db, method), canonically sorted,
     and the largest spot-check truncation error over the frequencies.
+
+    With field_dir, each bin's field dumps (see write_field_set) are written
+    there from the same evaluation and the same solves as its SDRs.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = _eval_angles(config)
@@ -293,9 +302,13 @@ def evaluate_placements(config: ExperimentConfig, problems, placements: dict) ->
     for problem in problems:
         ev = _GridEvaluation(config, problem, grid, angles, placements.values())
         worst = max(worst, ev.truncation_error)
+        dump = None
+        if field_dir is not None:
+            dump = _field_writer(field_dir, config, problem.freq.hz, grid, angles, ev.desired)
         for name in names:
-            sdrs = ev.sdrs(placements[name])
+            sdrs = ev.sdrs(placements[name], None if dump is None else partial(dump, name))
             rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, sdrs))
+        del ev, dump  # one evaluation at a time: this bin's goes before the next is built
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
 
@@ -387,25 +400,20 @@ def _field_meta(config, freq_hz, angle_deg, kind, extra=None):
     return meta
 
 
-def write_field_set(out_dir, config, problem, placements, angles, tag=""):
-    """Field dumps of one frequency: per angle the desired field, and per
-    placement the synthesized field and the error normalized by the desired
-    field's rms. One evaluation and one solve per placement serve every angle.
-    """
-    f_hz = problem.freq.hz
-    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ev = _GridEvaluation(config, problem, grid, angles, placements.values())
-    rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in ev.desired.T]
+def _field_writer(out_dir, config, f_hz, grid, angles, desired, tag=""):
+    """Write one frequency's desired fields (one column per angle) and return
+    the writer of a placement's synthesized and error fields."""
+    rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in desired.T]
     stems = [
         os.path.join(out_dir, "field%s_f%s_a%s" % (tag, ("%g" % f_hz), _angle_tag(a)))
         for a in angles
     ]
     for j, (a, stem) in enumerate(zip(angles, stems)):
         write_field_csv(
-            stem + "_desired", grid, ev.desired[:, j], _field_meta(config, f_hz, a, "desired")
+            stem + "_desired", grid, desired[:, j], _field_meta(config, f_hz, a, "desired")
         )
-    for name, indices in placements.items():
-        u_syn, _ = ev.synthesize(indices)
+
+    def write(name, u_syn):
         for j, (a, stem) in enumerate(zip(angles, stems)):
             write_field_csv(
                 "%s_%s_synthesized" % (stem, name),
@@ -416,11 +424,25 @@ def write_field_set(out_dir, config, problem, placements, angles, tag=""):
             write_field_csv(
                 "%s_%s_error" % (stem, name),
                 grid,
-                (u_syn[:, j] - ev.desired[:, j]) / rms[j],
+                (u_syn[:, j] - desired[:, j]) / rms[j],
                 _field_meta(
                     config, f_hz, a, "error", {"method": name, "normalization": rms[j]}
                 ),
             )
+
+    return write
+
+
+def write_field_set(out_dir, config, problem, placements, angles, tag=""):
+    """Field dumps of one frequency: per angle the desired field, and per
+    placement the synthesized field and the error normalized by the desired
+    field's rms. One evaluation and one solve per placement serve every angle.
+    """
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+    ev = _GridEvaluation(config, problem, grid, angles, placements.values())
+    dump = _field_writer(out_dir, config, problem.freq.hz, grid, angles, ev.desired, tag)
+    for name, indices in placements.items():
+        dump(name, ev.synthesize(indices)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +494,9 @@ def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None):
         placements[name] = baseline_indices(config, name)
     union = sorted({i for idx in placements.values() for i in idx})
     problems = build_problems(config, columns=union)
-    rows, truncation_error = evaluate_placements(config, problems, placements)
+    field_dir = out if config.evaluation.write_fields else None
+    rows, truncation_error = evaluate_placements(config, problems, placements, field_dir)
     write_sdr_csv(os.path.join(out, "sdr.csv"), rows)
-    if config.evaluation.write_fields:
-        for problem in problems:
-            write_field_set(out, config, problem, placements, _eval_angles(config))
     return {
         "rows": rows,
         "placements": placements,

@@ -264,13 +264,17 @@ def add_candidate(state: SelectionState, index: int) -> SelectionState:
     # einsum, not a BLAS gemv: a threaded gemv this small costs more in
     # thread hand-offs than in arithmetic when the cores are busy
     u = np.einsum("k,kn->n", zc.conj(), state.coeff) / den
-    return replace(
-        state,
-        q=state.q - np.outer(zc, zc.conj()) / den,
-        z=state.z - np.outer(zc, u),
-        y=state.y - np.outer(state.y[:, index], u),
-        selected=state.selected + (index,),
-    )
+    # one allocation per array: the negated outer product, then the old
+    # array added in place (negation is exact, so a - b == -b + a bit for bit)
+    q = np.multiply.outer(zc, zc.conj())
+    q /= -den
+    q += state.q
+    neg_u = -u
+    z = np.multiply.outer(zc, neg_u)
+    z += state.z
+    y = np.multiply.outer(state.y[:, index], neg_u)
+    y += state.y
+    return replace(state, q=q, z=z, y=y, selected=state.selected + (index,))
 
 
 def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float) -> float:
@@ -362,6 +366,8 @@ def greedy_place_broadband(
     decrease falls below min_decrease relative to the empty-set cost.
     Ties (within TIE_RTOL of the best decrease) go to the lowest
     candidate index. Each trace entry is the exact weighted tr(Q_S R).
+    A pick replaces each bin's state as soon as its successor exists, so
+    memory stays one generation of states plus one bin's successor.
     """
     n = spec.n_candidates
     if n == 0:
@@ -382,7 +388,8 @@ def greedy_place_broadband(
         pick = int(np.flatnonzero(deltas <= best + TIE_RTOL * abs(best))[0])
         if min_decrease is not None and -deltas[pick] < min_decrease * trace[0]:
             break
-        states = [add_candidate(s, pick) for s in states]
+        for b in range(len(states)):
+            states[b] = add_candidate(states[b], pick)
         trace.append(sum(g * state_cost(s) for g, s in zip(gammas, states)))
     return PlacementResult(states[0].selected, np.asarray(trace))
 

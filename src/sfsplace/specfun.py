@@ -9,9 +9,12 @@ classical pieces (see DLMF chapter 10):
   with series normalization where the order exceeds the argument, upward
   recurrence (stable for J only when m < x, always for Y) elsewhere.
 
-The order-block functions return all orders 0..max_order at once for an
-array of arguments; that layout is what the field-expansion code consumes
-and is where vectorization pays off.
+One upward recurrence, _recur_up, serves every function: a generator
+that yields one order's row at a time for an array of arguments, so work
+is vectorized over the arguments. The order-block functions write its
+rows into a (max_order + 1) x n block; hankel1_rows streams them through
+one reused complex buffer for callers that consume an order and drop it,
+such as the Graf contraction in synthesis.
 
 The order-0/1 seeds come from one of five regimes, picked by each
 argument's own x (never by the other arguments of a call):
@@ -26,8 +29,11 @@ argument's own x (never by the other arguments of a call):
   for 17 <= x < 30, 6 for 30 <= x < 60 and 4 for x >= 60. One cos/sin
   pair serves both orders.
 
-hankel1_orders computes the seeds once per argument and feeds J0/J1 to
-the J block and Y0/Y1 to the Y block.
+hankel1_orders and hankel1_rows compute the seeds once per argument and
+feed J0/J1 to the J rows and Y0/Y1 to the Y rows. Each row is patched
+into its destination (J columns that Miller's recurrence or the
+tiny-argument series serve, Y entries past the float64 range), never
+into the recurrence state.
 """
 
 from __future__ import annotations
@@ -247,17 +253,27 @@ def _j_orders_miller(max_order, x):
     return out
 
 
-def _recur_up(out, x, f0, f1):
-    """Rows 0, 1 of out from f0, f1, then f_{m+1} = (2m/x) f_m - f_{m-1}."""
-    out[0] = f0
-    if len(out) > 1:
-        out[1] = f1
-    step = np.empty_like(x) if len(out) > 2 else None
-    for m in range(1, len(out) - 1):
+def _recur_up(max_order, x, f0, f1):
+    """Yield f_0..f_max_order from the rows f0, f1 by f_{m+1} = (2m/x) f_m - f_{m-1}.
+
+    A yielded row is the recurrence's state: read it, never write it. Rows
+    from order 2 on alternate between two buffers, so each stays valid
+    until the row after next is requested.
+    """
+    yield f0
+    if max_order == 0:
+        return
+    yield f1
+    step = np.empty_like(x)
+    bufs = (np.empty_like(x), np.empty_like(x))
+    prev, cur = f0, f1
+    for m in range(1, max_order):
+        nxt = bufs[m % 2]  # from m = 3 on f_{m-1}'s buffer, read and written elementwise
         np.divide(2.0 * m, x, out=step)
-        np.multiply(step, out[m], out=step)
-        np.subtract(step, out[m - 1], out=out[m + 1])
-    return out
+        np.multiply(step, cur, out=step)
+        np.subtract(step, prev, out=nxt)
+        prev, cur = cur, nxt
+        yield cur
 
 
 def _j_seeded(max_order, x):
@@ -271,37 +287,55 @@ def _j_seeded(max_order, x):
     return x >= 2.0 * max_order + 20.0
 
 
-def _j_block(max_order, x, seeded, j0, j1, out):
-    """J_0..J_max_order(x) into out, from the order-0/1 seeds j0, j1 where seeded.
+def _j_fixed(max_order, x):
+    """J block of arguments the upward recurrence does not seed.
 
-    The upward recurrence runs in place over every column, from zero seeds
-    outside `seeded` (zeros recur to zeros, x = 0 to NaN); those columns
-    are then overwritten by the tiny-argument series or Miller's recurrence.
+    The two-term series below _TINY_X, Miller's recurrence above.
     """
-    if seeded.all():
-        _recur_up(out, x, j0, j1)
-    elif seeded.any():
-        j0 = np.where(seeded, j0, 0.0)
-        j1 = np.where(seeded, j1, 0.0) if max_order >= 1 else None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _recur_up(out, x, j0, j1)
+    out = np.empty((max_order + 1, x.size))
     tiny = x < _TINY_X
     if tiny.any():
         out[:, tiny] = _j_orders_tiny(max_order, x[tiny])
-    miller = ~(tiny | seeded)
-    if miller.any():
-        out[:, miller] = _j_orders_miller(max_order, x[miller])
+    if not tiny.all():
+        out[:, ~tiny] = _j_orders_miller(max_order, x[~tiny])
     return out
 
 
-def _y_block(x, y0, y1, out):
-    """Y_0..Y_{len(out)-1}(x) into out; entries past float64 range become -inf."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        _recur_up(out, x, y0, y1)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[np.maximum.accumulate(bad, axis=0)] = -np.inf
-    return out
+def _j_rows(max_order, x, seeded, j0, j1, dest):
+    """Write J_0..J_max_order(x) into the rows of dest, yielding each when written.
+
+    dest holds max_order + 1 row arrays: a block's rows, or one buffer
+    repeated. Where any column is seeded the upward recurrence runs over
+    every column (unstable, even non-finite, outside `seeded`); the other
+    columns are then patched from their small (max_order + 1) x n_fix block.
+    """
+    fixed = np.flatnonzero(~seeded)
+    block = _j_fixed(max_order, x[fixed]) if fixed.size else None
+    rows = _recur_up(max_order, x, j0, j1) if fixed.size < x.size else None
+    for m, row in enumerate(dest):
+        if rows is not None:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                row[...] = next(rows)
+        if block is not None:
+            row[fixed] = block[m]
+        yield row
+
+
+def _y_rows(x, y0, y1, dest):
+    """Write Y_0..Y_{len(dest)-1}(x) into the rows of dest, yielding each when written.
+
+    From the first order at which a column leaves the float64 range on, it
+    reads -inf; the recurrence itself runs on unpatched.
+    """
+    rows = _recur_up(len(dest) - 1, x, y0, y1)
+    bad = np.zeros(x.shape, dtype=bool)
+    for row in dest:
+        with np.errstate(invalid="ignore", over="ignore"):
+            row[...] = next(rows)
+        bad |= ~np.isfinite(row)
+        if bad.any():
+            row[bad] = -np.inf
+        yield row
 
 
 def _as_order(max_order) -> int:
@@ -346,7 +380,9 @@ def bessel_j_orders(max_order, x):
     j0 = j1 = None
     if seeded.any():
         j0, j1, _, _ = _seeds(flat, want_y=False, want_one=(max_order >= 1))
-    out = _j_block(max_order, flat, seeded, j0, j1, np.empty((max_order + 1, flat.size)))
+    out = np.empty((max_order + 1, flat.size))
+    for _ in _j_rows(max_order, flat, seeded, j0, j1, out):
+        pass
     return out.reshape((max_order + 1,) + arr.shape)
 
 
@@ -358,22 +394,48 @@ def bessel_y_orders(max_order, x):
     max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=False)
     _, _, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order >= 1))
-    out = _y_block(flat, y0, y1, np.empty((max_order + 1, flat.size)))
+    out = np.empty((max_order + 1, flat.size))
+    for _ in _y_rows(flat, y0, y1, out):
+        pass
     return out.reshape((max_order + 1,) + arr.shape)
+
+
+def _hankel_rows(max_order, x, seeds, re, im):
+    """Write J_m(x) into re[m] and Y_m(x) into im[m], m = 0..max_order, one
+    order per step of the returned iterator, from one seed pass `seeds`."""
+    j0, j1, y0, y1 = seeds
+    seeded = _j_seeded(max_order, x)
+    return zip(_j_rows(max_order, x, seeded, j0, j1, re), _y_rows(x, y0, y1, im))
 
 
 def hankel1_orders(max_order, x):
     """H_m^(1)(x) = J_m(x) + i Y_m(x) for orders 0..max_order; x > 0.
 
-    One seed pass serves both parts: the J block takes the order-0/1 seeds
-    where it recurs upward, the Y block everywhere. Each block is written
-    straight into its part of the complex result, bit for bit the block
-    bessel_j_orders or bessel_y_orders returns.
+    Each row is written straight into the complex result, its real part
+    bit for bit the block bessel_j_orders returns and its imaginary part
+    the block bessel_y_orders returns.
     """
     max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=False)
-    j0, j1, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order >= 1))
+    seeds = _seeds(flat, want_y=True, want_one=(max_order >= 1))
+    # allocated after the seed pass, so its temporaries are gone by then
     out = np.empty((max_order + 1, flat.size), dtype=np.complex128)
-    _j_block(max_order, flat, _j_seeded(max_order, flat), j0, j1, out.real)
-    _y_block(flat, y0, y1, out.imag)
+    for _ in _hankel_rows(max_order, flat, seeds, out.real, out.imag):
+        pass
     return out.reshape((max_order + 1,) + arr.shape)
+
+
+def hankel1_rows(max_order, x):
+    """Iterator over H_m^(1)(x) for m = 0..max_order, one order at a time.
+
+    x is a positive 1-d float64 array (not validated). The rows equal those
+    of hankel1_orders bit for bit, but share one complex buffer: a row is
+    valid until the next is requested, and no (max_order + 1) x n block
+    is ever held. The seed pass runs on the call, before any row is
+    requested, so its temporaries are freed before the caller's own
+    working arrays exist.
+    """
+    seeds = _seeds(x, want_y=True, want_one=(max_order >= 1))
+    h = np.empty(x.size, dtype=np.complex128)
+    rows = max_order + 1
+    return (h for _ in _hankel_rows(max_order, x, seeds, [h.real] * rows, [h.imag] * rows))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from sfsplace.config import square_loop
+from sfsplace.experiment import build_problems, paper_config, to_broadband_spec
 from sfsplace.placement import (
     BroadbandBin,
     BroadbandSpec,
@@ -286,6 +288,45 @@ def test_greedy_completes_on_duplicate_column():
     for idx in result.indices:
         state = add_candidate(state, idx)
         assert all(np.all(np.isfinite(a)) for a in (state.q, state.z, state.y))
+
+
+def test_add_candidate_matches_the_subtraction_form_bit_for_bit():
+    # the update adds the old arrays to a negated outer product; negation is
+    # exact, so it equals a - b elementwise, and the input state is untouched
+    c, w, prior = _random_problem(46, n=12, dim=19)
+    state = SelectionState.from_problem(c, w, prior, 1e-3)
+    for index in (5, 0, 11, 3):
+        before = [a.copy() for a in (state.q, state.z, state.y)]
+        zc = state.z[:, index]
+        den = state.lam + max(float(np.vdot(state.coeff[:, index], zc).real), 0.0)
+        u = np.einsum("k,kn->n", zc.conj(), state.coeff) / den
+        new = add_candidate(state, index)
+        assert np.array_equal(new.q, state.q - np.outer(zc, zc.conj()) / den)
+        assert np.array_equal(new.z, state.z - np.outer(zc, u))
+        assert np.array_equal(new.y, state.y - np.outer(state.y[:, index], u))
+        for old, a in zip(before, (state.q, state.z, state.y)):
+            assert np.array_equal(old, a)
+        state = new
+
+
+def test_broadband_greedy_memory_holds_one_generation():
+    # the paper's 20 bins: states are replaced bin by bin, so the traced peak
+    # stays near one generation of (q, z, y) over all bins (measured 1.12x;
+    # building every bin's successor before dropping any takes 2.05x)
+    config = paper_config(broadband=True)
+    spec = to_broadband_spec(build_problems(config))
+    generation = sum(
+        16 * (b.coeff_matrix.shape[0] ** 2 + 2 * b.coeff_matrix.size) for b in spec.bins
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = greedy_place_broadband(spec, config.lambda_select, n_select=config.n_select)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.indices) == config.n_select
+    assert peak < 1.25 * generation
 
 
 def test_add_candidate_rejects_bad_indices():

@@ -116,6 +116,42 @@ def test_order_blocks_mix_every_regime_without_warnings(max_order):
                                rtol=1e-10, atol=1e-13)
 
 
+def _stacked_rows(max_order, x):
+    rows = sf.hankel1_rows(max_order, x)
+    first = next(rows)
+    stacked = [first.copy()]
+    for h in rows:
+        assert h is first  # one reused buffer, never a block
+        stacked.append(h.copy())
+    return np.array(stacked)
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 29, 47])
+def test_hankel1_rows_stack_to_the_order_block(max_order):
+    # tiny arguments, every seed regime edge, Miller columns and arguments
+    # past 2 max_order + 20 where J recurs upward
+    edges = [e + d for e in SEED_EDGES for d in (-1e-9, 1e-9)]
+    top = 2.0 * max_order + 20.0
+    x = np.concatenate([[1e-9, 5e-7, 1e-6, 1e-3], edges, [top - 1e-9, top, top + 1.0],
+                        np.logspace(-2.0, 3.5, 500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stacked_rows(max_order, x)
+    assert np.array_equal(got, sf.hankel1_orders(max_order, x))
+
+
+@pytest.mark.parametrize("max_order, x", [(70, 1e-3), (47, 1e-6)])
+def test_hankel1_rows_reproduce_the_y_overflow_tail(max_order, x):
+    # Y past the float64 range reads -inf from its first non-finite order on
+    xs = np.array([x, 1.0, 90.0])
+    y = sf.bessel_y_orders(max_order, xs)
+    first = int(np.argmax(np.isinf(y[:, 0])))
+    assert 0 < first and np.all(y[first:, 0] == -np.inf) and np.all(np.isfinite(y[:, 1:]))
+    got = _stacked_rows(max_order, xs)
+    assert np.array_equal(got.imag, y)
+    assert np.array_equal(got.real, sf.bessel_j_orders(max_order, xs))
+
+
 def test_order_block_matches_scalars():
     # row m of the order-6 block against the order-m block's top row and scipy
     x = np.array([0.3, 2.0, 14.0, 120.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from sfsplace.config import square_loop
 from sfsplace.room import RoomModel, room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
     ConditioningError,
@@ -441,6 +443,24 @@ def test_source_coeff_matrix_bins_match_one_call_per_bin():
     wide = ExpansionConfig(max_order=5, center=REGION.center, valid_radius=1.6)
     with pytest.raises(ValueError, match="validity disc"):
         source_coeff_matrix(srcs, bins[:1] + [(wide, F1K)], room)
+
+
+def test_source_coeff_matrix_memory_is_a_few_image_arrays():
+    # the paper's 2 kHz bin: 200 candidates x 221 images, orders 0..29. One
+    # (30, 200, 221) complex Hankel block alone is 21.2 MB; the streamed
+    # rows keep the traced peak near 9.6 MB
+    freq = Frequency(2000.0, sound_speed=343.0)
+    bins = [(expansion_for(REGION, freq), freq)]
+    assert bins[0][0].max_order == 29
+    srcs = square_loop(3.0, 200)
+    source_coeff_matrix(srcs, bins, PAPER_ROOM)  # builds the room's image table
+    tracemalloc.start()
+    try:
+        source_coeff_matrix(srcs, bins, PAPER_ROOM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_source_coeff_matrix_rejects_interior_source():
