@@ -69,7 +69,10 @@ def cmd_evaluate(args) -> int:
         indices = read_placement_csv(args.placement)
     info = run_evaluate(config, indices=indices)
     print("wrote %s (%d rows)" % (os.path.join(info["out"], "sdr.csv"), len(info["rows"])))
-    print("expansion truncation error %.2e (tolerance %g)" % (info["truncation_error"], TRUNCATION_TOL))
+    print(
+        "expansion truncation error %.2e, Graf-tail estimate (tolerance %g)"
+        % (info["truncation_error"], TRUNCATION_TOL)
+    )
     return 0
 
 

@@ -30,6 +30,7 @@ from .placement import (
     regular_placement_b,
 )
 from .room import transfer_matrix
+from .specfun import bessel_j_orders
 from .synthesis import (
     WeightMatrix,
     _point_gram,
@@ -42,6 +43,7 @@ from .synthesis import (
     weight_matrix_circle,
 )
 from .wavefield import (
+    ExpansionConfig,
     Frequency,
     PlaneWave,
     _basis_matrix,
@@ -167,20 +169,20 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # Every source and image lies outside the region disc, so by Graf's addition
 # theorem the synthesized field on the grid is basis^T C d: the basis
 # J_m(k r) e^{i m phi} (K x G) is built once per frequency and shared by all
-# placements and angles. The direct image-source transfer stays the oracle:
-# a fixed grid subset checks every selected source against it.
+# placements and angles. What the truncation to |m| <= M leaves out of each
+# selected source is estimated from its own Graf tail (_truncation_errors).
 
-# Largest relative column error, ||series - direct|| / ||direct|| over the
-# spot-check points, that evaluation accepts. With candidates at twice the
-# region radius (the bundled study) the order rule ceil(kR) + 10 measures
-# 1.2e-6 at 1 kHz, 3.3e-5 at 2 kHz and 3.9e-4 at 4 kHz; a source at 1.02 R
-# measures above 1e-1. A column error eps moves an SDR near 15 dB by roughly
-# 50 eps dB, so accepted tables stay within about 0.05 dB of the direct
-# evaluation.
+# Largest estimated relative column error on the rim that evaluation
+# accepts. Over the bundled study's 200 candidates (the nearest at twice the
+# region radius) in its room, the order rule ceil(kR) + 10 gives estimates
+# up to 2.0e-6 at 1 kHz, 4.4e-5 at 2 kHz and 5.9e-4 at 4 kHz; a source at
+# 1.02 R gives 0.13 to 0.20. The estimate measured 1.1 to 2 times the error
+# against the direct image-source transfer (the tests bound it by 1 and
+# 2.5). A column error eps moves an SDR near 15 dB by roughly 50 eps dB, so
+# accepted tables stay within about 0.05 dB of the direct evaluation.
 TRUNCATION_TOL = 1e-3
-# grid points in the spot-check: half the outermost (truncation error peaks
-# at the rim), half an even stride over the whole grid
-SPOT_CHECK_POINTS = 128
+# orders past M that the truncation estimate sums term by term
+TAIL_ORDERS = 6
 
 
 class TruncationError(ValueError):
@@ -188,7 +190,7 @@ class TruncationError(ValueError):
 
 
 class Evaluation(NamedTuple):
-    """SDR rows and the largest spot-check truncation error of a sweep."""
+    """SDR rows and the largest estimated truncation error of a sweep."""
 
     rows: list
     truncation_error: float
@@ -200,11 +202,31 @@ def _plane_waves(points, freq, angles):
     return np.exp(1j * freq.wavenumber * (points @ np.array([np.cos(phi), np.sin(phi)])))
 
 
-def _spot_check_points(grid, region) -> np.ndarray:
-    r = np.hypot(grid[:, 0] - region.center.x, grid[:, 1] - region.center.y)
-    rim = np.argsort(-r, kind="stable")[: SPOT_CHECK_POINTS // 2]
-    stride = max(1, 2 * len(grid) // SPOT_CHECK_POINTS)
-    return np.union1d(rim, np.arange(0, len(grid), stride))
+def _truncation_errors(sources, cfg, freq, room) -> np.ndarray:
+    """Estimated relative truncation error of each source's expansion column.
+
+    Estimates the error on the rim circle r = R = cfg.valid_radius, where
+    it peaks, relative to the column. The columns c are built D =
+    TAIL_ORDERS orders past M in a matrix of their own, and with
+    t_m = |J_|m|(kR) c_ms|^2
+
+        eps_s^2 = (sum_{M<|m|<=M+D} t_m + (t_{-M-D} + t_{M+D}) q/(1-q))
+                  / sum_{|m|<=M+D} t_m,   q = (R/d_s)^2.
+
+    Past k d, t_m falls by (R/d)^2 per order, so the remainder continues
+    the last terms as a geometric series; the source, d_s from the center,
+    is the nearest of its images and sets the slowest decay.
+    """
+    top = cfg.max_order + TAIL_ORDERS
+    wide = ExpansionConfig(top, cfg.center, cfg.valid_radius)
+    (coeff,) = source_coeff_matrix(sources, [(wide, freq)], room)
+    order = np.abs(wide.orders)
+    j = bessel_j_orders(top, np.array([freq.wavenumber * cfg.valid_radius]))[order]
+    t = np.abs(j * coeff) ** 2
+    dist = np.hypot(sources[:, 0] - cfg.center.x, sources[:, 1] - cfg.center.y)
+    q = (cfg.valid_radius / dist) ** 2
+    tail = t[order > cfg.max_order].sum(axis=0) + (t[0] + t[-1]) * q / (1.0 - q)
+    return np.sqrt(tail / t.sum(axis=0))
 
 
 class _GridEvaluation:
@@ -212,7 +234,7 @@ class _GridEvaluation:
 
     Holds the grid basis, the exact desired field and its expansion
     coefficients (one column per angle), and the expansion coefficients of
-    the union of selected sources, spot-checked against the direct transfer.
+    the union of selected sources, whose truncation error is checked.
     """
 
     def __init__(self, config, problem, grid, angles, selections):
@@ -242,16 +264,13 @@ class _GridEvaluation:
                 raise ValueError("placements use candidates the problem was not built for")
             at = [where[i] for i in union]
         self.coeff = problem.coeff[:, at]
-        self.truncation_error = self._spot_check(grid, sources, union)
+        self.truncation_error = self._check_truncation(sources, union)
 
-    def _spot_check(self, grid, sources, union) -> float:
+    def _check_truncation(self, sources, union) -> float:
         if not union:
             return 0.0
-        pick = _spot_check_points(grid, self.config.region)
         freq = self.problem.freq
-        direct = transfer_matrix(grid[pick], sources, freq, self.room)
-        series = self.basis[:, pick].T @ self.coeff
-        err = np.linalg.norm(series - direct, axis=0) / np.linalg.norm(direct, axis=0)
+        err = _truncation_errors(sources, self.problem.cfg, freq, self.room)
         worst = int(np.argmax(err))
         value = float(err[worst])
         if not value <= TRUNCATION_TOL:
@@ -289,7 +308,8 @@ def evaluate_placements(
     config: ExperimentConfig, problems, placements: dict, field_dir=None
 ) -> Evaluation:
     """SDR rows (angle_deg | None, freq_hz, sdr_db, method), canonically sorted,
-    and the largest spot-check truncation error over the frequencies.
+    and the largest estimated truncation error (_truncation_errors) of a
+    selected source over the frequencies.
 
     With field_dir, each bin's field dumps (see write_field_set) are written
     there from the same evaluation and the same solves as its SDRs.

@@ -10,7 +10,11 @@ import scipy.special
 
 from sfsplace.room import RoomModel, _images, transfer_matrix
 from sfsplace.synthesis import WeightMatrix, identity_weight
-from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points
+from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points, _basis_matrix
+
+# grid points of the direct truncation check: half the outermost (truncation
+# error peaks at the rim), half an even stride over the whole grid
+SPOT_CHECK_POINTS = 128
 
 
 def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
@@ -58,3 +62,24 @@ def graf_coeffs(positions, cfg, freq: Frequency, room: RoomModel | None = None):
     h = scipy.special.hankel1(m, freq.wavenumber * np.hypot(dx, dy))
     phase = np.exp(-1j * m * np.arctan2(dy, dx))
     return 0.25j * np.sum(gains * h * phase, axis=2)
+
+
+def spot_check_points(grid, region) -> np.ndarray:
+    """Indices of the grid points the direct truncation check samples."""
+    r = np.hypot(grid[:, 0] - region.center.x, grid[:, 1] - region.center.y)
+    rim = np.argsort(-r, kind="stable")[: SPOT_CHECK_POINTS // 2]
+    stride = max(1, 2 * len(grid) // SPOT_CHECK_POINTS)
+    return np.union1d(rim, np.arange(0, len(grid), stride))
+
+
+def column_errors(grid, region, sources, coeff, cfg, freq: Frequency, room=None):
+    """Relative error ||series - direct|| / ||direct|| of each expansion column.
+
+    Column s of coeff (K, S), the expansion of sources[s] about cfg.center,
+    is evaluated at the spot-check points of grid and compared with the
+    direct image-source transfer of that source.
+    """
+    pts = grid[spot_check_points(grid, region)]
+    direct = transfer_matrix(pts, sources, freq, room)
+    series = _basis_matrix(cfg, pts, freq).T @ coeff
+    return np.linalg.norm(series - direct, axis=0) / np.linalg.norm(direct, axis=0)

@@ -383,7 +383,7 @@ def test_pressure_matching_matches_dense_control_grid_problem(tmp_path):
     np.testing.assert_allclose(got.cost_trace, direct.cost_trace, rtol=1e-6)
 
 
-def test_spot_check_rejects_source_at_the_rim(tmp_path):
+def test_truncation_check_rejects_source_at_the_rim(tmp_path):
     # a candidate at 1.02 R: the truncated expansion cannot represent it
     # on the grid, and evaluation must stop before writing any SDR table
     out = tmp_path / "run"
@@ -403,6 +403,30 @@ def test_spot_check_rejects_source_at_the_rim(tmp_path):
     assert not (out / "sdr.csv").exists()
     assert main(["evaluate", "--config", _write(tmp_path, doc)]) == 1
     assert not (out / "sdr.csv").exists()
+
+
+def test_truncation_check_names_the_failing_bin(tmp_path):
+    # a candidate at 1.3 R: at fixed d/R the truncation error falls with
+    # frequency, so of the bins 4000 Hz (estimate 7.0e-4) and 300 Hz
+    # (2.9e-3) only the second exceeds the tolerance
+    out = tmp_path / "run"
+    doc = _toy_doc(
+        out,
+        candidates={"positions": [[0.39, 0.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]]},
+        frequencies=[4000.0, 300.0],
+        baselines=[],
+    )
+    doc["evaluation"]["placement"] = [1, 0]
+    with pytest.raises(TruncationError) as info:
+        run_evaluate(ExperimentConfig.from_dict(doc))
+    msg = str(info.value)
+    assert float(msg.split("error ")[1].split()[0]) > TRUNCATION_TOL
+    assert "at 300 Hz" in msg and "4000" not in msg and "(0.39, 0)" in msg
+    assert not (out / "sdr.csv").exists()
+    doc["frequencies"] = [4000.0]
+    info = run_evaluate(ExperimentConfig.from_dict(doc))
+    assert 0.0 < info["truncation_error"] <= TRUNCATION_TOL
+    assert (out / "sdr.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,26 @@ import math
 import numpy as np
 import pytest
 
+from sfsplace import experiment, specfun
 from sfsplace import room as room_module
 from sfsplace.config import ExperimentConfig
-from sfsplace.experiment import baseline_indices, build_problems, paper_config, place_greedy
+from sfsplace.experiment import (
+    _truncation_errors,
+    baseline_indices,
+    build_problems,
+    evaluate_placements,
+    paper_config,
+    place_greedy,
+)
 from sfsplace.room import transfer_matrix
-from sfsplace.synthesis import region_grid, sdr, solve_wmm, synthesis_lambda
-from sfsplace.wavefield import PlaneWave, planewave_coeffs
+from sfsplace.synthesis import region_grid, sdr, solve_wmm, source_coeff_matrix, synthesis_lambda
+from sfsplace.wavefield import Frequency, PlaneWave, expansion_for, planewave_coeffs
 
-from oracles import graf_coeffs
+from oracles import column_errors, graf_coeffs
+
+# the truncation estimate may over-report the direct error by up to this
+# factor (measured: 1.14-2.00 on the paper bins, 1.23-1.76 on the sweep)
+ESTIMATE_OVER = 2.5
 
 
 def _tiny_paper(out, broadband, room=True):
@@ -101,3 +113,76 @@ def test_tiny_paper_study_matches_direct_coefficients(tmp_path, broadband):
                 config, p_want, indices, grid
             )
             assert np.max(np.abs(delta)) < 1e-9
+
+
+def _paper_placements(config, problems):
+    greedy = place_greedy(config, problems).indices
+    return [greedy] + [baseline_indices(config, b) for b in config.baselines]
+
+
+def _assert_estimate_brackets_direct(config, sources, bins, room):
+    # the Graf-tail estimate of every column against its error measured
+    # with the direct image-source transfer: never under, at most
+    # ESTIMATE_OVER times over
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+    for cfg, freq, coeff in bins:
+        eps = _truncation_errors(sources, cfg, freq, room)
+        direct = column_errors(grid, config.region, sources, coeff, cfg, freq, room)
+        ratio = eps / direct
+        assert np.all((ratio >= 1.0) & (ratio <= ESTIMATE_OVER)), (freq.hz, ratio)
+
+
+def test_truncation_estimate_brackets_direct_error_in_every_paper_bin():
+    config = paper_config(broadband=True)
+    problems = build_problems(config)
+    union = sorted({i for p in _paper_placements(config, problems) for i in p})
+    bins = [(p.cfg, p.freq, p.coeff[:, union]) for p in problems]
+    sources = config.candidate_positions()[union]
+    _assert_estimate_brackets_direct(config, sources, bins, config.room_model())
+
+
+@pytest.mark.parametrize("room", [False, True], ids=["free-field", "room"])
+def test_truncation_estimate_brackets_direct_error_near_the_region(room):
+    # sources at 1.02, 1.1, 1.3 and 2 R in four directions, from a
+    # truncation error near 0.2 down to 1e-6
+    config = paper_config()
+    room = config.room_model() if room else None
+    center, radius = np.array(config.region.center), config.region.radius
+    angle = np.radians([10.0, 100.0, 190.0, 280.0])
+    sources = np.concatenate([
+        center + f * radius * np.c_[np.cos(angle), np.sin(angle)] for f in (1.02, 1.1, 1.3, 2.0)
+    ])
+    bins = []
+    for hz in (300.0, 1000.0, 2000.0, 4000.0):
+        freq = Frequency(hz, sound_speed=config.sound_speed)
+        cfg = expansion_for(config.region, freq)
+        bins.append((cfg, freq, source_coeff_matrix(sources, [(cfg, freq)], room)[0]))
+    _assert_estimate_brackets_direct(config, sources, bins, room)
+
+
+def test_paper_evaluation_work_is_bounded(monkeypatch):
+    # the truncation check costs one order-(M + 6) Graf column per selected
+    # source (54 sources x 221 images of Hankel arguments), not a direct
+    # transfer at grid points (1.5M arguments), and a plane-wave target needs
+    # no transfer at all
+    config = paper_config()
+    problems = build_problems(config)
+    placements = dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
+    arguments, transfers = [], []
+    seeds, transfer = specfun._seeds, room_module.transfer_matrix
+
+    def counted_seeds(x, *args, **kwargs):
+        arguments.append(np.size(x))
+        return seeds(x, *args, **kwargs)
+
+    def counted_transfer(*args, **kwargs):
+        transfers.append(args)
+        return transfer(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_seeds", counted_seeds)
+    monkeypatch.setattr(room_module, "transfer_matrix", counted_transfer)
+    monkeypatch.setattr(experiment, "transfer_matrix", counted_transfer)
+    rows, err = evaluate_placements(config, problems, placements)
+    assert len(rows) == 3 * len(config.evaluation.angles_deg) and err > 0.0
+    assert sum(arguments) < 50_000
+    assert transfers == []
