@@ -217,6 +217,22 @@ def _check_planewave_expansion():
     assert np.max(np.abs(got - exact)) < 1e-6, "plane-wave expansion drifted"
 
 
+def _check_coefficient_sdr():
+    from .experiment import _eval_angles, _GridEvaluation, baseline_indices, place_greedy
+    from .synthesis import region_grid, sdr
+
+    config = _toy_config(os.devnull)
+    (problem,) = build_problems(config)
+    picks = [place_greedy(config, [problem]).indices, baseline_indices(config, "regular_b")]
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+    ev = _GridEvaluation(config, problem, grid, _eval_angles(config), picks)
+    desired, basis = ev.grid_fields()
+    for indices in picks:
+        coeffs = ev.coefficients(indices)
+        gap = np.max(np.abs(np.array(ev.sdrs(coeffs)) - sdr(desired, basis.T @ coeffs)))
+        assert gap <= 1e-9, "coefficient SDR off the grid SDR by %g dB" % gap
+
+
 def cmd_selftest(args) -> int:
     checks = [
         ("bessel-cross-product", _check_cross_product_identity),
@@ -224,6 +240,7 @@ def cmd_selftest(args) -> int:
         ("greedy-vs-exhaustive", _check_greedy_vs_exhaustive),
         ("run-determinism", _check_determinism),
         ("planewave-expansion", _check_planewave_expansion),
+        ("sdr-coefficient-vs-grid", _check_coefficient_sdr),
     ]
     failed = 0
     for name, fn in checks:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,23 +32,16 @@ from .room import transfer_matrix
 from .specfun import bessel_j_orders
 from .synthesis import (
     WeightMatrix,
+    _coeff_sdr,
     _point_gram,
     identity_weight,
     region_grid,
-    sdr,
     solve_wmm,
     source_coeff_matrix,
     synthesis_lambda,
     weight_matrix_circle,
 )
-from .wavefield import (
-    ExpansionConfig,
-    Frequency,
-    PlaneWave,
-    _basis_matrix,
-    expansion_for,
-    planewave_coeffs,
-)
+from .wavefield import ExpansionConfig, Frequency, _basis_matrix, _planewave_matrix, expansion_for
 
 
 @dataclass(frozen=True)
@@ -167,9 +159,10 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # evaluation
 #
 # Every source and image lies outside the region disc, so by Graf's addition
-# theorem the synthesized field on the grid is basis^T C d: the basis
-# J_m(k r) e^{i m phi} (K x G) is built once per frequency and shared by all
-# placements and angles. What the truncation to |m| <= M leaves out of each
+# theorem the synthesized field on the grid is B^T C d for the basis
+# B = J_m(k r) e^{i m phi} (K x G), and its error energy is a quadratic form
+# in the coefficients C d whose grid weights are built once per frequency
+# (_GridEvaluation). What the truncation to |m| <= M leaves out of each
 # selected source is estimated from its own Graf tail (_truncation_errors).
 
 # Largest estimated relative column error on the rim that evaluation
@@ -183,6 +176,10 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 TRUNCATION_TOL = 1e-3
 # orders past M that the truncation estimate sums term by term
 TAIL_ORDERS = 6
+# orders past M of the grid basis that project a plane-wave target: J_m(kR)
+# falls super-exponentially past kR, so at M + 12 the expansion is the plane
+# wave to rounding
+GRID_ORDERS = 12
 
 
 class TruncationError(ValueError):
@@ -232,28 +229,49 @@ def _truncation_errors(sources, cfg, freq, room) -> np.ndarray:
 class _GridEvaluation:
     """Evaluation data of one frequency, shared by every placement in it.
 
-    Holds the grid basis, the exact desired field and its expansion
-    coefficients (one column per angle), and the expansion coefficients of
-    the union of selected sources, whose truncation error is checked.
+    The SDRs come from each placement's expansion coefficients a = C d
+    (synthesis._coeff_sdr): the grid enters only through the Gram
+    Gm = conj(B) B^T of the order-M grid basis B (K x G), the projection
+    X = conj(B) u_des of the desired field (one column per angle) and its
+    energy E. Grid fields are formed only for field dumps (grid_fields).
+
+    The basis is built once, GRID_ORDERS orders past M (B_x), and B is its
+    middle K rows. Since conj(B_m) = (-1)^m B_{-m}, P = conj(B) B_x^T is
+    B B_x^T with its rows reversed and signed, and Gm is P's middle K
+    columns. A plane wave's grid field is B_x^T t_x to rounding (t_x its
+    Jacobi-Anger coefficients to order M + GRID_ORDERS), so X = P t_x and
+    E = G, the grid's point count. A point-source desired field is sampled
+    on the grid and projected.
+
+    Also holds the solve-domain targets (order-M coefficients) and the
+    coefficient columns of the union of selected sources, whose truncation
+    error is checked.
     """
 
     def __init__(self, config, problem, grid, angles, selections):
         self.config, self.problem = config, problem
+        self.grid, self.angles = grid, angles
         self.room = room = config.room_model()
         freq, cfg = problem.freq, problem.cfg
         ev = config.evaluation
-        self.basis = _basis_matrix(cfg, grid, freq)
+        wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
+        basis = _basis_matrix(wide, grid, freq)
+        mid = slice(GRID_ORDERS, GRID_ORDERS + cfg.size)
+        sign = (-1.0) ** np.abs(cfg.orders)[:, None]
+        proj = sign * (basis[mid] @ basis.T)[::-1]
+        self.gram = proj[:, mid]
+        self._desired = None
         if ev.desired == "point_source":
             pos = [ev.desired_position]
-            self.desired = transfer_matrix(grid, pos, freq, room)
+            self._desired = transfer_matrix(grid, pos, freq, room)
             self.targets = source_coeff_matrix(pos, [(cfg, freq)], room)[0]
+            self.cross = sign * (basis[mid] @ self._desired)[::-1]
+            self.energy = np.sum(np.abs(self._desired) ** 2, axis=0)
         else:
-            self.desired = _plane_waves(grid, freq, angles)
-            coeffs = [
-                planewave_coeffs(PlaneWave(math.radians(a)), cfg, freq).values
-                for a in angles
-            ]
-            self.targets = np.array(coeffs).reshape(len(angles), cfg.size).T
+            wave = _planewave_matrix(wide, freq, [math.radians(a) for a in angles])
+            self.targets = wave[mid]
+            self.cross = proj @ wave
+            self.energy = np.full(len(angles), float(len(grid)))
         union = sorted({int(i) for sel in selections for i in sel})
         self.column = {i: j for j, i in enumerate(union)}
         sources = config.candidate_positions()[union]
@@ -281,20 +299,27 @@ class _GridEvaluation:
             )
         return value
 
-    def synthesize(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """(grid field, drivers) of one placement, one column per angle."""
+    def coefficients(self, indices) -> np.ndarray:
+        """Expansion coefficients C d of one placement's field, one column per angle."""
         c = self.coeff[:, [self.column[i] for i in indices]]
         weight = self.problem.weight
         lam = synthesis_lambda(c, weight, scale=self.config.lambda_synth_scale)
-        drivers = solve_wmm(c, weight, self.targets, lam)
-        return self.basis.T @ (c @ drivers), drivers
+        return c @ solve_wmm(c, weight, self.targets, lam)
 
-    def sdrs(self, indices, dump=None) -> list[float]:
-        """SDR per angle of one placement; dump, if given, gets its grid field."""
-        u_syn, _ = self.synthesize(indices)
-        if dump is not None:
-            dump(u_syn)
-        return sdr(self.desired, u_syn).tolist()
+    def sdrs(self, coeffs) -> list[float]:
+        """SDR per angle of the field with these expansion coefficients."""
+        return _coeff_sdr(self.energy, self.cross, self.gram, coeffs).tolist()
+
+    def grid_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """(desired field, order-M basis) on the grid, for field dumps.
+
+        A placement's grid field is basis^T a for its coefficients a.
+        """
+        problem = self.problem
+        desired = self._desired
+        if desired is None:
+            desired = _plane_waves(self.grid, problem.freq, self.angles)
+        return desired, _basis_matrix(problem.cfg, self.grid, problem.freq)
 
 
 def _eval_angles(config) -> tuple:
@@ -311,8 +336,12 @@ def evaluate_placements(
     and the largest estimated truncation error (_truncation_errors) of a
     selected source over the frequencies.
 
-    With field_dir, each bin's field dumps (see write_field_set) are written
-    there from the same evaluation and the same solves as its SDRs.
+    Per bin one _GridEvaluation serves every placement: one solve for all
+    angles gives the expansion coefficients, and the SDRs come from them
+    through the grid Gram and the desired field's projection, without a
+    grid field. With field_dir, each bin's field dumps (see write_field_set)
+    are written there from the same evaluation and the same solves; only
+    then are grid fields formed.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = _eval_angles(config)
@@ -322,12 +351,12 @@ def evaluate_placements(
     for problem in problems:
         ev = _GridEvaluation(config, problem, grid, angles, placements.values())
         worst = max(worst, ev.truncation_error)
-        dump = None
-        if field_dir is not None:
-            dump = _field_writer(field_dir, config, problem.freq.hz, grid, angles, ev.desired)
+        dump = None if field_dir is None else _field_writer(field_dir, config, ev)
         for name in names:
-            sdrs = ev.sdrs(placements[name], None if dump is None else partial(dump, name))
-            rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, sdrs))
+            coeffs = ev.coefficients(placements[name])
+            if dump is not None:
+                dump(name, coeffs)
+            rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
         del ev, dump  # one evaluation at a time: this bin's goes before the next is built
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
@@ -389,10 +418,9 @@ def read_sdr_csv(path) -> list:
 
 
 def write_field_csv(path_base, grid, values, meta):
-    rows = [
-        (_fmt(grid[i, 0]), _fmt(grid[i, 1]), _fmt(values[i].real), _fmt(values[i].imag))
-        for i in range(len(grid))
-    ]
+    # repr of each column's Python floats: the same text as _fmt per value
+    cols = (grid[:, 0], grid[:, 1], values.real, values.imag)
+    rows = zip(*(map(repr, col.tolist()) for col in cols))
     write_csv(path_base + ".csv", ("x", "y", "re", "im"), rows)
     with open(path_base + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -420,9 +448,12 @@ def _field_meta(config, freq_hz, angle_deg, kind, extra=None):
     return meta
 
 
-def _field_writer(out_dir, config, f_hz, grid, angles, desired, tag=""):
-    """Write one frequency's desired fields (one column per angle) and return
-    the writer of a placement's synthesized and error fields."""
+def _field_writer(out_dir, config, ev, tag=""):
+    """Write one frequency's desired fields (one per angle of ev) and return
+    the writer of a placement's synthesized and error fields, given its
+    expansion coefficients (one column per angle)."""
+    f_hz, grid, angles = ev.problem.freq.hz, ev.grid, ev.angles
+    desired, basis = ev.grid_fields()
     rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in desired.T]
     stems = [
         os.path.join(out_dir, "field%s_f%s_a%s" % (tag, ("%g" % f_hz), _angle_tag(a)))
@@ -433,7 +464,8 @@ def _field_writer(out_dir, config, f_hz, grid, angles, desired, tag=""):
             stem + "_desired", grid, desired[:, j], _field_meta(config, f_hz, a, "desired")
         )
 
-    def write(name, u_syn):
+    def write(name, coeffs):
+        u_syn = basis.T @ coeffs
         for j, (a, stem) in enumerate(zip(angles, stems)):
             write_field_csv(
                 "%s_%s_synthesized" % (stem, name),
@@ -460,9 +492,9 @@ def write_field_set(out_dir, config, problem, placements, angles, tag=""):
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     ev = _GridEvaluation(config, problem, grid, angles, placements.values())
-    dump = _field_writer(out_dir, config, problem.freq.hz, grid, angles, ev.desired, tag)
+    dump = _field_writer(out_dir, config, ev, tag)
     for name, indices in placements.items():
-        dump(name, ev.synthesize(indices)[0])
+        dump(name, ev.coefficients(indices))
 
 
 # ---------------------------------------------------------------------------

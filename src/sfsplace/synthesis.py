@@ -286,18 +286,51 @@ def sdr(u_des, u_syn):
     10 log10(sum |u_des|^2 / sum |u_des - u_syn|^2), summed over axis 0 and
     capped at 300 dB for a vanishing error: a float for 1-D samples, one
     value per column for (G, A) samples. Non-finite samples and a desired
-    column with zero energy are rejected.
+    column with zero energy are rejected (_sdr_db).
     """
     des = np.asarray(u_des)
     syn = np.asarray(u_syn)
     if des.shape != syn.shape:
         raise ValueError("field sample arrays must have equal shape")
-    if not (np.all(np.isfinite(des)) and np.all(np.isfinite(syn))):
-        raise ValueError("field samples must be finite; SDR undefined")
     sig = np.sum(np.abs(des) ** 2, axis=0)
+    return _sdr_db(sig, np.sum(np.abs(des - syn) ** 2, axis=0))
+
+
+def _coeff_sdr(energy, cross, gram, coeffs):
+    """SDR per column of fields given by their expansion coefficients.
+
+    With a the coefficients (K, A), Gm = conj(B) B^T the Gram of the basis
+    over the sample grid, X = conj(B) u_des the desired field's projection
+    and E = sum |u_des|^2, the error energy is the quadratic form
+
+        sum |u_des - B^T a|^2 = E - 2 Re X^H a + a^H Gm a,
+
+    so no field is sampled. An error that cancels below zero in rounding
+    reads as zero (the cap).
+    """
+    a = np.asarray(coeffs)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: rejected below
+        err = (
+            energy
+            - 2.0 * np.sum(cross.conj() * a, axis=0).real
+            + np.sum(a.conj() * (gram @ a), axis=0).real
+        )
+    return _sdr_db(energy, err)
+
+
+def _sdr_db(signal, error):
+    """10 log10(signal / error) in dB per column, capped at SDR_CAP_DB.
+
+    Shared by sdr and _coeff_sdr. Non-finite energies (from a non-finite
+    sample or coefficient) and a zero signal energy are rejected; an error
+    energy at or below zero gives the cap.
+    """
+    sig = np.asarray(signal, dtype=np.float64)
+    err = np.asarray(error, dtype=np.float64)
+    if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(err))):
+        raise ValueError("fields must be finite; SDR undefined")
     if np.any(sig <= 0.0):
         raise ValueError("desired field has zero energy; SDR undefined")
-    err = np.sum(np.abs(des - syn) ** 2, axis=0)
     with np.errstate(divide="ignore"):
-        value = np.minimum(10.0 * np.log10(sig / err), SDR_CAP_DB)
+        value = np.minimum(10.0 * np.log10(sig / np.maximum(err, 0.0)), SDR_CAP_DB)
     return float(value) if value.ndim == 0 else value

@@ -201,12 +201,18 @@ def planewave_coeffs(pw: PlaneWave, cfg: ExpansionConfig, freq: Frequency) -> Ex
 
     a_m = A i^m exp(-i m phi_pw) exp(i k_vec . center), |a_m| = |A| for all m.
     """
+    return ExpansionCoeffs(_planewave_matrix(cfg, freq, [pw.direction], pw.amplitude)[:, 0], cfg)
+
+
+def _planewave_matrix(cfg: ExpansionConfig, freq: Frequency, directions, amplitude=1.0 + 0.0j):
+    """planewave_coeffs of one amplitude for every direction (rad): (2M+1, A)."""
     k = freq.wavenumber
     m = cfg.orders
     cx, cy = cfg.center
-    center_phase = np.exp(1j * k * (math.cos(pw.direction) * cx + math.sin(pw.direction) * cy))
-    vals = pw.amplitude * _ipow(m) * np.exp(-1j * m * pw.direction) * center_phase
-    return ExpansionCoeffs(vals, cfg)
+    phase = [math.cos(phi) * cx + math.sin(phi) * cy for phi in directions]
+    center_phase = np.exp(1j * k * np.array(phase))
+    turn = np.exp((-1j * m)[:, None] * np.asarray(directions, dtype=np.float64))
+    return (amplitude * _ipow(m))[:, None] * turn * center_phase
 
 
 def _basis_matrix(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency) -> np.ndarray:

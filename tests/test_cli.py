@@ -250,20 +250,27 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
         np.testing.assert_array_equal(values[:, :2], grid)
         return values[:, 2] + 1j * values[:, 3]
 
+    table = {(name, a, f): v for a, f, v, name in read_sdr_csv(str(out / "sdr.csv"))}
     for problem in build_problems(config, columns=union):
         for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
             stem = "field_f%g_a%s" % (problem.freq.hz, tag)
             for name, idx in placements.items():
                 ev = experiment._GridEvaluation(config, problem, grid, (angle,), [idx])
-                want = ev.synthesize(idx)[0][:, 0]
-                rms = math.sqrt(float(np.mean(np.abs(ev.desired[:, 0]) ** 2)))
+                desired, basis = ev.grid_fields()
+                coeffs = ev.coefficients(idx)
+                want = (basis.T @ coeffs)[:, 0]
+                rms = math.sqrt(float(np.mean(np.abs(desired[:, 0]) ** 2)))
                 meta = json.loads((out / ("%s_%s_error.meta.json" % (stem, name))).read_text())
                 assert meta["angle_deg"] == angle and meta["method"] == name
                 assert meta["normalization"] == pytest.approx(rms, rel=1e-12)
                 got = load("%s_%s_synthesized" % (stem, name))
                 assert np.max(np.abs(got - want)) <= 1e-12 * rms
+                # the table's SDR, taken from the coefficients, is the
+                # grid SDR of the dumped fields
+                row = table[(name, angle, problem.freq.hz)]
+                assert sdr(desired[:, 0], got) == pytest.approx(row, abs=1e-9)
                 got = load("%s_%s_error" % (stem, name))
-                assert np.max(np.abs(got - (want - ev.desired[:, 0]) / rms)) <= 1e-12
+                assert np.max(np.abs(got - (want - desired[:, 0]) / rms)) <= 1e-12
     assert len(list(out.glob("field_*.csv"))) == 2 * 3 * (1 + 2 * 2)
 
 
@@ -509,8 +516,9 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert (tmp_path / "run" / "sdr.csv").exists()
 
 
-def test_selftest_passes():
+def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
+    assert "PASS sdr-coefficient-vs-grid" in capsys.readouterr().out
 
 
 def test_bad_config_path_fails(tmp_path, capsys):

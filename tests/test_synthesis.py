@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from sfsplace.config import square_loop
 from sfsplace.room import RoomModel, room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
+    SDR_CAP_DB,
     ConditioningError,
     WeightMatrix,
+    _coeff_sdr,
     _normal_system,
+    _sdr_db,
     identity_weight,
     region_grid,
     sdr,
@@ -362,6 +365,54 @@ def test_sdr_columnwise_matches_column_calls():
         assert isinstance(one, float)
         assert abs(cols[a] - one) <= 1e-12
     assert cols[3] == 300.0
+
+
+def _grid_problem(seed, n_cols=5):
+    # a random order-6 field basis over 60 points, the Gram and desired
+    # projection of a random desired field, and coefficients near its fit
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((13, 60)) + 1j * rng.standard_normal((13, 60))
+    des = rng.standard_normal((60, n_cols)) + 1j * rng.standard_normal((60, n_cols))
+    fit = np.linalg.lstsq(basis.T, des, rcond=None)[0]
+    coeffs = fit + 0.1 * (rng.standard_normal(fit.shape) + 1j * rng.standard_normal(fit.shape))
+    gram = basis.conj() @ basis.T
+    cross = basis.conj() @ des
+    energy = np.sum(np.abs(des) ** 2, axis=0)
+    return basis, des, coeffs, gram, cross, energy
+
+
+def test_coeff_sdr_matches_grid_sdr():
+    basis, des, coeffs, gram, cross, energy = _grid_problem(31)
+    got = _coeff_sdr(energy, cross, gram, coeffs)
+    np.testing.assert_allclose(got, sdr(des, basis.T @ coeffs), rtol=0.0, atol=1e-9)
+
+
+def test_coeff_sdr_rejects_non_finite_coefficients():
+    _, _, coeffs, gram, cross, energy = _grid_problem(32)
+    for bad in (np.nan, np.inf):
+        a = coeffs.copy()
+        a[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _coeff_sdr(energy, cross, gram, a)
+
+
+def test_sdr_db_rejects_zero_desired_energy():
+    with pytest.raises(ValueError, match="zero energy"):
+        _sdr_db(np.array([4.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        _sdr_db(np.array([4.0, np.nan]), np.array([1.0, 1.0]))
+
+
+def test_sdr_db_clips_negative_error_to_the_cap():
+    # an exact fit whose error energy cancels to a rounding-sized negative
+    # value reads as no error at all
+    assert _sdr_db(2.0, -1e-16) == SDR_CAP_DB
+    got = _sdr_db(np.array([2.0, 2.0, 2.0]), np.array([-3e-15, 0.0, 0.02]))
+    np.testing.assert_allclose(got, [SDR_CAP_DB, SDR_CAP_DB, 20.0], rtol=1e-12)
+    basis, _, coeffs, gram, _, _ = _grid_problem(33, n_cols=1)
+    des = basis.T @ coeffs  # representable exactly
+    energy = np.sum(np.abs(des) ** 2, axis=0)
+    assert _coeff_sdr(energy, basis.conj() @ des, gram, coeffs)[0] >= 250.0
 
 
 def test_region_grid_geometry():
