@@ -27,7 +27,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .experiment import (
     TRUNCATION_TOL,
-    build_problems,
+    _bins,
     paper_config,
     read_placement_csv,
     run_evaluate,
@@ -92,11 +92,9 @@ def cmd_priors(args) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     rng = config.prior.to_range()
-    for f_hz in config.frequencies:
-        freq = Frequency(f_hz, sound_speed=config.sound_speed)
-        cfg = expansion_for(config.region, freq)
+    for cfg, freq in _bins(config):
         prior = prior_from_direction_range(rng, cfg, freq)
-        tag = "%g" % f_hz
+        tag = "%g" % freq.hz
         write_csv(
             os.path.join(out, "prior_mu_f%s.csv" % tag),
             ("m", "re", "im"),
@@ -222,12 +220,13 @@ def _check_coefficient_sdr():
     from .synthesis import region_grid, sdr
 
     config = _toy_config(os.devnull)
-    (problem,) = build_problems(config)
-    picks = [place_greedy(config, [problem]).indices, baseline_indices(config, "regular_b")]
+    picks = {"proposed": place_greedy(config).indices,
+             "regular_b": baseline_indices(config, "regular_b")}
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ev = _GridEvaluation(config, problem, grid, _eval_angles(config), picks)
+    ((cfg, freq),) = _bins(config)
+    ev = _GridEvaluation(config, cfg, freq, grid, _eval_angles(config), picks)
     desired, basis = ev.grid_fields()
-    for indices in picks:
+    for indices in picks.values():
         coeffs = ev.coefficients(indices)
         gap = np.max(np.abs(np.array(ev.sdrs(coeffs)) - sdr(desired, basis.T @ coeffs)))
         assert gap <= 1e-9, "coefficient SDR off the grid SDR by %g dB" % gap

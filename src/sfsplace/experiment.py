@@ -48,12 +48,9 @@ from .wavefield import ExpansionConfig, Frequency, _basis_matrix, _planewave_mat
 class FrequencyProblem:
     """Placement inputs for one frequency bin, in the coefficient domain.
 
-    Every method shares the Graf coefficient matrix and the direction-range
-    prior; only the weight differs (wmm: closed-form region Gram; mode
-    matching: identity; pressure matching: Gram of the basis over the
-    control grid, see pm_control_points). columns names the candidate of
-    each coeff column when the problem was built for a subset of the
-    candidates (None: every candidate, in order).
+    Every method shares the Graf coefficient matrix (one column per
+    candidate) and the direction-range prior; only the weight differs
+    (_weight).
     """
 
     freq: Frequency
@@ -62,7 +59,6 @@ class FrequencyProblem:
     weight: WeightMatrix
     prior: FieldPrior
     gamma: float
-    columns: tuple[int, ...] | None = None
 
 
 def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
@@ -82,44 +78,42 @@ def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     return region_grid(config.region, spacing=spacing), float(spacing) ** 2
 
 
-def build_problems(config: ExperimentConfig, columns=None) -> tuple[FrequencyProblem, ...]:
-    """One FrequencyProblem per configured frequency.
+def _bins(config: ExperimentConfig) -> list:
+    """(expansion, frequency) of each configured bin, in order."""
+    freqs = [Frequency(f_hz, sound_speed=config.sound_speed) for f_hz in config.frequencies]
+    return [(expansion_for(config.region, freq), freq) for freq in freqs]
 
-    With columns (candidate indices) the coefficient matrices hold only
-    those candidates, in that order: enough to evaluate placements drawn
-    from them, but not to place.
-    """
-    region = config.region
+
+def _weight(config: ExperimentConfig, cfg, freq) -> WeightMatrix:
+    """The method's weight on the expansion (wmm: closed-form region Gram;
+    mode matching: identity; pressure matching: Gram of the basis over the
+    control grid, see pm_control_points)."""
+    if config.method == "wmm":
+        return weight_matrix_circle(config.region, cfg, freq)
+    if config.method == "mode-matching":
+        return identity_weight(cfg.size)
+    ctrl, cell = pm_control_points(config)  # pressure-matching
+    return _point_gram(cfg, ctrl, freq, cell)
+
+
+def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
+    """One placement problem per configured frequency, over every candidate."""
     room = config.room_model()
     cand = config.candidate_positions()
-    if columns is not None:
-        columns = tuple(int(i) for i in columns)
-        cand = cand[list(columns)]
     direction_range = config.prior.to_range()
-    freqs = [Frequency(f_hz, sound_speed=config.sound_speed) for f_hz in config.frequencies]
-    bins = [(expansion_for(region, freq), freq) for freq in freqs]
+    bins = _bins(config)
     coeffs = source_coeff_matrix(cand, bins, room=room)
-    problems = []
-    for (cfg, freq), coeff, gamma in zip(bins, coeffs, config.gamma):
-        if config.method == "wmm":
-            weight = weight_matrix_circle(region, cfg, freq)
-        elif config.method == "mode-matching":
-            weight = identity_weight(cfg.size)
-        else:  # pressure-matching
-            ctrl, cell = pm_control_points(config)
-            weight = _point_gram(cfg, ctrl, freq, cell)
-        problems.append(
-            FrequencyProblem(
-                freq=freq,
-                cfg=cfg,
-                coeff=coeff,
-                weight=weight,
-                prior=prior_from_direction_range(direction_range, cfg, freq),
-                gamma=gamma,
-                columns=columns,
-            )
+    return tuple(
+        FrequencyProblem(
+            freq=freq,
+            cfg=cfg,
+            coeff=coeff,
+            weight=_weight(config, cfg, freq),
+            prior=prior_from_direction_range(direction_range, cfg, freq),
+            gamma=gamma,
         )
-    return tuple(problems)
+        for (cfg, freq), coeff, gamma in zip(bins, coeffs, config.gamma)
+    )
 
 
 def to_broadband_spec(problems) -> BroadbandSpec:
@@ -134,8 +128,6 @@ def to_broadband_spec(problems) -> BroadbandSpec:
 def place_greedy(config: ExperimentConfig, problems=None) -> PlacementResult:
     if problems is None:
         problems = build_problems(config)
-    if any(p.columns is not None for p in problems):
-        raise ValueError("placement needs problems built for every candidate")
     return greedy_place_broadband(
         to_broadband_spec(problems),
         config.lambda_select,
@@ -162,8 +154,10 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # theorem the synthesized field on the grid is B^T C d for the basis
 # B = J_m(k r) e^{i m phi} (K x G), and its error energy is a quadratic form
 # in the coefficients C d whose grid weights are built once per frequency
-# (_GridEvaluation). What the truncation to |m| <= M leaves out of each
-# selected source is estimated from its own Graf tail (_truncation_errors).
+# (_GridEvaluation). Evaluation needs no placement problem: per bin it builds
+# the Graf columns of the selected sources only, TAIL_ORDERS orders past M.
+# Their middle K rows are C; the rest is each source's own Graf tail, from
+# which the truncation to |m| <= M is estimated (_truncation_errors).
 
 # Largest estimated relative column error on the rim that evaluation
 # accepts. Over the bundled study's 200 candidates (the nearest at twice the
@@ -174,7 +168,8 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # 2.5). A column error eps moves an SDR near 15 dB by roughly 50 eps dB, so
 # accepted tables stay within about 0.05 dB of the direct evaluation.
 TRUNCATION_TOL = 1e-3
-# orders past M that the truncation estimate sums term by term
+# orders past M of the selected sources' columns that the truncation
+# estimate sums term by term
 TAIL_ORDERS = 6
 # orders past M of the grid basis that project a plane-wave target: J_m(kR)
 # falls super-exponentially past kR, so at M + 12 the expansion is the plane
@@ -199,13 +194,12 @@ def _plane_waves(points, freq, angles):
     return np.exp(1j * freq.wavenumber * (points @ np.array([np.cos(phi), np.sin(phi)])))
 
 
-def _truncation_errors(sources, cfg, freq, room) -> np.ndarray:
+def _truncation_errors(coeff, sources, cfg, freq) -> np.ndarray:
     """Estimated relative truncation error of each source's expansion column.
 
-    Estimates the error on the rim circle r = R = cfg.valid_radius, where
-    it peaks, relative to the column. The columns c are built D =
-    TAIL_ORDERS orders past M in a matrix of their own, and with
-    t_m = |J_|m|(kR) c_ms|^2
+    coeff holds the sources' Graf columns built D = TAIL_ORDERS orders past
+    M. Estimates the error on the rim circle r = R = cfg.valid_radius,
+    where it peaks, relative to the column. With t_m = |J_|m|(kR) c_ms|^2
 
         eps_s^2 = (sum_{M<|m|<=M+D} t_m + (t_{-M-D} + t_{M+D}) q/(1-q))
                   / sum_{|m|<=M+D} t_m,   q = (R/d_s)^2.
@@ -215,9 +209,7 @@ def _truncation_errors(sources, cfg, freq, room) -> np.ndarray:
     is the nearest of its images and sets the slowest decay.
     """
     top = cfg.max_order + TAIL_ORDERS
-    wide = ExpansionConfig(top, cfg.center, cfg.valid_radius)
-    (coeff,) = source_coeff_matrix(sources, [(wide, freq)], room)
-    order = np.abs(wide.orders)
+    order = np.abs(np.arange(-top, top + 1))
     j = bessel_j_orders(top, np.array([freq.wavenumber * cfg.valid_radius]))[order]
     t = np.abs(j * coeff) ** 2
     dist = np.hypot(sources[:, 0] - cfg.center.x, sources[:, 1] - cfg.center.y)
@@ -228,6 +220,9 @@ def _truncation_errors(sources, cfg, freq, room) -> np.ndarray:
 
 class _GridEvaluation:
     """Evaluation data of one frequency, shared by every placement in it.
+
+    selections maps each placement's name to its candidate indices; every
+    placement must hold distinct indices in [0, N).
 
     The SDRs come from each placement's expansion coefficients a = C d
     (synthesis._coeff_sdr): the grid enters only through the Gram
@@ -243,16 +238,30 @@ class _GridEvaluation:
     E = G, the grid's point count. A point-source desired field is sampled
     on the grid and projected.
 
-    Also holds the solve-domain targets (order-M coefficients) and the
-    coefficient columns of the union of selected sources, whose truncation
-    error is checked.
+    Also holds the solve-domain targets (order-M coefficients), the
+    method's weight and C for the union of selected sources: one Graf
+    build TAIL_ORDERS orders past M, whose tail gives the truncation check
+    and whose middle K rows are C.
     """
 
-    def __init__(self, config, problem, grid, angles, selections):
-        self.config, self.problem = config, problem
+    def __init__(self, config, cfg, freq, grid, angles, selections):
+        positions = config.candidate_positions()
+        n = len(positions)
+        for name, idx in selections.items():
+            if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+                msg = "placement %r: indices must be distinct and in [0, %d)"
+                raise ValueError(msg % (name, n))
+        union = sorted({int(i) for sel in selections.values() for i in sel})
+        self.config, self.cfg, self.freq = config, cfg, freq
         self.grid, self.angles = grid, angles
-        self.room = room = config.room_model()
-        freq, cfg = problem.freq, problem.cfg
+        room = config.room_model()
+        self.column = {i: j for j, i in enumerate(union)}
+        sources = positions[union]
+        tail_cfg = ExpansionConfig(cfg.max_order + TAIL_ORDERS, cfg.center, cfg.valid_radius)
+        (tail,) = source_coeff_matrix(sources, [(tail_cfg, freq)], room)
+        self.truncation_error = self._check_truncation(tail, sources, union)
+        self.coeff = tail[TAIL_ORDERS : TAIL_ORDERS + cfg.size]
+        self.weight = _weight(config, cfg, freq)
         ev = config.evaluation
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
         basis = _basis_matrix(wide, grid, freq)
@@ -272,39 +281,24 @@ class _GridEvaluation:
             self.targets = wave[mid]
             self.cross = proj @ wave
             self.energy = np.full(len(angles), float(len(grid)))
-        union = sorted({int(i) for sel in selections for i in sel})
-        self.column = {i: j for j, i in enumerate(union)}
-        sources = config.candidate_positions()[union]
-        at = union
-        if problem.columns is not None:
-            where = {c: j for j, c in enumerate(problem.columns)}
-            if not where.keys() >= set(union):
-                raise ValueError("placements use candidates the problem was not built for")
-            at = [where[i] for i in union]
-        self.coeff = problem.coeff[:, at]
-        self.truncation_error = self._check_truncation(sources, union)
 
-    def _check_truncation(self, sources, union) -> float:
-        if not union:
-            return 0.0
-        freq = self.problem.freq
-        err = _truncation_errors(sources, self.problem.cfg, freq, self.room)
-        worst = int(np.argmax(err))
-        value = float(err[worst])
+    def _check_truncation(self, tail, sources, union) -> float:
+        err = _truncation_errors(tail, sources, self.cfg, self.freq)
+        value = float(err.max(initial=0.0))
         if not value <= TRUNCATION_TOL:
+            worst = int(np.argmax(err))
             raise TruncationError(
                 "expansion truncation error %.3g exceeds the tolerance %g at %g Hz "
                 "(candidate %d at (%.6g, %.6g) is too close to the target region)"
-                % (value, TRUNCATION_TOL, freq.hz, union[worst], *sources[worst])
+                % (value, TRUNCATION_TOL, self.freq.hz, union[worst], *sources[worst])
             )
         return value
 
     def coefficients(self, indices) -> np.ndarray:
         """Expansion coefficients C d of one placement's field, one column per angle."""
         c = self.coeff[:, [self.column[i] for i in indices]]
-        weight = self.problem.weight
-        lam = synthesis_lambda(c, weight, scale=self.config.lambda_synth_scale)
-        return c @ solve_wmm(c, weight, self.targets, lam)
+        lam = synthesis_lambda(c, self.weight, scale=self.config.lambda_synth_scale)
+        return c @ solve_wmm(c, self.weight, self.targets, lam)
 
     def sdrs(self, coeffs) -> list[float]:
         """SDR per angle of the field with these expansion coefficients."""
@@ -315,11 +309,10 @@ class _GridEvaluation:
 
         A placement's grid field is basis^T a for its coefficients a.
         """
-        problem = self.problem
         desired = self._desired
         if desired is None:
-            desired = _plane_waves(self.grid, problem.freq, self.angles)
-        return desired, _basis_matrix(problem.cfg, self.grid, problem.freq)
+            desired = _plane_waves(self.grid, self.freq, self.angles)
+        return desired, _basis_matrix(self.cfg, self.grid, self.freq)
 
 
 def _eval_angles(config) -> tuple:
@@ -329,34 +322,34 @@ def _eval_angles(config) -> tuple:
     return tuple(config.evaluation.angles_deg)
 
 
-def evaluate_placements(
-    config: ExperimentConfig, problems, placements: dict, field_dir=None
-) -> Evaluation:
+def evaluate_placements(config: ExperimentConfig, placements: dict, field_dir=None) -> Evaluation:
     """SDR rows (angle_deg | None, freq_hz, sdr_db, method), canonically sorted,
     and the largest estimated truncation error (_truncation_errors) of a
     selected source over the frequencies.
 
-    Per bin one _GridEvaluation serves every placement: one solve for all
-    angles gives the expansion coefficients, and the SDRs come from them
-    through the grid Gram and the desired field's projection, without a
-    grid field. With field_dir, each bin's field dumps (see write_field_set)
-    are written there from the same evaluation and the same solves; only
-    then are grid fields formed.
+    placements maps names to candidate indices; a placement whose indices
+    are not distinct and in [0, N) is rejected with a ValueError. Per bin
+    one _GridEvaluation serves every placement: one Graf build of the
+    selected sources' columns, one solve for all angles per placement, and
+    the SDRs from the coefficients through the grid Gram and the desired
+    field's projection, without a grid field. With field_dir, each bin's
+    field dumps (see write_field_set) are written there from the same
+    evaluation and the same solves; only then are grid fields formed.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = _eval_angles(config)
     names = sorted(placements)
     rows = []
     worst = 0.0
-    for problem in problems:
-        ev = _GridEvaluation(config, problem, grid, angles, placements.values())
+    for cfg, freq in _bins(config):
+        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements)
         worst = max(worst, ev.truncation_error)
         dump = None if field_dir is None else _field_writer(field_dir, config, ev)
         for name in names:
             coeffs = ev.coefficients(placements[name])
             if dump is not None:
                 dump(name, coeffs)
-            rows.extend((a, problem.freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
+            rows.extend((a, freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
         del ev, dump  # one evaluation at a time: this bin's goes before the next is built
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
@@ -452,7 +445,7 @@ def _field_writer(out_dir, config, ev, tag=""):
     """Write one frequency's desired fields (one per angle of ev) and return
     the writer of a placement's synthesized and error fields, given its
     expansion coefficients (one column per angle)."""
-    f_hz, grid, angles = ev.problem.freq.hz, ev.grid, ev.angles
+    f_hz, grid, angles = ev.freq.hz, ev.grid, ev.angles
     desired, basis = ev.grid_fields()
     rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in desired.T]
     stems = [
@@ -485,16 +478,19 @@ def _field_writer(out_dir, config, ev, tag=""):
     return write
 
 
-def write_field_set(out_dir, config, problem, placements, angles, tag=""):
-    """Field dumps of one frequency: per angle the desired field, and per
-    placement the synthesized field and the error normalized by the desired
-    field's rms. One evaluation and one solve per placement serve every angle.
+def write_field_set(out_dir, config, placements, angles, tag=""):
+    """Field dumps of every configured frequency: per angle the desired
+    field, and per placement the synthesized field and the error normalized
+    by the desired field's rms. Per bin one evaluation and one solve per
+    placement serve every angle.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ev = _GridEvaluation(config, problem, grid, angles, placements.values())
-    dump = _field_writer(out_dir, config, ev, tag)
-    for name, indices in placements.items():
-        dump(name, ev.coefficients(indices))
+    for cfg, freq in _bins(config):
+        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements)
+        dump = _field_writer(out_dir, config, ev, tag)
+        for name, indices in placements.items():
+            dump(name, ev.coefficients(indices))
+        del ev, dump
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +533,11 @@ def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None):
         indices = config.evaluation.placement
     if indices is None:
         raise ValueError("no placement: pass indices or set evaluation.placement")
-    indices = tuple(int(i) for i in indices)
-    n = config.candidates.count
-    if any(not 0 <= i < n for i in indices) or len(set(indices)) != len(indices):
-        raise ValueError("placement indices must be distinct and in [0, %d)" % n)
-    placements = {"proposed": indices}
+    placements = {"proposed": tuple(int(i) for i in indices)}
     for name in config.baselines:
         placements[name] = baseline_indices(config, name)
-    union = sorted({i for idx in placements.values() for i in idx})
-    problems = build_problems(config, columns=union)
     field_dir = out if config.evaluation.write_fields else None
-    rows, truncation_error = evaluate_placements(config, problems, placements, field_dir)
+    rows, truncation_error = evaluate_placements(config, placements, field_dir)
     write_sdr_csv(os.path.join(out, "sdr.csv"), rows)
     return {
         "rows": rows,
@@ -607,10 +597,8 @@ def run_reproduce(out_dir="paper_out"):
     _echo_config(cfg_bb, out, "config_broadband.json")
     positions = cfg_nb.candidate_positions()
 
-    problems_nb = build_problems(cfg_nb)
-    result_nb = place_greedy(cfg_nb, problems_nb)
-    problems_bb = build_problems(cfg_bb)
-    result_bb = place_greedy(cfg_bb, problems_bb)
+    result_nb = place_greedy(cfg_nb)
+    result_bb = place_greedy(cfg_bb)
     base = {name: baseline_indices(cfg_nb, name) for name in cfg_nb.baselines}
 
     write_placement_csv(
@@ -625,14 +613,14 @@ def run_reproduce(out_dir="paper_out"):
     write_trace_csv(os.path.join(out, "cost_trace_broadband.csv"), result_bb.cost_trace)
 
     nb_placements = dict(base, proposed=result_nb.indices)
-    rows_nb = evaluate_placements(cfg_nb, problems_nb, nb_placements).rows
+    rows_nb = evaluate_placements(cfg_nb, nb_placements).rows
     write_sdr_csv(os.path.join(out, "sdr_narrowband.csv"), rows_nb)
 
     bb_placements = dict(base, proposed=result_bb.indices)
-    rows_bb = evaluate_placements(cfg_bb, problems_bb, bb_placements).rows
+    rows_bb = evaluate_placements(cfg_bb, bb_placements).rows
     write_sdr_csv(os.path.join(out, "sdr_broadband.csv"), rows_bb)
 
-    write_field_set(out, cfg_nb, problems_nb[0], nb_placements, (0.0,), tag="_nb")
+    write_field_set(out, cfg_nb, nb_placements, (0.0,), tag="_nb")
 
     per_bin = {}
     for angle, f, s, name in rows_bb:

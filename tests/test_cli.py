@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from sfsplace.cli import main
 from sfsplace.config import ExperimentConfig, square_loop
 from sfsplace.experiment import (
     TRUNCATION_TOL,
+    FrequencyProblem,
     TruncationError,
     baseline_indices,
     build_problems,
@@ -139,12 +141,19 @@ def test_evaluate_without_placement_fails(tmp_path, capsys):
 
 
 def test_evaluate_rejects_bad_indices(tmp_path):
+    # negative, repeated or out-of-range indices name their placement,
+    # before anything is built or written
     out = tmp_path / "run"
     config = ExperimentConfig.from_dict(_toy_doc(out))
-    with pytest.raises(ValueError):
-        run_evaluate(config, indices=(0, 99))
-    with pytest.raises(ValueError):
-        run_evaluate(config, indices=(3, 3))
+    assert config.candidates.count == 8
+    for bad in ((0, 99), (-1, 3), (3, 3), (3, 8), (3, 12)):
+        with pytest.raises(ValueError, match=r"placement 'proposed': .*distinct and in \[0, 8\)"):
+            run_evaluate(config, indices=bad)
+        with pytest.raises(ValueError, match="placement 'p'"):
+            evaluate_placements(config, {"ok": (0, 7), "p": bad}, field_dir=str(out))
+        with pytest.raises(ValueError, match="placement 'p'"):
+            experiment.write_field_set(str(out), config, {"p": bad}, (0.0,))
+    assert not list(out.glob("field_*")) and not (out / "sdr.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -214,7 +223,7 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
     init = experiment._GridEvaluation.__init__
 
     def counted(self, *args, **kwargs):
-        builds.append(args[1].freq.hz)
+        builds.append(args[2].hz)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(experiment._GridEvaluation, "__init__", counted)
@@ -242,7 +251,6 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
     # every angle's columns match a one-angle evaluation of that angle
     config = ExperimentConfig.from_dict(doc)
     placements = {"proposed": (0, 7), "regular_b": baseline_indices(config, "regular_b")}
-    union = sorted({i for idx in placements.values() for i in idx})
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
 
     def load(name):
@@ -251,11 +259,11 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
         return values[:, 2] + 1j * values[:, 3]
 
     table = {(name, a, f): v for a, f, v, name in read_sdr_csv(str(out / "sdr.csv"))}
-    for problem in build_problems(config, columns=union):
+    for cfg, freq in experiment._bins(config):
         for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
-            stem = "field_f%g_a%s" % (problem.freq.hz, tag)
+            stem = "field_f%g_a%s" % (freq.hz, tag)
             for name, idx in placements.items():
-                ev = experiment._GridEvaluation(config, problem, grid, (angle,), [idx])
+                ev = experiment._GridEvaluation(config, cfg, freq, grid, (angle,), {name: idx})
                 desired, basis = ev.grid_fields()
                 coeffs = ev.coefficients(idx)
                 want = (basis.T @ coeffs)[:, 0]
@@ -267,7 +275,7 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
                 assert np.max(np.abs(got - want)) <= 1e-12 * rms
                 # the table's SDR, taken from the coefficients, is the
                 # grid SDR of the dumped fields
-                row = table[(name, angle, problem.freq.hz)]
+                row = table[(name, angle, freq.hz)]
                 assert sdr(desired[:, 0], got) == pytest.approx(row, abs=1e-9)
                 got = load("%s_%s_error" % (stem, name))
                 assert np.max(np.abs(got - (want - desired[:, 0]) / rms)) <= 1e-12
@@ -325,7 +333,7 @@ def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
     for name in config.baselines:
         placements[name] = baseline_indices(config, name)
     angles = config.evaluation.angles_deg
-    rows, err = evaluate_placements(config, problems, placements)
+    rows, err = evaluate_placements(config, placements)
     assert 0.0 < err <= TRUNCATION_TOL
     got = {(r[3], r[0]): r[2] for r in rows}
     assert len(got) == len(placements) * len(angles)
@@ -338,21 +346,29 @@ def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
 @pytest.mark.parametrize("method", ["wmm", "pressure-matching"])
 def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     config = ExperimentConfig.from_dict(_room_doc(tmp_path / "run", method))
-    full = build_problems(config)
-    info = run_evaluate(config, indices=place_greedy(config, full).indices)
-    union = sorted({i for idx in info["placements"].values() for i in idx})
+    # evaluation's own columns (the middle K rows of one Graf build past M)
+    # against the placement problem's columns of the same candidates, and
+    # the table against an evaluation that solves with the problem's columns
+    (full,) = build_problems(config)
+    info = run_evaluate(config, indices=place_greedy(config, [full]).indices)
+    placements = info["placements"]
+    union = sorted({i for idx in placements.values() for i in idx})
     assert len(union) < config.candidates.count
-    want = evaluate_placements(config, full, info["placements"]).rows
+    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
+    angles = config.evaluation.angles_deg
+    ev = experiment._GridEvaluation(config, full.cfg, full.freq, grid, angles, placements)
+    got, ref = ev.coeff, full.coeff[:, union]
+    assert got.shape == ref.shape
+    assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))
+    np.testing.assert_array_equal(ev.weight.entries, full.weight.entries)
+    ev.coeff = ref
+    want = [
+        (a, full.freq.hz, s, name)
+        for name in sorted(placements)
+        for a, s in zip(angles, ev.sdrs(ev.coefficients(placements[name])))
+    ]
     assert [r[:2] + r[3:] for r in info["rows"]] == [r[:2] + r[3:] for r in want]
     np.testing.assert_allclose([r[2] for r in info["rows"]], [r[2] for r in want], atol=1e-9)
-    part = build_problems(config, columns=union)
-    got, ref = part[0].coeff, full[0].coeff[:, union]
-    assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))
-    with pytest.raises(ValueError, match="every candidate"):
-        place_greedy(config, part)
-    other = min(set(range(config.candidates.count)) - set(union))
-    with pytest.raises(ValueError, match="not built for"):
-        evaluate_placements(config, part, {"proposed": (union[0], other)})
 
 
 def test_pressure_matching_matches_dense_control_grid_problem(tmp_path):
@@ -485,6 +501,17 @@ def test_evaluation_has_no_threads_knob(tmp_path, monkeypatch, capsys):
         main(["evaluate", "--config", cfg, "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_evaluation_needs_no_placement_problems():
+    # evaluation builds its own columns: no candidate subset knob on the
+    # placement problems, and no problems argument to evaluation
+    assert "columns" not in inspect.signature(build_problems).parameters
+    assert "columns" not in {f.name for f in dataclasses.fields(FrequencyProblem)}
+    params = inspect.signature(evaluate_placements).parameters
+    assert list(params) == ["config", "placements", "field_dir"]
+    params = inspect.signature(experiment.write_field_set).parameters
+    assert list(params) == ["out_dir", "config", "placements", "angles", "tag"]
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -20,7 +20,13 @@ from sfsplace.experiment import (
 )
 from sfsplace.room import transfer_matrix
 from sfsplace.synthesis import region_grid, sdr, solve_wmm, source_coeff_matrix, synthesis_lambda
-from sfsplace.wavefield import Frequency, PlaneWave, expansion_for, planewave_coeffs
+from sfsplace.wavefield import (
+    ExpansionConfig,
+    Frequency,
+    PlaneWave,
+    expansion_for,
+    planewave_coeffs,
+)
 
 from oracles import column_errors, graf_coeffs
 
@@ -127,7 +133,10 @@ def _assert_estimate_brackets_direct(config, sources, bins, room):
     # ESTIMATE_OVER times over
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     for cfg, freq, coeff in bins:
-        eps = _truncation_errors(sources, cfg, freq, room)
+        top = cfg.max_order + experiment.TAIL_ORDERS
+        wide = ExpansionConfig(top, cfg.center, cfg.valid_radius)
+        (tail,) = source_coeff_matrix(sources, [(wide, freq)], room)
+        eps = _truncation_errors(tail, sources, cfg, freq)
         direct = column_errors(grid, config.region, sources, coeff, cfg, freq, room)
         ratio = eps / direct
         assert np.all((ratio >= 1.0) & (ratio <= ESTIMATE_OVER)), (freq.hz, ratio)
@@ -161,16 +170,16 @@ def test_truncation_estimate_brackets_direct_error_near_the_region(room):
     _assert_estimate_brackets_direct(config, sources, bins, room)
 
 
-def test_paper_evaluation_work_is_bounded(monkeypatch):
-    # the truncation check costs one order-(M + 6) Graf column per selected
-    # source (54 sources x 221 images of Hankel arguments), not a direct
-    # transfer at grid points (1.5M arguments), and a plane-wave target needs
-    # no transfer at all
-    config = paper_config()
-    problems = build_problems(config)
-    placements = dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
-    arguments, transfers = [], []
-    seeds, transfer = specfun._seeds, room_module.transfer_matrix
+def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
+    # run_evaluate builds no placement problem: per bin one Graf build of the
+    # selected sources only, order M + 6 for both the solve and the
+    # truncation check (54 sources x 221 images = 11,934 Hankel arguments),
+    # not a direct transfer at grid points (1.5M arguments), and a
+    # plane-wave target needs no transfer at all
+    config = paper_config(output_dir=str(tmp_path))
+    proposed = place_greedy(config).indices
+    arguments, transfers, builds = [], [], []
+    seeds, transfer, graf = specfun._seeds, room_module.transfer_matrix, source_coeff_matrix
 
     def counted_seeds(x, *args, **kwargs):
         arguments.append(np.size(x))
@@ -180,12 +189,27 @@ def test_paper_evaluation_work_is_bounded(monkeypatch):
         transfers.append(args)
         return transfer(*args, **kwargs)
 
+    def counted_graf(positions, bins, *args, **kwargs):
+        builds.append((np.array(positions), [freq.hz for _, freq in bins]))
+        return graf(positions, bins, *args, **kwargs)
+
+    def no_problems(*args, **kwargs):
+        raise AssertionError("evaluation built placement problems")
+
     monkeypatch.setattr(specfun, "_seeds", counted_seeds)
     monkeypatch.setattr(room_module, "transfer_matrix", counted_transfer)
     monkeypatch.setattr(experiment, "transfer_matrix", counted_transfer)
-    rows, err = evaluate_placements(config, problems, placements)
-    assert len(rows) == 3 * len(config.evaluation.angles_deg) and err > 0.0
-    assert sum(arguments) < 50_000
+    monkeypatch.setattr(experiment, "source_coeff_matrix", counted_graf)
+    monkeypatch.setattr(experiment, "build_problems", no_problems)
+    info = experiment.run_evaluate(config, indices=proposed)
+    assert len(info["rows"]) == 3 * len(config.evaluation.angles_deg)
+    assert info["truncation_error"] > 0.0
+    union = sorted({i for idx in info["placements"].values() for i in idx})
+    assert len(union) == 54
+    ((positions, hz),) = builds
+    assert hz == [1000.0]
+    np.testing.assert_array_equal(positions, config.candidate_positions()[union])
+    assert sum(arguments) < 15_000
     assert transfers == []
 
 
@@ -193,29 +217,29 @@ def _placements(config, problems):
     return dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
 
 
-def _assert_coefficient_sdrs_match_grid(config, problems, placements):
+def _assert_coefficient_sdrs_match_grid(config, placements):
     # every row of the table against synthesis.sdr on the grid fields (the
     # exact desired field and the order-M expansion of each placement),
     # within 1e-9 dB
-    rows, _ = evaluate_placements(config, problems, placements)
+    rows, _ = evaluate_placements(config, placements)
     got = {(r[3], r[1], r[0]): r[2] for r in rows}
     angles = experiment._eval_angles(config)
-    assert len(got) == len(rows) == len(placements) * len(problems) * len(angles)
+    bins = experiment._bins(config)
+    assert len(got) == len(rows) == len(placements) * len(bins) * len(angles)
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    for problem in problems:
-        ev = experiment._GridEvaluation(config, problem, grid, angles, placements.values())
+    for cfg, freq in bins:
+        ev = experiment._GridEvaluation(config, cfg, freq, grid, angles, placements)
         desired, basis = ev.grid_fields()
         for name, idx in placements.items():
             want = np.atleast_1d(sdr(desired, basis.T @ ev.coefficients(idx)))
-            have = [got[(name, problem.freq.hz, a)] for a in angles]
-            assert np.max(np.abs(np.array(have) - want)) <= 1e-9, (name, problem.freq.hz)
+            have = [got[(name, freq.hz, a)] for a in angles]
+            assert np.max(np.abs(np.array(have) - want)) <= 1e-9, (name, freq.hz)
 
 
 def test_coefficient_sdrs_match_grid_sdrs_on_the_paper_narrowband_problem():
     # 3 placements x 91 angles; measured max difference 1.6e-12 dB
     config = paper_config()
-    problems = build_problems(config)
-    _assert_coefficient_sdrs_match_grid(config, problems, _placements(config, problems))
+    _assert_coefficient_sdrs_match_grid(config, _placements(config, build_problems(config)))
 
 
 def test_coefficient_sdrs_match_grid_sdrs_for_a_point_source_in_a_room():
@@ -226,8 +250,7 @@ def test_coefficient_sdrs_match_grid_sdrs_for_a_point_source_in_a_room():
     doc["evaluation"] = {"desired": "point_source", "desired_position": [-1.2, -0.7],
                          "grid_spacing": 0.02}
     config = ExperimentConfig.from_dict(doc)
-    problems = build_problems(config)
-    _assert_coefficient_sdrs_match_grid(config, problems, _placements(config, problems))
+    _assert_coefficient_sdrs_match_grid(config, _placements(config, build_problems(config)))
 
 
 def test_paper_evaluation_memory_is_bounded():
@@ -235,12 +258,11 @@ def test_paper_evaluation_memory_is_bounded():
     # placement and angle (7845 x 91). Traced peak measured 11.2 MB; the
     # grid-field evaluation it replaced peaked at 45.4 MB.
     config = paper_config()
-    problems = build_problems(config)
-    placements = _placements(config, problems)
+    placements = _placements(config, build_problems(config))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rows, _ = evaluate_placements(config, problems, placements)
+        rows, _ = evaluate_placements(config, placements)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
