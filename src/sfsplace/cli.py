@@ -163,6 +163,38 @@ def _check_greedy_vs_exhaustive():
     assert first[0] == greedy.indices[0], "first greedy pick not optimal"
 
 
+def _check_greedy_state_vs_direct():
+    from .placement import (
+        FieldPrior,
+        SelectionState,
+        add_candidate,
+        greedy_place,
+        placement_cost,
+    )
+
+    # L > K: past K picks the residual only shrinks in lam-sized directions
+    rng = np.random.default_rng(2)
+    k, n, lam = 6, 20, 1e-5
+    c = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    w = np.diag(rng.uniform(0.5, 2.0, k))
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    prior = FieldPrior(rng.standard_normal(k) + 1j * rng.standard_normal(k), v @ v.conj().T / k)
+    result = greedy_place(c, w, prior, lam, n_select=12)
+    state = SelectionState.from_problem(c, w, prior, lam)
+    for idx in result.indices:
+        add_candidate(state, idx)
+    cs = c[:, list(state.selected)]
+    wcs = w @ cs
+    gram = wcs.conj().T @ cs + lam * np.eye(cs.shape[1])
+    direct_q = w - wcs @ np.linalg.solve(gram, wcs.conj().T)
+    drift = float(np.max(np.abs(state.q - direct_q))) / float(np.max(np.abs(w)))
+    assert drift <= 1e-8, "greedy Q_S off the direct Q_S by %g of scale" % drift
+    for step, cost in enumerate(result.cost_trace):
+        direct = placement_cost(result.indices[:step], prior, c, w, lam)
+        rel = abs(cost - direct) / abs(direct)
+        assert rel <= 1e-9, "trace entry %d off the direct cost by %g" % (step, rel)
+
+
 def _toy_config(out):
     return ExperimentConfig.from_dict(
         {
@@ -237,6 +269,7 @@ def cmd_selftest(args) -> int:
         ("bessel-cross-product", _check_cross_product_identity),
         ("weight-quadrature", _check_weight_quadrature),
         ("greedy-vs-exhaustive", _check_greedy_vs_exhaustive),
+        ("greedy-state-vs-direct", _check_greedy_state_vs_direct),
         ("run-determinism", _check_determinism),
         ("planewave-expansion", _check_planewave_expansion),
         ("sdr-coefficient-vs-grid", _check_coefficient_sdr),

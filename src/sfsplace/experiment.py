@@ -241,7 +241,9 @@ class _GridEvaluation:
     Also holds the solve-domain targets (order-M coefficients), the
     method's weight and C for the union of selected sources: one Graf
     build TAIL_ORDERS orders past M, whose tail gives the truncation check
-    and whose middle K rows are C.
+    and whose middle K rows are C. A point-source desired field is one more
+    column of that build, left out of the truncation check; its middle K
+    rows are the targets.
     """
 
     def __init__(self, config, cfg, freq, grid, angles, selections):
@@ -257,12 +259,15 @@ class _GridEvaluation:
         room = config.room_model()
         self.column = {i: j for j, i in enumerate(union)}
         sources = positions[union]
+        ev = config.evaluation
+        point = ev.desired == "point_source"
+        # a point-source target is one more column of the same build
+        built = np.vstack([sources, [ev.desired_position]]) if point else sources
         tail_cfg = ExpansionConfig(cfg.max_order + TAIL_ORDERS, cfg.center, cfg.valid_radius)
-        (tail,) = source_coeff_matrix(sources, [(tail_cfg, freq)], room)
-        self.truncation_error = self._check_truncation(tail, sources, union)
+        (tail,) = source_coeff_matrix(built, [(tail_cfg, freq)], room)
+        self.truncation_error = self._check_truncation(tail[:, : len(union)], sources, union)
         self.coeff = tail[TAIL_ORDERS : TAIL_ORDERS + cfg.size]
         self.weight = _weight(config, cfg, freq)
-        ev = config.evaluation
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
         basis = _basis_matrix(wide, grid, freq)
         mid = slice(GRID_ORDERS, GRID_ORDERS + cfg.size)
@@ -270,10 +275,9 @@ class _GridEvaluation:
         proj = sign * (basis[mid] @ basis.T)[::-1]
         self.gram = proj[:, mid]
         self._desired = None
-        if ev.desired == "point_source":
-            pos = [ev.desired_position]
-            self._desired = transfer_matrix(grid, pos, freq, room)
-            self.targets = source_coeff_matrix(pos, [(cfg, freq)], room)[0]
+        if point:
+            self._desired = transfer_matrix(grid, [ev.desired_position], freq, room)
+            self.targets = self.coeff[:, len(union) :]
             self.cross = sign * (basis[mid] @ self._desired)[::-1]
             self.energy = np.sum(np.abs(self._desired) ** 2, axis=0)
         else:

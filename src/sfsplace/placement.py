@@ -11,14 +11,15 @@ coefficients b. Only (mu, Sigma) enter J, so any two-moment-matched
 distribution gives the same cost. Greedy selection keeps, per frequency
 bin, the residual Q_S (K x K) with Z = Q_S C and Y = R Z (K x N). Adding
 candidate c changes J by -z_c^H y_c / (lam + c^H z_c), and a pick is one
-rank-one update of all three: each step costs O(K N) per bin, memory
-stays K x N per bin, and the denominator never falls below lam.
+rank-one update of all three, made in place: each step costs O(K N) per
+bin, memory stays one K x N pair per bin with no K x N temporary, and the
+denominator never falls below lam.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -200,29 +201,47 @@ def _problem_arrays(coeff_matrix, weight, prior: FieldPrior, lam: float):
     return c, _hermitize(np.asarray(w, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
+# Largest scratch block of the in-place rank-one update of z and y: rows
+# are updated a block at a time, so a pick allocates nothing of size K x N.
+UPDATE_BLOCK_BYTES = 256 * 1024
+
+
+@dataclass(eq=False)
 class SelectionState:
-    """Greedy-selection state of one bin in residual form.
+    """Greedy-selection state of one bin in residual form, updated in place.
 
     q is Q_S (K x K), z = Q_S C and y = R z (K x N, one column per
-    candidate). Arrays are never modified in place: add_candidate returns
-    a new state, so earlier states stay valid.
+    candidate). The state owns q, z and y: it copies the q, z and y it is
+    given, computes z and y from q when they are omitted, and never writes
+    to coeff or second_moment. add_candidate updates the state itself, so
+    an earlier selection's arrays do not survive a pick.
     """
 
     coeff: np.ndarray
     second_moment: np.ndarray
     lam: float
     q: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
+    z: np.ndarray | None = None
+    y: np.ndarray | None = None
     selected: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.coeff = np.ascontiguousarray(self.coeff, dtype=np.complex128)
+        self.q = np.array(self.q, dtype=np.complex128, order="C")
+        if self.z is None:
+            self.z = self.q @ self.coeff
+        else:
+            self.z = np.array(self.z, dtype=np.complex128, order="C")
+        if self.y is None:
+            self.y = self.second_moment @ self.z
+        else:
+            self.y = np.array(self.y, dtype=np.complex128, order="C")
+        self.selected = tuple(int(i) for i in self.selected)
 
     @classmethod
     def from_problem(cls, coeff_matrix, weight, prior: FieldPrior, lam: float) -> "SelectionState":
         c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
-        z = w @ c
-        r = prior.second_moment
-        return cls(coeff=c, second_moment=r, lam=lam, q=w, z=z, y=r @ z)
+        return cls(coeff=c, second_moment=prior.second_moment, lam=lam, q=w)
 
     @property
     def n_candidates(self) -> int:
@@ -234,6 +253,16 @@ def state_cost(state: SelectionState) -> float:
     return float(np.sum(state.q * state.second_moment.T).real)
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_k conj(a_kn) b_kn per column of two C-contiguous complex arrays.
+
+    Reads the float64 views (K x 2N, re/im interleaved), so no conjugate
+    copy is made.
+    """
+    t = np.einsum("kn,kn->n", a.view(np.float64), b.view(np.float64))
+    return t[0::2] + t[1::2]
+
+
 def candidate_deltas(state: SelectionState) -> np.ndarray:
     """Exact J change for adding each candidate; +inf for selected ones.
 
@@ -241,40 +270,55 @@ def candidate_deltas(state: SelectionState) -> np.ndarray:
     PSD and clipped at zero, so every change is <= 0 and the denominator
     never falls below lam.
     """
-    num = np.einsum("kn,kn->n", state.z.conj(), state.y).real
-    den = np.einsum("kn,kn->n", state.coeff.conj(), state.z).real
+    num = _real_inner(state.z, state.y)
+    den = _real_inner(state.coeff, state.z)
     out = -np.clip(num, 0.0, None) / (state.lam + np.clip(den, 0.0, None))
     out[list(state.selected)] = np.inf
     return out
+
+
+def _subtract_outer(a: np.ndarray, col: np.ndarray, neg_u: np.ndarray, buf: np.ndarray) -> None:
+    """a += outer(col, neg_u) in place, a block of buf's rows at a time."""
+    rows = buf.shape[0]
+    for r0 in range(0, a.shape[0], rows):
+        blk = a[r0 : r0 + rows]
+        part = buf[: blk.shape[0]]
+        np.multiply(col[r0 : r0 + rows, None], neg_u, out=part)
+        blk += part
 
 
 def add_candidate(state: SelectionState, index: int) -> SelectionState:
     """Select one more candidate: a rank-one update of q, z and y in O(K N).
 
     Q' = Q - z_c z_c^H / (lam + c^H z_c); z and y follow from Q' C = Q C
-    - z_c (z_c^H C) / (lam + c^H z_c) and y = R z.
+    - z_c (z_c^H C) / (lam + c^H z_c) and y = R z. The update is made in
+    place and the same state is returned; a rejected index leaves it
+    unchanged.
     """
     index = int(index)
     if not 0 <= index < state.n_candidates:
         raise ValueError("candidate index out of range")
     if index in state.selected:
         raise ValueError("candidate already selected")
-    zc = state.z[:, index]
+    # the columns are overwritten by their own update, so copy them first
+    zc = state.z[:, index].copy()
+    yc = state.y[:, index].copy()
     den = state.lam + max(float(np.vdot(state.coeff[:, index], zc).real), 0.0)
     # einsum, not a BLAS gemv: a threaded gemv this small costs more in
     # thread hand-offs than in arithmetic when the cores are busy
-    u = np.einsum("k,kn->n", zc.conj(), state.coeff) / den
-    # one allocation per array: the negated outer product, then the old
-    # array added in place (negation is exact, so a - b == -b + a bit for bit)
-    q = np.multiply.outer(zc, zc.conj())
-    q /= -den
-    q += state.q
-    neg_u = -u
-    z = np.multiply.outer(zc, neg_u)
-    z += state.z
-    y = np.multiply.outer(state.y[:, index], neg_u)
-    y += state.y
-    return replace(state, q=q, z=z, y=y, selected=state.selected + (index,))
+    neg_u = np.einsum("k,kn->n", zc.conj(), state.coeff) / den
+    np.negative(neg_u, out=neg_u)
+    # each array gains a negated outer product (negation is exact, so
+    # a + (-b) == a - b bit for bit)
+    dq = np.multiply.outer(zc, zc.conj())
+    dq /= -den
+    state.q += dq
+    k, n = state.z.shape
+    buf = np.empty((max(1, min(k, UPDATE_BLOCK_BYTES // (16 * n))), n), dtype=np.complex128)
+    _subtract_outer(state.z, zc, neg_u, buf)
+    _subtract_outer(state.y, yc, neg_u, buf)
+    state.selected += (index,)
+    return state
 
 
 def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float) -> float:
@@ -366,8 +410,8 @@ def greedy_place_broadband(
     decrease falls below min_decrease relative to the empty-set cost.
     Ties (within TIE_RTOL of the best decrease) go to the lowest
     candidate index. Each trace entry is the exact weighted tr(Q_S R).
-    A pick replaces each bin's state as soon as its successor exists, so
-    memory stays one generation of states plus one bin's successor.
+    A pick updates each bin's state in place, so memory stays one
+    generation of states plus one update block.
     """
     n = spec.n_candidates
     if n == 0:
@@ -388,8 +432,8 @@ def greedy_place_broadband(
         pick = int(np.flatnonzero(deltas <= best + TIE_RTOL * abs(best))[0])
         if min_decrease is not None and -deltas[pick] < min_decrease * trace[0]:
             break
-        for b in range(len(states)):
-            states[b] = add_candidate(states[b], pick)
+        for state in states:
+            add_candidate(state, pick)
         trace.append(sum(g * state_cost(s) for g, s in zip(gammas, states)))
     return PlacementResult(states[0].selected, np.asarray(trace))
 

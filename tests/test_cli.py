@@ -545,7 +545,10 @@ def test_runtime_does_not_import_scipy(tmp_path):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    assert "PASS sdr-coefficient-vs-grid" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS greedy-state-vs-direct" in lines
+    assert "PASS sdr-coefficient-vs-grid" in lines
 
 
 def test_bad_config_path_fails(tmp_path, capsys):

@@ -213,6 +213,36 @@ def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
     assert transfers == []
 
 
+def test_point_source_evaluation_makes_one_graf_build_per_bin(tmp_path, monkeypatch):
+    # the desired source is one more column of the union's tail-order build;
+    # its middle K rows match a separate order-M build of the source alone
+    doc = _tiny_paper(tmp_path, broadband=True).to_dict()
+    doc["evaluation"] = {"desired": "point_source", "desired_position": [-1.2, -0.7],
+                         "grid_spacing": 0.05}
+    config = ExperimentConfig.from_dict(doc)
+    proposed = place_greedy(config).indices
+    builds = []
+    graf = source_coeff_matrix
+
+    def counted_graf(positions, bins, *args, **kwargs):
+        builds.append((np.array(positions), [freq.hz for _, freq in bins]))
+        return graf(positions, bins, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "source_coeff_matrix", counted_graf)
+    info = experiment.run_evaluate(config, indices=proposed)
+    assert [hz for _, hz in builds] == [[f] for f in config.frequencies]
+    union = sorted({i for idx in info["placements"].values() for i in idx})
+    want = np.vstack([config.candidate_positions()[union], [[-1.2, -0.7]]])
+    for positions, _ in builds:
+        np.testing.assert_array_equal(positions, want)
+    grid = region_grid(config.region, spacing=0.05)
+    room = config.room_model()
+    for cfg, freq in experiment._bins(config):
+        ev = experiment._GridEvaluation(config, cfg, freq, grid, (None,), info["placements"])
+        (alone,) = graf([[-1.2, -0.7]], [(cfg, freq)], room)
+        assert np.max(np.abs(ev.targets - alone)) <= 1e-12 * np.linalg.norm(alone)
+
+
 def _placements(config, problems):
     return dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
 
