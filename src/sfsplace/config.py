@@ -5,12 +5,21 @@ angles are degrees in the file and converted to radians at the library
 boundary. Sweep shorthands (frequency start/stop/step, angle sweeps,
 scalar gamma) are resolved to explicit lists at parse time so the
 re-emitted document is a complete record of the run.
+
+The dataclass fields state the document's layout once (_Spec). A field
+sits at its own name in its section unless its metadata gives a JSON
+path; a field without a default is a required key; a None value is an
+omitted key. Each value is checked and coerced by its annotation, and a
+malformed one raises a ValueError naming its dotted key. Only range
+checks and rules across fields (broadcasts, exclusive forms, geometry)
+are written out.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -26,35 +35,61 @@ _METHODS = ("wmm", "mode-matching", "pressure-matching")
 _BASELINES = ("regular_a", "regular_b")
 
 
-def _finite(x) -> float:
-    try:
-        v = float(x)
-    except TypeError:
-        raise ValueError("config numbers must be numbers, got %r" % (x,)) from None
-    if not math.isfinite(v):
-        raise ValueError("config numbers must be finite")
-    return v
+def _number(x, key) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (key, x))
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite" % key)
+    return float(x)
 
 
-def _integer(x, name) -> int:
+def _integer(x, key) -> int:
     """x as an int; booleans and non-integral values are rejected, not truncated."""
     try:
         v = int(x)
     except (TypeError, ValueError, OverflowError):
         v = None
     if isinstance(x, bool) or v is None or v != x:
-        raise ValueError("%s must be an integer, got %r" % (name, x))
+        raise ValueError("%s must be an integer, got %r" % (key, x))
     return v
 
 
-def _point(x) -> tuple[float, float]:
-    try:
-        seq = tuple(_finite(v) for v in x)
-    except TypeError:
-        raise ValueError("points are [x, y] pairs") from None
-    if len(seq) != 2:
-        raise ValueError("points are [x, y] pairs")
-    return seq
+def _boolean(x, key) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError("%s must be true or false" % key)
+    return x
+
+
+def _string(x, key) -> str:
+    if not isinstance(x, str):
+        raise ValueError("%s must be a string, got %r" % (key, x))
+    return x
+
+
+_SCALARS = {"float": _number, "int": _integer, "bool": _boolean, "str": _string}
+# the config's spec classes by name, for their annotations (_Spec)
+_SPECS = {}
+
+
+def _coerce(x, hint, key):
+    """x checked and coerced to the postponed annotation hint: a scalar of
+    _SCALARS, tuple[...] of them (fixed or variable length), or X | None.
+    A spec class is passed through; its own fields were coerced."""
+    if hint.endswith(" | None"):
+        return None if x is None else _coerce(x, hint.removesuffix(" | None"), key)
+    if hint in _SPECS:
+        return x
+    if not hint.startswith("tuple["):
+        return _SCALARS[hint](x, key)
+    if not isinstance(x, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (key, x))
+    args = hint[len("tuple[") : -1]
+    if args.endswith(", ..."):
+        return tuple(_coerce(v, args[: -len(", ...")], key) for v in x)
+    parts = args.split(", ")
+    if len(x) != len(parts):
+        raise ValueError("%s must be a list of %d values, got %r" % (key, len(parts), x))
+    return tuple(_coerce(v, p, key) for v, p in zip(x, parts))
 
 
 def _section(doc, name, known, required=()):
@@ -70,18 +105,115 @@ def _section(doc, name, known, required=()):
     return doc
 
 
-def _spec(cls, doc, name):
-    """cls built from the JSON object doc, its keys checked against cls's fields."""
-    known = [f.name for f in fields(cls)]
-    required = [
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    ]
-    return cls(**_section(doc, name, known, required))
+def _at(path, **kwargs):
+    """A field kept at the dotted JSON path within its section."""
+    return field(metadata={"path": tuple(path.split("."))}, **kwargs)
+
+
+def _path(f) -> tuple:
+    return f.metadata.get("path", (f.name,))
+
+
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _jsonable(value):
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+class _Spec:
+    """JSON layout, key checks and coercion of a config dataclass, read
+    from its fields. _key is the spec's section in the document."""
+
+    _key = ""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _SPECS[cls.__name__] = cls
+
+    @classmethod
+    def _dotted(cls, path) -> str:
+        return ".".join((cls._key, *path) if cls._key else path)
+
+    def _coerce_fields(self):
+        for f in fields(self):
+            value = _coerce(getattr(self, f.name), f.type, self._dotted(_path(f)))
+            object.__setattr__(self, f.name, value)
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            *parents, leaf = _path(f)
+            node = out
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = _jsonable(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        kwargs = {}
+        cls._read(doc, (), [(_path(f), f) for f in fields(cls)], kwargs)
+        return cls(**kwargs)
+
+    @classmethod
+    def _read(cls, doc, prefix, entries, out):
+        """Fill out from doc, the JSON object at path prefix; entries are
+        (path below prefix, field) pairs."""
+        groups = {}
+        for path, f in entries:
+            groups.setdefault(path[0], []).append((path[1:], f))
+        required = [k for k, g in groups.items() if any(_required(f) for _, f in g)]
+        _section(doc, cls._dotted(prefix) or "config", groups, required)
+        for key, group in groups.items():
+            if key not in doc:
+                continue
+            path = prefix + (key,)
+            (rest, f), *_ = group
+            if rest:
+                cls._read(doc[key], path, group, out)
+            else:
+                out[f.name] = _field_value(f, doc[key], cls._dotted(path))
+
+
+def _field_value(f, value, key):
+    """The constructor argument of field f from its JSON value."""
+    if f.metadata.get("sweep"):
+        return _resolve_sweep(value, key)
+    spec = _SPECS.get(f.type.removesuffix(" | None"))
+    if spec is None or (value is None and f.type.endswith(" | None")):
+        return value
+    return spec.from_dict(value)
+
+
+def _resolve_sweep(value, name):
+    """Expand {start, stop, step} shorthand into an explicit list."""
+    if isinstance(value, dict):
+        keys = ("start", "stop", "step")
+        sweep = _section(value, name, keys, keys)
+        start, stop, step = (_number(sweep[k], "%s.%s" % (name, k)) for k in keys)
+        if step <= 0 or stop < start:
+            raise ValueError("sweep needs step > 0 and stop >= start")
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        return tuple(float(start + i * step) for i in range(n))
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s must be a list or a {start, stop, step} sweep" % name)
+    return value
 
 
 @dataclass(frozen=True)
-class RoomSpec:
+class RoomSpec(_Spec):
     """Rectangular room, centered on the origin."""
+
+    _key = "room"
 
     size_x: float
     size_y: float
@@ -89,22 +221,9 @@ class RoomSpec:
     max_reflection_order: int = 10
 
     def __post_init__(self):
-        refl = self.reflection
-        if isinstance(refl, (int, float)):
-            refl = (float(refl),) * 4
-        if not isinstance(refl, (list, tuple)):
-            raise ValueError("reflection is a scalar or [left, right, bottom, top]")
-        refl = tuple(_finite(b) for b in refl)
-        if len(refl) != 4:
-            raise ValueError("reflection is a scalar or [left, right, bottom, top]")
-        object.__setattr__(self, "reflection", refl)
-        object.__setattr__(self, "size_x", _finite(self.size_x))
-        object.__setattr__(self, "size_y", _finite(self.size_y))
-        object.__setattr__(
-            self,
-            "max_reflection_order",
-            _integer(self.max_reflection_order, "room.max_reflection_order"),
-        )
+        if not isinstance(self.reflection, (list, tuple)):  # one value for every wall
+            object.__setattr__(self, "reflection", (self.reflection,) * 4)
+        self._coerce_fields()
 
     def to_model(self) -> RoomModel:
         return RoomModel(
@@ -114,44 +233,34 @@ class RoomSpec:
             max_reflection_order=self.max_reflection_order,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "size_x": self.size_x,
-            "size_y": self.size_y,
-            "reflection": list(self.reflection),
-            "max_reflection_order": self.max_reflection_order,
-        }
-
 
 @dataclass(frozen=True)
-class CandidateSpec:
+class CandidateSpec(_Spec):
     """Either a square boundary loop or an explicit position list."""
 
-    square_size: float | None = None
-    square_count: int | None = None
-    square_center: tuple[float, float] = (0.0, 0.0)
+    _key = "candidates"
+
+    square_size: float | None = _at("square.size", default=None)
+    square_count: int | None = _at("square.count", default=None)
+    # (0, 0) for a square loop that gives none
+    square_center: tuple[float, float] | None = _at("square.center", default=None)
     positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        has_square = self.square_size is not None or self.square_count is not None
-        has_explicit = self.positions is not None
-        if has_square == has_explicit:
+        self._coerce_fields()
+        square = (self.square_size, self.square_count, self.square_center)
+        has_square = any(v is not None for v in square)
+        if has_square == (self.positions is not None):
             raise ValueError("candidates: give either a square generator or positions")
         if has_square:
             if self.square_size is None or self.square_count is None:
                 raise ValueError("square candidates need both size and count")
-            size = _finite(self.square_size)
-            count = _integer(self.square_count, "candidates.square.count")
-            if size <= 0.0 or count < 1:
+            if self.square_size <= 0.0 or self.square_count < 1:
                 raise ValueError("square candidates need size > 0 and count >= 1")
-            object.__setattr__(self, "square_size", size)
-            object.__setattr__(self, "square_count", count)
-            object.__setattr__(self, "square_center", _point(self.square_center))
-        else:
-            pts = tuple(_point(p) for p in self.positions)
-            if not pts:
-                raise ValueError("explicit candidate list is empty")
-            object.__setattr__(self, "positions", pts)
+            if self.square_center is None:
+                object.__setattr__(self, "square_center", (0.0, 0.0))
+        elif not self.positions:
+            raise ValueError("explicit candidate list is empty")
 
     @property
     def count(self) -> int:
@@ -164,17 +273,6 @@ class CandidateSpec:
         if self.positions is not None:
             return np.asarray(self.positions, dtype=np.float64)
         return square_loop(self.square_size, self.square_count, self.square_center)
-
-    def to_dict(self) -> dict:
-        if self.positions is not None:
-            return {"positions": [list(p) for p in self.positions]}
-        return {
-            "square": {
-                "size": self.square_size,
-                "count": self.square_count,
-                "center": list(self.square_center),
-            }
-        }
 
 
 def square_loop(size: float, count: int, center=(0.0, 0.0)) -> np.ndarray:
@@ -196,17 +294,17 @@ def square_loop(size: float, count: int, center=(0.0, 0.0)) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Spec):
     """Uniform plane-wave direction range, degrees."""
+
+    _key = "prior"
 
     angle_min_deg: float
     angle_max_deg: float
     amplitude: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "angle_min_deg", _finite(self.angle_min_deg))
-        object.__setattr__(self, "angle_max_deg", _finite(self.angle_max_deg))
-        object.__setattr__(self, "amplitude", _finite(self.amplitude))
+        self._coerce_fields()
         if not self.angle_min_deg < self.angle_max_deg:
             raise ValueError("prior needs angle_min_deg < angle_max_deg")
         if self.amplitude <= 0.0:
@@ -219,19 +317,14 @@ class PriorSpec:
             amplitude=self.amplitude,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "angle_min_deg": self.angle_min_deg,
-            "angle_max_deg": self.angle_max_deg,
-            "amplitude": self.amplitude,
-        }
-
 
 @dataclass(frozen=True)
-class EvalSpec:
+class EvalSpec(_Spec):
     """Evaluation sweep: plane-wave angles, grid, optional field dumps."""
 
-    angles_deg: tuple[float, ...] = ()
+    _key = "evaluation"
+
+    angles_deg: tuple[float, ...] = field(default=(), metadata={"sweep": True})
     grid_spacing: float = 0.01
     write_fields: bool = False
     desired: str = "plane_wave"
@@ -239,56 +332,29 @@ class EvalSpec:
     placement: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "angles_deg", tuple(_finite(a) for a in self.angles_deg)
-        )
-        object.__setattr__(self, "grid_spacing", _finite(self.grid_spacing))
+        self._coerce_fields()
         if self.grid_spacing <= 0.0:
             raise ValueError("grid_spacing must be positive")
         if self.desired not in ("plane_wave", "point_source"):
             raise ValueError("desired must be plane_wave or point_source")
-        if self.desired == "point_source":
-            if self.desired_position is None:
-                raise ValueError("point_source desired field needs a position")
-            object.__setattr__(self, "desired_position", _point(self.desired_position))
-        elif self.desired_position is not None:
+        if self.desired == "point_source" and self.desired_position is None:
+            raise ValueError("point_source desired field needs a position")
+        if self.desired == "plane_wave" and self.desired_position is not None:
             raise ValueError("desired_position only applies to point_source")
-        if self.placement is not None:
-            if not isinstance(self.placement, (list, tuple)):
-                raise ValueError("evaluation.placement must be a list of candidate indices")
-            object.__setattr__(
-                self,
-                "placement",
-                tuple(_integer(i, "evaluation.placement") for i in self.placement),
-            )
-        if not isinstance(self.write_fields, bool):
-            raise ValueError("evaluation.write_fields must be true or false")
-
-    def to_dict(self) -> dict:
-        out = {
-            "angles_deg": list(self.angles_deg),
-            "grid_spacing": self.grid_spacing,
-            "write_fields": self.write_fields,
-            "desired": self.desired,
-        }
-        if self.desired_position is not None:
-            out["desired_position"] = list(self.desired_position)
-        if self.placement is not None:
-            out["placement"] = list(self.placement)
-        return out
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Spec):
     """One end-to-end run: geometry, prior, frequencies, solver knobs."""
 
     candidates: CandidateSpec
-    region_center: tuple[float, float]
-    region_radius: float
+    region_center: tuple[float, float] = _at("region.center")
+    region_radius: float = _at("region.radius")
     prior: PriorSpec
-    frequencies: tuple[float, ...]
+    frequencies: tuple[float, ...] = field(metadata={"sweep": True})
     n_select: int
     room: RoomSpec | None = None
+    # None: 1.0 in every bin; a scalar: that weight in every bin
     gamma: tuple[float, ...] | None = None
     min_decrease: float | None = None
     lambda_select: float = 1e-5
@@ -301,48 +367,26 @@ class ExperimentConfig:
     sound_speed: float = 343.0
 
     def __post_init__(self):
-        object.__setattr__(self, "region_center", _point(self.region_center))
-        object.__setattr__(self, "region_radius", _finite(self.region_radius))
-        freqs = tuple(_finite(f) for f in self.frequencies)
-        if not freqs or any(f <= 0.0 for f in freqs):
+        if not isinstance(self.gamma, (list, tuple)):
+            gamma = 1.0 if self.gamma is None else self.gamma
+            object.__setattr__(self, "gamma", (gamma,) * len(self.frequencies))
+        self._coerce_fields()
+        if not self.frequencies or any(f <= 0.0 for f in self.frequencies):
             raise ValueError("frequencies must be a non-empty list of positive Hz")
-        object.__setattr__(self, "frequencies", freqs)
-        gamma = self.gamma
-        if gamma is None:
-            gamma = (1.0,) * len(freqs)
-        elif isinstance(gamma, (int, float)):
-            gamma = (_finite(gamma),) * len(freqs)
-        else:
-            gamma = tuple(_finite(g) for g in gamma)
-        if len(gamma) != len(freqs) or any(g <= 0.0 for g in gamma):
+        if len(self.gamma) != len(self.frequencies) or any(g <= 0.0 for g in self.gamma):
             raise ValueError("gamma must be positive, one weight per frequency")
-        object.__setattr__(self, "gamma", gamma)
         if self.region_radius <= 0.0:
             raise ValueError("region radius must be positive")
-        object.__setattr__(self, "n_select", _integer(self.n_select, "n_select"))
         if not 1 <= self.n_select <= self.candidates.count:
             raise ValueError("n_select must lie in [1, candidate count]")
-        if self.min_decrease is not None:
-            object.__setattr__(self, "min_decrease", _finite(self.min_decrease))
-        object.__setattr__(self, "lambda_select", _finite(self.lambda_select))
-        object.__setattr__(self, "lambda_synth_scale", _finite(self.lambda_synth_scale))
         if self.lambda_select <= 0.0 or self.lambda_synth_scale <= 0.0:
             raise ValueError("regularizers must be positive")
         if self.method not in _METHODS:
             raise ValueError("method must be one of %s" % (_METHODS,))
-        if self.pm_control_spacing is not None:
-            object.__setattr__(
-                self, "pm_control_spacing", _finite(self.pm_control_spacing)
-            )
-            if self.pm_control_spacing <= 0.0:
-                raise ValueError("pm_control_spacing must be positive")
-        if not isinstance(self.baselines, (list, tuple)):
-            raise ValueError("baselines must be a list")
-        baselines = tuple(self.baselines)
-        if any(b not in _BASELINES for b in baselines):
+        if self.pm_control_spacing is not None and self.pm_control_spacing <= 0.0:
+            raise ValueError("pm_control_spacing must be positive")
+        if any(b not in _BASELINES for b in self.baselines):
             raise ValueError("baselines must be among %s" % (_BASELINES,))
-        object.__setattr__(self, "baselines", baselines)
-        object.__setattr__(self, "sound_speed", _finite(self.sound_speed))
         if self.sound_speed <= 0.0:
             raise ValueError("sound_speed must be positive")
         self._check_geometry()
@@ -383,118 +427,12 @@ class ExperimentConfig:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        out = {
-            "candidates": self.candidates.to_dict(),
-            "region": {"center": list(self.region_center), "radius": self.region_radius},
-            "prior": self.prior.to_dict(),
-            "frequencies": list(self.frequencies),
-            "gamma": list(self.gamma),
-            "n_select": self.n_select,
-            "lambda_select": self.lambda_select,
-            "lambda_synth_scale": self.lambda_synth_scale,
-            "method": self.method,
-            "baselines": list(self.baselines),
-            "evaluation": self.evaluation.to_dict(),
-            "output_dir": self.output_dir,
-            "sound_speed": self.sound_speed,
-        }
-        if self.room is not None:
-            out["room"] = self.room.to_dict()
-        if self.min_decrease is not None:
-            out["min_decrease"] = self.min_decrease
-        if self.pm_control_spacing is not None:
-            out["pm_control_spacing"] = self.pm_control_spacing
-        return out
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = _section(
-            doc,
-            "config",
-            (
-                "candidates", "region", "prior", "frequencies", "gamma", "n_select",
-                "room", "min_decrease", "lambda_select", "lambda_synth_scale",
-                "method", "pm_control_spacing", "baselines", "evaluation",
-                "output_dir", "sound_speed",
-            ),
-            ("candidates", "region", "prior", "frequencies", "n_select"),
-        )
-
-        cand_doc = _section(doc["candidates"], "candidates", ("positions", "square"))
-        if "positions" in cand_doc:
-            candidates = CandidateSpec(positions=cand_doc["positions"])
-        elif "square" in cand_doc:
-            sq = _section(
-                cand_doc["square"],
-                "candidates.square",
-                ("size", "count", "center"),
-                ("size", "count"),
-            )
-            candidates = CandidateSpec(
-                square_size=sq["size"],
-                square_count=sq["count"],
-                square_center=sq.get("center", (0.0, 0.0)),
-            )
-        else:
-            raise ValueError("candidates: give either a square generator or positions")
-
-        region = _section(doc["region"], "region", ("center", "radius"), ("center", "radius"))
-        prior = _spec(PriorSpec, doc["prior"], "prior")
-        room = None if doc.get("room") is None else _spec(RoomSpec, doc["room"], "room")
-        freqs = _resolve_sweep(doc["frequencies"], "frequencies")
-        eval_doc = doc.get("evaluation", {})
-        if isinstance(eval_doc, dict) and "angles_deg" in eval_doc:
-            angles = _resolve_sweep(
-                eval_doc["angles_deg"], "evaluation.angles_deg", allow_empty=True
-            )
-            eval_doc = dict(eval_doc, angles_deg=angles)
-        evaluation = _spec(EvalSpec, eval_doc, "evaluation")
-
-        return cls(
-            candidates=candidates,
-            region_center=region["center"],
-            region_radius=region["radius"],
-            prior=prior,
-            frequencies=freqs,
-            n_select=doc["n_select"],
-            room=room,
-            gamma=doc.get("gamma"),
-            min_decrease=doc.get("min_decrease"),
-            lambda_select=doc.get("lambda_select", 1e-5),
-            lambda_synth_scale=doc.get("lambda_synth_scale", 1e-3),
-            method=doc.get("method", "wmm"),
-            pm_control_spacing=doc.get("pm_control_spacing"),
-            baselines=doc.get("baselines", ()),
-            evaluation=evaluation,
-            output_dir=doc.get("output_dir", "out"),
-            sound_speed=doc.get("sound_speed", 343.0),
-        )
-
-    @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
-
-
-def _resolve_sweep(value, name, allow_empty=False):
-    """Expand {start, stop, step} shorthand into an explicit list."""
-    if isinstance(value, dict):
-        keys = ("start", "stop", "step")
-        sweep = _section(value, name, keys, keys)
-        start, stop, step = (_finite(sweep[k]) for k in keys)
-        if step <= 0 or stop < start:
-            raise ValueError("sweep needs step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(float(start + i * step) for i in range(n))
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("%s must be a list or a {start, stop, step} sweep" % name)
-    out = tuple(_finite(v) for v in value)
-    if not out and not allow_empty:
-        raise ValueError("empty sweep")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +458,9 @@ def apply_env_overrides(doc: dict, environ=None) -> dict:
     environ = os.environ if environ is None else environ
     known = {"__".join(p).upper(): p for p in _scalar_paths(doc)}
     # optional scalars that a document may omit entirely
-    for extra in ("min_decrease", "pm_control_spacing"):
-        known.setdefault(extra.upper(), (extra,))
+    for f in fields(ExperimentConfig):
+        if f.default is None and f.type.removesuffix(" | None") in _SCALARS:
+            known.setdefault("__".join(_path(f)).upper(), _path(f))
     out = json.loads(json.dumps(doc))  # deep copy, JSON-typed
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):

@@ -28,7 +28,6 @@ from .placement import (
     regular_placement_a,
     regular_placement_b,
 )
-from .room import transfer_matrix
 from .specfun import bessel_j_orders
 from .synthesis import (
     WeightMatrix,
@@ -155,9 +154,10 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # B = J_m(k r) e^{i m phi} (K x G), and its error energy is a quadratic form
 # in the coefficients C d whose grid weights are built once per frequency
 # (_GridEvaluation). Evaluation needs no placement problem: per bin it builds
-# the Graf columns of the selected sources only, TAIL_ORDERS orders past M.
-# Their middle K rows are C; the rest is each source's own Graf tail, from
-# which the truncation to |m| <= M is estimated (_truncation_errors).
+# the Graf columns of the selected sources only, TAIL_ORDERS orders past M
+# (plus a point-source desired field's column, GRID_ORDERS past M). Their
+# middle K rows are C; the rest is each source's own Graf tail, from which
+# the truncation to |m| <= M is estimated (_truncation_errors).
 
 # Largest estimated relative column error on the rim that evaluation
 # accepts. Over the bundled study's 200 candidates (the nearest at twice the
@@ -171,9 +171,10 @@ TRUNCATION_TOL = 1e-3
 # orders past M of the selected sources' columns that the truncation
 # estimate sums term by term
 TAIL_ORDERS = 6
-# orders past M of the grid basis that project a plane-wave target: J_m(kR)
-# falls super-exponentially past kR, so at M + 12 the expansion is the plane
-# wave to rounding
+# orders past M of the grid basis that project the desired field: J_m(kR)
+# falls super-exponentially past kR, so at M + 12 the expansion is a plane
+# wave to rounding, and a point source at distance d to about (R/d)^(M+12)
+# of its field (measured 1e-10 at 2 R and 1 kHz, 1e-13 at 4 R)
 GRID_ORDERS = 12
 
 
@@ -235,15 +236,17 @@ class _GridEvaluation:
     B B_x^T with its rows reversed and signed, and Gm is P's middle K
     columns. A plane wave's grid field is B_x^T t_x to rounding (t_x its
     Jacobi-Anger coefficients to order M + GRID_ORDERS), so X = P t_x and
-    E = G, the grid's point count. A point-source desired field is sampled
-    on the grid and projected.
+    E = G, the grid's point count. A point source's grid field is likewise
+    B_x^T t_x for its own Graf column t_x to order M + GRID_ORDERS, so
+    X = P t_x and E is the energy of that one grid field.
 
     Also holds the solve-domain targets (order-M coefficients), the
     method's weight and C for the union of selected sources: one Graf
     build TAIL_ORDERS orders past M, whose tail gives the truncation check
     and whose middle K rows are C. A point-source desired field is one more
-    column of that build, left out of the truncation check; its middle K
-    rows are the targets.
+    column of that build, which then runs GRID_ORDERS past M to give t_x;
+    the check reads its rows to M + TAIL_ORDERS and covers the desired
+    column too, and that column's middle K rows are the targets.
     """
 
     def __init__(self, config, cfg, freq, grid, angles, selections):
@@ -261,12 +264,16 @@ class _GridEvaluation:
         sources = positions[union]
         ev = config.evaluation
         point = ev.desired == "point_source"
-        # a point-source target is one more column of the same build
+        # a point-source target is one more column of the same build, which
+        # then reaches the grid basis' order to project it
+        extra = GRID_ORDERS if point else TAIL_ORDERS
         built = np.vstack([sources, [ev.desired_position]]) if point else sources
-        tail_cfg = ExpansionConfig(cfg.max_order + TAIL_ORDERS, cfg.center, cfg.valid_radius)
-        (tail,) = source_coeff_matrix(built, [(tail_cfg, freq)], room)
-        self.truncation_error = self._check_truncation(tail[:, : len(union)], sources, union)
-        self.coeff = tail[TAIL_ORDERS : TAIL_ORDERS + cfg.size]
+        build_cfg = ExpansionConfig(cfg.max_order + extra, cfg.center, cfg.valid_radius)
+        (cols,) = source_coeff_matrix(built, [(build_cfg, freq)], room)
+        tail = cols[extra - TAIL_ORDERS : extra + TAIL_ORDERS + cfg.size]
+        names = ["candidate %d" % i for i in union] + ["the desired source"]
+        self.truncation_error = self._check_truncation(tail, built, names, len(union))
+        self.coeff = cols[extra : extra + cfg.size]
         self.weight = _weight(config, cfg, freq)
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
         basis = _basis_matrix(wide, grid, freq)
@@ -274,29 +281,32 @@ class _GridEvaluation:
         sign = (-1.0) ** np.abs(cfg.orders)[:, None]
         proj = sign * (basis[mid] @ basis.T)[::-1]
         self.gram = proj[:, mid]
-        self._desired = None
-        if point:
-            self._desired = transfer_matrix(grid, [ev.desired_position], freq, room)
-            self.targets = self.coeff[:, len(union) :]
-            self.cross = sign * (basis[mid] @ self._desired)[::-1]
-            self.energy = np.sum(np.abs(self._desired) ** 2, axis=0)
+        if point:  # the desired source's column, to order M + GRID_ORDERS
+            wave = cols[:, len(union) :]
         else:
             wave = _planewave_matrix(wide, freq, [math.radians(a) for a in angles])
-            self.targets = wave[mid]
-            self.cross = proj @ wave
+        self.targets = wave[mid]
+        self.cross = proj @ wave
+        if point:
+            self._desired = basis.T @ wave
+            self.energy = np.sum(np.abs(self._desired) ** 2, axis=0)
+        else:
+            self._desired = None
             self.energy = np.full(len(angles), float(len(grid)))
 
-    def _check_truncation(self, tail, sources, union) -> float:
-        err = _truncation_errors(tail, sources, self.cfg, self.freq)
-        value = float(err.max(initial=0.0))
-        if not value <= TRUNCATION_TOL:
+    def _check_truncation(self, tail, built, names, n_selected) -> float:
+        """The largest truncation estimate of the selected sources (the
+        first n_selected columns); TruncationError if any built column's,
+        named by names, exceeds TRUNCATION_TOL."""
+        err = _truncation_errors(tail, built, self.cfg, self.freq)
+        if not err.max(initial=0.0) <= TRUNCATION_TOL:
             worst = int(np.argmax(err))
             raise TruncationError(
                 "expansion truncation error %.3g exceeds the tolerance %g at %g Hz "
-                "(candidate %d at (%.6g, %.6g) is too close to the target region)"
-                % (value, TRUNCATION_TOL, self.freq.hz, union[worst], *sources[worst])
+                "(%s at (%.6g, %.6g) is too close to the target region)"
+                % (err[worst], TRUNCATION_TOL, self.freq.hz, names[worst], *built[worst])
             )
-        return value
+        return float(err[:n_selected].max(initial=0.0))
 
     def coefficients(self, indices) -> np.ndarray:
         """Expansion coefficients C d of one placement's field, one column per angle."""
@@ -311,7 +321,9 @@ class _GridEvaluation:
     def grid_fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(desired field, order-M basis) on the grid, for field dumps.
 
-        A placement's grid field is basis^T a for its coefficients a.
+        Plane waves are sampled; a point source's field is B_x^T t_x, the
+        one its SDRs used. A placement's grid field is basis^T a for its
+        coefficients a.
         """
         desired = self._desired
         if desired is None:

@@ -190,6 +190,12 @@ def test_malformed_nested_keys_name_the_key(mutate, key):
         ({"evaluation": {"placement": [0, True]}}, "placement"),
         ({"evaluation": {"write_fields": "no"}}, "write_fields"),
         ({"evaluation": {"write_fields": 1}}, "write_fields"),
+        ({"sound_speed": True}, "sound_speed"),
+        ({"frequencies": [True]}, "frequencies"),
+        ({"room": dict(_ROOM, reflection=True)}, "room.reflection"),
+        ({"lambda_select": "1e-3"}, "lambda_select"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": None}, "output_dir"),
     ],
 )
 def test_integer_and_boolean_fields_are_not_truncated(mutate, key):
@@ -296,6 +302,9 @@ def test_env_override_unknown_key_raises():
         ("SFSPLACE_N_SELECT", "true"),
         ("SFSPLACE_CANDIDATES__SQUARE__COUNT", "10.5"),
         ("SFSPLACE_EVALUATION__WRITE_FIELDS", "no"),
+        ("SFSPLACE_LAMBDA_SELECT", "true"),
+        ("SFSPLACE_SOUND_SPEED", '"343"'),
+        ("SFSPLACE_OUTPUT_DIR", "5"),
     ],
 )
 def test_env_overrides_pass_the_same_checks(tmp_path, name, raw):
@@ -311,3 +320,17 @@ def test_load_config_applies_environment(tmp_path):
     config = load_config(str(path), environ={"SFSPLACE_LAMBDA_SELECT": "3e-4"})
     assert config.lambda_select == 3e-4
     assert load_config(str(path), environ={}).lambda_select == 1e-5
+
+
+def test_env_overrides_set_optional_keys_the_file_omits(tmp_path):
+    # min_decrease and pm_control_spacing default to None and are left out
+    # of the resolved document, yet stay overridable
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_toy_doc()))
+    assert "min_decrease" not in load_config(str(path), environ={}).to_dict()
+    config = load_config(
+        str(path),
+        environ={"SFSPLACE_MIN_DECREASE": "1e-4", "SFSPLACE_PM_CONTROL_SPACING": "0.05"},
+    )
+    assert config.min_decrease == 1e-4
+    assert config.pm_control_spacing == 0.05

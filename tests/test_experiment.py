@@ -170,13 +170,19 @@ def test_truncation_estimate_brackets_direct_error_near_the_region(room):
     _assert_estimate_brackets_direct(config, sources, bins, room)
 
 
-def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
-    # run_evaluate builds no placement problem: per bin one Graf build of the
-    # selected sources only, order M + 6 for both the solve and the
-    # truncation check (54 sources x 221 images = 11,934 Hankel arguments),
-    # not a direct transfer at grid points (1.5M arguments), and a
-    # plane-wave target needs no transfer at all
+def _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=None):
+    # run_evaluate builds no placement problem and calls no direct transfer:
+    # per bin one Graf build of the selected sources only, order M + 6 for
+    # both the solve and the truncation check (54 sources x 221 images =
+    # 11,934 Hankel arguments), not a transfer at grid points (1.5M
+    # arguments). A point-source target is one more column of that build,
+    # then taken to order M + 12 to project it (12,155 arguments); a
+    # plane-wave target adds no column
     config = paper_config(output_dir=str(tmp_path))
+    if desired is not None:
+        doc = config.to_dict()
+        doc["evaluation"].update(desired="point_source", desired_position=list(desired))
+        config = ExperimentConfig.from_dict(doc)
     proposed = place_greedy(config).indices
     arguments, transfers, builds = [], [], []
     seeds, transfer, graf = specfun._seeds, room_module.transfer_matrix, source_coeff_matrix
@@ -190,32 +196,48 @@ def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
         return transfer(*args, **kwargs)
 
     def counted_graf(positions, bins, *args, **kwargs):
-        builds.append((np.array(positions), [freq.hz for _, freq in bins]))
+        builds.append((np.array(positions), [(cfg.max_order, freq.hz) for cfg, freq in bins]))
         return graf(positions, bins, *args, **kwargs)
 
     def no_problems(*args, **kwargs):
         raise AssertionError("evaluation built placement problems")
 
+    assert not hasattr(experiment, "transfer_matrix")
     monkeypatch.setattr(specfun, "_seeds", counted_seeds)
     monkeypatch.setattr(room_module, "transfer_matrix", counted_transfer)
-    monkeypatch.setattr(experiment, "transfer_matrix", counted_transfer)
     monkeypatch.setattr(experiment, "source_coeff_matrix", counted_graf)
     monkeypatch.setattr(experiment, "build_problems", no_problems)
     info = experiment.run_evaluate(config, indices=proposed)
-    assert len(info["rows"]) == 3 * len(config.evaluation.angles_deg)
+    assert len(info["rows"]) == 3 * len(experiment._eval_angles(config))
     assert info["truncation_error"] > 0.0
     union = sorted({i for idx in info["placements"].values() for i in idx})
     assert len(union) == 54
-    ((positions, hz),) = builds
-    assert hz == [1000.0]
-    np.testing.assert_array_equal(positions, config.candidate_positions()[union])
+    ((positions, bins),) = builds
+    ((cfg, freq),) = experiment._bins(config)
+    extra = experiment.TAIL_ORDERS if desired is None else experiment.GRID_ORDERS
+    assert bins == [(cfg.max_order + extra, 1000.0)]
+    want = config.candidate_positions()[union]
+    if desired is not None:
+        want = np.vstack([want, [desired]])
+    np.testing.assert_array_equal(positions, want)
     assert sum(arguments) < 15_000
     assert transfers == []
 
 
+def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
+    _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch)
+
+
+def test_point_source_evaluation_work_is_bounded(tmp_path, monkeypatch):
+    # the desired field once came from a direct transfer at the 7845 grid
+    # points (7845 x 221 = 1.7M Hankel arguments)
+    _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=(-1.2, -0.7))
+
+
 def test_point_source_evaluation_makes_one_graf_build_per_bin(tmp_path, monkeypatch):
-    # the desired source is one more column of the union's tail-order build;
-    # its middle K rows match a separate order-M build of the source alone
+    # the desired source is one more column of the union's build, taken to
+    # the grid basis' order M + GRID_ORDERS; its middle K rows match a
+    # separate order-M build of the source alone
     doc = _tiny_paper(tmp_path, broadband=True).to_dict()
     doc["evaluation"] = {"desired": "point_source", "desired_position": [-1.2, -0.7],
                          "grid_spacing": 0.05}
@@ -247,6 +269,15 @@ def _placements(config, problems):
     return dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
 
 
+def _exact_desired(config, grid, freq, angles):
+    # the desired field sampled on the grid: plane waves, or the point
+    # source's direct image-source transfer
+    ev = config.evaluation
+    if ev.desired == "point_source":
+        return transfer_matrix(grid, [ev.desired_position], freq, config.room_model())
+    return experiment._plane_waves(grid, freq, angles)
+
+
 def _assert_coefficient_sdrs_match_grid(config, placements):
     # every row of the table against synthesis.sdr on the grid fields (the
     # exact desired field and the order-M expansion of each placement),
@@ -259,7 +290,8 @@ def _assert_coefficient_sdrs_match_grid(config, placements):
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     for cfg, freq in bins:
         ev = experiment._GridEvaluation(config, cfg, freq, grid, angles, placements)
-        desired, basis = ev.grid_fields()
+        basis = ev.grid_fields()[1]
+        desired = _exact_desired(config, grid, freq, angles)
         for name, idx in placements.items():
             want = np.atleast_1d(sdr(desired, basis.T @ ev.coefficients(idx)))
             have = [got[(name, freq.hz, a)] for a in angles]
@@ -272,15 +304,48 @@ def test_coefficient_sdrs_match_grid_sdrs_on_the_paper_narrowband_problem():
     _assert_coefficient_sdrs_match_grid(config, _placements(config, build_problems(config)))
 
 
-def test_coefficient_sdrs_match_grid_sdrs_for_a_point_source_in_a_room():
-    # a point-source desired field has no exact finite expansion: its
-    # projection comes from the field sampled on the grid (measured max
-    # difference 3.6e-14 dB)
-    doc = _tiny_paper("unused", broadband=True).to_dict()
+def _assert_point_source_sdrs_match_grid(room):
+    # a point-source desired field is projected from its own Graf column to
+    # order M + GRID_ORDERS, and its energy taken from that expansion on
+    # the grid; the SDRs hold against the exact sampled field (measured max
+    # difference 7.8e-12 dB in free field, 2.7e-13 dB in the room)
+    doc = _tiny_paper("unused", broadband=True, room=room).to_dict()
     doc["evaluation"] = {"desired": "point_source", "desired_position": [-1.2, -0.7],
                          "grid_spacing": 0.02}
     config = ExperimentConfig.from_dict(doc)
     _assert_coefficient_sdrs_match_grid(config, _placements(config, build_problems(config)))
+
+
+def test_coefficient_sdrs_match_grid_sdrs_for_a_point_source_in_a_room():
+    _assert_point_source_sdrs_match_grid(room=True)
+
+
+def test_coefficient_sdrs_match_grid_sdrs_for_a_point_source_in_free_field():
+    _assert_point_source_sdrs_match_grid(room=False)
+
+
+@pytest.mark.parametrize("factor, fails", [(1.1, True), (2.0, False)])
+def test_truncation_check_covers_the_desired_source(tmp_path, factor, fails):
+    # a desired source at 1.1 R: its order-M targets misrepresent it on the
+    # rim (estimate 0.024 at 1 kHz), so evaluation stops and names it; at
+    # 2 R its column passes and the run completes
+    config = _tiny_paper(tmp_path, broadband=False)
+    (cx, cy), radius = config.region_center, config.region_radius
+    position = [cx - factor * radius, cy]
+    doc = config.to_dict()
+    doc["evaluation"] = {"desired": "point_source", "desired_position": position,
+                         "grid_spacing": 0.05}
+    config = ExperimentConfig.from_dict(doc)
+    proposed = place_greedy(config).indices
+    if not fails:
+        assert experiment.run_evaluate(config, indices=proposed)["truncation_error"] < 1e-5
+        return
+    with pytest.raises(experiment.TruncationError) as info:
+        experiment.run_evaluate(config, indices=proposed)
+    msg = str(info.value)
+    assert float(msg.split("error ")[1].split()[0]) > experiment.TRUNCATION_TOL
+    assert "desired source at (%.6g, %.6g)" % tuple(position) in msg
+    assert not (tmp_path / "sdr.csv").exists()
 
 
 def test_paper_evaluation_memory_is_bounded():
