@@ -195,6 +195,37 @@ def _check_greedy_state_vs_direct():
         assert rel <= 1e-9, "trace entry %d off the direct cost by %g" % (step, rel)
 
 
+def _check_graf_vs_direct():
+    from . import specfun
+    from .room import RoomModel, _images
+    from .synthesis import source_coeff_matrix
+    from .wavefield import CircularRegion, Point2
+
+    # six sources around an off-origin region, reflection order 2; the
+    # direct sum takes each order's phase from its own exponential and the
+    # negative orders from H_{-m} = (-1)^m H_m
+    room = RoomModel(5.0, 4.0, (0.8, 0.7, 0.9, 0.6), max_reflection_order=2)
+    cx, cy = 0.3, -0.2
+    region = CircularRegion(Point2(cx, cy), 0.4)
+    freq = Frequency(1500.0)
+    cfg = expansion_for(region, freq)
+    top = cfg.max_order
+    assert top >= 12, "order %d too low to exercise the recurrence" % top
+    th = 0.3 + 2.0 * math.pi * np.arange(6) / 6.0
+    srcs = np.c_[cx + 1.5 * np.cos(th), cy + 1.5 * np.sin(th)]
+    got = source_coeff_matrix(srcs, [(cfg, freq)], room)[0]
+    pos, gains = _images(srcs, room)
+    dx, dy = pos[..., 0] - cx, pos[..., 1] - cy
+    h = specfun.hankel1_orders(top, freq.wavenumber * np.hypot(dx, dy))
+    phi = np.arctan2(dy, dx)
+    want = np.empty_like(got)
+    for m in range(-top, top + 1):
+        hm = h[m] if m >= 0 else (-1) ** m * h[-m]
+        want[top + m] = 0.25j * np.sum(gains * hm * np.exp(-1j * m * phi), axis=1)
+    err = np.max(np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0))
+    assert err < 1e-12, "Graf coefficients off the direct sum by %g" % err
+
+
 def _toy_config(out):
     return ExperimentConfig.from_dict(
         {
@@ -272,6 +303,7 @@ def cmd_selftest(args) -> int:
         ("greedy-state-vs-direct", _check_greedy_state_vs_direct),
         ("run-determinism", _check_determinism),
         ("planewave-expansion", _check_planewave_expansion),
+        ("graf-vs-direct", _check_graf_vs_direct),
         ("sdr-coefficient-vs-grid", _check_coefficient_sdr),
     ]
     failed = 0

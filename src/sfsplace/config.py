@@ -405,6 +405,12 @@ class ExperimentConfig(_Spec):
                     raise ValueError(
                         "candidate (%.6g, %.6g) lies outside the room" % (p[0], p[1])
                     )
+        src = self.evaluation.desired_position
+        if src is not None and math.hypot(src[0] - cx, src[1] - cy) <= r:
+            raise ValueError(
+                "evaluation.desired_position (%.6g, %.6g) lies inside or on the target "
+                "region (center (%.6g, %.6g), radius %.6g)" % (src[0], src[1], cx, cy, r)
+            )
         d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
         if np.min(d) <= r:
             i = int(np.argmin(d))

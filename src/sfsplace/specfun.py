@@ -9,12 +9,13 @@ classical pieces (see DLMF chapter 10):
   with series normalization where the order exceeds the argument, upward
   recurrence (stable for J only when m < x, always for Y) elsewhere.
 
-One upward recurrence, _recur_up, serves every function: a generator
-that yields one order's row at a time for an array of arguments, so work
-is vectorized over the arguments. The order-block functions write its
-rows into a (max_order + 1) x n block; hankel1_rows streams them through
-one reused complex buffer for callers that consume an order and drop it,
-such as the Graf contraction in synthesis.
+One row stream, _rows, serves every function: it yields one order at a
+time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
+[J_m; Y_m], so work is vectorized over the arguments and J and Y share
+one upward recurrence. The order-block functions copy its rows into a
+(max_order + 1) x n block; hankel1_rows hands them out as they are to
+callers that consume an order and drop it, such as the Graf contraction
+in synthesis.
 
 The order-0/1 seeds come from one of five regimes, picked by each
 argument's own x (never by the other arguments of a call):
@@ -29,11 +30,14 @@ argument's own x (never by the other arguments of a call):
   for 17 <= x < 30, 6 for 30 <= x < 60 and 4 for x >= 60. One cos/sin
   pair serves both orders.
 
-hankel1_orders and hankel1_rows compute the seeds once per argument and
-feed J0/J1 to the J rows and Y0/Y1 to the Y rows. Each row is patched
-into its destination (J columns that Miller's recurrence or the
-tiny-argument series serve, Y entries past the float64 range), never
-into the recurrence state.
+The stream computes the seeds once per argument, and the [J_0; Y_0] and
+[J_1; Y_1] rows start the recurrence. Each yielded row is patched where
+the recurrence does not serve it: J columns that Miller's recurrence or
+the tiny-argument series serve, and Y entries past the float64 range
+(-inf). The patch goes into the recurrence state itself. That changes
+no other value, because every column recurs on its own, a patched J
+column is patched again at every order, and a non-finite Y stays
+non-finite under the recurrence.
 """
 
 from __future__ import annotations
@@ -253,29 +257,6 @@ def _j_orders_miller(max_order, x):
     return out
 
 
-def _recur_up(max_order, x, f0, f1):
-    """Yield f_0..f_max_order from the rows f0, f1 by f_{m+1} = (2m/x) f_m - f_{m-1}.
-
-    A yielded row is the recurrence's state: read it, never write it. Rows
-    from order 2 on alternate between two buffers, so each stays valid
-    until the row after next is requested.
-    """
-    yield f0
-    if max_order == 0:
-        return
-    yield f1
-    step = np.empty_like(x)
-    bufs = (np.empty_like(x), np.empty_like(x))
-    prev, cur = f0, f1
-    for m in range(1, max_order):
-        nxt = bufs[m % 2]  # from m = 3 on f_{m-1}'s buffer, read and written elementwise
-        np.divide(2.0 * m, x, out=step)
-        np.multiply(step, cur, out=step)
-        np.subtract(step, prev, out=nxt)
-        prev, cur = cur, nxt
-        yield cur
-
-
 def _j_seeded(max_order, x):
     """Arguments whose J block recurs upward from the order-0/1 seeds.
 
@@ -299,43 +280,6 @@ def _j_fixed(max_order, x):
     if not tiny.all():
         out[:, ~tiny] = _j_orders_miller(max_order, x[~tiny])
     return out
-
-
-def _j_rows(max_order, x, seeded, j0, j1, dest):
-    """Write J_0..J_max_order(x) into the rows of dest, yielding each when written.
-
-    dest holds max_order + 1 row arrays: a block's rows, or one buffer
-    repeated. Where any column is seeded the upward recurrence runs over
-    every column (unstable, even non-finite, outside `seeded`); the other
-    columns are then patched from their small (max_order + 1) x n_fix block.
-    """
-    fixed = np.flatnonzero(~seeded)
-    block = _j_fixed(max_order, x[fixed]) if fixed.size else None
-    rows = _recur_up(max_order, x, j0, j1) if fixed.size < x.size else None
-    for m, row in enumerate(dest):
-        if rows is not None:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                row[...] = next(rows)
-        if block is not None:
-            row[fixed] = block[m]
-        yield row
-
-
-def _y_rows(x, y0, y1, dest):
-    """Write Y_0..Y_{len(dest)-1}(x) into the rows of dest, yielding each when written.
-
-    From the first order at which a column leaves the float64 range on, it
-    reads -inf; the recurrence itself runs on unpatched.
-    """
-    rows = _recur_up(len(dest) - 1, x, y0, y1)
-    bad = np.zeros(x.shape, dtype=bool)
-    for row in dest:
-        with np.errstate(invalid="ignore", over="ignore"):
-            row[...] = next(rows)
-        bad |= ~np.isfinite(row)
-        if bad.any():
-            row[bad] = -np.inf
-        yield row
 
 
 def _as_order(max_order) -> int:
@@ -362,6 +306,50 @@ def _as_positive_array(x, name, allow_zero):
     return arr, flat
 
 
+def _rows(max_order, x, want_y):
+    """Iterator over the rows of orders 0..max_order at the 1-d arguments x.
+
+    Each row is [J_m(x)], shape (1, n), or with want_y [J_m(x); Y_m(x)],
+    shape (2, n); x is nonnegative, and positive with want_y (neither is
+    checked). J's fixed block and the seed pass run on the call, before
+    any row is requested, so their temporaries are freed before the
+    caller's own working arrays exist.
+    """
+    fixed = np.flatnonzero(~_j_seeded(max_order, x))
+    block = _j_fixed(max_order, x[fixed]) if fixed.size else None
+    seeds = _seeds(x, want_y=want_y, want_one=(max_order >= 1))
+    return _recur(max_order, x, seeds, fixed, block, 2 if want_y else 1)
+
+
+def _recur(max_order, x, seeds, fixed, block, width):
+    """Yield rows f_0..f_max_order by f_{m+1} = (2m/x) f_m - f_{m-1}.
+
+    seeds is (J0, J1, Y0, Y1); row m holds the first `width` of J_m, Y_m.
+    A yielded row is the recurrence's state, one of three generations:
+    read it, never write it; it is overwritten once the third row after
+    it is requested. Each row is patched as the module docstring says.
+    Non-finite values are expected (upward J outside its seeded columns,
+    Y past the float64 range) and warn of nothing.
+    """
+    gens = [np.empty((width, x.size)) for _ in range(min(max_order + 1, 3))]
+    step = np.empty_like(x)
+    for m in range(max_order + 1):
+        row = gens[m % 3]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if m < 2:
+                for k in range(width):
+                    row[k] = seeds[2 * k + m]
+            else:
+                np.divide(2.0 * (m - 1), x, out=step)
+                np.multiply(step, gens[(m - 1) % 3], out=row)
+                np.subtract(row, gens[(m - 2) % 3], out=row)
+            if block is not None:
+                row[0, fixed] = block[m]
+            if width == 2 and not math.isfinite(row[1].sum()):
+                row[1, ~np.isfinite(row[1])] = -np.inf
+        yield row
+
+
 def bessel_j_orders(max_order, x):
     """J_m(x) for all orders m = 0..max_order.
 
@@ -376,13 +364,12 @@ def bessel_j_orders(max_order, x):
     """
     max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=True)
-    seeded = _j_seeded(max_order, flat)
-    j0 = j1 = None
-    if seeded.any():
-        j0, j1, _, _ = _seeds(flat, want_y=False, want_one=(max_order >= 1))
-    out = np.empty((max_order + 1, flat.size))
-    for _ in _j_rows(max_order, flat, seeded, j0, j1, out):
-        pass
+    if _j_seeded(max_order, flat).any():
+        out = np.empty((max_order + 1, flat.size))
+        for dest, row in zip(out, _rows(max_order, flat, want_y=False)):
+            dest[...] = row[0]
+    else:  # Miller's recurrence and the tiny-argument series serve every column
+        out = _j_fixed(max_order, flat)
     return out.reshape((max_order + 1,) + arr.shape)
 
 
@@ -393,19 +380,11 @@ def bessel_y_orders(max_order, x):
     """
     max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=False)
-    _, _, y0, y1 = _seeds(flat, want_y=True, want_one=(max_order >= 1))
+    rows = _rows(max_order, flat, want_y=True)
     out = np.empty((max_order + 1, flat.size))
-    for _ in _y_rows(flat, y0, y1, out):
-        pass
+    for dest, row in zip(out, rows):
+        dest[...] = row[1]
     return out.reshape((max_order + 1,) + arr.shape)
-
-
-def _hankel_rows(max_order, x, seeds, re, im):
-    """Write J_m(x) into re[m] and Y_m(x) into im[m], m = 0..max_order, one
-    order per step of the returned iterator, from one seed pass `seeds`."""
-    j0, j1, y0, y1 = seeds
-    seeded = _j_seeded(max_order, x)
-    return zip(_j_rows(max_order, x, seeded, j0, j1, re), _y_rows(x, y0, y1, im))
 
 
 def hankel1_orders(max_order, x):
@@ -417,25 +396,21 @@ def hankel1_orders(max_order, x):
     """
     max_order = _as_order(max_order)
     arr, flat = _as_positive_array(x, "x", allow_zero=False)
-    seeds = _seeds(flat, want_y=True, want_one=(max_order >= 1))
+    rows = _rows(max_order, flat, want_y=True)
     # allocated after the seed pass, so its temporaries are gone by then
     out = np.empty((max_order + 1, flat.size), dtype=np.complex128)
-    for _ in _hankel_rows(max_order, flat, seeds, out.real, out.imag):
-        pass
+    for dest, row in zip(out.view(np.float64).reshape(max_order + 1, flat.size, 2), rows):
+        dest[...] = row.T
     return out.reshape((max_order + 1,) + arr.shape)
 
 
 def hankel1_rows(max_order, x):
-    """Iterator over H_m^(1)(x) for m = 0..max_order, one order at a time.
+    """Iterator over [J_m(x); Y_m(x)] = [Re H_m^(1)(x); Im H_m^(1)(x)], m = 0..max_order.
 
-    x is a positive 1-d float64 array (not validated). The rows equal those
-    of hankel1_orders bit for bit, but share one complex buffer: a row is
-    valid until the next is requested, and no (max_order + 1) x n block
-    is ever held. The seed pass runs on the call, before any row is
-    requested, so its temporaries are freed before the caller's own
-    working arrays exist.
+    x is a positive 1-d float64 array (not validated). Each order is one
+    read-only (2, n) float row, equal bit for bit to the real and
+    imaginary parts of hankel1_orders' row. The stream holds three row
+    generations and never a (max_order + 1) x n block; a row is valid
+    until the next is requested. The seed pass runs on the call (_rows).
     """
-    seeds = _seeds(x, want_y=True, want_one=(max_order >= 1))
-    h = np.empty(x.size, dtype=np.complex128)
-    rows = max_order + 1
-    return (h for _ in _hankel_rows(max_order, x, seeds, [h.real] * rows, [h.imag] * rows))
+    return _rows(max_order, x, want_y=True)

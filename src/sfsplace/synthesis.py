@@ -158,11 +158,12 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     The image geometry (positions, gains, d and z = e^{-i phi}) depends on
     neither frequency nor order, so one call builds it once and every bin
     about the same center shares it. The phases are never evaluated per
-    order: z^m is raised by repeated multiplication. Each order m >= 0 is
-    one contraction over the images of that order's gain-weighted Hankel
-    row, streamed from specfun.hankel1_rows and dropped once used, so no
-    (orders x sources x images) block is ever held. The negative orders
-    reuse the row through H_{-m} = (-1)^m H_m and e^{i m phi} = conj(z^m).
+    order: the gain-weighted phase g z^m is raised by repeated
+    multiplication. Each order m >= 0 is one real batched matmul of that
+    order's [J_m; Y_m] row, streamed from specfun.hankel1_rows and dropped
+    once used, against g z^m, so no (orders x sources x images) block is
+    ever held. The negative orders reuse the same sums through
+    H_{-m} = (-1)^m H_m and e^{i m phi} = conj(z^m).
     """
     pos, gains = _images(positions, room)
     center = None
@@ -188,24 +189,35 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
 def _graf_coeffs(top, kd, z, gains):
     """(2 top + 1, S) Graf coefficients of the images at k d = kd, e^{-i phi} = z.
 
-    The Hankel rows stream in one order at a time, so the working memory
-    is a few (S, I) arrays whatever the order count.
+    Per order, the (2, S I) row [J_m; Y_m] viewed as (S, 2, I) times the
+    float64 view (S, I, 2) of gz = g z^m gives, per source, the real and
+    imaginary parts of a = sum_i g J_m z^m and b = sum_i g Y_m z^m in one
+    (S, 2, 2) product. Row top + m is a + i b and row top - m is
+    (-1)^m (conj a + i conj b). The Hankel rows stream in one order at a
+    time, so the working memory is a few (S, I) arrays whatever the order
+    count.
     """
+    n_src, n_img = kd.shape
     rows = specfun.hankel1_rows(top, kd.ravel())
-    hg = np.empty_like(z)
-    zm = np.ones_like(z)
-    out = np.empty((2 * top + 1, kd.shape[0]), dtype=np.complex128)
+    gz = np.empty_like(z)
+    gz[...] = gains
+    gz_parts = gz.view(np.float64).reshape(n_src, n_img, 2)
+    sums = np.empty((n_src, 2, 2))
+    a, b = sums.view(np.complex128)[..., 0].T  # views: sum g J_m z^m, sum g Y_m z^m
+    out = np.empty((2 * top + 1, n_src), dtype=np.complex128)
     # zip stops at the last order without exhausting the stream, so the
     # stream's buffers are freed only after the result below is allocated.
-    # With glibc they then stay below the result on the heap for the next
-    # bin to reuse, instead of being returned to the OS and faulted back in:
-    # a repeated source_coeff_matrix over the 20 paper bins takes no minor
-    # page faults instead of 44k, and 0.53 s instead of 0.61 s (2-core x86).
-    for m, h in zip(range(top + 1), rows):
-        np.multiply(h.reshape(kd.shape), gains, out=hg)
-        out[top + m] = np.einsum("si,si->s", hg, zm)
-        out[top - m] = (-1) ** m * np.einsum("si,si->s", hg, zm.conj())
-        zm *= z
+    # With glibc they then tend to stay below the result on the heap for the
+    # next bin to reuse, instead of being returned to the OS and faulted
+    # back in. How well depends on the heap's history (2-core x86, glibc
+    # 2.36): in loops of paper broadband run_place these builds took 7 to
+    # about 800 minor page faults per operation, a bare repeated 20-bin
+    # call 11k to 19k.
+    for m, row in zip(range(top + 1), rows):
+        np.matmul(row.reshape(2, n_src, n_img).transpose(1, 0, 2), gz_parts, out=sums)
+        out[top + m] = a + 1j * b
+        out[top - m] = (-1) ** m * (a.conj() + 1j * b.conj())
+        gz *= z
     return 0.25j * out
 
 

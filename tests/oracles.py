@@ -8,7 +8,7 @@ so a test can compare the two.
 import numpy as np
 import scipy.special
 
-from sfsplace.room import RoomModel, _images, transfer_matrix
+from sfsplace.room import _TRANSFER_BLOCK, RoomModel, _images
 from sfsplace.synthesis import WeightMatrix, identity_weight
 from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points, _basis_matrix
 
@@ -28,6 +28,30 @@ def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> flo
     return val
 
 
+def direct_transfer(points, sources, freq: Frequency, room: RoomModel | None = None):
+    """(n_points, n_sources) transfer functions from scipy's order-0 Bessel functions.
+
+    Entry (p, s) is the sum over the images of source s (the source alone
+    in free field) of gain * (i/4) (J_0 + i Y_0)(k |point_p - image|), with
+    scipy.special.j0 and y0, so no sfsplace seed or recurrence is on its
+    path. Sources go in blocks of at most _TRANSFER_BLOCK arguments (at
+    least one source), as in room.transfer_matrix.
+    """
+    pts = _as_points(points)
+    pos, gains = _images(sources, room)
+    step = max(1, _TRANSFER_BLOCK // max(len(pts) * pos.shape[1], 1))
+    out = np.empty((len(pts), len(pos)), dtype=np.complex128)
+    for lo in range(0, len(pos), step):
+        blk = pos[lo:lo + step]
+        kd = freq.wavenumber * np.hypot(
+            pts[:, 0, None, None] - blk[None, :, :, 0],
+            pts[:, 1, None, None] - blk[None, :, :, 1],
+        )
+        re, im = scipy.special.j0(kd) @ gains, scipy.special.y0(kd) @ gains
+        out[:, lo:lo + step] = 0.25j * (re + 1j * im)
+    return out
+
+
 def build_pressure_matching(
     control_points, sources, desired, freq: Frequency, room: RoomModel | None = None
 ):
@@ -41,7 +65,7 @@ def build_pressure_matching(
     control-grid Gram as W); this direct form is its reference.
     """
     pts = _as_points(control_points)
-    c = transfer_matrix(pts, sources, freq, room)
+    c = direct_transfer(pts, sources, freq, room)
     b = np.asarray(desired(pts), dtype=np.complex128)
     if b.shape != (len(pts),):
         raise ValueError("desired-field evaluator returned a wrong-shaped array")
@@ -80,6 +104,6 @@ def column_errors(grid, region, sources, coeff, cfg, freq: Frequency, room=None)
     direct image-source transfer of that source.
     """
     pts = grid[spot_check_points(grid, region)]
-    direct = transfer_matrix(pts, sources, freq, room)
+    direct = direct_transfer(pts, sources, freq, room)
     series = _basis_matrix(cfg, pts, freq).T @ coeff
     return np.linalg.norm(series - direct, axis=0) / np.linalg.norm(direct, axis=0)

@@ -12,11 +12,12 @@ MODULES = sorted(
 )
 
 # scalar twins and one-line wrappers of array functions, removed in favour
-# of the array functions the pipeline uses; and reference computations no
-# pipeline path calls, which live in tests/oracles.py
+# of the array functions the pipeline uses; the separate J, Y and Hankel row
+# generators, replaced by one [J; Y] row stream; and reference computations
+# no pipeline path calls, which live in tests/oracles.py
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
-                "_check_scalar_x"),
+                "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows"),
     "wavefield": ("green2d", "evaluate_expansion"),
     "experiment": ("field_grids",),
     "room": ("room_transfer",),

@@ -546,8 +546,9 @@ def test_runtime_does_not_import_scipy(tmp_path):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
+    assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
     assert "PASS greedy-state-vs-direct" in lines
+    assert "PASS graf-vs-direct" in lines
     assert "PASS sdr-coefficient-vs-grid" in lines
 
 

@@ -149,6 +149,25 @@ def test_invalid_documents_raise(mutate):
         ExperimentConfig.from_dict(_toy_doc(**mutate))
 
 
+@pytest.mark.parametrize("position", [(0.5, 0.3), (0.9, 0.3), (0.5, 0.8)],
+                         ids=["center", "interior", "rim"])
+def test_point_source_inside_or_on_the_region_is_rejected_at_load(position):
+    # the Graf builder would reject it only at evaluation
+    doc = paper_config().to_dict()
+    doc["evaluation"].update(desired="point_source", desired_position=list(position))
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(doc)
+    msg = str(err.value)
+    assert "evaluation.desired_position" in msg
+    assert "(%g, %g)" % position in msg and "center (0.5, 0.3), radius 0.5" in msg
+
+
+def test_point_source_outside_the_region_loads():
+    doc = paper_config().to_dict()
+    doc["evaluation"].update(desired="point_source", desired_position=[1.5, 0.3])
+    assert ExperimentConfig.from_dict(doc).evaluation.desired_position == (1.5, 0.3)
+
+
 _ROOM = {"size_x": 4.0, "size_y": 3.0, "reflection": 0.5}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfsplace.config import square_loop
 from sfsplace.room import (
     ImageSource,
     RoomModel,
@@ -22,10 +23,13 @@ from sfsplace.wavefield import (
     green2d_many,
 )
 
+from oracles import direct_transfer
+
 F1K = Frequency(1000.0)
 # asymmetric everything so axis/wall mixups cannot cancel
 ROOM = RoomModel(2.0, 2.0, (0.5, 0.6, 0.7, 0.8), max_reflection_order=2)
 STUDY_ROOM = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=3)
+PAPER_ROOM = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=10)
 
 
 def _unfold_images(room, source, max_order):
@@ -216,6 +220,24 @@ def test_transfer_matrix_columns_are_image_sums(monkeypatch, room):
         for i, p in enumerate(pts):
             want = sum(im.gain * green2d_many([p], im.position, F1K)[0] for im in imgs)
             assert got[i, j] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("room", [None, PAPER_ROOM], ids=["free-field", "room-order10"])
+def test_transfer_matrix_matches_scipy_direct_transfer(room):
+    # sfsplace's order-0 Hankel values against scipy's j0 + i y0, summed
+    # over the same images: 100 points in the paper region, 12 sources on
+    # the candidate loop, low to high paper frequencies
+    rng = np.random.default_rng(11)
+    r = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 100))
+    th = rng.uniform(0.0, 2.0 * np.pi, 100)
+    pts = np.c_[0.5 + r * np.cos(th), 0.3 + r * np.sin(th)]
+    srcs = square_loop(3.0, 200)[::17]
+    for hz in (100.0, 1000.0, 2000.0):
+        freq = Frequency(hz, sound_speed=343.0)
+        got = transfer_matrix(pts, srcs, freq, room)
+        want = direct_transfer(pts, srcs, freq, room)
+        err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() < 1e-12, (hz, err.max())
 
 
 def test_room_transfer_coeffs_reproduce_interior_field():

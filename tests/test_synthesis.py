@@ -9,6 +9,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from sfsplace.config import square_loop
+from sfsplace.experiment import _bins, paper_config
 from sfsplace.room import RoomModel, room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
     SDR_CAP_DB,
@@ -477,6 +478,25 @@ def test_source_coeff_matrix_matches_direct_graf_sum(room):
     want = graf_coeffs(srcs, cfg, freq, room)
     err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert err.max() < 1e-12
+
+
+@pytest.mark.parametrize("free_field", [False, True], ids=["room-order10", "free-field"])
+def test_source_coeff_matrix_matches_scipy_in_every_paper_bin(free_field):
+    # all 20 broadband bins (orders 11..29): the 4 candidates nearest the
+    # region (the nearest at 2 R) and 8 spread around the loop, against the
+    # direct scipy sum over both signs of m
+    config = paper_config(broadband=True)
+    cand = config.candidate_positions()
+    dist = np.hypot(*(cand - np.array(config.region_center)).T)
+    idx = np.r_[np.argsort(dist, kind="stable")[:4], np.arange(12, 200, 25)]
+    assert len(set(idx)) == 12
+    room = None if free_field else config.room_model()
+    bins = _bins(config)
+    assert len(bins) == 20
+    for (cfg, freq), got in zip(bins, source_coeff_matrix(cand[idx], bins, room)):
+        want = graf_coeffs(cand[idx], cfg, freq, room)
+        err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() < 1e-12, (freq.hz, err.max())
 
 
 def test_source_coeff_matrix_bins_match_one_call_per_bin():
