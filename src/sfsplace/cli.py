@@ -28,7 +28,6 @@ from .config import ExperimentConfig, load_config
 from .experiment import (
     TRUNCATION_TOL,
     _bins,
-    paper_config,
     read_placement_csv,
     run_evaluate,
     run_place,
@@ -124,13 +123,12 @@ def cmd_priors(args) -> int:
 def _check_cross_product_identity():
     from . import specfun
 
+    # J and Y of orders 0..21 from one [J_m; Y_m] row stream
     x = np.linspace(0.5, 60.0, 400)
-    worst = 0.0
-    for m in range(0, 21):
-        j = specfun.bessel_j_orders(m + 1, x)
-        y = specfun.bessel_y_orders(m + 1, x)
-        lhs = j[m + 1] * y[m] - j[m] * y[m + 1]
-        worst = max(worst, float(np.max(np.abs(lhs - 2.0 / (math.pi * x)))))
+    rows = np.array([row.copy() for row in specfun.hankel1_rows(21, x)])
+    j, y = rows[:, 0], rows[:, 1]
+    lhs = j[1:] * y[:-1] - j[:-1] * y[1:]
+    worst = float(np.max(np.abs(lhs - 2.0 / (math.pi * x))))
     assert worst < 1e-8, "identity residual %g" % worst
 
 
@@ -216,7 +214,9 @@ def _check_graf_vs_direct():
     got = source_coeff_matrix(srcs, [(cfg, freq)], room)[0]
     pos, gains = _images(srcs, room)
     dx, dy = pos[..., 0] - cx, pos[..., 1] - cy
-    h = specfun.hankel1_orders(top, freq.wavenumber * np.hypot(dx, dy))
+    kd = freq.wavenumber * np.hypot(dx, dy)
+    h = np.array([j + 1j * y for j, y in specfun.hankel1_rows(top, kd.ravel())])
+    h = h.reshape((top + 1,) + kd.shape)
     phi = np.arctan2(dy, dx)
     want = np.empty_like(got)
     for m in range(-top, top + 1):
@@ -256,13 +256,7 @@ def _check_determinism():
 
 
 def _check_planewave_expansion():
-    from .wavefield import (
-        CircularRegion,
-        PlaneWave,
-        Point2,
-        evaluate_expansion_many,
-        planewave_coeffs,
-    )
+    from .wavefield import CircularRegion, PlaneWave, Point2, _basis_matrix, planewave_coeffs
 
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     freq = Frequency(1000.0)
@@ -274,7 +268,7 @@ def _check_planewave_expansion():
     pts = np.c_[0.5 + r * np.cos(th), 0.3 + r * np.sin(th)]
     k = freq.wavenumber
     exact = np.exp(1j * k * (pts @ [math.cos(0.3), math.sin(0.3)]))
-    got = evaluate_expansion_many(planewave_coeffs(pw, cfg, freq), pts, freq)
+    got = _basis_matrix(cfg, pts, freq).T @ planewave_coeffs(pw, cfg, freq).values
     assert np.max(np.abs(got - exact)) < 1e-6, "plane-wave expansion drifted"
 
 

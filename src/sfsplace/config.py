@@ -454,14 +454,28 @@ def _scalar_paths(doc, prefix=()):
             yield path
 
 
+def _field_hints(spec, prefix=()):
+    """(JSON path, annotation) of every field of spec and of its sub-specs."""
+    for f in fields(spec):
+        path = prefix + _path(f)
+        sub = _SPECS.get(f.type.removesuffix(" | None"))
+        if sub is None:
+            yield path, f.type
+        else:
+            yield from _field_hints(sub, path)
+
+
 def apply_env_overrides(doc: dict, environ=None) -> dict:
     """Override scalar config keys from SFSPLACE_* environment variables.
 
     Nested keys use double underscores: SFSPLACE_PRIOR__ANGLE_MIN_DEG=-30.
-    Values are parsed as JSON scalars, falling back to plain strings.
-    Unknown names raise, so typos do not silently run the base config.
+    A string-typed key takes the value as it is (SFSPLACE_OUTPUT_DIR=5 is
+    the directory "5"); any other value is parsed as a JSON scalar,
+    falling back to the plain string. Unknown names raise, so typos do not
+    silently run the base config.
     """
     environ = os.environ if environ is None else environ
+    strings = {p for p, h in _field_hints(ExperimentConfig) if h.removesuffix(" | None") == "str"}
     known = {"__".join(p).upper(): p for p in _scalar_paths(doc)}
     # optional scalars that a document may omit entirely
     for f in fields(ExperimentConfig):
@@ -476,12 +490,13 @@ def apply_env_overrides(doc: dict, environ=None) -> dict:
             raise ValueError(
                 "%s does not name a scalar config key of this document" % name
             )
+        path = known[key]
         try:
-            value = json.loads(raw)
+            value = raw if path in strings else json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         node = out
-        *parents, leaf = known[key]
+        *parents, leaf = path
         for part in parents:
             node = node[part]
         node[leaf] = value

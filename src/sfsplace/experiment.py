@@ -223,7 +223,7 @@ class _GridEvaluation:
     """Evaluation data of one frequency, shared by every placement in it.
 
     selections maps each placement's name to its candidate indices; every
-    placement must hold distinct indices in [0, N).
+    placement must hold at least one index, and distinct indices in [0, N).
 
     The SDRs come from each placement's expansion coefficients a = C d
     (synthesis._coeff_sdr): the grid enters only through the Gram
@@ -253,6 +253,8 @@ class _GridEvaluation:
         positions = config.candidate_positions()
         n = len(positions)
         for name, idx in selections.items():
+            if len(idx) == 0:
+                raise ValueError("placement %r is empty: it selects no loudspeaker" % name)
             if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
                 msg = "placement %r: indices must be distinct and in [0, %d)"
                 raise ValueError(msg % (name, n))

@@ -8,9 +8,10 @@ beta_left^|n-q| beta_right^|n| (q = 0 keeps +x', q = 1 flips), and the
 same along y; a 2D image is a pair of 1D images with the reflection
 counts adding. None of offset 2 n L, sign and gain depends on the
 source, so one table per room, up to a total reflection count, places
-the images of any number of sources at once. The transfer sums them in
-the frequency domain against (i/4) H_0^(1)(k d); synthesis expands the
-same images with Graf's addition theorem.
+the images of any number of sources at once. The runtime has one
+propagation model for them: synthesis.source_coeff_matrix expands each
+source's images about the expansion center with Graf's addition theorem,
+and every field is formed from those coefficients.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import specfun
-from .wavefield import Frequency, Point2, _as_points, _as_xy
+from .wavefield import _as_points, _as_xy
 
-__all__ = [
-    "RoomModel",
-    "ImageSource",
-    "image_sources",
-    "room_transfer_many",
-    "transfer_matrix",
-]
+__all__ = ["RoomModel"]
 
 
 @dataclass(frozen=True)
@@ -68,13 +62,6 @@ class RoomModel:
     def contains(self, point) -> bool:
         x, y = _as_xy(point)
         return abs(x) < 0.5 * self.size_x and abs(y) < 0.5 * self.size_y
-
-
-@dataclass(frozen=True)
-class ImageSource:
-    position: Point2
-    gain: float
-    order: int
 
 
 class _ImageTable(NamedTuple):
@@ -145,49 +132,3 @@ def _images(sources, room: RoomModel | None):
         )
     table = _image_table(room)
     return (table.offset + table.sign * (srcs[:, None, :] + half)) - half, table.gain
-
-
-def image_sources(room: RoomModel, source) -> list[ImageSource]:
-    """Per-source view of the room's image table, direct source first."""
-    pos, gain = _images([_as_xy(source)], room)
-    order = _image_table(room).order
-    return [
-        ImageSource(Point2(float(x), float(y)), float(g), int(c))
-        for (x, y), g, c in zip(pos[0], gain, order)
-    ]
-
-
-# Hankel arguments per block of sources in transfer_matrix (at least one
-# source per block): keeps the (points x sources x images) work arrays at a
-# few MB however many sources a call holds.
-_TRANSFER_BLOCK = 1 << 18
-
-
-def transfer_matrix(points, sources, freq: Frequency, room: RoomModel | None = None) -> np.ndarray:
-    """(n_points, n_sources) transfer functions, free field or reverberant.
-
-    Entry (p, s) is the sum over the images of source s (the source alone
-    in free field) of gain * (i/4) H_0^(1)(k |point_p - image|), with
-    sources processed in blocks so the work arrays stay bounded.
-    """
-    pts = _as_points(points)
-    pos, gain = _images(sources, room)
-    per_source = len(pts) * pos.shape[1]
-    step = max(1, _TRANSFER_BLOCK // max(per_source, 1))
-    out = np.empty((len(pts), len(pos)), dtype=np.complex128)
-    for lo in range(0, len(pos), step):
-        blk = pos[lo:lo + step]
-        d = np.hypot(
-            pts[:, 0][:, None, None] - blk[None, :, :, 0],
-            pts[:, 1][:, None, None] - blk[None, :, :, 1],
-        )
-        if np.any(d < 1e-12):
-            raise ValueError("a receiver point coincides with a source or an image")
-        h0 = specfun.hankel1_orders(0, freq.wavenumber * d.ravel())[0].reshape(d.shape)
-        out[:, lo:lo + step] = 0.25j * np.einsum("psi,i->ps", h0, gain)
-    return out
-
-
-def room_transfer_many(room: RoomModel, points, source, freq: Frequency) -> np.ndarray:
-    """Reverberant transfer function at an (n, 2) array of receiver points."""
-    return transfer_matrix(points, [_as_xy(source)], freq, room)[:, 0]

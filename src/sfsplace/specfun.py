@@ -9,13 +9,14 @@ classical pieces (see DLMF chapter 10):
   with series normalization where the order exceeds the argument, upward
   recurrence (stable for J only when m < x, always for Y) elsewhere.
 
-One row stream, _rows, serves every function: it yields one order at a
-time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
+One row stream, _rows, serves both entry points: it yields one order at
+a time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
 [J_m; Y_m], so work is vectorized over the arguments and J and Y share
-one upward recurrence. The order-block functions copy its rows into a
-(max_order + 1) x n block; hankel1_rows hands them out as they are to
-callers that consume an order and drop it, such as the Graf contraction
-in synthesis.
+one upward recurrence. hankel1_rows hands the [J_m; Y_m] rows out as
+they are to the one caller that needs Hankel functions, the Graf
+contraction in synthesis, which consumes an order and drops it.
+bessel_j_orders copies the [J_m] rows into a (max_order + 1) x n block
+for the grid basis and the disc Gram.
 
 The order-0/1 seeds come from one of five regimes, picked by each
 argument's own x (never by the other arguments of a call):
@@ -47,11 +48,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = [
-    "bessel_j_orders",
-    "bessel_y_orders",
-    "hankel1_orders",
-]
+__all__ = ["bessel_j_orders", "hankel1_rows"]
 
 _EULER_GAMMA = float(np.longdouble("0.577215664901532860606512090082"))
 
@@ -293,19 +290,6 @@ def _as_order(max_order) -> int:
     return m
 
 
-def _as_positive_array(x, name, allow_zero):
-    arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr).ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{name} must be finite")
-    if allow_zero:
-        if np.any(flat < 0.0):
-            raise ValueError(f"{name} must be nonnegative")
-    elif np.any(flat <= 0.0):
-        raise ValueError(f"{name} must be positive")
-    return arr, flat
-
-
 def _rows(max_order, x, want_y):
     """Iterator over the rows of orders 0..max_order at the 1-d arguments x.
 
@@ -363,7 +347,12 @@ def bessel_j_orders(max_order, x):
     ndarray, shape (max_order + 1,) + shape(x)
     """
     max_order = _as_order(max_order)
-    arr, flat = _as_positive_array(x, "x", allow_zero=True)
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("x must be finite")
+    if np.any(flat < 0.0):
+        raise ValueError("x must be nonnegative")
     if _j_seeded(max_order, flat).any():
         out = np.empty((max_order + 1, flat.size))
         for dest, row in zip(out, _rows(max_order, flat, want_y=False)):
@@ -373,44 +362,14 @@ def bessel_j_orders(max_order, x):
     return out.reshape((max_order + 1,) + arr.shape)
 
 
-def bessel_y_orders(max_order, x):
-    """Y_m(x) for all orders m = 0..max_order; x must be strictly positive.
-
-    Entries whose true magnitude exceeds the float64 range come back as -inf.
-    """
-    max_order = _as_order(max_order)
-    arr, flat = _as_positive_array(x, "x", allow_zero=False)
-    rows = _rows(max_order, flat, want_y=True)
-    out = np.empty((max_order + 1, flat.size))
-    for dest, row in zip(out, rows):
-        dest[...] = row[1]
-    return out.reshape((max_order + 1,) + arr.shape)
-
-
-def hankel1_orders(max_order, x):
-    """H_m^(1)(x) = J_m(x) + i Y_m(x) for orders 0..max_order; x > 0.
-
-    Each row is written straight into the complex result, its real part
-    bit for bit the block bessel_j_orders returns and its imaginary part
-    the block bessel_y_orders returns.
-    """
-    max_order = _as_order(max_order)
-    arr, flat = _as_positive_array(x, "x", allow_zero=False)
-    rows = _rows(max_order, flat, want_y=True)
-    # allocated after the seed pass, so its temporaries are gone by then
-    out = np.empty((max_order + 1, flat.size), dtype=np.complex128)
-    for dest, row in zip(out.view(np.float64).reshape(max_order + 1, flat.size, 2), rows):
-        dest[...] = row.T
-    return out.reshape((max_order + 1,) + arr.shape)
-
-
 def hankel1_rows(max_order, x):
     """Iterator over [J_m(x); Y_m(x)] = [Re H_m^(1)(x); Im H_m^(1)(x)], m = 0..max_order.
 
     x is a positive 1-d float64 array (not validated). Each order is one
-    read-only (2, n) float row, equal bit for bit to the real and
-    imaginary parts of hankel1_orders' row. The stream holds three row
-    generations and never a (max_order + 1) x n block; a row is valid
-    until the next is requested. The seed pass runs on the call (_rows).
+    read-only (2, n) float row whose J half equals bessel_j_orders' row
+    bit for bit; entries of Y past the float64 range read -inf. The stream
+    holds three row generations and never a (max_order + 1) x n block; a
+    row is valid until the next is requested. The seed pass runs on the
+    call (_rows).
     """
     return _rows(max_order, x, want_y=True)

@@ -268,8 +268,8 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
 def synthesis_lambda(coeff_matrix, weight, scale: float = 1e-3) -> float:
     """Regularizer proportional to the top eigenvalue of C^H W C.
 
-    Returns 0 for an all-zero system; callers then fall back to their
-    selection-stage floor.
+    Returns 0 for an empty or all-zero system, a regularizer that
+    solve_wmm rejects: such a system has no driving signals.
     """
     gram, _ = _normal_system(coeff_matrix, weight)
     if gram.size == 0:

@@ -7,10 +7,13 @@ Conventions (time dependence exp(-i w t)):
 * interior expansion about a center c: u(r) = sum_m a_m J_m(k r') exp(i m phi'),
   with (r', phi') polar coordinates of r - c.
 
-Plane-wave coefficients follow from the Jacobi-Anger identity; exterior
-point sources and their room images are expanded with Graf's addition
-theorem by synthesis.source_coeff_matrix (valid strictly inside the source
-distance).
+Fields live in the coefficient domain. Plane-wave coefficients follow
+from the Jacobi-Anger identity; exterior point sources and their room
+images are expanded with Graf's addition theorem by
+synthesis.source_coeff_matrix (valid strictly inside the source
+distance), which is the one propagation model of the package. A field
+is sampled only where a grid needs it, as _basis_matrix(cfg, pts, freq).T
+@ coefficients.
 """
 
 from __future__ import annotations
@@ -33,12 +36,8 @@ __all__ = [
     "PlaneWave",
     "truncation_order",
     "expansion_for",
-    "green2d_many",
     "planewave_coeffs",
-    "evaluate_expansion_many",
 ]
-
-_COINCIDENT_TOL = 1e-12
 
 
 class Point2(NamedTuple):
@@ -186,16 +185,6 @@ def _ipow(m):
     return _IPOW[np.mod(m, 4)]
 
 
-def green2d_many(points, source, freq: Frequency) -> np.ndarray:
-    """Free-field Green's function (i/4) H_0^(1)(k d) at an (n, 2) array of receivers."""
-    pts = _as_points(points)
-    sx, sy = _as_xy(source)
-    d = np.hypot(pts[:, 0] - sx, pts[:, 1] - sy)
-    if np.any(d < _COINCIDENT_TOL):
-        raise ValueError("a receiver point coincides with the source")
-    return 0.25j * specfun.hankel1_orders(0, freq.wavenumber * d)[0]
-
-
 def planewave_coeffs(pw: PlaneWave, cfg: ExpansionConfig, freq: Frequency) -> ExpansionCoeffs:
     """Expansion coefficients of a plane wave (Jacobi-Anger).
 
@@ -235,10 +224,3 @@ def _basis_matrix(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency) -> np.
         out[top - m] = (-1) ** m * j[m] * wm.conj()
         wm *= w
     return out
-
-
-def evaluate_expansion_many(coeffs: ExpansionCoeffs, points, freq: Frequency) -> np.ndarray:
-    """Evaluate the truncated expansion at an (n, 2) array of points."""
-    pts = _as_points(points)
-    basis = _basis_matrix(coeffs.config, pts, freq)
-    return coeffs.values @ basis

@@ -2,19 +2,28 @@
 
 None of these is on a pipeline path: each recomputes a quantity the
 library gets another way (a closed form, a recurrence, a reused geometry),
-so a test can compare the two.
+so a test can compare the two. The library has one propagation model, the
+Graf expansion of each source's images; direct_transfer (the image sum of
+(i/4) H_0^(1) in the field domain) and graf_coeffs (the per-order Graf sum)
+are the direct models it is checked against. Both take their Bessel and
+Hankel values from scipy.special, never from sfsplace.specfun.
 """
 
 import numpy as np
 import scipy.special
 
-from sfsplace.room import _TRANSFER_BLOCK, RoomModel, _images
+from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import WeightMatrix, identity_weight
 from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points, _basis_matrix
 
 # grid points of the direct truncation check: half the outermost (truncation
 # error peaks at the rim), half an even stride over the whole grid
 SPOT_CHECK_POINTS = 128
+
+# Hankel arguments per block of sources in direct_transfer (at least one
+# source per block): keeps the (points x sources x images) work arrays at a
+# few MB however many sources a call holds
+_TRANSFER_BLOCK = 1 << 18
 
 
 def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
@@ -35,7 +44,7 @@ def direct_transfer(points, sources, freq: Frequency, room: RoomModel | None = N
     in free field) of gain * (i/4) (J_0 + i Y_0)(k |point_p - image|), with
     scipy.special.j0 and y0, so no sfsplace seed or recurrence is on its
     path. Sources go in blocks of at most _TRANSFER_BLOCK arguments (at
-    least one source), as in room.transfer_matrix.
+    least one source).
     """
     pts = _as_points(points)
     pos, gains = _images(sources, room)

@@ -26,8 +26,7 @@ from sfsplace.placement import (
     placement_cost,
     prior_from_direction_range,
 )
-from sfsplace.room import room_transfer_many
-from sfsplace.specfun import bessel_j_orders, bessel_y_orders
+from sfsplace.specfun import hankel1_rows
 from sfsplace.synthesis import (
     source_coeff_matrix,
     weight_matrix_circle,
@@ -37,10 +36,11 @@ from sfsplace.wavefield import (
     CircularRegion,
     ExpansionCoeffs,
     Frequency,
-    evaluate_expansion_many,
+    _basis_matrix,
     expansion_for,
-    green2d_many,
 )
+
+from oracles import direct_transfer
 
 # the reference study geometry used by criteria 3, 4 and 6
 REGION = CircularRegion((0.5, 0.3), 0.5)
@@ -164,15 +164,16 @@ def test_criterion_3_expansion_fidelity():
     points = _disc_points(rng, REGION, 50)
     t0 = time.perf_counter()
 
-    direct = green2d_many(points, source, freq)
+    basis = _basis_matrix(cfg, points, freq).T
+    direct = direct_transfer(points, [source], freq)[:, 0]
     coeffs = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)])[0][:, 0], cfg)
-    series = evaluate_expansion_many(coeffs, points, freq)
+    series = basis @ coeffs.values
     err_free = float(np.max(np.abs(series - direct) / np.abs(direct)))
 
     room = RoomSpec(5.0, 4.0, 0.8, max_reflection_order=3).to_model()
-    direct_room = room_transfer_many(room, points, source, freq)
+    direct_room = direct_transfer(points, [source], freq, room)[:, 0]
     coeffs_room = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)], room)[0][:, 0], cfg)
-    series_room = evaluate_expansion_many(coeffs_room, points, freq)
+    series_room = basis @ coeffs_room.values
     err_room = float(np.max(np.abs(series_room - direct_room) / np.abs(direct_room)))
 
     elapsed = time.perf_counter() - t0
@@ -362,8 +363,8 @@ def test_criterion_8_bessel_identities():
     m = rng.integers(0, 41, count)
     x = rng.uniform(0.5, 100.0, count)
     t0 = time.perf_counter()
-    js = bessel_j_orders(41, x)
-    ys = bessel_y_orders(41, x)
+    rows = np.array([row.copy() for row in hankel1_rows(41, x)])  # [J_m; Y_m] per order
+    js, ys = rows[:, 0], rows[:, 1]
     cols = np.arange(count)
 
     wron = js[m + 1, cols] * ys[m, cols] - js[m, cols] * ys[m + 1, cols]

@@ -13,14 +13,20 @@ MODULES = sorted(
 
 # scalar twins and one-line wrappers of array functions, removed in favour
 # of the array functions the pipeline uses; the separate J, Y and Hankel row
-# generators, replaced by one [J; Y] row stream; and reference computations
-# no pipeline path calls, which live in tests/oracles.py
+# generators, replaced by one [J; Y] row stream; reference computations no
+# pipeline path calls, which live in tests/oracles.py; and the direct
+# image-source transfer with its Y and Hankel order blocks, since the Graf
+# expansion is the one propagation model (tests check it against the
+# scipy-based oracles)
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
-                "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows"),
-    "wavefield": ("green2d", "evaluate_expansion"),
+                "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
+                "hankel1_orders", "bessel_y_orders"),
+    "wavefield": ("green2d", "evaluate_expansion", "green2d_many", "_COINCIDENT_TOL",
+                  "evaluate_expansion_many"),
     "experiment": ("field_grids",),
-    "room": ("room_transfer",),
+    "room": ("room_transfer", "transfer_matrix", "_TRANSFER_BLOCK", "room_transfer_many",
+             "image_sources", "ImageSource"),
     "synthesis": ("solve_mode_matching", "synthesize_field", "wmm_residual",
                   "build_pressure_matching"),
 }

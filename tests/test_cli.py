@@ -29,7 +29,6 @@ from sfsplace.experiment import (
     run_reproduce,
 )
 from sfsplace.placement import FieldPrior, greedy_place, prior_from_direction_range
-from sfsplace.room import room_transfer_many, transfer_matrix
 from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
@@ -45,6 +44,8 @@ from sfsplace.wavefield import (
     expansion_for,
     planewave_coeffs,
 )
+
+from oracles import direct_transfer
 
 
 def _toy_doc(out, **over):
@@ -154,6 +155,21 @@ def test_evaluate_rejects_bad_indices(tmp_path):
         with pytest.raises(ValueError, match="placement 'p'"):
             experiment.write_field_set(str(out), config, {"p": bad}, (0.0,))
     assert not list(out.glob("field_*")) and not (out / "sdr.csv").exists()
+
+
+def test_evaluate_rejects_an_empty_placement(tmp_path, capsys):
+    # a header-only placement CSV names the empty placement, before any
+    # column is built or any table written
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _toy_doc(out))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("rank,index,x,y\n")
+    assert main(["evaluate", "--config", cfg, "--placement", str(empty)]) == 1
+    assert "placement 'proposed' is empty" in capsys.readouterr().err
+    config = ExperimentConfig.from_dict(_toy_doc(out))
+    with pytest.raises(ValueError, match="placement 'proposed' is empty"):
+        run_evaluate(config, indices=())
+    assert not (out / "sdr.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -303,11 +319,11 @@ def _direct_sdrs(config, problem, indices, angles):
     cand = config.candidate_positions()
     freq = problem.freq
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    transfer = np.column_stack([room_transfer_many(room, grid, cand[i], freq) for i in indices])
+    transfer = direct_transfer(grid, cand[list(indices)], freq, room)
     pm = config.method == "pressure-matching"
     if pm:
         ctrl, cell = pm_control_points(config)
-        c = np.column_stack([room_transfer_many(room, ctrl, cand[i], freq) for i in indices])
+        c = direct_transfer(ctrl, cand[list(indices)], freq, room)
         weight = WeightMatrix(cell * np.eye(len(ctrl)))
     else:
         c, weight = problem.coeff[:, list(indices)], problem.weight
@@ -391,7 +407,7 @@ def test_pressure_matching_matches_dense_control_grid_problem(tmp_path):
     assert len(ctrl) == 973 and len(ctrl) > 30 * problem.cfg.size
     freq = problem.freq
     cand = config.candidate_positions()
-    c = transfer_matrix(ctrl, cand, freq, config.room_model())
+    c = direct_transfer(ctrl, cand, freq, config.room_model())
     basis = _basis_matrix(problem.cfg, ctrl, freq)
     mu = basis.T @ problem.prior.mean
     r = basis.T @ problem.prior.second_moment @ basis.conj()

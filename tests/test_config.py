@@ -323,7 +323,7 @@ def test_env_override_unknown_key_raises():
         ("SFSPLACE_EVALUATION__WRITE_FIELDS", "no"),
         ("SFSPLACE_LAMBDA_SELECT", "true"),
         ("SFSPLACE_SOUND_SPEED", '"343"'),
-        ("SFSPLACE_OUTPUT_DIR", "5"),
+        ("SFSPLACE_METHOD", "null"),
     ],
 )
 def test_env_overrides_pass_the_same_checks(tmp_path, name, raw):
@@ -331,6 +331,18 @@ def test_env_overrides_pass_the_same_checks(tmp_path, name, raw):
     path.write_text(json.dumps(_toy_doc()))
     with pytest.raises(ValueError, match=name[len("SFSPLACE_"):].split("__")[-1].lower()):
         load_config(str(path), environ={name: raw})
+
+
+@pytest.mark.parametrize("raw", ["5", "true", "null"])
+def test_string_env_overrides_take_the_raw_value(tmp_path, raw):
+    # a string-typed key is never parsed as JSON: 5, true and null stay strings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_toy_doc()))
+    assert load_config(str(path), environ={"SFSPLACE_OUTPUT_DIR": raw}).output_dir == raw
+    doc = _toy_doc(method="wmm")
+    assert apply_env_overrides(doc, environ={"SFSPLACE_METHOD": raw})["method"] == raw
+    with pytest.raises(ValueError, match="method must be one of"):
+        load_config(str(path), environ={"SFSPLACE_METHOD": raw})
 
 
 def test_load_config_applies_environment(tmp_path):

@@ -18,7 +18,6 @@ from sfsplace.experiment import (
     paper_config,
     place_greedy,
 )
-from sfsplace.room import transfer_matrix
 from sfsplace.synthesis import region_grid, sdr, solve_wmm, source_coeff_matrix, synthesis_lambda
 from sfsplace.wavefield import (
     ExpansionConfig,
@@ -28,7 +27,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import column_errors, graf_coeffs
+from oracles import column_errors, direct_transfer, graf_coeffs
 
 # the truncation estimate may over-report the direct error by up to this
 # factor (measured: 1.14-2.00 on the paper bins, 1.23-1.76 on the sweep)
@@ -94,7 +93,7 @@ def _direct_sdrs(config, problem, indices, grid):
     targets = np.array([planewave_coeffs(PlaneWave(a), cfg, freq).values for a in angles]).T
     drivers = solve_wmm(c, problem.weight, targets, lam)
     sources = config.candidate_positions()[list(indices)]
-    u_syn = transfer_matrix(grid, sources, freq, config.room_model()) @ drivers
+    u_syn = direct_transfer(grid, sources, freq, config.room_model()) @ drivers
     u_dir = np.array([np.cos(angles), np.sin(angles)])
     return sdr(np.exp(1j * freq.wavenumber * (grid @ u_dir)), u_syn)
 
@@ -171,11 +170,10 @@ def test_truncation_estimate_brackets_direct_error_near_the_region(room):
 
 
 def _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=None):
-    # run_evaluate builds no placement problem and calls no direct transfer:
-    # per bin one Graf build of the selected sources only, order M + 6 for
-    # both the solve and the truncation check (54 sources x 221 images =
-    # 11,934 Hankel arguments), not a transfer at grid points (1.5M
-    # arguments). A point-source target is one more column of that build,
+    # run_evaluate builds no placement problem: per bin one Graf build of
+    # the selected sources only, order M + 6 for both the solve and the
+    # truncation check (54 sources x 221 images = 11,934 Hankel arguments),
+    # not a transfer at grid points (1.5M arguments). A point-source target is one more column of that build,
     # then taken to order M + 12 to project it (12,155 arguments); a
     # plane-wave target adds no column
     config = paper_config(output_dir=str(tmp_path))
@@ -184,16 +182,12 @@ def _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=None
         doc["evaluation"].update(desired="point_source", desired_position=list(desired))
         config = ExperimentConfig.from_dict(doc)
     proposed = place_greedy(config).indices
-    arguments, transfers, builds = [], [], []
-    seeds, transfer, graf = specfun._seeds, room_module.transfer_matrix, source_coeff_matrix
+    arguments, builds = [], []
+    seeds, graf = specfun._seeds, source_coeff_matrix
 
     def counted_seeds(x, *args, **kwargs):
         arguments.append(np.size(x))
         return seeds(x, *args, **kwargs)
-
-    def counted_transfer(*args, **kwargs):
-        transfers.append(args)
-        return transfer(*args, **kwargs)
 
     def counted_graf(positions, bins, *args, **kwargs):
         builds.append((np.array(positions), [(cfg.max_order, freq.hz) for cfg, freq in bins]))
@@ -202,9 +196,7 @@ def _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=None
     def no_problems(*args, **kwargs):
         raise AssertionError("evaluation built placement problems")
 
-    assert not hasattr(experiment, "transfer_matrix")
     monkeypatch.setattr(specfun, "_seeds", counted_seeds)
-    monkeypatch.setattr(room_module, "transfer_matrix", counted_transfer)
     monkeypatch.setattr(experiment, "source_coeff_matrix", counted_graf)
     monkeypatch.setattr(experiment, "build_problems", no_problems)
     info = experiment.run_evaluate(config, indices=proposed)
@@ -221,7 +213,6 @@ def _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=None
         want = np.vstack([want, [desired]])
     np.testing.assert_array_equal(positions, want)
     assert sum(arguments) < 15_000
-    assert transfers == []
 
 
 def test_paper_evaluation_work_is_bounded(tmp_path, monkeypatch):
@@ -274,7 +265,7 @@ def _exact_desired(config, grid, freq, angles):
     # source's direct image-source transfer
     ev = config.evaluation
     if ev.desired == "point_source":
-        return transfer_matrix(grid, [ev.desired_position], freq, config.room_model())
+        return direct_transfer(grid, [ev.desired_position], freq, config.room_model())
     return experiment._plane_waves(grid, freq, angles)
 
 

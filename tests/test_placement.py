@@ -44,7 +44,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import build_pressure_matching, wmm_residual
+from oracles import build_pressure_matching, direct_transfer, wmm_residual
 
 F1K = Frequency(1000.0)
 RANGE45 = DirectionRangePrior(math.radians(-45.0), math.radians(45.0))
@@ -675,8 +675,6 @@ def test_pressure_matching_cost_tracks_regional_error():
     # the same placement cost through three routes: coefficient-domain
     # with the region Gram weighting, pressure samples scaled by the cell
     # area, and a brute-force dense-grid residual of the solved field
-    from sfsplace.room import transfer_matrix
-
     freq = Frequency(500.0)
     region = CircularRegion(Point2(0.0, 0.0), 0.5)
     cfg = expansion_for(region, freq)
@@ -706,6 +704,6 @@ def test_pressure_matching_cost_tracks_regional_error():
     # brute force: solve on the coefficient route, integrate the error
     d = solve_wmm(c_coeff[:, sel], w_coeff, b, lam)
     fine = region_grid(region, spacing=0.005)
-    err = transfer_matrix(fine, srcs[sel], freq) @ d - np.exp(1j * (fine @ kvec))
+    err = direct_transfer(fine, srcs[sel], freq) @ d - np.exp(1j * (fine @ kvec))
     brute = float(np.sum(np.abs(err) ** 2)) * 0.005 ** 2 + lam * float(np.vdot(d, d).real)
     assert j_coeff == pytest.approx(brute, rel=0.10)

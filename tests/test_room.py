@@ -1,28 +1,15 @@
-import math
-
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from sfsplace import specfun
 from sfsplace.config import square_loop
-from sfsplace.room import (
-    ImageSource,
-    RoomModel,
-    image_sources,
-    room_transfer_many,
-    transfer_matrix,
-)
+from sfsplace.room import RoomModel, _image_table, _images
 from sfsplace.synthesis import source_coeff_matrix
-from sfsplace.wavefield import (
-    CircularRegion,
-    ExpansionCoeffs,
-    Frequency,
-    Point2,
-    evaluate_expansion_many,
-    expansion_for,
-    green2d_many,
-)
+from sfsplace.wavefield import CircularRegion, Frequency, Point2, _basis_matrix, expansion_for
 
+import oracles
 from oracles import direct_transfer
 
 F1K = Frequency(1000.0)
@@ -30,6 +17,18 @@ F1K = Frequency(1000.0)
 ROOM = RoomModel(2.0, 2.0, (0.5, 0.6, 0.7, 0.8), max_reflection_order=2)
 STUDY_ROOM = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=3)
 PAPER_ROOM = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=10)
+
+
+def _image_list(room, source):
+    # (x, y, gain, reflection count) of each image of one source, direct first
+    pos, gains = _images([source], room)
+    return list(zip(*pos[0].T.tolist(), gains.tolist(), _image_table(room).order.tolist()))
+
+
+def _green(points, source, freq):
+    # free-field (i/4) H_0^(1)(k d) from scipy at each point
+    d = np.hypot(*(np.asarray(points, dtype=float) - source).T)
+    return 0.25j * scipy.special.hankel1(0, freq.wavenumber * d)
 
 
 def _unfold_images(room, source, max_order):
@@ -72,18 +71,16 @@ def _as_multiset(items):
 def test_order_zero_is_free_field():
     room = RoomModel.uniform(5.0, 4.0, 0.9, max_reflection_order=0)
     src = (1.0, -0.5)
-    imgs = image_sources(room, src)
-    assert len(imgs) == 1
-    assert imgs[0] == ImageSource(Point2(1.0, -0.5), 1.0, 0)
+    assert _image_list(room, src) == [(1.0, -0.5, 1.0, 0)]
     rcv = (-0.7, 0.4)
-    assert transfer_matrix([rcv], [src], F1K, room)[0, 0] == pytest.approx(
-        green2d_many([rcv], src, F1K)[0]
+    assert direct_transfer([rcv], [src], F1K, room)[0, 0] == pytest.approx(
+        direct_transfer([rcv], [src], F1K)[0, 0]
     )
 
 
 def test_hand_enumerated_two_by_two_room():
     # 2 x 2 room, source (0.3, -0.4), all images with at most two bounces
-    imgs = image_sources(ROOM, (0.3, -0.4))
+    imgs = _image_list(ROOM, (0.3, -0.4))
     expected = [
         (0.3, -0.4, 1.0, 0),
         # one bounce
@@ -102,8 +99,7 @@ def test_hand_enumerated_two_by_two_room():
         (1.7, -1.6, 0.42, 2),
         (1.7, 2.4, 0.48, 2),
     ]
-    got = [(im.position.x, im.position.y, im.gain, im.order) for im in imgs]
-    assert _as_multiset(got) == _as_multiset(expected)
+    assert _as_multiset(imgs) == _as_multiset(expected)
 
 
 @pytest.mark.parametrize(
@@ -124,7 +120,7 @@ def test_images_match_unfolding_oracle(seed, order):
         float(rng.uniform(-0.45, 0.45) * room.size_x),
         float(rng.uniform(-0.45, 0.45) * room.size_y),
     )
-    got = [(im.position.x, im.position.y, im.gain, im.order) for im in image_sources(room, src)]
+    got = _image_list(room, src)
     assert _as_multiset(got) == _as_multiset(_unfold_images(room, src, order))
 
 
@@ -132,26 +128,24 @@ def test_images_match_unfolding_oracle(seed, order):
 def test_image_count_by_order(order, count):
     # shell t >= 1 holds 4t images, so 1 + 4 * order(order+1)/2 in total
     room = RoomModel.uniform(5.0, 4.0, 0.8, max_reflection_order=order)
-    assert len(image_sources(room, (0.5, 0.3))) == count
+    assert len(_image_list(room, (0.5, 0.3))) == count
 
 
 def test_direct_source_first_and_orders_sorted():
-    imgs = image_sources(STUDY_ROOM, (-1.5, -1.5))
-    assert imgs[0].position == Point2(-1.5, -1.5)
-    assert imgs[0].gain == 1.0
-    assert imgs[0].order == 0
-    orders = [im.order for im in imgs]
+    imgs = _image_list(STUDY_ROOM, (-1.5, -1.5))
+    assert imgs[0] == (-1.5, -1.5, 1.0, 0)
+    orders = [im[3] for im in imgs]
     assert orders == sorted(orders)
 
 
 def test_zero_reflection_walls_prune_images():
     dead = RoomModel.uniform(4.0, 3.0, 0.0, max_reflection_order=10)
-    assert len(image_sources(dead, (1.0, 1.0))) == 1
+    assert len(_image_list(dead, (1.0, 1.0))) == 1
     # only the left wall reflects: the sole surviving image is one bounce off it
     one_wall = RoomModel(4.0, 3.0, (0.5, 0.0, 0.0, 0.0), max_reflection_order=10)
-    imgs = image_sources(one_wall, (1.0, 1.0))
+    imgs = _image_list(one_wall, (1.0, 1.0))
     assert len(imgs) == 2
-    assert imgs[1] == ImageSource(Point2(-5.0, 1.0), 0.5, 1)
+    assert imgs[1] == (-5.0, 1.0, 0.5, 1)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -168,22 +162,23 @@ def test_image_positions_distinct_and_exterior(seed):
         float(rng.uniform(-0.49, 0.49) * room.size_x),
         float(rng.uniform(-0.49, 0.49) * room.size_y),
     )
-    imgs = image_sources(room, src)
-    keys = {(round(im.position.x, 9), round(im.position.y, 9)) for im in imgs}
+    imgs = _image_list(room, src)
+    keys = {(round(x, 9), round(y, 9)) for x, y, _, _ in imgs}
     assert len(keys) == len(imgs)
-    for im in imgs[1:]:
-        assert not room.contains(im.position)
-        assert 0.0 < im.gain <= max(room.reflection) ** im.order
+    for x, y, gain, order in imgs[1:]:
+        assert not room.contains((x, y))
+        assert 0.0 < gain <= max(room.reflection) ** order
 
 
 def test_room_transfer_is_gain_weighted_image_sum():
+    # the reverberant Graf column is the gain-weighted sum of the free-field
+    # columns of the source's images, coefficient by coefficient
     src = (-1.5, -1.5)
-    rcv = (0.8, 0.1)
-    total = sum(
-        im.gain * green2d_many([rcv], im.position, F1K)[0]
-        for im in image_sources(STUDY_ROOM, src)
-    )
-    assert transfer_matrix([rcv], [src], F1K, STUDY_ROOM)[0, 0] == pytest.approx(total, rel=1e-12)
+    cfg = expansion_for(CircularRegion(Point2(0.5, 0.3), 0.5), F1K)
+    (got,) = source_coeff_matrix([src], [(cfg, F1K)], STUDY_ROOM)
+    imgs = _image_list(STUDY_ROOM, src)
+    (free,) = source_coeff_matrix([im[:2] for im in imgs], [(cfg, F1K)])
+    np.testing.assert_allclose(got[:, 0], free @ [im[2] for im in imgs], rtol=1e-12)
 
 
 def test_room_transfer_mirror_symmetry():
@@ -192,41 +187,42 @@ def test_room_transfer_mirror_symmetry():
     room = RoomModel(3.0, 2.5, (0.3, 0.9, 0.6, 0.4), max_reflection_order=6)
     flipped = RoomModel(3.0, 2.5, (0.9, 0.3, 0.6, 0.4), max_reflection_order=6)
     src, rcv = (0.7, -0.3), (-0.4, 0.8)
-    a = transfer_matrix([rcv], [src], F1K, room)[0, 0]
-    b = transfer_matrix([(-rcv[0], rcv[1])], [(-src[0], src[1])], F1K, flipped)[0, 0]
+    a = direct_transfer([rcv], [src], F1K, room)[0, 0]
+    b = direct_transfer([(-rcv[0], rcv[1])], [(-src[0], src[1])], F1K, flipped)[0, 0]
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_room_transfer_many_matches_scalar():
     src = (0.6, 0.4)
     pts = np.array([[0.0, 0.0], [-0.5, 0.7], [0.3, -0.9]])
-    vals = room_transfer_many(ROOM, pts, src, F1K)
-    imgs = image_sources(ROOM, src)
+    vals = direct_transfer(pts, [src], F1K, ROOM)[:, 0]
+    imgs = _image_list(ROOM, src)
     for p, v in zip(pts, vals):
-        want = sum(im.gain * green2d_many([p], im.position, F1K)[0] for im in imgs)
+        want = sum(g * _green([p], (x, y), F1K)[0] for x, y, g, _ in imgs)
         assert v == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("room", [None, STUDY_ROOM])
 def test_transfer_matrix_columns_are_image_sums(monkeypatch, room):
-    # a tiny block size forces several source blocks per call
-    monkeypatch.setattr("sfsplace.room._TRANSFER_BLOCK", 8)
+    # the direct transfer oracle; a tiny block size forces several source
+    # blocks per call
+    monkeypatch.setattr(oracles, "_TRANSFER_BLOCK", 8)
     srcs = np.array([[-1.5, -1.5], [1.2, 0.9], [0.4, -1.7], [-2.0, 1.1], [1.9, -0.3]])
     pts = np.array([[0.5, 0.3], [0.0, 0.0], [0.9, -0.2], [-0.3, 0.6]])
-    got = transfer_matrix(pts, srcs, F1K, room)
+    got = direct_transfer(pts, srcs, F1K, room)
     assert got.shape == (4, 5)
     for j, s in enumerate(srcs):
-        imgs = [ImageSource(Point2(*s), 1.0, 0)] if room is None else image_sources(room, s)
+        imgs = [(*s, 1.0, 0)] if room is None else _image_list(room, s)
         for i, p in enumerate(pts):
-            want = sum(im.gain * green2d_many([p], im.position, F1K)[0] for im in imgs)
+            want = sum(g * _green([p], (x, y), F1K)[0] for x, y, g, _ in imgs)
             assert got[i, j] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("room", [None, PAPER_ROOM], ids=["free-field", "room-order10"])
 def test_transfer_matrix_matches_scipy_direct_transfer(room):
-    # sfsplace's order-0 Hankel values against scipy's j0 + i y0, summed
-    # over the same images: 100 points in the paper region, 12 sources on
-    # the candidate loop, low to high paper frequencies
+    # sfsplace's order-0 Hankel row against scipy's j0 + i y0, summed over
+    # the same images: 100 points in the paper region, 12 sources on the
+    # candidate loop, low to high paper frequencies
     rng = np.random.default_rng(11)
     r = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 100))
     th = rng.uniform(0.0, 2.0 * np.pi, 100)
@@ -234,7 +230,11 @@ def test_transfer_matrix_matches_scipy_direct_transfer(room):
     srcs = square_loop(3.0, 200)[::17]
     for hz in (100.0, 1000.0, 2000.0):
         freq = Frequency(hz, sound_speed=343.0)
-        got = transfer_matrix(pts, srcs, freq, room)
+        pos, gains = _images(srcs, room)
+        kd = freq.wavenumber * np.hypot(pts[:, 0, None, None] - pos[..., 0],
+                                        pts[:, 1, None, None] - pos[..., 1])
+        ((j0, y0),) = specfun.hankel1_rows(0, kd.ravel())
+        got = 0.25j * (j0 + 1j * y0).reshape(kd.shape) @ gains
         want = direct_transfer(pts, srcs, freq, room)
         err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
         assert err.max() < 1e-12, (hz, err.max())
@@ -246,13 +246,13 @@ def test_room_transfer_coeffs_reproduce_interior_field():
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     cfg = expansion_for(region, F1K)
     src = (-1.5, -1.5)
-    coeffs = ExpansionCoeffs(source_coeff_matrix([src], [(cfg, F1K)], STUDY_ROOM)[0][:, 0], cfg)
+    (coeffs,) = source_coeff_matrix([src], [(cfg, F1K)], STUDY_ROOM)
     rng = np.random.default_rng(7)
     r = region.radius * 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 50))
     th = rng.uniform(0.0, 2.0 * np.pi, 50)
     pts = np.c_[region.center.x + r * np.cos(th), region.center.y + r * np.sin(th)]
-    approx = evaluate_expansion_many(coeffs, pts, F1K)
-    exact = room_transfer_many(STUDY_ROOM, pts, src, F1K)
+    approx = _basis_matrix(cfg, pts, F1K).T @ coeffs[:, 0]
+    exact = direct_transfer(pts, [src], F1K, STUDY_ROOM)[:, 0]
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(approx - exact)) / scale < 1e-5
 
@@ -269,23 +269,17 @@ def test_room_transfer_coeffs_order_zero_matches_point_source():
 
 def test_source_on_or_outside_walls_rejected():
     with pytest.raises(ValueError):
-        image_sources(STUDY_ROOM, (2.5, 0.0))  # on the right wall
+        _images([(2.5, 0.0)], STUDY_ROOM)  # on the right wall
     with pytest.raises(ValueError):
-        image_sources(STUDY_ROOM, (0.0, 7.0))
+        _images([(0.0, 7.0)], STUDY_ROOM)
     # only a later source is bad: the whole array is checked
     cfg = expansion_for(CircularRegion(Point2(0.5, 0.3), 0.5), F1K)
-    pts = np.array([[0.5, 0.3]])
     for bad in ([2.5, 0.0], [0.0, -2.0], [0.0, 7.0]):
         srcs = np.array([[-1.5, -1.5], [1.2, 0.9], bad])
         with pytest.raises(ValueError, match="source 2 "):
-            transfer_matrix(pts, srcs, F1K, STUDY_ROOM)
+            _images(srcs, STUDY_ROOM)
         with pytest.raises(ValueError, match="source 2 "):
             source_coeff_matrix(srcs, [(cfg, F1K)], STUDY_ROOM)[0]
-
-
-def test_receiver_coincident_with_source_rejected():
-    with pytest.raises(ValueError):
-        transfer_matrix([(1.0, 1.0)], [(1.0, 1.0)], F1K, STUDY_ROOM)
 
 
 def test_image_inside_validity_disc_rejected():

@@ -8,9 +8,10 @@ import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from sfsplace import specfun
 from sfsplace.config import square_loop
 from sfsplace.experiment import _bins, paper_config
-from sfsplace.room import RoomModel, room_transfer_many, transfer_matrix
+from sfsplace.room import RoomModel
 from sfsplace.synthesis import (
     SDR_CAP_DB,
     ConditioningError,
@@ -33,13 +34,12 @@ from sfsplace.wavefield import (
     Frequency,
     PlaneWave,
     Point2,
-    evaluate_expansion_many,
+    _basis_matrix,
     expansion_for,
-    green2d_many,
     planewave_coeffs,
 )
 
-from oracles import build_pressure_matching, graf_coeffs, wmm_residual
+from oracles import build_pressure_matching, direct_transfer, graf_coeffs, wmm_residual
 
 REGION = CircularRegion(Point2(0.5, 0.3), 0.5)
 PAPER_ROOM = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=10)
@@ -146,7 +146,7 @@ def test_weight_quadrature_offset_center_matches_grid_energy():
     rng = np.random.default_rng(1)
     for _ in range(3):
         a = rng.standard_normal(cfg.size) + 1j * rng.standard_normal(cfg.size)
-        u = evaluate_expansion_many(ExpansionCoeffs(a, cfg), grid, F1K)
+        u = _basis_matrix(cfg, grid, F1K).T @ ExpansionCoeffs(a, cfg).values
         brute = float(np.sum(np.abs(u) ** 2)) * spacing ** 2
         assert float((a.conj() @ w @ a).real) == pytest.approx(brute, rel=1e-3)
 
@@ -299,11 +299,13 @@ def test_synthesize_field_superposition_and_single_source():
     pts = rng.uniform(-0.5, 0.5, (20, 2))
     d1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     d2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    t = transfer_matrix(pts, srcs, F1K)
+    t = direct_transfer(pts, srcs, F1K)
     np.testing.assert_allclose(t @ (d1 + d2), t @ d1 + t @ d2, rtol=1e-12)
     assert np.all(t @ np.zeros(3, dtype=complex) == 0.0)
-    one = transfer_matrix(pts, srcs[:1], F1K) @ np.array([1.0 + 0j])
-    np.testing.assert_allclose(one, green2d_many(pts, srcs[0], F1K), rtol=1e-13)
+    one = direct_transfer(pts, srcs[:1], F1K) @ np.array([1.0 + 0j])
+    d = np.hypot(*(pts - srcs[0]).T)
+    np.testing.assert_allclose(one, 0.25j * scipy.special.hankel1(0, F1K.wavenumber * d),
+                               rtol=1e-13)
 
 
 def test_synthesize_field_in_room_matches_transfer():
@@ -311,9 +313,9 @@ def test_synthesize_field_in_room_matches_transfer():
     srcs = np.array([[-1.5, -1.5], [1.2, 0.9]])
     d = np.array([0.3 - 0.1j, -0.7 + 0.4j])
     pts = np.array([[0.5, 0.3], [0.0, 0.0], [0.9, -0.2]])
-    want = d[0] * room_transfer_many(room, pts, srcs[0], F1K)
-    want += d[1] * room_transfer_many(room, pts, srcs[1], F1K)
-    np.testing.assert_allclose(transfer_matrix(pts, srcs, F1K, room) @ d, want, rtol=1e-13)
+    want = d[0] * direct_transfer(pts, srcs[:1], F1K, room)[:, 0]
+    want += d[1] * direct_transfer(pts, srcs[1:], F1K, room)[:, 0]
+    np.testing.assert_allclose(direct_transfer(pts, srcs, F1K, room) @ d, want, rtol=1e-13)
 
 
 def test_sdr_reference_points():
@@ -452,7 +454,7 @@ def test_quadratic_form_tracks_grid_error():
     pts = region_grid(REGION, spacing=spacing)
     kvec = freq.wavenumber * np.array([math.cos(pw.direction), math.sin(pw.direction)])
     u_des = np.exp(1j * (pts @ kvec))
-    u_syn = transfer_matrix(pts, srcs, freq) @ d
+    u_syn = direct_transfer(pts, srcs, freq) @ d
     grid = float(np.sum(np.abs(u_des - u_syn) ** 2)) * spacing ** 2
     grid += lam * float(np.vdot(d, d).real)
     assert abs(grid - quad) / quad < 0.02
@@ -534,6 +536,22 @@ def test_source_coeff_matrix_memory_is_a_few_image_arrays():
     assert peak < 12e6
 
 
+def test_direct_oracles_use_no_sfsplace_special_functions(monkeypatch):
+    # the oracles are the only direct model the Graf build is checked
+    # against, so neither may reach sfsplace's seeds or row stream
+    def fail(*args, **kwargs):
+        raise AssertionError("sfsplace.specfun was called")
+
+    monkeypatch.setattr(specfun, "_rows", fail)
+    monkeypatch.setattr(specfun, "_seeds", fail)
+    srcs = square_loop(3.0, 200)[::40]
+    with pytest.raises(AssertionError, match="specfun"):  # the guard is live
+        source_coeff_matrix(srcs, [(CFG, F1K)], PAPER_ROOM)
+    pts = region_grid(REGION, spacing=0.1)
+    assert np.all(np.isfinite(direct_transfer(pts, srcs, F1K, PAPER_ROOM)))
+    assert np.all(np.isfinite(graf_coeffs(srcs, CFG, F1K, PAPER_ROOM)))
+
+
 def test_source_coeff_matrix_rejects_interior_source():
     with pytest.raises(ValueError):
         source_coeff_matrix(np.array([[0.6, 0.4]]), [(CFG, F1K)])[0]
@@ -543,9 +561,10 @@ def test_pressure_matching_triple():
     pts = np.array([[0.4, 0.2]])
     srcs = np.array([[2.0, 1.0]])
     c, w, b = build_pressure_matching(
-        pts, srcs, lambda p: green2d_many(p, (2.0, 1.0), F1K), F1K
+        pts, srcs, lambda p: direct_transfer(p, [(2.0, 1.0)], F1K)[:, 0], F1K
     )
-    assert c[0, 0] == pytest.approx(green2d_many([(0.4, 0.2)], (2.0, 1.0), F1K)[0])
+    d = math.hypot(2.0 - 0.4, 1.0 - 0.2)
+    assert c[0, 0] == pytest.approx(0.25j * scipy.special.hankel1(0, F1K.wavenumber * d))
     assert np.all(w.entries == np.eye(1))
     assert b[0] == pytest.approx(c[0, 0])
 
@@ -558,7 +577,7 @@ def test_pressure_matching_exact_representability():
     srcs += np.array(REGION.center)
     pts = region_grid(REGION, spacing=0.05)
     c, w, b = build_pressure_matching(
-        pts, srcs, lambda p: green2d_many(p, srcs[2], F1K), F1K
+        pts, srcs, lambda p: direct_transfer(p, srcs[2:3], F1K)[:, 0], F1K
     )
     d = solve_wmm(c, w, b, 1e-12 * synthesis_lambda(c, w, scale=1.0))
     assert sdr(b, c @ d) > 100.0
