@@ -17,7 +17,8 @@ MODULES = sorted(
 # pipeline path calls, which live in tests/oracles.py; and the direct
 # image-source transfer with its Y and Hankel order blocks, since the Graf
 # expansion is the one propagation model (tests check it against the
-# scipy-based oracles)
+# scipy-based oracles); and the row-blocked update of the K x N greedy
+# arrays, since the greedy state keeps two length-N forms instead
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
@@ -25,6 +26,7 @@ DELETED = {
     "wavefield": ("green2d", "evaluate_expansion", "green2d_many", "_COINCIDENT_TOL",
                   "evaluate_expansion_many"),
     "experiment": ("field_grids",),
+    "placement": ("_subtract_outer", "UPDATE_BLOCK_BYTES"),
     "room": ("room_transfer", "transfer_matrix", "_TRANSFER_BLOCK", "room_transfer_many",
              "image_sources", "ImageSource"),
     "synthesis": ("solve_mode_matching", "synthesize_field", "wmm_residual",
