@@ -28,13 +28,14 @@ from .config import ExperimentConfig, load_config
 from .experiment import (
     TRUNCATION_TOL,
     _bins,
+    _weights,
     read_placement_csv,
     run_evaluate,
     run_place,
     run_reproduce,
     write_csv,
 )
-from .placement import prior_from_direction_range
+from .placement import _direction_range_priors
 from .wavefield import Frequency, expansion_for
 
 
@@ -90,9 +91,8 @@ def cmd_priors(args) -> int:
     config = _load(args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    rng = config.prior.to_range()
-    for cfg, freq in _bins(config):
-        prior = prior_from_direction_range(rng, cfg, freq)
+    bins = _bins(config)
+    for (cfg, freq), prior in zip(bins, _direction_range_priors(config.prior.to_range(), bins)):
         tag = "%g" % freq.hz
         write_csv(
             os.path.join(out, "prior_mu_f%s.csv" % tag),
@@ -130,6 +130,21 @@ def _check_cross_product_identity():
     lhs = j[1:] * y[:-1] - j[:-1] * y[1:]
     worst = float(np.max(np.abs(lhs - 2.0 / (math.pi * x))))
     assert worst < 1e-8, "identity residual %g" % worst
+
+
+def _check_j_upward_vs_miller():
+    from . import specfun
+
+    # where every order is below the argument the J block recurs upward
+    # from the seeds; Miller's recurrence, started past the largest
+    # argument, is the reference (measured worst 1.3e-13)
+    for top in (3, 12, 29, 40):
+        x = np.linspace(top + 1.0, 2.0 * top + 20.0, 200)
+        assert specfun._j_seeded(top, x).all(), "order %d: not all upward" % top
+        got = specfun.bessel_j_orders(top, x)
+        ref = specfun._j_orders_miller(top, x)
+        err = float(np.max(np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)))
+        assert err <= 1e-12, "order %d: upward J off Miller's by %g" % (top, err)
 
 
 def _check_weight_quadrature():
@@ -292,8 +307,9 @@ def _check_coefficient_sdr():
     picks = {"proposed": place_greedy(config).indices,
              "regular_b": baseline_indices(config, "regular_b")}
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ((cfg, freq),) = _bins(config)
-    ev = _GridEvaluation(config, cfg, freq, grid, _eval_angles(config), picks)
+    ((cfg, freq),) = bins = _bins(config)
+    (weight,) = _weights(config, bins)
+    ev = _GridEvaluation(config, cfg, freq, grid, _eval_angles(config), picks, weight)
     desired, basis = ev.grid_fields()
     for indices in picks.values():
         coeffs = ev.coefficients(indices)
@@ -304,6 +320,7 @@ def _check_coefficient_sdr():
 def cmd_selftest(args) -> int:
     checks = [
         ("bessel-cross-product", _check_cross_product_identity),
+        ("j-upward-vs-miller", _check_j_upward_vs_miller),
         ("weight-quadrature", _check_weight_quadrature),
         ("greedy-vs-exhaustive", _check_greedy_vs_exhaustive),
         ("greedy-state-vs-direct", _check_greedy_state_vs_direct),

@@ -23,14 +23,15 @@ from .placement import (
     BroadbandSpec,
     FieldPrior,
     PlacementResult,
+    _direction_range_priors,
     greedy_place_broadband,
-    prior_from_direction_range,
     regular_placement_a,
     regular_placement_b,
 )
 from .specfun import bessel_j_orders
 from .synthesis import (
     WeightMatrix,
+    _circle_weights,
     _coeff_sdr,
     _point_gram,
     identity_weight,
@@ -38,7 +39,6 @@ from .synthesis import (
     solve_wmm,
     source_coeff_matrix,
     synthesis_lambda,
-    weight_matrix_circle,
 )
 from .wavefield import ExpansionConfig, Frequency, _basis_matrix, _planewave_matrix, expansion_for
 
@@ -49,7 +49,7 @@ class FrequencyProblem:
 
     Every method shares the Graf coefficient matrix (one column per
     candidate) and the direction-range prior; only the weight differs
-    (_weight).
+    (_weights).
     """
 
     freq: Frequency
@@ -83,35 +83,34 @@ def _bins(config: ExperimentConfig) -> list:
     return [(expansion_for(config.region, freq), freq) for freq in freqs]
 
 
-def _weight(config: ExperimentConfig, cfg, freq) -> WeightMatrix:
-    """The method's weight on the expansion (wmm: closed-form region Gram;
-    mode matching: identity; pressure matching: Gram of the basis over the
-    control grid, see pm_control_points)."""
+def _weights(config: ExperimentConfig, bins) -> list[WeightMatrix]:
+    """The method's weight on the expansion of each (cfg, freq) bin.
+
+    wmm: closed-form region Gram, every bin from one Bessel call; mode
+    matching: identity; pressure matching: Gram of the basis over the
+    control grid (see pm_control_points). Placement and evaluation both
+    take their weights from this call over all of a config's bins, so the
+    two agree bit for bit.
+    """
     if config.method == "wmm":
-        return weight_matrix_circle(config.region, cfg, freq)
+        return _circle_weights(config.region, bins)
     if config.method == "mode-matching":
-        return identity_weight(cfg.size)
+        return [identity_weight(cfg.size) for cfg, _ in bins]
     ctrl, cell = pm_control_points(config)  # pressure-matching
-    return _point_gram(cfg, ctrl, freq, cell)
+    return [_point_gram(cfg, ctrl, freq, cell) for cfg, freq in bins]
 
 
 def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
     """One placement problem per configured frequency, over every candidate."""
-    room = config.room_model()
-    cand = config.candidate_positions()
-    direction_range = config.prior.to_range()
     bins = _bins(config)
-    coeffs = source_coeff_matrix(cand, bins, room=room)
+    coeffs = source_coeff_matrix(config.candidate_positions(), bins, room=config.room_model())
+    weights = _weights(config, bins)
+    priors = _direction_range_priors(config.prior.to_range(), bins)
     return tuple(
-        FrequencyProblem(
-            freq=freq,
-            cfg=cfg,
-            coeff=coeff,
-            weight=_weight(config, cfg, freq),
-            prior=prior_from_direction_range(direction_range, cfg, freq),
-            gamma=gamma,
+        FrequencyProblem(freq=freq, cfg=cfg, coeff=coeff, weight=weight, prior=prior, gamma=gamma)
+        for (cfg, freq), coeff, weight, prior, gamma in zip(
+            bins, coeffs, weights, priors, config.gamma
         )
-        for (cfg, freq), coeff, gamma in zip(bins, coeffs, config.gamma)
     )
 
 
@@ -241,7 +240,8 @@ class _GridEvaluation:
     X = P t_x and E is the energy of that one grid field.
 
     Also holds the solve-domain targets (order-M coefficients), the
-    method's weight and C for the union of selected sources: one Graf
+    method's weight (given: the bin's entry of _weights over all of the
+    config's bins) and C for the union of selected sources: one Graf
     build TAIL_ORDERS orders past M, whose tail gives the truncation check
     and whose middle K rows are C. A point-source desired field is one more
     column of that build, which then runs GRID_ORDERS past M to give t_x;
@@ -249,7 +249,7 @@ class _GridEvaluation:
     column too, and that column's middle K rows are the targets.
     """
 
-    def __init__(self, config, cfg, freq, grid, angles, selections):
+    def __init__(self, config, cfg, freq, grid, angles, selections, weight):
         positions = config.candidate_positions()
         n = len(positions)
         for name, idx in selections.items():
@@ -276,7 +276,7 @@ class _GridEvaluation:
         names = ["candidate %d" % i for i in union] + ["the desired source"]
         self.truncation_error = self._check_truncation(tail, built, names, len(union))
         self.coeff = cols[extra : extra + cfg.size]
-        self.weight = _weight(config, cfg, freq)
+        self.weight = weight
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
         basis = _basis_matrix(wide, grid, freq)
         mid = slice(GRID_ORDERS, GRID_ORDERS + cfg.size)
@@ -359,8 +359,9 @@ def evaluate_placements(config: ExperimentConfig, placements: dict, field_dir=No
     names = sorted(placements)
     rows = []
     worst = 0.0
-    for cfg, freq in _bins(config):
-        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements)
+    bins = _bins(config)
+    for (cfg, freq), weight in zip(bins, _weights(config, bins)):
+        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
         worst = max(worst, ev.truncation_error)
         dump = None if field_dir is None else _field_writer(field_dir, config, ev)
         for name in names:
@@ -503,8 +504,9 @@ def write_field_set(out_dir, config, placements, angles, tag=""):
     placement serve every angle.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    for cfg, freq in _bins(config):
-        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements)
+    bins = _bins(config)
+    for (cfg, freq), weight in zip(bins, _weights(config, bins)):
+        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
         dump = _field_writer(out_dir, config, ev, tag)
         for name, indices in placements.items():
             dump(name, ev.coefficients(indices))

@@ -158,28 +158,47 @@ def prior_from_direction_range(
     truncated well past its k*|center| transition. The second moment is
     center-independent because the center phase has unit modulus.
     """
-    m = cfg.orders
+    return _direction_range_priors(p, [(cfg, freq)])[0]
+
+
+def _direction_range_priors(p: DirectionRangePrior, bins) -> list[FieldPrior]:
+    """prior_from_direction_range of each (cfg, freq) bin.
+
+    One bessel_j_orders call gives the Jacobi-Anger rows J_q(k rho) of
+    every bin with an off-origin center, to the largest truncation any of
+    them needs. A bin's values depend on the whole bin list (Miller's
+    start follows the top order and the largest argument), so priors that
+    must agree bit for bit come from the same list.
+    """
     lo, hi = p.angle_min, p.angle_max
     amp = complex(p.amplitude)
-    cx, cy = cfg.center
-    rho_c = math.hypot(cx, cy)
-    if rho_c < 1e-15:
-        mu = amp * _ipow(m) * _interval_phase_mean(m, lo, hi)
-    else:
-        k_rho = freq.wavenumber * rho_c
-        phi_c = math.atan2(cy, cx)
-        top = int(math.ceil(k_rho)) + 20
-        q = np.arange(-top, top + 1)
-        j_pos = specfun.bessel_j_orders(top, np.asarray([k_rho]))[:, 0]
-        j_q = np.where(q >= 0, j_pos[np.abs(q)], j_pos[np.abs(q)] * (1.0 - 2.0 * (np.abs(q) % 2)))
-        weights = _ipow(q) * j_q * np.exp(-1j * q * phi_c)
-        phase_mean = _interval_phase_mean(m[:, None] - q[None, :], lo, hi)
-        mu = amp * _ipow(m) * (phase_mean @ weights)
-    r = (abs(amp) ** 2) * _ipow(m[:, None] - m[None, :]) * _interval_phase_mean(
-        m[:, None] - m[None, :], lo, hi
-    )
-    sigma = _hermitize(r - np.outer(mu, mu.conj()))
-    return FieldPrior(mu, sigma, second_moment=_hermitize(r))
+    rho = [math.hypot(*cfg.center) for cfg, _ in bins]
+    off = [r >= 1e-15 for r in rho]
+    k_rho = np.array([freq.wavenumber * r for (_, freq), r in zip(bins, rho)])
+    tops = [int(math.ceil(x)) + 20 for x in k_rho]
+    if any(off):
+        # a centered bin's column takes the tiny-argument series, unused,
+        # and moves no other column
+        j_all = specfun.bessel_j_orders(max(t for t, o in zip(tops, off) if o), k_rho)
+    out = []
+    for b, (cfg, _) in enumerate(bins):
+        m = cfg.orders
+        if not off[b]:
+            mu = amp * _ipow(m) * _interval_phase_mean(m, lo, hi)
+        else:
+            q = np.arange(-tops[b], tops[b] + 1)
+            a = np.abs(q)
+            j_q = np.where(q < 0, (-1.0) ** a, 1.0) * j_all[a, b]  # J_{-n} = (-1)^n J_n
+            phi_c = math.atan2(cfg.center[1], cfg.center[0])
+            weights = _ipow(q) * j_q * np.exp(-1j * q * phi_c)
+            phase_mean = _interval_phase_mean(m[:, None] - q[None, :], lo, hi)
+            mu = amp * _ipow(m) * (phase_mean @ weights)
+        r = (abs(amp) ** 2) * _ipow(m[:, None] - m[None, :]) * _interval_phase_mean(
+            m[:, None] - m[None, :], lo, hi
+        )
+        sigma = _hermitize(r - np.outer(mu, mu.conj()))
+        out.append(FieldPrior(mu, sigma, second_moment=_hermitize(r)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,18 +101,31 @@ def weight_matrix_circle(
     Angular orthogonality kills every off-diagonal entry and
     W_mm = pi R^2 [J_m(kR)^2 - J_{m-1}(kR) J_{m+1}(kR)].
     """
-    cx, cy = cfg.center
-    if math.hypot(cx - region.center.x, cy - region.center.y) > 1e-12:
-        raise ValueError("closed form requires the expansion centered on the region")
-    x = freq.wavenumber * region.radius
-    j = specfun.bessel_j_orders(cfg.max_order + 1, np.asarray([x]))[:, 0]
-    m = np.arange(cfg.max_order + 1)
-    jm = j[m]
-    jprev = np.where(m >= 1, j[np.maximum(m - 1, 0)], -j[1])  # J_{-1} = -J_1
-    jnext = j[m + 1]
-    diag_pos = math.pi * region.radius ** 2 * (jm ** 2 - jprev * jnext)
-    diag = np.concatenate([diag_pos[:0:-1], diag_pos])  # W_{-m,-m} = W_{m,m}
-    return WeightMatrix(np.diag(diag).astype(np.complex128))
+    return _circle_weights(region, [(cfg, freq)])[0]
+
+
+def _circle_weights(region: CircularRegion, bins) -> list[WeightMatrix]:
+    """weight_matrix_circle of each (cfg, freq) bin, from one J block.
+
+    One bessel_j_orders call covers every bin's J(kR) row up to the
+    largest order any bin needs. A bin's values depend on the whole bin
+    list (Miller's start follows the top order and the largest argument),
+    so weights that must agree bit for bit come from the same list.
+    """
+    for cfg, _ in bins:
+        cx, cy = cfg.center
+        if math.hypot(cx - region.center.x, cy - region.center.y) > 1e-12:
+            raise ValueError("closed form requires the expansion centered on the region")
+    x = np.array([freq.wavenumber * region.radius for _, freq in bins])
+    j_all = specfun.bessel_j_orders(max(cfg.max_order for cfg, _ in bins) + 1, x)
+    out = []
+    for (cfg, _), j in zip(bins, j_all.T):
+        top = cfg.max_order
+        jprev = np.r_[-j[1], j[:top]]  # J_{-1} = -J_1
+        diag_pos = math.pi * region.radius ** 2 * (j[: top + 1] ** 2 - jprev * j[1 : top + 2])
+        diag = np.concatenate([diag_pos[:0:-1], diag_pos])  # W_{-m,-m} = W_{m,m}
+        out.append(WeightMatrix(np.diag(diag).astype(np.complex128)))
+    return out
 
 
 def weight_matrix_quadrature(

@@ -275,11 +275,14 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
         return values[:, 2] + 1j * values[:, 3]
 
     table = {(name, a, f): v for a, f, v, name in read_sdr_csv(str(out / "sdr.csv"))}
-    for cfg, freq in experiment._bins(config):
+    bins = experiment._bins(config)
+    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
         for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
             stem = "field_f%g_a%s" % (freq.hz, tag)
             for name, idx in placements.items():
-                ev = experiment._GridEvaluation(config, cfg, freq, grid, (angle,), {name: idx})
+                ev = experiment._GridEvaluation(
+                    config, cfg, freq, grid, (angle,), {name: idx}, weight
+                )
                 desired, basis = ev.grid_fields()
                 coeffs = ev.coefficients(idx)
                 want = (basis.T @ coeffs)[:, 0]
@@ -372,7 +375,8 @@ def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     assert len(union) < config.candidates.count
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = config.evaluation.angles_deg
-    ev = experiment._GridEvaluation(config, full.cfg, full.freq, grid, angles, placements)
+    (weight,) = experiment._weights(config, experiment._bins(config))
+    ev = experiment._GridEvaluation(config, full.cfg, full.freq, grid, angles, placements, weight)
     got, ref = ev.coeff, full.coeff[:, union]
     assert got.shape == ref.shape
     assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))
@@ -492,6 +496,25 @@ def test_priors_subcommand_matches_library(tmp_path):
     )
 
 
+def test_priors_subcommand_writes_the_placement_priors(tmp_path):
+    # an off-origin region over three bins: the dumped moments are
+    # build_problems' priors bit for bit (repr round-trips a float)
+    out = tmp_path / "run"
+    doc = _toy_doc(out, frequencies=[300.0, 500.0, 800.0],
+                   region={"center": [0.2, 0.1], "radius": 0.3})
+    assert main(["priors", "--config", _write(tmp_path, doc)]) == 0
+    problems = build_problems(ExperimentConfig.from_dict(doc))
+    assert len(problems) == 3
+    for p in problems:
+        tag = "%g" % p.freq.hz
+        mu = np.loadtxt(out / ("prior_mu_f%s.csv" % tag), delimiter=",", skiprows=1)
+        sig = np.loadtxt(out / ("prior_sigma_f%s.csv" % tag), delimiter=",", skiprows=1)
+        assert np.array_equal(mu[:, 1] + 1j * mu[:, 2], p.prior.mean)
+        assert np.array_equal(
+            (sig[:, 2] + 1j * sig[:, 3]).reshape(p.cfg.size, p.cfg.size), p.prior.covariance
+        )
+
+
 def test_conditioning_error_is_a_clean_cli_error(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ConditioningError("normal equations not positive definite: test")
@@ -562,7 +585,8 @@ def test_runtime_does_not_import_scipy(tmp_path):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
+    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS j-upward-vs-miller" in lines
     assert "PASS greedy-state-vs-direct" in lines
     assert "PASS graf-vs-direct" in lines
     assert "PASS sdr-coefficient-vs-grid" in lines

@@ -74,6 +74,54 @@ def test_build_problems_builds_the_image_table_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_paper_broadband_build_bessel_work(monkeypatch):
+    # the 20-bin build takes every bin's weight row J(kR) from one
+    # bessel_j_orders call and every prior row J(k rho) from one more; the
+    # Graf stream runs Miller's recurrence only where some order reaches
+    # the argument (2458 columns; 30258 while it served x < 2 M + 20)
+    calls, miller = [], []
+    inside = []
+    block, fixed = specfun.bessel_j_orders, specfun._j_fixed
+
+    def counted_block(max_order, x):
+        calls.append(np.size(x))
+        inside.append(True)
+        try:
+            return block(max_order, x)
+        finally:
+            inside.pop()
+
+    def counted_fixed(max_order, x):
+        if not inside:
+            miller.append(x.size)
+        return fixed(max_order, x)
+
+    monkeypatch.setattr(specfun, "bessel_j_orders", counted_block)
+    monkeypatch.setattr(specfun, "_j_fixed", counted_fixed)
+    problems = build_problems(paper_config(broadband=True))
+    assert len(problems) == 20
+    assert calls == [20, 20]
+    assert sum(miller) <= 2458
+
+
+def test_evaluation_weights_are_the_placement_weights(tmp_path, monkeypatch):
+    # over several bins, evaluation's weights are build_problems' bit for bit
+    config = _tiny_paper(tmp_path, broadband=True)
+    problems = build_problems(config)
+    seen = []
+    init = experiment._GridEvaluation.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self.weight.entries)
+
+    monkeypatch.setattr(experiment._GridEvaluation, "__init__", spy)
+    evaluate_placements(config, {"regular_b": baseline_indices(config, "regular_b")})
+    assert len(seen) == len(problems) == 3
+    for got, p in zip(seen, problems):
+        assert np.array_equal(got, p.weight.entries)
+
+
 @pytest.mark.parametrize("room", [False, True], ids=["free-field", "room"])
 def test_build_problems_matches_direct_graf_sum_in_every_bin(tmp_path, room):
     config = _tiny_paper(tmp_path, broadband=True, room=room)
@@ -250,8 +298,11 @@ def test_point_source_evaluation_makes_one_graf_build_per_bin(tmp_path, monkeypa
         np.testing.assert_array_equal(positions, want)
     grid = region_grid(config.region, spacing=0.05)
     room = config.room_model()
-    for cfg, freq in experiment._bins(config):
-        ev = experiment._GridEvaluation(config, cfg, freq, grid, (None,), info["placements"])
+    bins = experiment._bins(config)
+    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
+        ev = experiment._GridEvaluation(
+            config, cfg, freq, grid, (None,), info["placements"], weight
+        )
         (alone,) = graf([[-1.2, -0.7]], [(cfg, freq)], room)
         assert np.max(np.abs(ev.targets - alone)) <= 1e-12 * np.linalg.norm(alone)
 
@@ -279,8 +330,8 @@ def _assert_coefficient_sdrs_match_grid(config, placements):
     bins = experiment._bins(config)
     assert len(got) == len(rows) == len(placements) * len(bins) * len(angles)
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    for cfg, freq in bins:
-        ev = experiment._GridEvaluation(config, cfg, freq, grid, angles, placements)
+    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
+        ev = experiment._GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
         basis = ev.grid_fields()[1]
         desired = _exact_desired(config, grid, freq, angles)
         for name, idx in placements.items():

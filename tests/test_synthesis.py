@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sfsplace import specfun
 from sfsplace.config import square_loop
 from sfsplace.experiment import _bins, paper_config
-from sfsplace.room import RoomModel
+from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import (
     SDR_CAP_DB,
     ConditioningError,
@@ -495,6 +495,25 @@ def test_source_coeff_matrix_matches_scipy_in_every_paper_bin(free_field):
     room = None if free_field else config.room_model()
     bins = _bins(config)
     assert len(bins) == 20
+    for (cfg, freq), got in zip(bins, source_coeff_matrix(cand[idx], bins, room)):
+        want = graf_coeffs(cand[idx], cfg, freq, room)
+        err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() < 1e-12, (freq.hz, err.max())
+
+
+def test_source_coeff_matrix_matches_scipy_at_high_reflection_order():
+    # reflection order 20 (841 images, up to about 100 m away, so k d far
+    # past every order's transition) in the paper room: the 4 candidates
+    # nearest the region and 8 spread around the loop, against the direct
+    # scipy sum at the band's ends and middle
+    config = paper_config(broadband=True)
+    cand = config.candidate_positions()
+    dist = np.hypot(*(cand - np.array(config.region_center)).T)
+    idx = np.r_[np.argsort(dist, kind="stable")[:4], np.arange(12, 200, 25)]
+    room = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=20)
+    assert _images(cand[idx], room)[1].size == 841
+    bins = [b for b in _bins(config) if b[1].hz in (100.0, 1000.0, 2000.0)]
+    assert len(bins) == 3
     for (cfg, freq), got in zip(bins, source_coeff_matrix(cand[idx], bins, room)):
         want = graf_coeffs(cand[idx], cfg, freq, room)
         err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
