@@ -5,7 +5,7 @@ Subcommands:
   evaluate         SDR sweep for a stored or configured placement
   reproduce-paper  built-in reverberant study (narrowband + broadband)
   priors           dump the per-frequency prior moments as CSV
-  selftest         quick internal oracle checks
+  selftest         platform checks (Bessel values, Graf sums, determinism)
 
 place, evaluate and priors take --config FILE and --out DIR (overrides the
 configured output directory); evaluate also takes --placement CSV;
@@ -28,7 +28,6 @@ from .config import ExperimentConfig, load_config
 from .experiment import (
     TRUNCATION_TOL,
     _bins,
-    _weights,
     read_placement_csv,
     run_evaluate,
     run_place,
@@ -117,7 +116,8 @@ def cmd_priors(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
+# selftest: checks whose result can change with the platform's libm, BLAS
+# or long double; the platform-independent algebra is left to the tests
 
 
 def _check_cross_product_identity():
@@ -145,79 +145,6 @@ def _check_j_upward_vs_miller():
         ref = specfun._j_orders_miller(top, x)
         err = float(np.max(np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)))
         assert err <= 1e-12, "order %d: upward J off Miller's by %g" % (top, err)
-
-
-def _check_weight_quadrature():
-    from .synthesis import weight_matrix_circle, weight_matrix_quadrature
-    from .wavefield import CircularRegion, Point2
-
-    region = CircularRegion(Point2(0.2, -0.1), 0.4)
-    freq = Frequency(700.0)
-    cfg = expansion_for(region, freq)
-    w1 = weight_matrix_circle(region, cfg, freq).entries
-    w2 = weight_matrix_quadrature(region, cfg, freq).entries
-    d1, d2 = np.diag(w1).real, np.diag(w2).real
-    assert np.max(np.abs(d1 - d2) / d1) < 1e-6, "weight diagonals disagree"
-
-
-def _check_greedy_vs_exhaustive():
-    from .placement import FieldPrior, exhaustive_place, greedy_place
-    from .synthesis import identity_weight
-
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8))
-    mu = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    prior = FieldPrior.fixed_field(mu)
-    w = identity_weight(9)
-    greedy = greedy_place(c, w, prior, 1e-4, n_select=2)
-    _, opt = exhaustive_place(c, w, prior, 1e-4, 2)
-    assert opt <= greedy.cost_trace[-1] * (1 + 1e-12), "greedy beat exhaustive"
-    first, _ = exhaustive_place(c, w, prior, 1e-4, 1)
-    assert first[0] == greedy.indices[0], "first greedy pick not optimal"
-
-
-def _check_greedy_state_vs_direct():
-    from .placement import (
-        FieldPrior,
-        SelectionState,
-        _forms,
-        add_candidate,
-        candidate_deltas,
-        greedy_place,
-        placement_cost,
-    )
-
-    # L > K: past K picks the residual only shrinks in lam-sized directions
-    rng = np.random.default_rng(2)
-    k, n, lam = 6, 20, 1e-5
-    c = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    w = np.diag(rng.uniform(0.5, 2.0, k))
-    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    prior = FieldPrior(rng.standard_normal(k) + 1j * rng.standard_normal(k), v @ v.conj().T / k)
-    result = greedy_place(c, w, prior, lam, n_select=12)
-    state = SelectionState.from_problem(c, w, prior, lam)
-
-    def direct_q():
-        cs = c[:, list(state.selected)]
-        wcs = w @ cs
-        gram = wcs.conj().T @ cs + lam * np.eye(cs.shape[1])
-        return w - wcs @ np.linalg.solve(gram, wcs.conj().T)
-
-    # num and den as greedy reads them, against the forms of the direct Q_S
-    # (measured worst gap 8.5e-10, past the L = K pick)
-    for idx in result.indices:
-        candidate_deltas(state)
-        free = np.setdiff1d(np.arange(n), state.selected)
-        for mine, direct in zip((state.num, state.den), _forms(direct_q(), prior.second_moment, c)):
-            gap = np.max(np.abs(mine - direct)[free]) / np.max(np.abs(direct[free]))
-            assert gap <= 1e-8, "greedy num/den off the direct forms by %g" % gap
-        add_candidate(state, idx)
-    drift = float(np.max(np.abs(state.q - direct_q()))) / float(np.max(np.abs(w)))
-    assert drift <= 1e-8, "greedy Q_S off the direct Q_S by %g of scale" % drift
-    for step, cost in enumerate(result.cost_trace):
-        direct = placement_cost(result.indices[:step], prior, c, w, lam)
-        rel = abs(cost - direct) / abs(direct)
-        assert rel <= 1e-9, "trace entry %d off the direct cost by %g" % (step, rel)
 
 
 def _check_graf_vs_direct():
@@ -282,52 +209,12 @@ def _check_determinism():
             assert same, "%s differs between identical runs" % name
 
 
-def _check_planewave_expansion():
-    from .wavefield import CircularRegion, PlaneWave, Point2, _basis_matrix, planewave_coeffs
-
-    region = CircularRegion(Point2(0.5, 0.3), 0.5)
-    freq = Frequency(1000.0)
-    cfg = expansion_for(region, freq)
-    pw = PlaneWave(0.3, 1.0)
-    rng = np.random.default_rng(1)
-    r = 0.7 * region.radius * np.sqrt(rng.uniform(0, 1, 200))
-    th = rng.uniform(0, 2 * math.pi, 200)
-    pts = np.c_[0.5 + r * np.cos(th), 0.3 + r * np.sin(th)]
-    k = freq.wavenumber
-    exact = np.exp(1j * k * (pts @ [math.cos(0.3), math.sin(0.3)]))
-    got = _basis_matrix(cfg, pts, freq).T @ planewave_coeffs(pw, cfg, freq).values
-    assert np.max(np.abs(got - exact)) < 1e-6, "plane-wave expansion drifted"
-
-
-def _check_coefficient_sdr():
-    from .experiment import _eval_angles, _GridEvaluation, baseline_indices, place_greedy
-    from .synthesis import region_grid, sdr
-
-    config = _toy_config(os.devnull)
-    picks = {"proposed": place_greedy(config).indices,
-             "regular_b": baseline_indices(config, "regular_b")}
-    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    ((cfg, freq),) = bins = _bins(config)
-    (weight,) = _weights(config, bins)
-    ev = _GridEvaluation(config, cfg, freq, grid, _eval_angles(config), picks, weight)
-    desired, basis = ev.grid_fields()
-    for indices in picks.values():
-        coeffs = ev.coefficients(indices)
-        gap = np.max(np.abs(np.array(ev.sdrs(coeffs)) - sdr(desired, basis.T @ coeffs)))
-        assert gap <= 1e-9, "coefficient SDR off the grid SDR by %g dB" % gap
-
-
 def cmd_selftest(args) -> int:
     checks = [
         ("bessel-cross-product", _check_cross_product_identity),
         ("j-upward-vs-miller", _check_j_upward_vs_miller),
-        ("weight-quadrature", _check_weight_quadrature),
-        ("greedy-vs-exhaustive", _check_greedy_vs_exhaustive),
-        ("greedy-state-vs-direct", _check_greedy_state_vs_direct),
         ("run-determinism", _check_determinism),
-        ("planewave-expansion", _check_planewave_expansion),
         ("graf-vs-direct", _check_graf_vs_direct),
-        ("sdr-coefficient-vs-grid", _check_coefficient_sdr),
     ]
     failed = 0
     for name, fn in checks:
@@ -365,7 +252,7 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(fn=cmd_priors)
 
-    p = sub.add_parser("selftest", help="run quick internal oracle checks")
+    p = sub.add_parser("selftest", help="run the platform checks")
     p.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)

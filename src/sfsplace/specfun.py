@@ -271,9 +271,9 @@ def _j_seeded(max_order, x):
     SIAM Rev. 9(1), 1967; DLMF 10.74(iv)), so it serves x >= max_order + 1;
     below that Miller's recurrence takes over, and below _TINY_X the
     two-term series. Upward J is as good as its seeds, the same seeds Y
-    recurs up from (accuracy in the module docstring). The rule depends on max_order and each x alone,
-    and hankel1_rows and bessel_j_orders share it, so their J values agree
-    bit for bit.
+    recurs up from (accuracy in the module docstring). The rule depends on
+    max_order and each x alone, and hankel1_rows and bessel_j_orders share
+    it, so their J values agree bit for bit.
     """
     if max_order <= 1:
         return x >= _TINY_X

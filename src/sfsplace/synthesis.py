@@ -9,10 +9,9 @@ where columns of C hold source transfer-function expansion coefficients,
 b the desired-field coefficients, and W the Gram matrix of the basis
 functions over the region. For a disc concentric with the expansion the
 Gram matrix is diagonal with entries given by the Bessel integral
-int_0^x t J_m(t)^2 dt = (x^2/2)(J_m^2 - J_{m-1} J_{m+1}) (DLMF 10.22.5);
-general regions fall back to tensor polar quadrature. Weighting by W is
-what makes the coefficient-domain residual track the true regional error,
-as opposed to plain mode matching (W = I).
+int_0^x t J_m(t)^2 dt = (x^2/2)(J_m^2 - J_{m-1} J_{m+1}) (DLMF 10.22.5).
+Weighting by W is what makes the coefficient-domain residual track the
+true regional error, as opposed to plain mode matching (W = I).
 """
 
 from __future__ import annotations
@@ -36,13 +35,11 @@ __all__ = [
     "ConditioningError",
     "WeightMatrix",
     "weight_matrix_circle",
-    "weight_matrix_quadrature",
     "identity_weight",
     "source_coeff_matrix",
     "solve_wmm",
     "synthesis_lambda",
     "region_grid",
-    "sdr",
 ]
 
 SDR_CAP_DB = 300.0
@@ -126,37 +123,6 @@ def _circle_weights(region: CircularRegion, bins) -> list[WeightMatrix]:
         diag = np.concatenate([diag_pos[:0:-1], diag_pos])  # W_{-m,-m} = W_{m,m}
         out.append(WeightMatrix(np.diag(diag).astype(np.complex128)))
     return out
-
-
-def weight_matrix_quadrature(
-    region: CircularRegion,
-    cfg: ExpansionConfig,
-    freq: Frequency,
-    n_radial: int | None = None,
-    n_angular: int | None = None,
-) -> WeightMatrix:
-    """Gram matrix by Gauss-Legendre (radial) x uniform (angular) quadrature.
-
-    The uniform angular rule is exact for the trigonometric polynomials the
-    integrand contains once n_angular exceeds twice the top harmonic, hence
-    the n_angular >= 4M precondition.
-    """
-    mmax = cfg.max_order
-    if n_angular is None:
-        n_angular = max(64, 4 * mmax + 8)
-    if n_angular < 4 * mmax:
-        raise ValueError("n_angular must be at least 4x the truncation order")
-    if n_radial is None:
-        n_radial = max(32, mmax + int(math.ceil(freq.wavenumber * region.radius)) + 8)
-    nodes, gl_w = np.polynomial.legendre.leggauss(n_radial)
-    r = 0.5 * region.radius * (nodes + 1.0)
-    wr = 0.5 * region.radius * gl_w * r  # area element r dr
-    th = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    wth = 2.0 * math.pi / n_angular
-    pts = np.empty((n_radial * n_angular, 2))
-    pts[:, 0] = region.center.x + np.outer(r, np.cos(th)).ravel()
-    pts[:, 1] = region.center.y + np.outer(r, np.sin(th)).ravel()
-    return _point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
 
 
 def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[np.ndarray]:
@@ -305,22 +271,6 @@ def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:
     return np.c_[region.center.x + xx[keep], region.center.y + yy[keep]]
 
 
-def sdr(u_des, u_syn):
-    """Signal-to-distortion ratio in dB over a uniform sample grid.
-
-    10 log10(sum |u_des|^2 / sum |u_des - u_syn|^2), summed over axis 0 and
-    capped at 300 dB for a vanishing error: a float for 1-D samples, one
-    value per column for (G, A) samples. Non-finite samples and a desired
-    column with zero energy are rejected (_sdr_db).
-    """
-    des = np.asarray(u_des)
-    syn = np.asarray(u_syn)
-    if des.shape != syn.shape:
-        raise ValueError("field sample arrays must have equal shape")
-    sig = np.sum(np.abs(des) ** 2, axis=0)
-    return _sdr_db(sig, np.sum(np.abs(des - syn) ** 2, axis=0))
-
-
 def _coeff_sdr(energy, cross, gram, coeffs):
     """SDR per column of fields given by their expansion coefficients.
 
@@ -346,9 +296,10 @@ def _coeff_sdr(energy, cross, gram, coeffs):
 def _sdr_db(signal, error):
     """10 log10(signal / error) in dB per column, capped at SDR_CAP_DB.
 
-    Shared by sdr and _coeff_sdr. Non-finite energies (from a non-finite
-    sample or coefficient) and a zero signal energy are rejected; an error
-    energy at or below zero gives the cap.
+    Shared by _coeff_sdr and the grid-domain oracle sdr in tests/oracles.py.
+    Non-finite energies (from a non-finite sample or coefficient) and a zero
+    signal energy are rejected; an error energy at or below zero gives the
+    cap.
     """
     sig = np.asarray(signal, dtype=np.float64)
     err = np.asarray(error, dtype=np.float64)

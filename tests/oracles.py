@@ -6,15 +6,27 @@ so a test can compare the two. The library has one propagation model, the
 Graf expansion of each source's images; direct_transfer (the image sum of
 (i/4) H_0^(1) in the field domain) and graf_coeffs (the per-order Graf sum)
 are the direct models it is checked against. Both take their Bessel and
-Hankel values from scipy.special, never from sfsplace.specfun.
+Hankel values from scipy.special, never from sfsplace.specfun. The weight
+has a closed form in the library; weight_matrix_quadrature integrates the
+same Gram matrix numerically. The library takes SDRs from expansion
+coefficients; sdr takes them from sampled fields.
 """
+
+import math
 
 import numpy as np
 import scipy.special
 
 from sfsplace.room import RoomModel, _images
-from sfsplace.synthesis import WeightMatrix, identity_weight
-from sfsplace.wavefield import ExpansionCoeffs, Frequency, _as_points, _basis_matrix
+from sfsplace.synthesis import WeightMatrix, _point_gram, _sdr_db, identity_weight
+from sfsplace.wavefield import (
+    CircularRegion,
+    ExpansionCoeffs,
+    ExpansionConfig,
+    Frequency,
+    _as_points,
+    _basis_matrix,
+)
 
 # grid points of the direct truncation check: half the outermost (truncation
 # error peaks at the rim), half an even stride over the whole grid
@@ -35,6 +47,54 @@ def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> flo
     r = c @ d - b
     val = float((r.conj() @ (w @ r)).real) + lam * float((d.conj() @ d).real)
     return val
+
+
+def weight_matrix_quadrature(
+    region: CircularRegion,
+    cfg: ExpansionConfig,
+    freq: Frequency,
+    n_radial: int | None = None,
+    n_angular: int | None = None,
+) -> WeightMatrix:
+    """Gram matrix by Gauss-Legendre (radial) x uniform (angular) quadrature.
+
+    The uniform angular rule is exact for the trigonometric polynomials the
+    integrand contains once n_angular exceeds twice the top harmonic, hence
+    the n_angular >= 4M precondition.
+    """
+    mmax = cfg.max_order
+    if n_angular is None:
+        n_angular = max(64, 4 * mmax + 8)
+    if n_angular < 4 * mmax:
+        raise ValueError("n_angular must be at least 4x the truncation order")
+    if n_radial is None:
+        n_radial = max(32, mmax + int(math.ceil(freq.wavenumber * region.radius)) + 8)
+    nodes, gl_w = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * region.radius * (nodes + 1.0)
+    wr = 0.5 * region.radius * gl_w * r  # area element r dr
+    th = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    wth = 2.0 * math.pi / n_angular
+    pts = np.empty((n_radial * n_angular, 2))
+    pts[:, 0] = region.center.x + np.outer(r, np.cos(th)).ravel()
+    pts[:, 1] = region.center.y + np.outer(r, np.sin(th)).ravel()
+    return _point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
+
+
+def sdr(u_des, u_syn):
+    """Signal-to-distortion ratio in dB over a uniform sample grid.
+
+    10 log10(sum |u_des|^2 / sum |u_des - u_syn|^2), summed over axis 0 and
+    capped at 300 dB for a vanishing error: a float for 1-D samples, one
+    value per column for (G, A) samples. Non-finite samples and a desired
+    column with zero energy are rejected (_sdr_db).
+    """
+    des = np.asarray(u_des)
+    syn = np.asarray(u_syn)
+    if des.shape != syn.shape:
+        raise ValueError("field sample arrays must have equal shape")
+    sig = np.sum(np.abs(des) ** 2, axis=0)
+    return _sdr_db(sig, np.sum(np.abs(des - syn) ** 2, axis=0))
+
 
 
 def direct_transfer(points, sources, freq: Frequency, room: RoomModel | None = None):

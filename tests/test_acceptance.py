@@ -27,11 +27,7 @@ from sfsplace.placement import (
     prior_from_direction_range,
 )
 from sfsplace.specfun import hankel1_rows
-from sfsplace.synthesis import (
-    source_coeff_matrix,
-    weight_matrix_circle,
-    weight_matrix_quadrature,
-)
+from sfsplace.synthesis import source_coeff_matrix, weight_matrix_circle
 from sfsplace.wavefield import (
     CircularRegion,
     ExpansionCoeffs,
@@ -40,7 +36,7 @@ from sfsplace.wavefield import (
     expansion_for,
 )
 
-from oracles import direct_transfer
+from oracles import direct_transfer, weight_matrix_quadrature
 
 # the reference study geometry used by criteria 3, 4 and 6
 REGION = CircularRegion((0.5, 0.3), 0.5)

@@ -17,8 +17,10 @@ MODULES = sorted(
 # pipeline path calls, which live in tests/oracles.py; and the direct
 # image-source transfer with its Y and Hankel order blocks, since the Graf
 # expansion is the one propagation model (tests check it against the
-# scipy-based oracles); and the row-blocked update of the K x N greedy
-# arrays, since the greedy state keeps two length-N forms instead
+# scipy-based oracles); the row-blocked update of the K x N greedy
+# arrays, since the greedy state keeps two length-N forms instead; and the
+# selftest checks of platform-independent algebra, which the tests assert,
+# with the two oracles only they and the tests used (in tests/oracles.py)
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
@@ -30,7 +32,10 @@ DELETED = {
     "room": ("room_transfer", "transfer_matrix", "_TRANSFER_BLOCK", "room_transfer_many",
              "image_sources", "ImageSource"),
     "synthesis": ("solve_mode_matching", "synthesize_field", "wmm_residual",
-                  "build_pressure_matching"),
+                  "build_pressure_matching", "weight_matrix_quadrature", "sdr"),
+    "cli": ("_check_weight_quadrature", "_check_greedy_vs_exhaustive",
+            "_check_greedy_state_vs_direct", "_check_planewave_expansion",
+            "_check_coefficient_sdr"),
 }
 
 

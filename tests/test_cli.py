@@ -33,7 +33,6 @@ from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
     region_grid,
-    sdr,
     solve_wmm,
     synthesis_lambda,
 )
@@ -45,7 +44,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import direct_transfer
+from oracles import direct_transfer, sdr
 
 
 def _toy_doc(out, **over):
@@ -554,7 +553,8 @@ def test_evaluation_needs_no_placement_problems():
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # a fresh interpreter: pytest and the test oracles already import scipy
+    # a fresh interpreter: pytest and the test oracles already import scipy,
+    # and the pipeline and selftest must run without either
     script = textwrap.dedent(
         """
         import sys
@@ -564,7 +564,8 @@ def test_runtime_does_not_import_scipy(tmp_path):
         config = cli._toy_config(sys.argv[1])
         info = cli.run_place(config)
         cli.run_evaluate(config, indices=info["result"].indices)
-        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert cli.main(["selftest"]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy") or m == "oracles")
         assert not loaded, loaded
         """
     )
@@ -584,12 +585,12 @@ def test_runtime_does_not_import_scipy(tmp_path):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines)
-    assert "PASS j-upward-vs-miller" in lines
-    assert "PASS greedy-state-vs-direct" in lines
-    assert "PASS graf-vs-direct" in lines
-    assert "PASS sdr-coefficient-vs-grid" in lines
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS bessel-cross-product",
+        "PASS j-upward-vs-miller",
+        "PASS run-determinism",
+        "PASS graf-vs-direct",
+    ]
 
 
 def test_bad_config_path_fails(tmp_path, capsys):

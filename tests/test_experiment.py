@@ -18,7 +18,7 @@ from sfsplace.experiment import (
     paper_config,
     place_greedy,
 )
-from sfsplace.synthesis import region_grid, sdr, solve_wmm, source_coeff_matrix, synthesis_lambda
+from sfsplace.synthesis import region_grid, solve_wmm, source_coeff_matrix, synthesis_lambda
 from sfsplace.wavefield import (
     ExpansionConfig,
     Frequency,
@@ -27,7 +27,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import column_errors, direct_transfer, graf_coeffs
+from oracles import column_errors, direct_transfer, graf_coeffs, sdr
 
 # the truncation estimate may over-report the direct error by up to this
 # factor (measured: 1.14-2.00 on the paper bins, 1.23-1.76 on the sweep)
@@ -321,7 +321,7 @@ def _exact_desired(config, grid, freq, angles):
 
 
 def _assert_coefficient_sdrs_match_grid(config, placements):
-    # every row of the table against synthesis.sdr on the grid fields (the
+    # every row of the table against oracles.sdr on the grid fields (the
     # exact desired field and the order-M expansion of each placement),
     # within 1e-9 dB
     rows, _ = evaluate_placements(config, placements)

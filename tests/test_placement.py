@@ -15,6 +15,7 @@ from sfsplace.placement import (
     DirectionRangePrior,
     FieldPrior,
     SelectionState,
+    _forms,
     add_candidate,
     broadband_cost,
     candidate_deltas,
@@ -553,17 +554,38 @@ def test_greedy_tie_breaks_to_lowest_index():
     assert runs[0] == runs[1]
 
 
+def _unnormalized_problem(seed, k, n):
+    """A random L > K problem without unit columns; v is drawn before mu."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    w = WeightMatrix(np.diag(rng.uniform(0.5, 2.0, k)))
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    mu = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return c, w, FieldPrior(mu, v @ v.conj().T / k)
+
+
 def test_greedy_more_sources_than_modes():
     # past L = K picks the residual only shrinks in lam-sized directions;
-    # the state and the exact trace must still match direct recomputation
-    k, n, n_select, lam = 8, 40, 30, 1e-5
-    for seed in range(20):
-        c, w, prior = _more_sources_than_modes_problem(seed, k, n)
+    # the state, num and den as greedy reads them (after candidate_deltas)
+    # and the exact trace must still match direct recomputation from a
+    # directly solved Q_S. Measured worst num/den gaps: 7.4e-9 / 9.4e-11
+    # over the 20 seeds, 8.5e-10 / 1.9e-10 on the K = 6, N = 20 problem.
+    lam = 1e-5
+    runs = [(_more_sources_than_modes_problem(seed, 8, 40), 30) for seed in range(20)]
+    runs.append((_unnormalized_problem(2, 6, 20), 12))
+    for (c, w, prior), n_select in runs:
         result = greedy_place(c, w, prior, lam, n_select=n_select)
         assert np.all(np.diff(result.cost_trace) <= 0.0)
         scale = np.max(np.abs(w.entries))
         state = SelectionState.from_problem(c, w, prior, lam)
+        direct_q = w.entries
         for step, idx in enumerate(result.indices, start=1):
+            candidate_deltas(state)
+            free = np.setdiff1d(np.arange(c.shape[1]), state.selected)
+            for mine, direct in zip((state.num, state.den),
+                                    _forms(direct_q, prior.second_moment, c)):
+                gap = np.max(np.abs(mine - direct)[free]) / np.max(np.abs(direct[free]))
+                assert gap <= 1e-8
             state = add_candidate(state, idx)
             direct_q = _direct_q(c, w.entries, state.selected, lam)
             assert np.max(np.abs(state.q - direct_q)) <= 1e-8 * scale

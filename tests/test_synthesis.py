@@ -21,12 +21,10 @@ from sfsplace.synthesis import (
     _sdr_db,
     identity_weight,
     region_grid,
-    sdr,
     solve_wmm,
     source_coeff_matrix,
     synthesis_lambda,
     weight_matrix_circle,
-    weight_matrix_quadrature,
 )
 from sfsplace.wavefield import (
     CircularRegion,
@@ -39,7 +37,14 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import build_pressure_matching, direct_transfer, graf_coeffs, wmm_residual
+from oracles import (
+    build_pressure_matching,
+    direct_transfer,
+    graf_coeffs,
+    sdr,
+    weight_matrix_quadrature,
+    wmm_residual,
+)
 
 REGION = CircularRegion(Point2(0.5, 0.3), 0.5)
 PAPER_ROOM = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=10)
