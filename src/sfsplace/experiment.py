@@ -152,11 +152,12 @@ def baseline_indices(config: ExperimentConfig, name: str) -> tuple[int, ...]:
 # theorem the synthesized field on the grid is B^T C d for the basis
 # B = J_m(k r) e^{i m phi} (K x G), and its error energy is a quadratic form
 # in the coefficients C d whose grid weights are built once per frequency
-# (_GridEvaluation). Evaluation needs no placement problem: per bin it builds
-# the Graf columns of the selected sources only, TAIL_ORDERS orders past M
-# (plus a point-source desired field's column, GRID_ORDERS past M). Their
-# middle K rows are C; the rest is each source's own Graf tail, from which
-# the truncation to |m| <= M is estimated (_truncation_errors).
+# (_GridEvaluation). Evaluation needs no placement problem: one Graf build
+# over the bin list gives every bin's columns of the selected sources only,
+# TAIL_ORDERS orders past M (plus a point-source desired field's column,
+# GRID_ORDERS past M). Their middle K rows are C; the rest is each source's
+# own Graf tail, from which the truncation to |m| <= M is estimated
+# (_truncation_errors).
 
 # Largest estimated relative column error on the rim that evaluation
 # accepts. Over the bundled study's 200 candidates (the nearest at twice the
@@ -194,12 +195,13 @@ def _plane_waves(points, freq, angles):
     return np.exp(1j * freq.wavenumber * (points @ np.array([np.cos(phi), np.sin(phi)])))
 
 
-def _truncation_errors(coeff, sources, cfg, freq) -> np.ndarray:
+def _truncation_errors(coeff, sources, cfg, rim) -> np.ndarray:
     """Estimated relative truncation error of each source's expansion column.
 
     coeff holds the sources' Graf columns built D = TAIL_ORDERS orders past
-    M. Estimates the error on the rim circle r = R = cfg.valid_radius,
-    where it peaks, relative to the column. With t_m = |J_|m|(kR) c_ms|^2
+    M, and rim the row J_n(kR), n = 0..M + D (or more). Estimates the error
+    on the rim circle r = R = cfg.valid_radius, where it peaks, relative to
+    the column. With t_m = |J_|m|(kR) c_ms|^2
 
         eps_s^2 = (sum_{M<|m|<=M+D} t_m + (t_{-M-D} + t_{M+D}) q/(1-q))
                   / sum_{|m|<=M+D} t_m,   q = (R/d_s)^2.
@@ -210,8 +212,7 @@ def _truncation_errors(coeff, sources, cfg, freq) -> np.ndarray:
     """
     top = cfg.max_order + TAIL_ORDERS
     order = np.abs(np.arange(-top, top + 1))
-    j = bessel_j_orders(top, np.array([freq.wavenumber * cfg.valid_radius]))[order]
-    t = np.abs(j * coeff) ** 2
+    t = np.abs(rim[order, None] * coeff) ** 2
     dist = np.hypot(sources[:, 0] - cfg.center.x, sources[:, 1] - cfg.center.y)
     q = (cfg.valid_radius / dist) ** 2
     tail = t[order > cfg.max_order].sum(axis=0) + (t[0] + t[-1]) * q / (1.0 - q)
@@ -220,9 +221,6 @@ def _truncation_errors(coeff, sources, cfg, freq) -> np.ndarray:
 
 class _GridEvaluation:
     """Evaluation data of one frequency, shared by every placement in it.
-
-    selections maps each placement's name to its candidate indices; every
-    placement must hold at least one index, and distinct indices in [0, N).
 
     The SDRs come from each placement's expansion coefficients a = C d
     (synthesis._coeff_sdr): the grid enters only through the Gram
@@ -240,41 +238,19 @@ class _GridEvaluation:
     X = P t_x and E is the energy of that one grid field.
 
     Also holds the solve-domain targets (order-M coefficients), the
-    method's weight (given: the bin's entry of _weights over all of the
-    config's bins) and C for the union of selected sources: one Graf
-    build TAIL_ORDERS orders past M, whose tail gives the truncation check
-    and whose middle K rows are C. A point-source desired field is one more
-    column of that build, which then runs GRID_ORDERS past M to give t_x;
-    the check reads its rows to M + TAIL_ORDERS and covers the desired
-    column too, and that column's middle K rows are the targets.
+    method's weight (the bin's entry of _weights over all of the config's
+    bins) and C for the union of selected sources: the middle K rows of
+    the bin's Graf build cols (_evaluations), in which column[i] is
+    candidate i's column and whose tail gave the truncation check. A
+    point-source desired field is the build's last column, whose middle K
+    rows are the targets.
     """
 
-    def __init__(self, config, cfg, freq, grid, angles, selections, weight):
-        positions = config.candidate_positions()
-        n = len(positions)
-        for name, idx in selections.items():
-            if len(idx) == 0:
-                raise ValueError("placement %r is empty: it selects no loudspeaker" % name)
-            if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
-                msg = "placement %r: indices must be distinct and in [0, %d)"
-                raise ValueError(msg % (name, n))
-        union = sorted({int(i) for sel in selections.values() for i in sel})
+    def __init__(self, config, cfg, freq, grid, angles, column, cols, weight, truncation_error):
         self.config, self.cfg, self.freq = config, cfg, freq
         self.grid, self.angles = grid, angles
-        room = config.room_model()
-        self.column = {i: j for j, i in enumerate(union)}
-        sources = positions[union]
-        ev = config.evaluation
-        point = ev.desired == "point_source"
-        # a point-source target is one more column of the same build, which
-        # then reaches the grid basis' order to project it
-        extra = GRID_ORDERS if point else TAIL_ORDERS
-        built = np.vstack([sources, [ev.desired_position]]) if point else sources
-        build_cfg = ExpansionConfig(cfg.max_order + extra, cfg.center, cfg.valid_radius)
-        (cols,) = source_coeff_matrix(built, [(build_cfg, freq)], room)
-        tail = cols[extra - TAIL_ORDERS : extra + TAIL_ORDERS + cfg.size]
-        names = ["candidate %d" % i for i in union] + ["the desired source"]
-        self.truncation_error = self._check_truncation(tail, built, names, len(union))
+        self.column, self.truncation_error = column, truncation_error
+        extra = (cols.shape[0] - cfg.size) // 2
         self.coeff = cols[extra : extra + cfg.size]
         self.weight = weight
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
@@ -283,8 +259,9 @@ class _GridEvaluation:
         sign = (-1.0) ** np.abs(cfg.orders)[:, None]
         proj = sign * (basis[mid] @ basis.T)[::-1]
         self.gram = proj[:, mid]
+        point = config.evaluation.desired == "point_source"
         if point:  # the desired source's column, to order M + GRID_ORDERS
-            wave = cols[:, len(union) :]
+            wave = cols[:, len(self.column) :]
         else:
             wave = _planewave_matrix(wide, freq, [math.radians(a) for a in angles])
         self.targets = wave[mid]
@@ -295,20 +272,6 @@ class _GridEvaluation:
         else:
             self._desired = None
             self.energy = np.full(len(angles), float(len(grid)))
-
-    def _check_truncation(self, tail, built, names, n_selected) -> float:
-        """The largest truncation estimate of the selected sources (the
-        first n_selected columns); TruncationError if any built column's,
-        named by names, exceeds TRUNCATION_TOL."""
-        err = _truncation_errors(tail, built, self.cfg, self.freq)
-        if not err.max(initial=0.0) <= TRUNCATION_TOL:
-            worst = int(np.argmax(err))
-            raise TruncationError(
-                "expansion truncation error %.3g exceeds the tolerance %g at %g Hz "
-                "(%s at (%.6g, %.6g) is too close to the target region)"
-                % (err[worst], TRUNCATION_TOL, self.freq.hz, names[worst], *built[worst])
-            )
-        return float(err[:n_selected].max(initial=0.0))
 
     def coefficients(self, indices) -> np.ndarray:
         """Expansion coefficients C d of one placement's field, one column per angle."""
@@ -333,6 +296,61 @@ class _GridEvaluation:
         return desired, _basis_matrix(self.cfg, self.grid, self.freq)
 
 
+def _evaluations(config, grid, angles, selections):
+    """One _GridEvaluation per configured bin, in order.
+
+    selections maps each placement's name to its candidate indices; every
+    placement must hold at least one index, and distinct indices in [0, N).
+    One source_coeff_matrix call over the bin list builds the Graf columns
+    of the selections' union, TAIL_ORDERS orders past each bin's M, or
+    GRID_ORDERS with a point-source desired field, whose column comes
+    last; one bessel_j_orders call gives every bin's rim row J(kR), and
+    one _weights call every weight. Before any evaluation is built, a
+    column (the desired one included) whose estimate (_truncation_errors)
+    exceeds TRUNCATION_TOL raises TruncationError naming its bin and
+    source.
+    """
+    positions = config.candidate_positions()
+    n = len(positions)
+    for name, idx in selections.items():
+        if len(idx) == 0:
+            raise ValueError("placement %r is empty: it selects no loudspeaker" % name)
+        if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+            msg = "placement %r: indices must be distinct and in [0, %d)"
+            raise ValueError(msg % (name, n))
+    union = sorted({int(i) for sel in selections.values() for i in sel})
+    ev = config.evaluation
+    point = ev.desired == "point_source"
+    # a point-source target is one more column of the same build, which
+    # then reaches the grid basis' order to project it
+    extra = GRID_ORDERS if point else TAIL_ORDERS
+    built = np.vstack([positions[union], [ev.desired_position]]) if point else positions[union]
+    bins = _bins(config)
+    wide = [
+        (ExpansionConfig(cfg.max_order + extra, cfg.center, cfg.valid_radius), freq)
+        for cfg, freq in bins
+    ]
+    cols = source_coeff_matrix(built, wide, config.room_model())
+    top = max(cfg.max_order for cfg, _ in bins) + TAIL_ORDERS
+    rims = bessel_j_orders(top, [freq.wavenumber * cfg.valid_radius for cfg, freq in bins])
+    names = ["candidate %d" % i for i in union] + ["the desired source"]
+    worst = []
+    for (cfg, freq), c, rim in zip(bins, cols, rims.T):
+        tail = c[extra - TAIL_ORDERS : extra + TAIL_ORDERS + cfg.size]
+        err = _truncation_errors(tail, built, cfg, rim)
+        if not err.max(initial=0.0) <= TRUNCATION_TOL:
+            i = int(np.argmax(err))
+            raise TruncationError(
+                "expansion truncation error %.3g exceeds the tolerance %g at %g Hz "
+                "(%s at (%.6g, %.6g) is too close to the target region)"
+                % (err[i], TRUNCATION_TOL, freq.hz, names[i], *built[i])
+            )
+        worst.append(float(err[: len(union)].max(initial=0.0)))
+    column = {i: j for j, i in enumerate(union)}
+    for (cfg, freq), c, weight, err in zip(bins, cols, _weights(config, bins), worst):
+        yield _GridEvaluation(config, cfg, freq, grid, angles, column, c, weight, err)
+
+
 def _eval_angles(config) -> tuple:
     # a point-source desired field has no propagation angle; one row
     if config.evaluation.desired == "point_source":
@@ -347,28 +365,28 @@ def evaluate_placements(config: ExperimentConfig, placements: dict, field_dir=No
 
     placements maps names to candidate indices; a placement whose indices
     are not distinct and in [0, N) is rejected with a ValueError. Per bin
-    one _GridEvaluation serves every placement: one Graf build of the
-    selected sources' columns, one solve for all angles per placement, and
-    the SDRs from the coefficients through the grid Gram and the desired
-    field's projection, without a grid field. With field_dir, each bin's
-    field dumps (see write_field_set) are written there from the same
-    evaluation and the same solves; only then are grid fields formed.
+    one _GridEvaluation serves every placement: its share of one Graf build
+    of the selected sources' columns over the bin list (_evaluations), one
+    solve for all angles per placement, and the SDRs from the coefficients
+    through the grid Gram and the desired field's projection, without a
+    grid field. With field_dir, each bin's field dumps (see
+    write_field_set) are written there from the same evaluation and the
+    same solves; only then are grid fields formed.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = _eval_angles(config)
     names = sorted(placements)
+    grid_text = None if field_dir is None else _grid_text(grid)
     rows = []
     worst = 0.0
-    bins = _bins(config)
-    for (cfg, freq), weight in zip(bins, _weights(config, bins)):
-        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
+    for ev in _evaluations(config, grid, angles, placements):
         worst = max(worst, ev.truncation_error)
-        dump = None if field_dir is None else _field_writer(field_dir, config, ev)
+        dump = None if field_dir is None else _field_writer(field_dir, config, ev, grid_text)
         for name in names:
             coeffs = ev.coefficients(placements[name])
             if dump is not None:
                 dump(name, coeffs)
-            rows.extend((a, freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
+            rows.extend((a, ev.freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
         del ev, dump  # one evaluation at a time: this bin's goes before the next is built
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
@@ -429,11 +447,19 @@ def read_sdr_csv(path) -> list:
     return rows
 
 
-def write_field_csv(path_base, grid, values, meta):
-    # repr of each column's Python floats: the same text as _fmt per value
-    cols = (grid[:, 0], grid[:, 1], values.real, values.imag)
-    rows = zip(*(map(repr, col.tolist()) for col in cols))
-    write_csv(path_base + ".csv", ("x", "y", "re", "im"), rows)
+def _grid_text(grid) -> list[str]:
+    """Each grid point's "x,y," prefix of a field CSV row (_fmt's text)."""
+    return [repr(x) + "," + repr(y) + "," for x, y in grid.tolist()]
+
+
+def write_field_csv(path_base, grid_text, values, meta):
+    # repr of each value's Python float: the same text as _fmt per value
+    rows = [
+        p + repr(re) + "," + repr(im) + "\n"
+        for p, re, im in zip(grid_text, values.real.tolist(), values.imag.tolist())
+    ]
+    with open(path_base + ".csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,re,im\n" + "".join(rows))
     with open(path_base + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -460,11 +486,12 @@ def _field_meta(config, freq_hz, angle_deg, kind, extra=None):
     return meta
 
 
-def _field_writer(out_dir, config, ev, tag=""):
+def _field_writer(out_dir, config, ev, grid_text, tag=""):
     """Write one frequency's desired fields (one per angle of ev) and return
     the writer of a placement's synthesized and error fields, given its
-    expansion coefficients (one column per angle)."""
-    f_hz, grid, angles = ev.freq.hz, ev.grid, ev.angles
+    expansion coefficients (one column per angle). grid_text is
+    _grid_text(ev.grid), formatted once per grid."""
+    f_hz, angles = ev.freq.hz, ev.angles
     desired, basis = ev.grid_fields()
     rms = [math.sqrt(float(np.mean(np.abs(u) ** 2))) for u in desired.T]
     stems = [
@@ -473,7 +500,7 @@ def _field_writer(out_dir, config, ev, tag=""):
     ]
     for j, (a, stem) in enumerate(zip(angles, stems)):
         write_field_csv(
-            stem + "_desired", grid, desired[:, j], _field_meta(config, f_hz, a, "desired")
+            stem + "_desired", grid_text, desired[:, j], _field_meta(config, f_hz, a, "desired")
         )
 
     def write(name, coeffs):
@@ -481,13 +508,13 @@ def _field_writer(out_dir, config, ev, tag=""):
         for j, (a, stem) in enumerate(zip(angles, stems)):
             write_field_csv(
                 "%s_%s_synthesized" % (stem, name),
-                grid,
+                grid_text,
                 u_syn[:, j],
                 _field_meta(config, f_hz, a, "synthesized", {"method": name}),
             )
             write_field_csv(
                 "%s_%s_error" % (stem, name),
-                grid,
+                grid_text,
                 (u_syn[:, j] - desired[:, j]) / rms[j],
                 _field_meta(
                     config, f_hz, a, "error", {"method": name, "normalization": rms[j]}
@@ -504,10 +531,9 @@ def write_field_set(out_dir, config, placements, angles, tag=""):
     placement serve every angle.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    bins = _bins(config)
-    for (cfg, freq), weight in zip(bins, _weights(config, bins)):
-        ev = _GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
-        dump = _field_writer(out_dir, config, ev, tag)
+    grid_text = _grid_text(grid)
+    for ev in _evaluations(config, grid, angles, placements):
+        dump = _field_writer(out_dir, config, ev, grid_text, tag)
         for name, indices in placements.items():
             dump(name, ev.coefficients(indices))
         del ev, dump

@@ -8,10 +8,12 @@ beta_left^|n-q| beta_right^|n| (q = 0 keeps +x', q = 1 flips), and the
 same along y; a 2D image is a pair of 1D images with the reflection
 counts adding. None of offset 2 n L, sign and gain depends on the
 source, so one table per room, up to a total reflection count, places
-the images of any number of sources at once. The runtime has one
-propagation model for them: synthesis.source_coeff_matrix expands each
-source's images about the expansion center with Graf's addition theorem,
-and every field is formed from those coefficients.
+the images of any number of sources at once. Images of one sign form a
+lattice: image i of a source s is image i of any point p shifted by
+sign[i] * (s - p). The runtime has one propagation model for them:
+synthesis.source_coeff_matrix expands each source's images about the
+expansion center with Graf's addition theorem (the far ones of each sign
+through that shift), and every field is formed from those coefficients.
 """
 
 from __future__ import annotations
@@ -67,15 +69,26 @@ class RoomModel:
 class _ImageTable(NamedTuple):
     """Mirror images of one room, independent of the source position.
 
-    Image i of a source s sits at (offset[i] + sign[i] * (s + L/2)) - L/2
-    on each axis (L the room size) and carries gain[i] after order[i]
-    reflections.
+    Image i of a source s sits at (offset[i] + sign[i] * (s + half)) - half
+    on each axis (half = L/2, L the room size) and carries gain[i] after
+    order[i] reflections.
     """
 
     offset: np.ndarray  # (I, 2) axis offsets 2 n L
     sign: np.ndarray  # (I, 2) +1 keeps, -1 flips the corner coordinate
     gain: np.ndarray  # (I,)
     order: np.ndarray  # (I,)
+    half: np.ndarray  # (2,) L/2
+
+    def at(self, points, rows=slice(None)):
+        """(P, I, 2) positions of the images (the table's rows) of each point."""
+        return (self.offset[rows] + self.sign[rows] * (points[:, None, :] + self.half)) - self.half
+
+
+# free field as a table: each source is its own single image with unit gain
+_FREE_FIELD = _ImageTable(
+    np.zeros((1, 2)), np.ones((1, 2)), np.ones(1), np.zeros(1, dtype=int), np.zeros(2)
+)
 
 
 def _axis_images(length, beta_lo, beta_hi, max_count):
@@ -110,19 +123,23 @@ def _image_table(room: RoomModel) -> _ImageTable:
     rows.sort(key=lambda r: r[:5])
     count, _, _, _, _, ox, oy, sx, sy, gain = zip(*rows)
     return _ImageTable(
-        np.column_stack([ox, oy]), np.column_stack([sx, sy]), np.array(gain), np.array(count)
+        np.column_stack([ox, oy]),
+        np.column_stack([sx, sy]),
+        np.array(gain),
+        np.array(count),
+        0.5 * np.array([room.size_x, room.size_y]),
     )
 
 
-def _images(sources, room: RoomModel | None):
-    """(positions (S, I, 2), gains (I,)) of the images of every source.
+def _source_images(sources, room: RoomModel | None):
+    """(sources (S, 2), the image table that places their images).
 
-    In free field each source is its own single image with unit gain; in a
-    room every source must lie strictly inside it.
+    In free field the table is the one direct image; in a room every
+    source must lie strictly inside it.
     """
     srcs = _as_points(sources)
     if room is None:
-        return srcs[:, None, :], np.ones(1)
+        return srcs, _FREE_FIELD
     half = 0.5 * np.array([room.size_x, room.size_y])
     outside = np.flatnonzero(np.any(np.abs(srcs) >= half, axis=1))
     if outside.size:
@@ -130,5 +147,10 @@ def _images(sources, room: RoomModel | None):
             "source %d at (%.6g, %.6g) must lie strictly inside the room"
             % (outside[0], *srcs[outside[0]])
         )
-    table = _image_table(room)
-    return (table.offset + table.sign * (srcs[:, None, :] + half)) - half, table.gain
+    return srcs, _image_table(room)
+
+
+def _images(sources, room: RoomModel | None):
+    """(positions (S, I, 2), gains (I,)) of the images of every source."""
+    srcs, table = _source_images(sources, room)
+    return table.at(srcs), table.gain

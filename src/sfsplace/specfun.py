@@ -24,9 +24,12 @@ a time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
 [J_m; Y_m], so work is vectorized over the arguments and J and Y share
 one upward recurrence. hankel1_rows hands the [J_m; Y_m] rows out as
 they are to the one caller that needs Hankel functions, the Graf
-contraction in synthesis, which consumes an order and drops it.
-bessel_j_orders copies the [J_m] rows into a (max_order + 1) x n block
-for the grid basis, the disc Gram and the prior's Jacobi-Anger rows.
+contraction in synthesis (a source's near images, and the far images'
+lattice sums), which consumes an order and drops it. bessel_j_orders
+copies the [J_m] rows into a (max_order + 1) x n block for the grid
+basis, the disc Gram, the prior's Jacobi-Anger rows, the rim rows of
+evaluation's truncation check and the Graf translation rows
+J_j(k delta), which take the lattice sums to each source.
 
 The order-0/1 seeds come from one of five regimes, picked by each
 argument's own x (never by the other arguments of a call):

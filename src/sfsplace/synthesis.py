@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .room import RoomModel, _images
+from .room import RoomModel, _source_images
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
@@ -125,6 +125,29 @@ def _circle_weights(region: CircularRegion, bins) -> list[WeightMatrix]:
     return out
 
 
+# An image is far when the sources' spread about their midpoint is at most
+# _FAR_RATIO of its distance from the expansion center; the translation of
+# its sign's lattice sums then converges at least by that ratio per order.
+_FAR_RATIO = 0.35
+# orders added to the translation span once the lattice sums grow
+# (_translation_span): _FAR_RATIO ** 38 < 1e-17
+_GROWTH_ORDERS = math.ceil(math.log(1e-17) / math.log(_FAR_RATIO))
+# The size rule of the far split, in direct Hankel terms (one source, one
+# image, one order; about 20 ns each). Per source, the translation's Bessel
+# row and product cost about as much as 16 far images' direct terms; per
+# bin, the lattice stream and the Miller recurrence (a few numpy calls per
+# order, a few hundred orders) about 1e4 terms. Measured on a 2-core x86
+# machine (numpy 2.4, OpenBLAS) at 100 Hz to 2 kHz in the paper room.
+_TRANSLATION_TERMS_PER_SOURCE = 16
+_TRANSLATION_TERMS_PER_BIN = 10_000
+_SIGNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+# OpenBLAS (0.3.31) runs a complex product of at most 2^16 multiply-adds on
+# the calling thread. A larger one wakes a second thread, and while the
+# machine's other core was busy that took 8 to 48 ms where one thread takes
+# 0.4 ms (2-core x86, the paper's 2 kHz translation product).
+_ONE_THREAD_MACS = 1 << 16
+
+
 def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[np.ndarray]:
     """Transfer-function expansion coefficients, one matrix per bin.
 
@@ -134,40 +157,180 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     the polar coordinates of each image about cfg.center. Sources (and all
     their images) must lie outside each bin's expansion validity disc.
 
-    The image geometry (positions, gains, d and z = e^{-i phi}) depends on
-    neither frequency nor order, so one call builds it once and every bin
-    about the same center shares it. The phases are never evaluated per
-    order: the gain-weighted phase g z^m is raised by repeated
-    multiplication. Each order m >= 0 is one real batched matmul of that
-    order's [J_m; Y_m] row, streamed from specfun.hankel1_rows and dropped
-    once used, against g z^m, so no (orders x sources x images) block is
-    ever held. The negative orders reuse the same sums through
-    H_{-m} = (-1)^m H_m and e^{i m phi} = conj(z^m).
+    Bins about one center share the image geometry, which depends on
+    neither frequency nor order. The images split by their distance from
+    the center (_center_coeffs). Near images are summed directly per source
+    (_graf_coeffs). Far images are summed once per mirror sign as the
+    images of the sources' midpoint (the lattice sums), and each source
+    takes them by one translation (Graf's addition theorem for J, DLMF
+    10.23.7; the local-to-local translation of the 2D Helmholtz fast
+    multipole method, Rokhlin, J. Comput. Phys. 86(2), 1990). Free field
+    is the one-image table, whose image is always near. The lattice sums of
+    all the center's bins come from one Hankel stream, so a bin's values
+    depend on the bin list in the last bits, as _circle_weights' do.
     """
-    pos, gains = _images(positions, room)
-    center = None
+    srcs, table = _source_images(positions, room)
+    by_center = {}
+    for i, (cfg, _) in enumerate(bins):
+        by_center.setdefault(cfg.center, []).append(i)
+    out = [None] * len(bins)
+    for center, idx in by_center.items():
+        for i, coeff in zip(idx, _center_coeffs(srcs, table, center, [bins[i] for i in idx])):
+            out[i] = coeff
+    return out
+
+
+def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
+    """source_coeff_matrix of bins that share one expansion center c.
+
+    With y the midpoint of the sources' bounding box, image i of source s
+    is image i of y shifted by t = sign_i * (s - y), and |t| <= delta_max,
+    the largest |s - y|. An image of y at distance D from c is far when
+    delta_max <= _FAR_RATIO D and D - delta_max exceeds every bin's
+    validity radius, so each of its source images lies outside the disc.
+    The far split runs only where it pays: when the far (source, image)
+    pairs S I_far outnumber the translation's cost in direct terms, S
+    _TRANSLATION_TERMS_PER_SOURCE + _TRANSLATION_TERMS_PER_BIN. So free
+    field (I_far <= 1) and a lone source stay direct.
+
+    Per sign group the far images of y give the lattice sums A_n, their
+    Graf coefficients about c to order N = M + p (_translation_span), all
+    bins from one _graf_coeffs stream. Source s takes them through
+    C[m, s] += sum_n A_n J_{n-m}(k delta_s) e^{i (n-m) beta_s}, where
+    delta_s e^{i beta_s} = sign * (y - s). The four signs turn e^{i beta}
+    into +-u or +-conj(u), u the unit vector of y - s, so the groups fold
+    into one matrix against the rows J_j(k delta_s) u_s^j (_fold): one
+    (2M + 1, 2p + 1) by (2p + 1, S) product per bin, and no (S, I) array
+    for the far images.
+    """
+    n_src = len(srcs)
+    far = np.zeros(table.gain.size, dtype=bool)
+    # the split cannot pay unless it would with every image far
+    if n_src * (far.size - _TRANSLATION_TERMS_PER_SOURCE) > _TRANSLATION_TERMS_PER_BIN:
+        mid = 0.5 * (srcs.min(axis=0) + srcs.max(axis=0))
+        shift = mid - srcs
+        delta = np.hypot(shift[:, 0], shift[:, 1])
+        lattice = table.at(mid[None])[0] - center
+        reach = np.hypot(lattice[:, 0], lattice[:, 1])
+        spread = delta.max()
+        valid = max(cfg.valid_radius for cfg, _ in bins)
+        far = (_FAR_RATIO * reach >= spread) & (reach - spread > valid)
+        if n_src * (far.sum() - _TRANSLATION_TERMS_PER_SOURCE) <= _TRANSLATION_TERMS_PER_BIN:
+            far[:] = False
+    near = np.flatnonzero(~far)
+    pos = table.at(srcs, near)
+    dx = pos[..., 0] - center[0]
+    dy = pos[..., 1] - center[1]
+    dist = np.hypot(dx, dy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (dx - 1j * dy) / dist  # a zero distance fails the check below
     out = []
     for cfg, freq in bins:
-        if cfg.center != center:
-            center = cfg.center
-            dx = pos[..., 0] - center[0]
-            dy = pos[..., 1] - center[1]
-            dist = np.hypot(dx, dy)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = (dx - 1j * dy) / dist  # a zero distance fails the check below
         bad = np.argwhere(dist <= max(cfg.valid_radius, 1e-12))
         if bad.size:
             raise ValueError(
                 "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
                 % tuple(pos[tuple(bad[0])])
             )
-        out.append(_graf_coeffs(cfg.max_order, freq.wavenumber * dist, z, gains))
+        out.append(_graf_coeffs(cfg.max_order, freq.wavenumber * dist, z, table.gain[near]))
+    if not far.any():
+        return out
+
+    groups = [(sign, np.flatnonzero(far & np.all(table.sign == sign, axis=1))) for sign in _SIGNS]
+    groups = [(sign, rows) for sign, rows in groups if rows.size]
+    # one width for every group: each repeats its own images, at zero gain
+    width = max(rows.size for _, rows in groups)
+    rows = np.array([np.resize(rows, width) for _, rows in groups])
+    gains = table.gain[rows] * (np.arange(width) < [[r.size] for _, r in groups])
+    z_far = (lattice[rows, 0] - 1j * lattice[rows, 1]) / reach[rows]
+    wavenumber = np.array([freq.wavenumber for _, freq in bins])
+    nearest = reach[far].min()
+    spans = [
+        _translation_span(k * spread, cfg.max_order, k * nearest)
+        for (cfg, _), k in zip(bins, wavenumber)
+    ]
+    top = max(cfg.max_order + p for (cfg, _), p in zip(bins, spans))
+    # orders past a bin's own N may overflow at its smallest arguments; unused
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = _graf_coeffs(
+            top,
+            (wavenumber[:, None, None] * reach[rows]).reshape(-1, width),
+            np.tile(z_far, (len(bins), 1)),
+            np.tile(gains, (len(bins), 1)),
+        ).reshape(2 * top + 1, len(bins), len(groups))
+    beta = np.arctan2(shift[:, 1], shift[:, 0])
+    phase = np.exp(1j * np.outer(np.arange(max(spans) + 1), beta))  # u_s^j
+    signs = [sign for sign, _ in groups]
+    for b, ((cfg, freq), p) in enumerate(zip(bins, spans)):
+        n = cfg.max_order + p
+        fold = _fold(sums[top - n : top + n + 1, b], signs, p)
+        j = specfun.bessel_j_orders(p, freq.wavenumber * delta)
+        trans = np.empty((2 * p + 1, n_src), dtype=np.complex128)
+        trans[p:] = j * phase[: p + 1]
+        trans[:p] = (-1.0) ** np.arange(p, 0, -1)[:, None] * j[p:0:-1] * phase[p:0:-1].conj()
+        out[b] += _one_thread_product(fold, trans)
     return out
+
+
+def _one_thread_product(a, b):
+    """a @ b, as a stack of column blocks of b that OpenBLAS runs on one thread.
+
+    A block of w columns costs a.size * w complex multiply-adds, at most
+    _ONE_THREAD_MACS (w >= 2: a single column would go to gemv, whose
+    threshold is lower).
+    """
+    width = max(2, _ONE_THREAD_MACS // a.size)
+    blocks = -(-b.shape[1] // width)
+    padded = np.zeros((b.shape[0], blocks * width), dtype=np.complex128)
+    padded[:, : b.shape[1]] = b
+    stack = np.matmul(a, padded.reshape(b.shape[0], blocks, width).transpose(1, 0, 2))
+    return stack.transpose(1, 0, 2).reshape(a.shape[0], -1)[:, : b.shape[1]]
+
+
+def _translation_span(x, top, growth):
+    """Orders p of the translation rows J_j(x) u^j, |j| <= p, at x = k delta_max.
+
+    Past p = x + 10 x^(1/3) + 12 the rows' tail sum_{j>p} |J_j(x)| is below
+    2.2e-18 for every x <= 400 (scipy), so the dropped terms are that much
+    of the lattice sums while those stay bounded, up to order k D_far
+    (growth, D_far the nearest far image's distance). Past k D_far, A_n
+    grows, but A_{m+j} J_j falls by delta_max / D_far <= _FAR_RATIO per
+    order, so _GROWTH_ORDERS more orders bring the terms below 1e-17 of
+    their size at the growth point.
+    """
+    p = math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 12.0)
+    if top + p > growth:
+        p += _GROWTH_ORDERS
+    return p
+
+
+def _fold(sums, signs, p):
+    """(2M + 1, 2p + 1) matrix F of the translation C = F R, R_j = J_j(k delta) u^j.
+
+    sums is (2 (M + p) + 1, G): each sign group's lattice sums A_{-N..N}.
+    With window[m, j] = A_{m+j} (m = -M..M, j = n - m = -p..p), a group of
+    sign (sx, sy) has e^{i beta} = sx u when sx = sy, so its rows are
+    sx^j R_j; otherwise e^{i beta} = sx conj(u), and since
+    conj(u)^j J_j = (-1)^j R_{-j}, its rows are (-sx)^j R_{-j}, which is
+    the window mirrored in j.
+    """
+    order = np.abs(np.arange(-p, p + 1))
+    fold = np.zeros((sums.shape[0] - 2 * p, 2 * p + 1), dtype=np.complex128)
+    for (sx, sy), col in zip(signs, sums.T):
+        window = np.lib.stride_tricks.sliding_window_view(col, 2 * p + 1)
+        if sx == sy:
+            fold += window * sx ** order
+        else:
+            fold += window[:, ::-1] * (-sx) ** order
+    return fold
 
 
 def _graf_coeffs(top, kd, z, gains):
     """(2 top + 1, S) Graf coefficients of the images at k d = kd, e^{-i phi} = z.
 
+    kd and z are (S, I), and gains broadcasts to them: (I,) for the near
+    images of S sources, (S, I) for the lattice sums, where each (bin,
+    sign group) is one pseudo-source with its own gains (_center_coeffs).
     Per order, the (2, S I) row [J_m; Y_m] viewed as (S, 2, I) times the
     float64 view (S, I, 2) of gz = g z^m gives, per source, the real and
     imaginary parts of a = sum_i g J_m z^m and b = sum_i g Y_m z^m in one
@@ -184,14 +347,12 @@ def _graf_coeffs(top, kd, z, gains):
     sums = np.empty((n_src, 2, 2))
     a, b = sums.view(np.complex128)[..., 0].T  # views: sum g J_m z^m, sum g Y_m z^m
     out = np.empty((2 * top + 1, n_src), dtype=np.complex128)
-    # zip stops at the last order without exhausting the stream, so the
-    # stream's buffers are freed only after the result below is allocated.
-    # With glibc they then tend to stay below the result on the heap for the
-    # next bin to reuse, instead of being returned to the OS and faulted
-    # back in. How well depends on the heap's history (2-core x86, glibc
-    # 2.36): in loops of paper broadband run_place these builds took 7 to
-    # about 800 minor page faults per operation, a bare repeated 20-bin
-    # call 11k to 19k.
+    # zip stops at the last order without exhausting the stream. Minor page
+    # faults (ru_minflt, 2-core x86, glibc 2.36) of the 20-bin paper build:
+    # 1.1k per repeated call and 1.0k to 1.3k per call in loops of
+    # run_place, against 14k and 1.9k to 4.9k while all 221 images of each
+    # source went through this stream. The far images now hold no (S, I)
+    # array; the rest is mostly the translation's per-bin arrays.
     for m, row in zip(range(top + 1), rows):
         np.matmul(row.reshape(2, n_src, n_img).transpose(1, 0, 2), gz_parts, out=sums)
         out[top + m] = a + 1j * b

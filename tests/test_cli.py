@@ -274,14 +274,11 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
         return values[:, 2] + 1j * values[:, 3]
 
     table = {(name, a, f): v for a, f, v, name in read_sdr_csv(str(out / "sdr.csv"))}
-    bins = experiment._bins(config)
-    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
-        for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
-            stem = "field_f%g_a%s" % (freq.hz, tag)
-            for name, idx in placements.items():
-                ev = experiment._GridEvaluation(
-                    config, cfg, freq, grid, (angle,), {name: idx}, weight
-                )
+    for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
+        for name, idx in placements.items():
+            for ev in experiment._evaluations(config, grid, (angle,), {name: idx}):
+                freq = ev.freq
+                stem = "field_f%g_a%s" % (freq.hz, tag)
                 desired, basis = ev.grid_fields()
                 coeffs = ev.coefficients(idx)
                 want = (basis.T @ coeffs)[:, 0]
@@ -374,8 +371,7 @@ def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     assert len(union) < config.candidates.count
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = config.evaluation.angles_deg
-    (weight,) = experiment._weights(config, experiment._bins(config))
-    ev = experiment._GridEvaluation(config, full.cfg, full.freq, grid, angles, placements, weight)
+    (ev,) = experiment._evaluations(config, grid, angles, placements)
     got, ref = ev.coeff, full.coeff[:, union]
     assert got.shape == ref.shape
     assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))

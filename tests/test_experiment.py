@@ -76,9 +76,11 @@ def test_build_problems_builds_the_image_table_once(tmp_path, monkeypatch):
 
 def test_paper_broadband_build_bessel_work(monkeypatch):
     # the 20-bin build takes every bin's weight row J(kR) from one
-    # bessel_j_orders call and every prior row J(k rho) from one more; the
-    # Graf stream runs Miller's recurrence only where some order reaches
-    # the argument (2458 columns; 30258 while it served x < 2 M + 20)
+    # bessel_j_orders call and every prior row J(k rho) from one more, and
+    # each bin's translation rows J_j(k delta) from one call over the 200
+    # candidates; the Graf streams run Miller's recurrence only where some
+    # order reaches the argument (3057 columns: 2146 near images and 911
+    # lattice arguments; 30258 while the direct stream served x < 2 M + 20)
     calls, miller = [], []
     inside = []
     block, fixed = specfun.bessel_j_orders, specfun._j_fixed
@@ -100,8 +102,8 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     monkeypatch.setattr(specfun, "_j_fixed", counted_fixed)
     problems = build_problems(paper_config(broadband=True))
     assert len(problems) == 20
-    assert calls == [20, 20]
-    assert sum(miller) <= 2458
+    assert calls == [200] * 20 + [20, 20]
+    assert sum(miller) <= 3057
 
 
 def test_evaluation_weights_are_the_placement_weights(tmp_path, monkeypatch):
@@ -120,6 +122,22 @@ def test_evaluation_weights_are_the_placement_weights(tmp_path, monkeypatch):
     assert len(seen) == len(problems) == 3
     for got, p in zip(seen, problems):
         assert np.array_equal(got, p.weight.entries)
+
+
+def test_evaluation_reads_every_rim_row_from_one_call(tmp_path, monkeypatch):
+    # the truncation check's J(kR) rows of all 3 bins come from one
+    # bessel_j_orders call, not one single-argument call per bin
+    config = _tiny_paper(tmp_path, broadband=True)
+    sizes = []
+    block = experiment.bessel_j_orders
+
+    def counted(max_order, x):
+        sizes.append(np.size(x))
+        return block(max_order, x)
+
+    monkeypatch.setattr(experiment, "bessel_j_orders", counted)
+    evaluate_placements(config, {"regular_b": baseline_indices(config, "regular_b")})
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("room", [False, True], ids=["free-field", "room"])
@@ -183,7 +201,8 @@ def _assert_estimate_brackets_direct(config, sources, bins, room):
         top = cfg.max_order + experiment.TAIL_ORDERS
         wide = ExpansionConfig(top, cfg.center, cfg.valid_radius)
         (tail,) = source_coeff_matrix(sources, [(wide, freq)], room)
-        eps = _truncation_errors(tail, sources, cfg, freq)
+        rim = specfun.bessel_j_orders(top, freq.wavenumber * cfg.valid_radius)
+        eps = _truncation_errors(tail, sources, cfg, rim)
         direct = column_errors(grid, config.region, sources, coeff, cfg, freq, room)
         ratio = eps / direct
         assert np.all((ratio >= 1.0) & (ratio <= ESTIMATE_OVER)), (freq.hz, ratio)
@@ -273,10 +292,10 @@ def test_point_source_evaluation_work_is_bounded(tmp_path, monkeypatch):
     _assert_paper_evaluation_work_is_bounded(tmp_path, monkeypatch, desired=(-1.2, -0.7))
 
 
-def test_point_source_evaluation_makes_one_graf_build_per_bin(tmp_path, monkeypatch):
-    # the desired source is one more column of the union's build, taken to
-    # the grid basis' order M + GRID_ORDERS; its middle K rows match a
-    # separate order-M build of the source alone
+def test_point_source_evaluation_makes_one_graf_build(tmp_path, monkeypatch):
+    # one build over the bin list; the desired source is one more column
+    # of the union's build, taken to the grid basis' order M + GRID_ORDERS;
+    # its middle K rows match a separate order-M build of the source alone
     doc = _tiny_paper(tmp_path, broadband=True).to_dict()
     doc["evaluation"] = {"desired": "point_source", "desired_position": [-1.2, -0.7],
                          "grid_spacing": 0.05}
@@ -291,19 +310,15 @@ def test_point_source_evaluation_makes_one_graf_build_per_bin(tmp_path, monkeypa
 
     monkeypatch.setattr(experiment, "source_coeff_matrix", counted_graf)
     info = experiment.run_evaluate(config, indices=proposed)
-    assert [hz for _, hz in builds] == [[f] for f in config.frequencies]
+    assert [hz for _, hz in builds] == [list(config.frequencies)]
     union = sorted({i for idx in info["placements"].values() for i in idx})
     want = np.vstack([config.candidate_positions()[union], [[-1.2, -0.7]]])
-    for positions, _ in builds:
-        np.testing.assert_array_equal(positions, want)
+    ((positions, _),) = builds
+    np.testing.assert_array_equal(positions, want)
     grid = region_grid(config.region, spacing=0.05)
     room = config.room_model()
-    bins = experiment._bins(config)
-    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
-        ev = experiment._GridEvaluation(
-            config, cfg, freq, grid, (None,), info["placements"], weight
-        )
-        (alone,) = graf([[-1.2, -0.7]], [(cfg, freq)], room)
+    for ev in experiment._evaluations(config, grid, (None,), info["placements"]):
+        (alone,) = graf([[-1.2, -0.7]], [(ev.cfg, ev.freq)], room)
         assert np.max(np.abs(ev.targets - alone)) <= 1e-12 * np.linalg.norm(alone)
 
 
@@ -330,14 +345,13 @@ def _assert_coefficient_sdrs_match_grid(config, placements):
     bins = experiment._bins(config)
     assert len(got) == len(rows) == len(placements) * len(bins) * len(angles)
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    for (cfg, freq), weight in zip(bins, experiment._weights(config, bins)):
-        ev = experiment._GridEvaluation(config, cfg, freq, grid, angles, placements, weight)
+    for ev in experiment._evaluations(config, grid, angles, placements):
         basis = ev.grid_fields()[1]
-        desired = _exact_desired(config, grid, freq, angles)
+        desired = _exact_desired(config, grid, ev.freq, angles)
         for name, idx in placements.items():
             want = np.atleast_1d(sdr(desired, basis.T @ ev.coefficients(idx)))
-            have = [got[(name, freq.hz, a)] for a in angles]
-            assert np.max(np.abs(np.array(have) - want)) <= 1e-9, (name, freq.hz)
+            have = [got[(name, ev.freq.hz, a)] for a in angles]
+            assert np.max(np.abs(np.array(have) - want)) <= 1e-9, (name, ev.freq.hz)
 
 
 def test_coefficient_sdrs_match_grid_sdrs_on_the_paper_narrowband_problem():

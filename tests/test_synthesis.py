@@ -8,9 +8,9 @@ import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from sfsplace import specfun
+from sfsplace import specfun, synthesis
 from sfsplace.config import square_loop
-from sfsplace.experiment import _bins, paper_config
+from sfsplace.experiment import GRID_ORDERS, _bins, paper_config
 from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import (
     SDR_CAP_DB,
@@ -487,42 +487,127 @@ def test_source_coeff_matrix_matches_direct_graf_sum(room):
     assert err.max() < 1e-12
 
 
-@pytest.mark.parametrize("free_field", [False, True], ids=["room-order10", "free-field"])
-def test_source_coeff_matrix_matches_scipy_in_every_paper_bin(free_field):
-    # all 20 broadband bins (orders 11..29): the 4 candidates nearest the
-    # region (the nearest at 2 R) and 8 spread around the loop, against the
-    # direct scipy sum over both signs of m
+def _paper_candidates():
+    # the 200 candidates of the paper loop, and 12 of them to check: the 4
+    # nearest the region (the nearest at 2 R) and 8 spread around the loop
     config = paper_config(broadband=True)
     cand = config.candidate_positions()
     dist = np.hypot(*(cand - np.array(config.region_center)).T)
     idx = np.r_[np.argsort(dist, kind="stable")[:4], np.arange(12, 200, 25)]
     assert len(set(idx)) == 12
-    room = None if free_field else config.room_model()
-    bins = _bins(config)
-    assert len(bins) == 20
-    for (cfg, freq), got in zip(bins, source_coeff_matrix(cand[idx], bins, room)):
-        want = graf_coeffs(cand[idx], cfg, freq, room)
+    return cand, idx
+
+
+def _translations(monkeypatch):
+    # the sign-group count of each far translation made from now on
+    calls = []
+    fold = synthesis._fold
+
+    def counted(sums, signs, p):
+        calls.append(len(signs))
+        return fold(sums, signs, p)
+
+    monkeypatch.setattr(synthesis, "_fold", counted)
+    return calls
+
+
+def _assert_matches_scipy(positions, bins, room, columns):
+    # the checked columns of one build over every position, against the
+    # direct scipy sum over both signs of m
+    for (cfg, freq), got in zip(bins, source_coeff_matrix(positions, bins, room)):
+        want = graf_coeffs(positions[columns], cfg, freq, room)
+        got = got[:, columns]
         err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
         assert err.max() < 1e-12, (freq.hz, err.max())
 
 
-def test_source_coeff_matrix_matches_scipy_at_high_reflection_order():
-    # reflection order 20 (841 images, up to about 100 m away, so k d far
-    # past every order's transition) in the paper room: the 4 candidates
-    # nearest the region and 8 spread around the loop, against the direct
-    # scipy sum at the band's ends and middle
+@pytest.mark.parametrize("free_field", [False, True], ids=["room-order10", "free-field"])
+def test_source_coeff_matrix_matches_scipy_in_every_paper_bin(free_field, monkeypatch):
+    # all 20 broadband bins (orders 11..29), built over the 200 candidates:
+    # in the room the far images of every bin go through the lattice sums
     config = paper_config(broadband=True)
-    cand = config.candidate_positions()
-    dist = np.hypot(*(cand - np.array(config.region_center)).T)
-    idx = np.r_[np.argsort(dist, kind="stable")[:4], np.arange(12, 200, 25)]
+    cand, idx = _paper_candidates()
+    bins = _bins(config)
+    assert len(bins) == 20
+    folds = _translations(monkeypatch)
+    _assert_matches_scipy(cand, bins, None if free_field else config.room_model(), idx)
+    assert folds == ([] if free_field else [4] * 20)
+
+
+def test_source_coeff_matrix_matches_scipy_at_high_reflection_order(monkeypatch):
+    # reflection order 20 (841 images, up to about 100 m away, so k d far
+    # past every order's transition) in the paper room, at the band's ends
+    # and middle
+    config = paper_config(broadband=True)
+    cand, idx = _paper_candidates()
     room = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=20)
     assert _images(cand[idx], room)[1].size == 841
     bins = [b for b in _bins(config) if b[1].hz in (100.0, 1000.0, 2000.0)]
     assert len(bins) == 3
-    for (cfg, freq), got in zip(bins, source_coeff_matrix(cand[idx], bins, room)):
-        want = graf_coeffs(cand[idx], cfg, freq, room)
-        err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
-        assert err.max() < 1e-12, (freq.hz, err.max())
+    folds = _translations(monkeypatch)
+    _assert_matches_scipy(cand, bins, room, idx)
+    assert folds == [4] * 3
+
+
+F2K = Frequency(2000.0, sound_speed=343.0)
+F4K = Frequency(4000.0, sound_speed=343.0)
+
+
+def _edge_case(name):
+    # (positions, bins, room, checked columns, sign groups per translation)
+    # of one edge of the near/far split
+    cand, idx = _paper_candidates()
+    cfg2k = expansion_for(REGION, F2K)
+    if name == "4kHz":  # the largest k delta_max: 155, translation span 222
+        cfg = expansion_for(REGION, F4K)
+        assert cfg.max_order == 47
+        return cand, [(cfg, F4K)], PAPER_ROOM, idx, [4]
+    if name == "zero-walls":  # no x reflections: only signs (+, +) and (+, -)
+        room = RoomModel(5.0, 4.0, (0.0, 0.0, 0.8, 0.9), max_reflection_order=40)
+        return cand, [(CFG, F1K)], room, idx, [2]
+    if name == "no-far":  # order 1: every image within 6 m of the center
+        room = RoomModel(5.0, 4.0, (0.8, 0.8, 0.8, 0.8), max_reflection_order=1)
+        return cand, [(CFG, F1K), (cfg2k, F2K)], room, idx, []
+    if name == "one-point":  # 64 sources at one point: delta = 0, every image far
+        return np.repeat(cand[idx[:1]], 64, axis=0), [(CFG, F1K)], PAPER_ROOM, [0, 63], [4]
+    if name == "two-centers":
+        off = ExpansionConfig(max_order=21, center=Point2(-0.2, 0.1), valid_radius=0.4)
+        bins = [(CFG, F1K), (off, Frequency(1500.0)), (cfg2k, F2K)]
+        return cand, bins, PAPER_ROOM, idx, [4, 4, 4]
+    # evaluation-shaped: a third of the loop plus a point-source desired
+    # field outside it, to the grid basis' order
+    wide = ExpansionConfig(CFG.max_order + GRID_ORDERS, CFG.center, CFG.valid_radius)
+    positions = np.vstack([cand[::3], [[-2.2, -1.8]]])
+    return positions, [(wide, F1K)], PAPER_ROOM, [0, 30, 66, 67], [4]
+
+
+@pytest.mark.parametrize(
+    "name", ["4kHz", "zero-walls", "no-far", "one-point", "two-centers", "evaluation"]
+)
+def test_source_coeff_matrix_matches_scipy_at_the_far_split_edges(name, monkeypatch):
+    positions, bins, room, columns, groups = _edge_case(name)
+    folds = _translations(monkeypatch)
+    _assert_matches_scipy(positions, bins, room, columns)
+    assert folds == groups
+
+
+def test_paper_room_sends_far_images_through_the_lattice_sums(monkeypatch):
+    # the 20-bin paper build streams Hankel rows for 6 near images per
+    # candidate and the 4 x 60 lattice arguments of each bin: 28,800
+    # arguments, where summing every image directly streams 884,000
+    arguments = []
+    rows = specfun.hankel1_rows
+
+    def counted(max_order, x):
+        arguments.append(x.size)
+        return rows(max_order, x)
+
+    monkeypatch.setattr(specfun, "hankel1_rows", counted)
+    folds = _translations(monkeypatch)
+    config = paper_config(broadband=True)
+    source_coeff_matrix(config.candidate_positions(), _bins(config), config.room_model())
+    assert folds == [4] * 20
+    assert sum(arguments) == 20 * 200 * 6 + 20 * 4 * 60
 
 
 def test_source_coeff_matrix_bins_match_one_call_per_bin():
@@ -544,8 +629,9 @@ def test_source_coeff_matrix_bins_match_one_call_per_bin():
 
 def test_source_coeff_matrix_memory_is_a_few_image_arrays():
     # the paper's 2 kHz bin: 200 candidates x 221 images, orders 0..29. One
-    # (30, 200, 221) complex Hankel block alone is 21.2 MB; the streamed
-    # rows keep the traced peak near 9.6 MB
+    # (30, 200, 221) complex Hankel block alone is 21.2 MB; streaming every
+    # image's rows peaked at 8.9 MB, and with the far images in lattice
+    # sums (no (S, I) array for them) the traced peak is 3.3 MB
     freq = Frequency(2000.0, sound_speed=343.0)
     bins = [(expansion_for(REGION, freq), freq)]
     assert bins[0][0].max_order == 29
@@ -557,7 +643,7 @@ def test_source_coeff_matrix_memory_is_a_few_image_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 5e6
 
 
 def test_direct_oracles_use_no_sfsplace_special_functions(monkeypatch):
