@@ -166,9 +166,10 @@ def _direction_range_priors(p: DirectionRangePrior, bins) -> list[FieldPrior]:
 
     One bessel_j_orders call gives the Jacobi-Anger rows J_q(k rho) of
     every bin with an off-origin center, to the largest truncation any of
-    them needs. A bin's values depend on the whole bin list (Miller's
-    start follows the top order and the largest argument), so priors that
-    must agree bit for bit come from the same list.
+    them needs; a column's values depend on its own argument and that top
+    order. The phase means and powers of i depend only on an integer
+    difference of orders, so one table over the largest difference of the
+    call serves every bin.
     """
     lo, hi = p.angle_min, p.angle_max
     amp = complex(p.amplitude)
@@ -180,22 +181,27 @@ def _direction_range_priors(p: DirectionRangePrior, bins) -> list[FieldPrior]:
         # a centered bin's column takes the tiny-argument series, unused,
         # and moves no other column
         j_all = specfun.bessel_j_orders(max(t for t, o in zip(tops, off) if o), k_rho)
+    # |m - n| <= 2 M within a bin's moments, |m - q| <= M + T against its
+    # Jacobi-Anger rows; both tables are read at index reach + difference
+    reach = max(
+        cfg.max_order + max(cfg.max_order, t if o else 0) for (cfg, _), t, o in zip(bins, tops, off)
+    )
+    diff = np.arange(-reach, reach + 1)
+    mean_of, ipow_of = _interval_phase_mean(diff, lo, hi), _ipow(diff)
     out = []
     for b, (cfg, _) in enumerate(bins):
-        m = cfg.orders
+        m = reach + cfg.orders
         if not off[b]:
-            mu = amp * _ipow(m) * _interval_phase_mean(m, lo, hi)
+            mu = amp * ipow_of[m] * mean_of[m]
         else:
             q = np.arange(-tops[b], tops[b] + 1)
             a = np.abs(q)
             j_q = np.where(q < 0, (-1.0) ** a, 1.0) * j_all[a, b]  # J_{-n} = (-1)^n J_n
             phi_c = math.atan2(cfg.center[1], cfg.center[0])
-            weights = _ipow(q) * j_q * np.exp(-1j * q * phi_c)
-            phase_mean = _interval_phase_mean(m[:, None] - q[None, :], lo, hi)
-            mu = amp * _ipow(m) * (phase_mean @ weights)
-        r = (abs(amp) ** 2) * _ipow(m[:, None] - m[None, :]) * _interval_phase_mean(
-            m[:, None] - m[None, :], lo, hi
-        )
+            weights = ipow_of[reach + q] * j_q * np.exp(-1j * q * phi_c)
+            mu = amp * ipow_of[m] * (mean_of[m[:, None] - q[None, :]] @ weights)
+        d = m[:, None] - m[None, :] + reach
+        r = (abs(amp) ** 2) * ipow_of[d] * mean_of[d]
         sigma = _hermitize(r - np.outer(mu, mu.conj()))
         out.append(FieldPrior(mu, sigma, second_moment=_hermitize(r)))
     return out

@@ -7,7 +7,7 @@ classical pieces (see DLMF chapter 10):
 * Hankel's large-argument asymptotic expansion for the order-0/1 seeds,
 * three-term recurrences in the order index: upward recurrence for Y
   always, and for J wherever every order is below the argument
-  (x >= max_order + 1 for max_order >= 2), where it is stable; Miller's
+  (x >= limit + 1 for an order limit >= 2), where it is stable; Miller's
   downward recurrence with series normalization for J below that.
 
 Upward J is only as good as its order-0/1 seeds, the same seeds Y recurs
@@ -24,12 +24,25 @@ a time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
 [J_m; Y_m], so work is vectorized over the arguments and J and Y share
 one upward recurrence. hankel1_rows hands the [J_m; Y_m] rows out as
 they are to the one caller that needs Hankel functions, the Graf
-contraction in synthesis (a source's near images, and the far images'
-lattice sums), which consumes an order and drops it. bessel_j_orders
-copies the [J_m] rows into a (max_order + 1) x n block for the grid
-basis, the disc Gram, the prior's Jacobi-Anger rows, the rim rows of
-evaluation's truncation check and the Graf translation rows
-J_j(k delta), which take the lattice sums to each source.
+contraction in synthesis (the near images, and the far images' lattice
+sums), which consumes an order and drops it. bessel_j_orders copies the
+[J_m] rows into a (max_order + 1) x n block for the grid basis, the disc
+Gram, the prior's Jacobi-Anger rows and the rim rows of evaluation's
+truncation check; its unchecked core, _j_block, gives the Graf
+translation rows J_j(k delta), which take the lattice sums to each
+source.
+
+Each argument has its own order limit: hankel1_rows and _j_block take
+max_order as an int or an int array broadcasting against x, and run to
+the largest. The limit picks the argument's J method (upward from the
+seeds where x >= limit + 1, Miller's recurrence below, the two-term
+series below 1e-6), and Miller's recurrence starts each column past its
+own max(limit, ceil x). An argument's values to its own limit thus
+depend on its x and that limit alone, never on the other arguments of
+the call, and one call serves many frequency bins, each to its own
+order: the Graf build streams every bin's near images in one call and
+takes the translation rows of several bins from one J block.
+bessel_j_orders keeps a scalar max_order.
 
 The order-0/1 seeds come from one of five regimes, picked by each
 argument's own x (never by the other arguments of a call):
@@ -224,76 +237,103 @@ def _seeds(x, want_y, want_one):
     return parts
 
 
-def _j_orders_tiny(max_order, x):
+def _j_orders_tiny(top, x):
     """Two-term ascending series; adequate below x = 1e-6, exact at x = 0."""
-    out = np.empty((max_order + 1, x.size))
+    out = np.empty((top + 1, x.size))
     half = 0.5 * x
     q = half * half
     r = np.ones_like(x)
     out[0] = 1.0 - q
-    for m in range(1, max_order + 1):
+    for m in range(1, top + 1):
         r = r * half / m
         out[m] = r * (1.0 - q / (m + 1))
     return out
 
 
 def _j_orders_miller(max_order, x):
-    """Downward recurrence normalized by J0 + 2*sum J_{2k} = 1 (DLMF 10.12)."""
-    n = x.size
-    m_top = max(max_order, int(math.ceil(float(x.max()))))
-    start = m_top + int(math.ceil(math.sqrt(40.0 * m_top))) + 12
-    out = np.zeros((max_order + 1, n))
-    fprev = np.zeros(n)                  # value at order start + 1
-    fcur = np.full(n, 1e-30)             # arbitrary-scale value at order start
-    norm = 2.0 * fcur.copy() if start % 2 == 0 else np.zeros(n)
-    for m in range(start, 0, -1):
-        fnext = (2.0 * m / x) * fcur - fprev
+    """Downward recurrence normalized by J0 + 2*sum J_{2k} = 1 (DLMF 10.12).
+
+    Each column starts past its own m_top = max(limit, ceil x), limit being
+    its entry of max_order (an int or an int array broadcasting against x),
+    and joins the one downward loop there, so its values depend on its own
+    x and limit alone. The loop works on a prefix of the columns taken in
+    descending start; columns that do not come in that order are sorted
+    into it, and the block sorted back at the end. The block has rows
+    0..max(max_order).
+    """
+    top = _top(max_order)
+    m_top = np.maximum(max_order, np.ceil(x))
+    start = (m_top + np.ceil(np.sqrt(40.0 * m_top)) + 12.0).astype(np.int64)
+    cols = None
+    if np.any(start[1:] > start[:-1]):
+        cols = np.argsort(-start, kind="stable")
+        x, start = x[cols], start[cols]
+    joined = np.searchsorted(-start, -np.arange(start[0], 0, -1), side="right").tolist()
+    out = np.zeros((top + 1, x.size))
+    norm = np.where(start % 2 == 0, 2.0 * 1e-30, 0.0)
+    fprev = fcur = np.empty(0)  # the joined columns' values at orders m + 1 and m
+    for m, a in zip(range(int(start[0]), 0, -1), joined):
+        if a > fcur.size:  # columns that start at m join at 0 and 1e-30
+            fprev = np.concatenate([fprev, np.zeros(a - fcur.size)])
+            fcur = np.concatenate([fcur, np.full(a - fcur.size, 1e-30)])
+            xs, ns, rows = x[:a], norm[:a], out[:, :a]
+        fnext = (2.0 * m / xs) * fcur - fprev
         fprev = fcur
         fcur = fnext
         order = m - 1
-        if order <= max_order:
-            out[order] = fcur
+        if order <= top:
+            rows[order] = fcur
         if order == 0:
-            norm += fcur
+            ns += fcur
         elif order % 2 == 0:
-            norm += 2.0 * fcur
+            ns += 2.0 * fcur
         big = np.abs(fcur) > _RESCALE
         if big.any():
             fcur[big] *= 1.0 / _RESCALE
             fprev[big] *= 1.0 / _RESCALE
-            norm[big] *= 1.0 / _RESCALE
-            out[:, big] *= 1.0 / _RESCALE
+            ns[big] *= 1.0 / _RESCALE
+            rows[:, big] *= 1.0 / _RESCALE
     out /= norm
-    return out
+    if cols is None:
+        return out
+    back = np.empty_like(out)
+    back[:, cols] = out
+    return back
 
 
 def _j_seeded(max_order, x):
     """Arguments whose J block recurs upward from the order-0/1 seeds.
 
     Upward recurrence is stable for J while every order m < x (Gautschi,
-    SIAM Rev. 9(1), 1967; DLMF 10.74(iv)), so it serves x >= max_order + 1;
-    below that Miller's recurrence takes over, and below _TINY_X the
-    two-term series. Upward J is as good as its seeds, the same seeds Y
-    recurs up from (accuracy in the module docstring). The rule depends on
-    max_order and each x alone, and hankel1_rows and bessel_j_orders share
-    it, so their J values agree bit for bit.
+    SIAM Rev. 9(1), 1967; DLMF 10.74(iv)), so it serves x >= limit + 1,
+    limit being each column's entry of max_order (an int or an int array
+    broadcasting against x); below that Miller's recurrence takes over, and
+    below _TINY_X the two-term series. Upward J is as good as its seeds,
+    the same seeds Y recurs up from (accuracy in the module docstring). The
+    rule depends on each x and its limit alone, and hankel1_rows and
+    bessel_j_orders share it, so their J values agree bit for bit.
     """
-    if max_order <= 1:
-        return x >= _TINY_X
-    return x >= max_order + 1.0
+    return x >= np.where(max_order <= 1, _TINY_X, max_order + 1.0)
+
+
+def _top(max_order) -> int:
+    """The largest order limit of an int or an int array."""
+    return int(max_order.max()) if isinstance(max_order, np.ndarray) else int(max_order)
 
 
 def _j_fixed(max_order, x):
     """J block of arguments the upward recurrence does not seed.
 
-    The two-term series below _TINY_X, Miller's recurrence above.
+    The two-term series below _TINY_X, Miller's recurrence above; with no
+    tiny argument Miller's block is returned as it is.
     """
-    out = np.empty((max_order + 1, x.size))
     tiny = x < _TINY_X
-    if tiny.any():
-        out[:, tiny] = _j_orders_tiny(max_order, x[tiny])
+    if x.size and not tiny.any():
+        return _j_orders_miller(max_order, x)
+    out = np.empty((_top(max_order) + 1, x.size))
+    out[:, tiny] = _j_orders_tiny(out.shape[0] - 1, x[tiny])
     if not tiny.all():
-        out[:, ~tiny] = _j_orders_miller(max_order, x[~tiny])
+        out[:, ~tiny] = _j_orders_miller(np.broadcast_to(max_order, x.shape)[~tiny], x[~tiny])
     return out
 
 
@@ -309,33 +349,41 @@ def _as_order(max_order) -> int:
 
 
 def _rows(max_order, x, want_y):
-    """Iterator over the rows of orders 0..max_order at the 1-d arguments x.
+    """Iterator over the rows of orders 0..max(max_order) at the arguments x.
 
-    Each row is [J_m(x)], shape (1, n), or with want_y [J_m(x); Y_m(x)],
-    shape (2, n); x is nonnegative, and positive with want_y (neither is
-    checked). J's fixed block and the seed pass run on the call, before
-    any row is requested, so their temporaries are freed before the
-    caller's own working arrays exist.
+    x is an array of any shape, taken flat, and max_order an int or an int
+    array broadcasting against it: each argument's own order limit. Each
+    row is [J_m(x)], shape (1, n), or with want_y [J_m(x); Y_m(x)], shape
+    (2, n); x is nonnegative, and positive with want_y (neither is
+    checked). An argument's values to its own limit depend on it and that
+    limit alone; past the limit its J is unused and may be anything. J's
+    fixed block and the seed pass run on the call, before any row is
+    requested, so their temporaries are freed before the caller's own
+    working arrays exist.
     """
-    fixed = np.flatnonzero(~_j_seeded(max_order, x))
-    block = _j_fixed(max_order, x[fixed]) if fixed.size else None
-    seeds = _seeds(x, want_y=want_y, want_one=(max_order >= 1))
-    return _recur(max_order, x, seeds, fixed, block, 2 if want_y else 1)
+    top = _top(max_order)
+    order = np.broadcast_to(max_order, np.shape(x)).ravel()
+    x = x.ravel()
+    fixed = np.flatnonzero(~_j_seeded(order, x))
+    block = _j_fixed(order[fixed], x[fixed]) if fixed.size else None
+    seeds = _seeds(x, want_y=want_y, want_one=(top >= 1))
+    return _recur(top, x, seeds, fixed, block, 2 if want_y else 1)
 
 
-def _recur(max_order, x, seeds, fixed, block, width):
-    """Yield rows f_0..f_max_order by f_{m+1} = (2m/x) f_m - f_{m-1}.
+def _recur(top, x, seeds, fixed, block, width):
+    """Yield rows f_0..f_top by f_{m+1} = (2m/x) f_m - f_{m-1}.
 
     seeds is (J0, J1, Y0, Y1); row m holds the first `width` of J_m, Y_m.
     A yielded row is the recurrence's state, one of three generations:
     read it, never write it; it is overwritten once the third row after
-    it is requested. Each row is patched as the module docstring says.
+    it is requested. Each row is patched as the module docstring says, the
+    fixed columns' J to the block's last order, their largest limit.
     Non-finite values are expected (upward J outside its seeded columns,
     Y past the float64 range) and warn of nothing.
     """
-    gens = [np.empty((width, x.size)) for _ in range(min(max_order + 1, 3))]
+    gens = [np.empty((width, x.size)) for _ in range(min(top + 1, 3))]
     step = np.empty_like(x)
-    for m in range(max_order + 1):
+    for m in range(top + 1):
         row = gens[m % 3]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if m < 2:
@@ -345,11 +393,26 @@ def _recur(max_order, x, seeds, fixed, block, width):
                 np.divide(2.0 * (m - 1), x, out=step)
                 np.multiply(step, gens[(m - 1) % 3], out=row)
                 np.subtract(row, gens[(m - 2) % 3], out=row)
-            if block is not None:
+            if block is not None and m < block.shape[0]:
                 row[0, fixed] = block[m]
             if width == 2 and not math.isfinite(row[1].sum()):
                 row[1, ~np.isfinite(row[1])] = -np.inf
         yield row
+
+
+def _j_block(max_order, x):
+    """J block of orders 0..max(max_order) at the 1-d arguments x (unchecked).
+
+    max_order is an int or an int array broadcasting against x. Each
+    column's rows to its own limit equal bessel_j_orders' at that limit,
+    bit for bit; rows past it are unused.
+    """
+    if not _j_seeded(max_order, x).any():
+        return _j_fixed(max_order, x)  # Miller and the tiny series serve every column
+    out = np.empty((_top(max_order) + 1, x.size))
+    for dest, row in zip(out, _rows(max_order, x, want_y=False)):
+        dest[...] = row[0]
+    return out
 
 
 def bessel_j_orders(max_order, x):
@@ -371,23 +434,20 @@ def bessel_j_orders(max_order, x):
         raise ValueError("x must be finite")
     if np.any(flat < 0.0):
         raise ValueError("x must be nonnegative")
-    if _j_seeded(max_order, flat).any():
-        out = np.empty((max_order + 1, flat.size))
-        for dest, row in zip(out, _rows(max_order, flat, want_y=False)):
-            dest[...] = row[0]
-    else:  # Miller's recurrence and the tiny-argument series serve every column
-        out = _j_fixed(max_order, flat)
-    return out.reshape((max_order + 1,) + arr.shape)
+    return _j_block(max_order, flat).reshape((max_order + 1,) + arr.shape)
 
 
 def hankel1_rows(max_order, x):
-    """Iterator over [J_m(x); Y_m(x)] = [Re H_m^(1)(x); Im H_m^(1)(x)], m = 0..max_order.
+    """Iterator over [J_m(x); Y_m(x)] = [Re H_m^(1)(x); Im H_m^(1)(x)], m = 0..max(max_order).
 
-    x is a positive 1-d float64 array (not validated). Each order is one
-    read-only (2, n) float row whose J half equals bessel_j_orders' row
-    bit for bit; entries of Y past the float64 range read -inf. The stream
-    holds three row generations and never a (max_order + 1) x n block; a
-    row is valid until the next is requested. The seed pass runs on the
-    call (_rows).
+    x is a positive float64 array of any shape, taken flat (not
+    validated), and max_order an int or an int array broadcasting against
+    it, each argument's own order limit. Each order is one read-only (2, n)
+    float row; an argument's J entries to its own limit equal
+    bessel_j_orders' at that limit bit for bit, and past it they are
+    unused. Entries of Y past the float64 range read -inf. The stream
+    holds three row generations and never a block of every order; a row is
+    valid until the next is requested. The seed pass runs on the call
+    (_rows).
     """
     return _rows(max_order, x, want_y=True)

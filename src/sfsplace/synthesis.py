@@ -105,9 +105,9 @@ def _circle_weights(region: CircularRegion, bins) -> list[WeightMatrix]:
     """weight_matrix_circle of each (cfg, freq) bin, from one J block.
 
     One bessel_j_orders call covers every bin's J(kR) row up to the
-    largest order any bin needs. A bin's values depend on the whole bin
-    list (Miller's start follows the top order and the largest argument),
-    so weights that must agree bit for bit come from the same list.
+    largest order any bin needs. A bin's values depend on its own argument
+    and that top order, so weights that must agree bit for bit come from
+    bin lists with the same largest order.
     """
     for cfg, _ in bins:
         cx, cy = cfg.center
@@ -146,6 +146,9 @@ _SIGNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 # machine's other core was busy that took 8 to 48 ms where one thread takes
 # 0.4 ms (2-core x86, the paper's 2 kHz translation product).
 _ONE_THREAD_MACS = 1 << 16
+# Largest J block of translation rows (orders 0..p of a run of bins, S
+# columns each) that one Bessel call forms (_translation_runs)
+_TRANSLATION_BLOCK_BYTES = 1 << 19
 
 
 def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[np.ndarray]:
@@ -165,9 +168,13 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     takes them by one translation (Graf's addition theorem for J, DLMF
     10.23.7; the local-to-local translation of the 2D Helmholtz fast
     multipole method, Rokhlin, J. Comput. Phys. 86(2), 1990). Free field
-    is the one-image table, whose image is always near. The lattice sums of
-    all the center's bins come from one Hankel stream, so a bin's values
-    depend on the bin list in the last bits, as _circle_weights' do.
+    is the one-image table, whose image is always near. All the center's
+    bins share one Hankel stream of near images, each argument to its own
+    bin's order, and a few J blocks of translation rows; neither moves a
+    bin's values. The lattice sums run to the largest order of the list
+    and the far split takes its largest validity radius, so through these
+    a bin's values depend on the bin list in the last bits, as
+    _circle_weights' do.
     """
     srcs, table = _source_images(positions, room)
     by_center = {}
@@ -191,7 +198,9 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     The far split runs only where it pays: when the far (source, image)
     pairs S I_far outnumber the translation's cost in direct terms, S
     _TRANSLATION_TERMS_PER_SOURCE + _TRANSLATION_TERMS_PER_BIN. So free
-    field (I_far <= 1) and a lone source stay direct.
+    field (I_far <= 1) and a lone source stay direct. Every bin's near
+    images are summed in one _graf_coeffs stream that writes each bin's
+    own matrix.
 
     Per sign group the far images of y give the lattice sums A_n, their
     Graf coefficients about c to order N = M + p (_translation_span), all
@@ -201,7 +210,8 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     into +-u or +-conj(u), u the unit vector of y - s, so the groups fold
     into one matrix against the rows J_j(k delta_s) u_s^j (_fold): one
     (2M + 1, 2p + 1) by (2p + 1, S) product per bin, and no (S, I) array
-    for the far images.
+    for the far images. The rows J_j of a run of bins come from one J
+    block (_translation_runs).
     """
     n_src = len(srcs)
     far = np.zeros(table.gain.size, dtype=bool)
@@ -224,15 +234,16 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     dist = np.hypot(dx, dy)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (dx - 1j * dy) / dist  # a zero distance fails the check below
-    out = []
-    for cfg, freq in bins:
+    for cfg, _ in bins:
         bad = np.argwhere(dist <= max(cfg.valid_radius, 1e-12))
         if bad.size:
             raise ValueError(
                 "source or image at (%.6g, %.6g) lies inside the expansion validity disc"
                 % tuple(pos[tuple(bad[0])])
             )
-        out.append(_graf_coeffs(cfg.max_order, freq.wavenumber * dist, z, table.gain[near]))
+    wavenumber = np.array([freq.wavenumber for _, freq in bins])
+    orders = [cfg.max_order for cfg, _ in bins]
+    out = _graf_coeffs(orders, wavenumber[:, None, None] * dist, z, table.gain[near])
     if not far.any():
         return out
 
@@ -243,48 +254,98 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     rows = np.array([np.resize(rows, width) for _, rows in groups])
     gains = table.gain[rows] * (np.arange(width) < [[r.size] for _, r in groups])
     z_far = (lattice[rows, 0] - 1j * lattice[rows, 1]) / reach[rows]
-    wavenumber = np.array([freq.wavenumber for _, freq in bins])
     nearest = reach[far].min()
     spans = [
         _translation_span(k * spread, cfg.max_order, k * nearest)
         for (cfg, _), k in zip(bins, wavenumber)
     ]
-    top = max(cfg.max_order + p for (cfg, _), p in zip(bins, spans))
-    # orders past a bin's own N may overflow at its smallest arguments; unused
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = _graf_coeffs(
-            top,
-            (wavenumber[:, None, None] * reach[rows]).reshape(-1, width),
-            np.tile(z_far, (len(bins), 1)),
-            np.tile(gains, (len(bins), 1)),
-        ).reshape(2 * top + 1, len(bins), len(groups))
+    top = max(n + p for n, p in zip(orders, spans))
+    # every (bin, sign group) is one pseudo-source of a single block
+    (sums,) = _graf_coeffs(
+        [top],
+        (wavenumber[:, None, None] * reach[rows]).reshape(1, -1, width),
+        np.tile(z_far, (len(bins), 1)),
+        np.tile(gains, (len(bins), 1)),
+    )
+    sums = sums.reshape(2 * top + 1, len(bins), len(groups))
     beta = np.arctan2(shift[:, 1], shift[:, 0])
     phase = np.exp(1j * np.outer(np.arange(max(spans) + 1), beta))  # u_s^j
     signs = [sign for sign, _ in groups]
-    for b, ((cfg, freq), p) in enumerate(zip(bins, spans)):
-        n = cfg.max_order + p
-        fold = _fold(sums[top - n : top + n + 1, b], signs, p)
-        j = specfun.bessel_j_orders(p, freq.wavenumber * delta)
-        trans = np.empty((2 * p + 1, n_src), dtype=np.complex128)
-        trans[p:] = j * phase[: p + 1]
-        trans[:p] = (-1.0) ** np.arange(p, 0, -1)[:, None] * j[p:0:-1] * phase[p:0:-1].conj()
-        out[b] += _one_thread_product(fold, trans)
+    for run in _translation_runs(spans, n_src):
+        # rows J_j(k delta_s), j = 0..p, of the run's bins from one J block
+        block = specfun._j_block(
+            np.repeat([spans[b] for b in run], n_src), (wavenumber[run, None] * delta).ravel()
+        )
+        for i, b in enumerate(run):
+            n, p = orders[b], spans[b]
+            # one statement, so a bin's fold and rows are freed before the next's
+            out[b] += _one_thread_product(
+                _fold(sums[top - n - p : top + n + p + 1, b], signs, p),
+                _translation_rows(block[: p + 1, i * n_src : (i + 1) * n_src], phase[: p + 1]),
+            )
     return out
 
 
+def _translation_rows(j, phase):
+    """(2p + 1, S) rows R_j = J_j(k delta) u^j, j = -p..p, of the translation.
+
+    j holds J_0..J_p and phase u^0..u^p; the rows of negative j come from
+    J_{-j} u^{-j} = (-1)^j J_j conj(u)^j.
+    """
+    p = j.shape[0] - 1
+    rows = np.empty((2 * p + 1, j.shape[1]), dtype=np.complex128)
+    np.multiply(j, phase, out=rows[p:])
+    sign = (-1.0) ** np.arange(p, 0, -1)[:, None]
+    np.multiply(sign * j[p:0:-1], phase[p:0:-1].conj(), out=rows[:p])
+    return rows
+
+
+def _translation_runs(spans, n_src):
+    """The bins in descending span, in runs whose translation rows share a J block.
+
+    A run's block has its first (largest) span + 1 rows and n_src columns
+    per bin, at most _TRANSLATION_BLOCK_BYTES unless one bin alone is
+    larger. Descending spans give the columns Miller's recurrence in the
+    order it runs them (specfun._j_orders_miller), so it sorts none.
+    """
+    runs = []
+    for b in sorted(range(len(spans)), key=lambda b: -spans[b]):
+        if runs and 8 * (spans[runs[-1][0]] + 1) * n_src * (len(runs[-1]) + 1) <= (
+            _TRANSLATION_BLOCK_BYTES
+        ):
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    return runs
+
+
 def _one_thread_product(a, b):
-    """a @ b, as a stack of column blocks of b that OpenBLAS runs on one thread.
+    """a @ b, as column blocks of b that OpenBLAS runs on one thread.
 
     A block of w columns costs a.size * w complex multiply-adds, at most
     _ONE_THREAD_MACS (w >= 2: a single column would go to gemv, whose
-    threshold is lower).
+    threshold is lower). The blocks are strided views of b and of the
+    result, and the columns a whole block does not cover go in one last
+    block that overlaps the one before, so nothing is padded or copied.
     """
     width = max(2, _ONE_THREAD_MACS // a.size)
-    blocks = -(-b.shape[1] // width)
-    padded = np.zeros((b.shape[0], blocks * width), dtype=np.complex128)
-    padded[:, : b.shape[1]] = b
-    stack = np.matmul(a, padded.reshape(b.shape[0], blocks, width).transpose(1, 0, 2))
-    return stack.transpose(1, 0, 2).reshape(a.shape[0], -1)[:, : b.shape[1]]
+    n = b.shape[1]
+    out = np.empty((a.shape[0], n), dtype=np.complex128)
+    full = n - n % width
+    if full:
+        np.matmul(a, _column_blocks(b[:, :full], width), out=_column_blocks(out[:, :full], width))
+    if full < n:
+        last = max(n - width, 0)
+        np.matmul(a, b[:, last:], out=out[:, last:])
+    return out
+
+
+def _column_blocks(x, width):
+    """(n / width, rows, width) view of the column blocks of a (rows, n) array.
+
+    x's columns must have unit stride, so the split is a view.
+    """
+    return x.reshape(x.shape[0], -1, width).transpose(1, 0, 2)
 
 
 def _translation_span(x, top, growth):
@@ -325,40 +386,54 @@ def _fold(sums, signs, p):
     return fold
 
 
-def _graf_coeffs(top, kd, z, gains):
-    """(2 top + 1, S) Graf coefficients of the images at k d = kd, e^{-i phi} = z.
+def _graf_coeffs(orders, kd, z, gains):
+    """Graf coefficients of images at k d = kd, e^{-i phi} = z, one matrix per block.
 
-    kd and z are (S, I), and gains broadcasts to them: (I,) for the near
-    images of S sources, (S, I) for the lattice sums, where each (bin,
-    sign group) is one pseudo-source with its own gains (_center_coeffs).
-    Per order, the (2, S I) row [J_m; Y_m] viewed as (S, 2, I) times the
-    float64 view (S, I, 2) of gz = g z^m gives, per source, the real and
-    imaginary parts of a = sum_i g J_m z^m and b = sum_i g Y_m z^m in one
-    (S, 2, 2) product. Row top + m is a + i b and row top - m is
+    kd is (B, S, I), B blocks of S sources with I images each, and block
+    b's matrix is (2 M_b + 1, S), M_b = orders[b]; z is (S, I), the same in every block, and gains
+    broadcasts to it: (I,) for the near images of S sources, each bin a
+    block, and (S, I) for the lattice sums, one block whose every (bin,
+    sign group) is a pseudo-source with its own gains (_center_coeffs).
+    One Hankel stream, each argument to its own block's M_b, serves every
+    block. Per order, the (2, B S I) row [J_m; Y_m] viewed as (B, S, 2, I)
+    times the float64 view (S, I, 2) of gz = g z^m gives, per block and
+    source, the real and imaginary parts of a = sum_i g J_m z^m and
+    b = sum_i g Y_m z^m in one (B, S, 2, 2) product. While m <= M_b, row
+    M_b + m of block b's matrix is a + i b and row M_b - m is
     (-1)^m (conj a + i conj b). The Hankel rows stream in one order at a
-    time, so the working memory is a few (S, I) arrays whatever the order
-    count.
+    time, so the working memory is a few (B, S, I) arrays whatever the
+    order count.
     """
-    n_src, n_img = kd.shape
-    rows = specfun.hankel1_rows(top, kd.ravel())
+    n_bin, n_src, n_img = kd.shape
+    rows = specfun.hankel1_rows(np.reshape(orders, (-1, 1, 1)), kd)
     gz = np.empty_like(z)
     gz[...] = gains
     gz_parts = gz.view(np.float64).reshape(n_src, n_img, 2)
-    sums = np.empty((n_src, 2, 2))
-    a, b = sums.view(np.complex128)[..., 0].T  # views: sum g J_m z^m, sum g Y_m z^m
-    out = np.empty((2 * top + 1, n_src), dtype=np.complex128)
-    # zip stops at the last order without exhausting the stream. Minor page
-    # faults (ru_minflt, 2-core x86, glibc 2.36) of the 20-bin paper build:
-    # 1.1k per repeated call and 1.0k to 1.3k per call in loops of
-    # run_place, against 14k and 1.9k to 4.9k while all 221 images of each
-    # source went through this stream. The far images now hold no (S, I)
-    # array; the rest is mostly the translation's per-bin arrays.
-    for m, row in zip(range(top + 1), rows):
-        np.matmul(row.reshape(2, n_src, n_img).transpose(1, 0, 2), gz_parts, out=sums)
-        out[top + m] = a + 1j * b
-        out[top - m] = (-1) ** m * (a.conj() + 1j * b.conj())
-        gz *= z
-    return 0.25j * out
+    sums = np.empty((n_bin, n_src, 2, 2))
+    ar, ai, br, bi = (sums[..., i, j] for i in (0, 1) for j in (0, 1))  # a = ar + i ai, b = br + i bi
+    pos = np.empty((n_bin, n_src), dtype=np.complex128)
+    neg = np.empty_like(pos)
+    out = [np.empty((2 * n + 1, n_src), dtype=np.complex128) for n in orders]
+    # zip stops at the last order without exhausting the stream. A block's
+    # rows past its own M_b may overflow at its smallest arguments; unused.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m, row in zip(range(max(orders) + 1), rows):
+            np.matmul(row.reshape(2, n_bin, n_src, n_img).transpose(1, 2, 0, 3), gz_parts, out=sums)
+            # a + i b and conj a + i conj b, part by part
+            np.subtract(ar, bi, out=pos.real)
+            np.add(ai, br, out=pos.imag)
+            np.add(ar, bi, out=neg.real)
+            np.subtract(br, ai, out=neg.imag)
+            if m % 2:
+                np.negative(neg, out=neg)
+            for c, n, p, q in zip(out, orders, pos, neg):
+                if m <= n:
+                    c[n + m] = p
+                    c[n - m] = q
+            gz *= z
+    for c in out:
+        c *= 0.25j
+    return out
 
 
 def _normal_system(coeff_matrix, weight, target=None):

@@ -18,7 +18,13 @@ from sfsplace.experiment import (
     paper_config,
     place_greedy,
 )
-from sfsplace.synthesis import region_grid, solve_wmm, source_coeff_matrix, synthesis_lambda
+from sfsplace.synthesis import (
+    _TRANSLATION_BLOCK_BYTES,
+    region_grid,
+    solve_wmm,
+    source_coeff_matrix,
+    synthesis_lambda,
+)
 from sfsplace.wavefield import (
     ExpansionConfig,
     Frequency,
@@ -75,34 +81,47 @@ def test_build_problems_builds_the_image_table_once(tmp_path, monkeypatch):
 
 
 def test_paper_broadband_build_bessel_work(monkeypatch):
-    # the 20-bin build takes every bin's weight row J(kR) from one
-    # bessel_j_orders call and every prior row J(k rho) from one more, and
-    # each bin's translation rows J_j(k delta) from one call over the 200
-    # candidates; the Graf streams run Miller's recurrence only where some
-    # order reaches the argument (3057 columns: 2146 near images and 911
-    # lattice arguments; 30258 while the direct stream served x < 2 M + 20)
+    # the 20-bin build takes the translation rows J_j(k delta) over the 200
+    # candidates in a few calls over runs of bins, each J block within
+    # _TRANSLATION_BLOCK_BYTES unless one bin alone exceeds it, then every
+    # bin's weight row J(kR) from one bessel_j_orders call and every prior
+    # row J(k rho) from one more; the Graf streams run Miller's recurrence
+    # only where some order reaches the argument (3057 columns: 2146 near
+    # images and 911 lattice arguments; 30258 while the direct stream
+    # served x < 2 M + 20)
     calls, miller = [], []
     inside = []
-    block, fixed = specfun.bessel_j_orders, specfun._j_fixed
 
-    def counted_block(max_order, x):
-        calls.append(np.size(x))
-        inside.append(True)
-        try:
-            return block(max_order, x)
-        finally:
-            inside.pop()
+    def counted(name, fn):
+        def call(max_order, x):
+            if not inside:
+                calls.append((name, int(np.max(max_order)), np.size(x)))
+            inside.append(True)
+            try:
+                return fn(max_order, x)
+            finally:
+                inside.pop()
+
+        return call
+
+    fixed = specfun._j_fixed
 
     def counted_fixed(max_order, x):
         if not inside:
             miller.append(x.size)
         return fixed(max_order, x)
 
-    monkeypatch.setattr(specfun, "bessel_j_orders", counted_block)
+    monkeypatch.setattr(specfun, "bessel_j_orders", counted("orders", specfun.bessel_j_orders))
+    monkeypatch.setattr(specfun, "_j_block", counted("block", specfun._j_block))
     monkeypatch.setattr(specfun, "_j_fixed", counted_fixed)
     problems = build_problems(paper_config(broadband=True))
     assert len(problems) == 20
-    assert calls == [200] * 20 + [20, 20]
+    runs = [(top, size) for name, top, size in calls if name == "block"]
+    assert [name for name, _, _ in calls] == ["block"] * len(runs) + ["orders", "orders"]
+    assert 1 < len(runs) < 20
+    assert sum(size for _, size in runs) == 20 * 200
+    assert all(8 * (top + 1) * n <= _TRANSLATION_BLOCK_BYTES or n == 200 for top, n in runs)
+    assert [size for name, _, size in calls if name == "orders"] == [20, 20]
     assert sum(miller) <= 3057
 
 

@@ -7,7 +7,8 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from sfsplace.config import square_loop
-from sfsplace.experiment import build_problems, paper_config, to_broadband_spec
+from sfsplace import specfun
+from sfsplace.experiment import _bins, build_problems, paper_config, to_broadband_spec
 from sfsplace.placement import (
     BUILD_BLOCK_BYTES,
     BroadbandBin,
@@ -15,7 +16,9 @@ from sfsplace.placement import (
     DirectionRangePrior,
     FieldPrior,
     SelectionState,
+    _direction_range_priors,
     _forms,
+    _interval_phase_mean,
     add_candidate,
     broadband_cost,
     candidate_deltas,
@@ -42,6 +45,7 @@ from sfsplace.wavefield import (
     Frequency,
     PlaneWave,
     Point2,
+    _ipow,
     expansion_for,
     planewave_coeffs,
 )
@@ -130,6 +134,33 @@ def test_prior_offset_mean_matches_adaptive_quadrature(m):
     im, _ = scipy.integrate.quad(integrand, RANGE45.angle_min, RANGE45.angle_max, args=(1,), limit=400)
     want = (re + 1j * im) / width
     assert prior.mean[8 + m] == pytest.approx(want, rel=1e-10)
+
+
+def test_bin_list_priors_match_the_elementwise_phase_means():
+    # the bin-list priors index one table of phase means and powers of i;
+    # every mean and second moment equals the formula evaluated elementwise
+    # on each bin's own order grids, bit for bit (the 20 paper bins about
+    # an off-origin center, and one centered bin)
+    config = paper_config(broadband=True)
+    directions = config.prior.to_range()
+    bins = _bins(config) + [(ExpansionConfig(max_order=8, center=Point2(0.0, 0.0)), F1K)]
+    lo, hi, amp = directions.angle_min, directions.angle_max, complex(directions.amplitude)
+    k_rho = np.array([f.wavenumber * math.hypot(*c.center) for c, f in bins])
+    tops = [int(math.ceil(x)) + 20 for x in k_rho]
+    j_all = specfun.bessel_j_orders(max(tops[:-1]), k_rho)
+    for b, ((cfg, _), prior) in enumerate(zip(bins, _direction_range_priors(directions, bins))):
+        m = cfg.orders
+        if b == len(bins) - 1:
+            mu = amp * _ipow(m) * _interval_phase_mean(m, lo, hi)
+        else:
+            q = np.arange(-tops[b], tops[b] + 1)
+            j_q = np.where(q < 0, (-1.0) ** np.abs(q), 1.0) * j_all[np.abs(q), b]
+            weights = _ipow(q) * j_q * np.exp(-1j * q * math.atan2(cfg.center[1], cfg.center[0]))
+            mu = amp * _ipow(m) * (_interval_phase_mean(m[:, None] - q[None, :], lo, hi) @ weights)
+        d = m[:, None] - m[None, :]
+        r = (abs(amp) ** 2) * _ipow(d) * _interval_phase_mean(d, lo, hi)
+        assert np.array_equal(prior.mean, mu)
+        assert np.array_equal(prior.second_moment, 0.5 * (r + r.conj().T))
 
 
 def test_prior_degenerate_width_is_point_mass():

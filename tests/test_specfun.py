@@ -155,6 +155,33 @@ def test_hankel1_rows_stack_to_the_order_block(max_order):
     assert err.max() <= 1e-12
 
 
+def test_every_column_is_its_own_single_column_call():
+    # one call over arguments in all five seed regimes, the tiny series,
+    # Miller columns and upward ones, each to its own order limit: every
+    # column to its limit equals its own single-column call at that limit,
+    # bit for bit, and the stream's J half equals the J block's
+    rng = np.random.default_rng(11)
+    edges = [e + d for e in SEED_EDGES for d in (-1e-9, 1e-9)]
+    x = np.concatenate([[0.0, 3e-7, 4.0, 9.0], edges, rng.uniform(1e-3, 6.0, 40),
+                        rng.uniform(6.0, 17.0, 40), rng.uniform(17.0, 30.0, 20),
+                        rng.uniform(30.0, 60.0, 20), rng.uniform(60.0, 400.0, 20)])
+    orders = np.r_[0, 5, 1, 12, rng.integers(0, 45, x.size - 4)]
+    seeded = sf._j_seeded(orders, x)
+    assert seeded.any() and (~seeded & (x >= 1e-6)).any()  # upward and Miller columns
+    block = sf._j_block(orders, x)
+    assert block.shape == (orders.max() + 1, x.size)
+    for i, (order, xi) in enumerate(zip(orders, x)):
+        assert np.array_equal(block[: order + 1, i], sf.bessel_j_orders(int(order), xi))
+    positive = x > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.array([row.copy() for row in sf.hankel1_rows(orders[positive], x[positive])])
+    for i, (order, xi) in enumerate(zip(orders[positive], x[positive])):
+        one = _stacked_rows(int(order), np.array([xi]))[:, :, 0]
+        assert np.array_equal(rows[: order + 1, :, i], one)
+        assert np.array_equal(rows[: order + 1, 0, i], block[: order + 1, positive][:, i])
+
+
 def test_j_upward_band_matches_scipy():
     # orders 2..80 over max_order + 1 <= x <= 2 max_order + 20, where J now
     # recurs upward from the seeds (Miller's recurrence served it before):

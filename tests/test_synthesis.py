@@ -592,9 +592,10 @@ def test_source_coeff_matrix_matches_scipy_at_the_far_split_edges(name, monkeypa
 
 
 def test_paper_room_sends_far_images_through_the_lattice_sums(monkeypatch):
-    # the 20-bin paper build streams Hankel rows for 6 near images per
-    # candidate and the 4 x 60 lattice arguments of each bin: 28,800
-    # arguments, where summing every image directly streams 884,000
+    # the 20-bin paper build streams Hankel rows in two streams, one for
+    # the 6 near images per candidate of every bin and one for the 4 x 60
+    # lattice arguments of every bin: 28,800 arguments, where summing every
+    # image directly streams 884,000
     arguments = []
     rows = specfun.hankel1_rows
 
@@ -607,7 +608,7 @@ def test_paper_room_sends_far_images_through_the_lattice_sums(monkeypatch):
     config = paper_config(broadband=True)
     source_coeff_matrix(config.candidate_positions(), _bins(config), config.room_model())
     assert folds == [4] * 20
-    assert sum(arguments) == 20 * 200 * 6 + 20 * 4 * 60
+    assert arguments == [20 * 200 * 6, 20 * 4 * 60]
 
 
 def test_source_coeff_matrix_bins_match_one_call_per_bin():
@@ -644,6 +645,25 @@ def test_source_coeff_matrix_memory_is_a_few_image_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_paper_broadband_build_memory_is_bounded():
+    # the 20 paper bins in one build: one near-image stream writes each
+    # bin's own matrix, and the translation rows come in J blocks of at
+    # most _TRANSLATION_BLOCK_BYTES. The traced peak measured 5.92 MB (6.16
+    # MB with a stream and a J call per bin); a padded all-bin output with
+    # one (134, 4000) J block took 12 to 13.5 MB
+    config = paper_config(broadband=True)
+    cand, bins, room = config.candidate_positions(), _bins(config), config.room_model()
+    source_coeff_matrix(cand, bins, room)  # builds the room's image table
+    tracemalloc.start()
+    try:
+        got = source_coeff_matrix(cand, bins, room)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.flags.c_contiguous and c.flags.owndata for c in got)
+    assert peak < 8e6
 
 
 def test_direct_oracles_use_no_sfsplace_special_functions(monkeypatch):
