@@ -211,7 +211,7 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     into one matrix against the rows J_j(k delta_s) u_s^j (_fold): one
     (2M + 1, 2p + 1) by (2p + 1, S) product per bin, and no (S, I) array
     for the far images. The rows J_j of a run of bins come from one J
-    block (_translation_runs).
+    block (_translation_runs) over the distinct delta_s.
     """
     n_src = len(srcs)
     far = np.zeros(table.gain.size, dtype=bool)
@@ -271,17 +271,22 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     beta = np.arctan2(shift[:, 1], shift[:, 0])
     phase = np.exp(1j * np.outer(np.arange(max(spans) + 1), beta))  # u_s^j
     signs = [sign for sign, _ in groups]
-    for run in _translation_runs(spans, n_src):
-        # rows J_j(k delta_s), j = 0..p, of the run's bins from one J block
+    # sources share distances from y (a symmetric layout repeats them), so
+    # the J rows are taken once per distinct delta and gathered per source
+    dists, which = np.unique(delta, return_inverse=True)
+    n_dist = len(dists)
+    for run in _translation_runs(spans, n_dist):
+        # rows J_j(k delta), j = 0..p, of the run's bins from one J block
         block = specfun._j_block(
-            np.repeat([spans[b] for b in run], n_src), (wavenumber[run, None] * delta).ravel()
+            np.repeat([spans[b] for b in run], n_dist), (wavenumber[run, None] * dists).ravel()
         )
         for i, b in enumerate(run):
             n, p = orders[b], spans[b]
+            j = block[: p + 1, i * n_dist : (i + 1) * n_dist]
             # one statement, so a bin's fold and rows are freed before the next's
             out[b] += _one_thread_product(
                 _fold(sums[top - n - p : top + n + p + 1, b], signs, p),
-                _translation_rows(block[: p + 1, i * n_src : (i + 1) * n_src], phase[: p + 1]),
+                _translation_rows(j[:, which], phase[: p + 1]),
             )
     return out
 
@@ -289,28 +294,30 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
 def _translation_rows(j, phase):
     """(2p + 1, S) rows R_j = J_j(k delta) u^j, j = -p..p, of the translation.
 
-    j holds J_0..J_p and phase u^0..u^p; the rows of negative j come from
-    J_{-j} u^{-j} = (-1)^j J_j conj(u)^j.
+    j holds J_0..J_p and phase u^0..u^p; the rows of negative j are
+    J_{-j} u^{-j} = (-1)^j J_j conj(u)^j = (-1)^j conj(R_j), J being real,
+    formed in place.
     """
     p = j.shape[0] - 1
     rows = np.empty((2 * p + 1, j.shape[1]), dtype=np.complex128)
     np.multiply(j, phase, out=rows[p:])
-    sign = (-1.0) ** np.arange(p, 0, -1)[:, None]
-    np.multiply(sign * j[p:0:-1], phase[p:0:-1].conj(), out=rows[:p])
+    np.conjugate(rows[:p:-1], out=rows[:p])
+    rows[:p] *= (-1.0) ** np.arange(p, 0, -1)[:, None]
     return rows
 
 
-def _translation_runs(spans, n_src):
+def _translation_runs(spans, n_dist):
     """The bins in descending span, in runs whose translation rows share a J block.
 
-    A run's block has its first (largest) span + 1 rows and n_src columns
-    per bin, at most _TRANSLATION_BLOCK_BYTES unless one bin alone is
-    larger. Descending spans give the columns Miller's recurrence in the
-    order it runs them (specfun._j_orders_miller), so it sorts none.
+    A run's block has its first (largest) span + 1 rows and n_dist columns
+    per bin (one per distinct source distance), at most
+    _TRANSLATION_BLOCK_BYTES unless one bin alone is larger. Descending
+    spans give the columns Miller's recurrence in the order it runs them
+    (specfun._j_orders_miller), so it sorts none.
     """
     runs = []
     for b in sorted(range(len(spans)), key=lambda b: -spans[b]):
-        if runs and 8 * (spans[runs[-1][0]] + 1) * n_src * (len(runs[-1]) + 1) <= (
+        if runs and 8 * (spans[runs[-1][0]] + 1) * n_dist * (len(runs[-1]) + 1) <= (
             _TRANSLATION_BLOCK_BYTES
         ):
             runs[-1].append(b)

@@ -12,8 +12,11 @@ from the Jacobi-Anger identity; exterior point sources and their room
 images are expanded with Graf's addition theorem by
 synthesis.source_coeff_matrix (valid strictly inside the source
 distance), which is the one propagation model of the package. A field
-is sampled only where a grid needs it, as _basis_matrix(cfg, pts, freq).T
-@ coefficients.
+is sampled only where a grid needs it, as basis.T @ coefficients for the
+basis J_m(k r') e^{i m phi'} of its points. _basis_blocks builds that
+basis a block of points at a time from one Bessel call over the points'
+distinct radii, so a large grid's basis need not be held whole;
+_basis_matrix is its one-block case.
 """
 
 from __future__ import annotations
@@ -207,20 +210,46 @@ def _planewave_matrix(cfg: ExpansionConfig, freq: Frequency, directions, amplitu
 def _basis_matrix(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency) -> np.ndarray:
     """J_m(k r') e^{i m phi'} for all orders x points, shape (2M+1, n).
 
-    w^m = e^{i m phi'} is stepped by multiplication, and J_{-m} = (-1)^m J_m
-    fills row M-m from the same order: no full-size temporary beside the
-    Bessel block.
+    The one-block case of _basis_blocks, equal to its blocks bit for bit.
+    """
+    (basis,) = _basis_blocks(cfg, pts, freq, max(len(pts), 1))
+    return basis
+
+
+def _basis_blocks(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency, block: int):
+    """Yield _basis_matrix's column blocks of at most block (>= 1) points, in order.
+
+    One bessel_j_orders call covers the distinct radii r' of all the
+    points (a square grid about the center repeats most of them); a J
+    value depends on its argument and order limit alone, so each point's
+    column equals a one-point build bit for bit (_basis_block).
     """
     cx, cy = cfg.center
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
-    top = cfg.max_order
-    j = specfun.bessel_j_orders(top, freq.wavenumber * np.hypot(dx, dy))
-    w = np.exp(1j * np.arctan2(dy, dx))
+    radii, which = np.unique(np.hypot(dx, dy), return_inverse=True)
+    j_all = specfun.bessel_j_orders(cfg.max_order, freq.wavenumber * radii)
+    w_all = np.exp(1j * np.arctan2(dy, dx))
+    for start in range(0, max(len(w_all), 1), block):  # no points: one empty block
+        cols = slice(start, start + block)
+        # built in a call, so the generator holds no block while the next is built
+        yield _basis_block(j_all[:, which[cols]], w_all[cols])
+
+
+def _basis_block(j, w):
+    """Basis columns (2M+1, n) from the rows J_0..J_M (M+1, n) and w = e^{i phi'} (n,).
+
+    w^m is stepped by multiplication, and J_{-m} = (-1)^m J_m fills row
+    M-m from the same order: no full-size temporary beside the block. The
+    step is not in place: numpy takes an in-place product of one element
+    as a reduction, rounded differently from its vector loop, and a
+    one-point block would then differ from the same point in a wider one.
+    """
+    top = j.shape[0] - 1
     wm = np.ones_like(w)
     out = np.empty((2 * top + 1, len(w)), dtype=np.complex128)
     for m in range(top + 1):
         out[top + m] = j[m] * wm
         out[top - m] = (-1) ** m * j[m] * wm.conj()
-        wm *= w
+        wm = wm * w
     return out

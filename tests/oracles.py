@@ -9,10 +9,12 @@ are the direct models it is checked against. Both take their Bessel and
 Hankel values from scipy.special, never from sfsplace.specfun. The weight
 has a closed form in the library; weight_matrix_quadrature integrates the
 same Gram matrix numerically. The library takes SDRs from expansion
-coefficients; sdr takes them from sampled fields.
+coefficients; sdr takes them from sampled fields. traced_peak is the
+tests' one memory probe.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.special
@@ -27,6 +29,19 @@ from sfsplace.wavefield import (
     _as_points,
     _basis_matrix,
 )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced above its start while fn ran)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
 
 # grid points of the direct truncation check: half the outermost (truncation
 # error peaks at the rim), half an even stride over the whole grid

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from sfsplace import experiment, specfun
 from sfsplace import room as room_module
 from sfsplace.config import ExperimentConfig
 from sfsplace.experiment import (
+    GRID_ORDERS,
     _truncation_errors,
     baseline_indices,
     build_problems,
@@ -29,11 +29,13 @@ from sfsplace.wavefield import (
     ExpansionConfig,
     Frequency,
     PlaneWave,
+    _basis_matrix,
+    _planewave_matrix,
     expansion_for,
     planewave_coeffs,
 )
 
-from oracles import column_errors, direct_transfer, graf_coeffs, sdr
+from oracles import column_errors, direct_transfer, graf_coeffs, sdr, traced_peak
 
 # the truncation estimate may over-report the direct error by up to this
 # factor (measured: 1.14-2.00 on the paper bins, 1.23-1.76 on the sweep)
@@ -81,8 +83,9 @@ def test_build_problems_builds_the_image_table_once(tmp_path, monkeypatch):
 
 
 def test_paper_broadband_build_bessel_work(monkeypatch):
-    # the 20-bin build takes the translation rows J_j(k delta) over the 200
-    # candidates in a few calls over runs of bins, each J block within
+    # the 20-bin build takes the translation rows J_j(k delta) over the
+    # candidates' distinct distances delta from the layout's midpoint (62 of
+    # 200) in a few calls over runs of bins, each J block within
     # _TRANSLATION_BLOCK_BYTES unless one bin alone exceeds it, then every
     # bin's weight row J(kR) from one bessel_j_orders call and every prior
     # row J(k rho) from one more; the Graf streams run Miller's recurrence
@@ -114,13 +117,18 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     monkeypatch.setattr(specfun, "bessel_j_orders", counted("orders", specfun.bessel_j_orders))
     monkeypatch.setattr(specfun, "_j_block", counted("block", specfun._j_block))
     monkeypatch.setattr(specfun, "_j_fixed", counted_fixed)
-    problems = build_problems(paper_config(broadband=True))
+    config = paper_config(broadband=True)
+    problems = build_problems(config)
     assert len(problems) == 20
+    cand = config.candidate_positions()
+    mid = 0.5 * (cand.min(axis=0) + cand.max(axis=0))
+    distinct = np.unique(np.hypot(*(mid - cand).T)).size
+    assert distinct == 62
     runs = [(top, size) for name, top, size in calls if name == "block"]
     assert [name for name, _, _ in calls] == ["block"] * len(runs) + ["orders", "orders"]
     assert 1 < len(runs) < 20
-    assert sum(size for _, size in runs) == 20 * 200
-    assert all(8 * (top + 1) * n <= _TRANSLATION_BLOCK_BYTES or n == 200 for top, n in runs)
+    assert sum(size for _, size in runs) == 20 * distinct
+    assert all(8 * (top + 1) * n <= _TRANSLATION_BLOCK_BYTES or n == distinct for top, n in runs)
     assert [size for name, _, size in calls if name == "orders"] == [20, 20]
     assert sum(miller) <= 3057
 
@@ -341,6 +349,48 @@ def test_point_source_evaluation_makes_one_graf_build(tmp_path, monkeypatch):
         assert np.max(np.abs(ev.targets - alone)) <= 1e-12 * np.linalg.norm(alone)
 
 
+@pytest.mark.parametrize("desired", [None, (-1.2, -0.7)])
+def test_grid_evaluation_blocks_match_the_whole_basis(tmp_path, monkeypatch, desired):
+    # each bin's gram, cross and energy, summed over blocks of a few dozen
+    # grid points, against the products of the whole basis B_x (order
+    # M + GRID_ORDERS) with its middle K rows B: P = conj(B) B_x^T, Gm its
+    # middle K columns, X = P t_x, and the energy of the grid field
+    # B_x^T t_x (plane waves: the point count G)
+    doc = _tiny_paper(tmp_path, broadband=True).to_dict()
+    doc["evaluation"]["grid_spacing"] = 0.02
+    if desired is not None:
+        doc["evaluation"] = {"desired": "point_source", "desired_position": list(desired),
+                             "grid_spacing": 0.02}
+    config = ExperimentConfig.from_dict(doc)
+    placements = {"regular_b": baseline_indices(config, "regular_b")}
+    seen = []
+    init = experiment._GridEvaluation.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        seen.append((self, args))
+
+    monkeypatch.setattr(experiment._GridEvaluation, "__init__", spy)
+    monkeypatch.setattr(experiment, "_GRID_BLOCK_BYTES", 1 << 14)
+    evaluate_placements(config, placements)
+    assert len(seen) == 3
+    for ev, (_, cfg, freq, grid, angles, column, cols, _, _) in seen:
+        wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
+        block = (1 << 14) // (16 * wide.size)
+        assert 1 < block < len(grid) and len(grid) % block
+        whole = _basis_matrix(wide, grid, freq)
+        proj = whole[GRID_ORDERS : GRID_ORDERS + cfg.size].conj() @ whole.T
+        if desired is None:
+            wave = _planewave_matrix(wide, freq, np.radians(angles))
+            energy = np.full(len(angles), float(len(grid)))
+        else:
+            wave = cols[:, len(column) :]
+            energy = np.sum(np.abs(whole.T @ wave) ** 2, axis=0)
+        want = (proj[:, GRID_ORDERS : GRID_ORDERS + cfg.size], proj @ wave, energy)
+        for got, w in zip((ev.gram, ev.cross, ev.energy), want):
+            assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
+
+
 def _placements(config, problems):
     return dict(zip(("proposed", *config.baselines), _paper_placements(config, problems)))
 
@@ -424,17 +474,15 @@ def test_truncation_check_covers_the_desired_source(tmp_path, factor, fails):
 
 
 def test_paper_evaluation_memory_is_bounded():
-    # the grid enters only through K-sized products: no grid field per
-    # placement and angle (7845 x 91). Traced peak measured 11.2 MB; the
-    # grid-field evaluation it replaced peaked at 45.4 MB.
-    config = paper_config()
-    placements = _placements(config, build_problems(config))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rows, _ = evaluate_placements(config, placements)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 3 * len(config.evaluation.angles_deg)
-    assert peak < 24e6
+    # the grid enters only through K-sized products, and its basis only in
+    # blocks of at most _GRID_BLOCK_BYTES: no grid field per placement and
+    # angle (7845 x 91, 45.4 MB) and no whole-grid basis (the basis 12
+    # orders past M, 8.2 MB at 1 kHz and 10.4 MB at 2 kHz, K = 59). Traced
+    # peak measured 3.95 MB at 1 kHz and 4.15 MB at 2 kHz; with the whole
+    # basis it was 11.3 and 14.1 MB.
+    for hz in (1000.0, 2000.0):
+        config = dataclasses.replace(paper_config(), frequencies=(hz,))
+        placements = _placements(config, build_problems(config))
+        (rows, _), peak = traced_peak(evaluate_placements, config, placements)
+        assert len(rows) == 3 * len(config.evaluation.angles_deg)
+        assert peak < 6e6, hz

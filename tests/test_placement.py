@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import build_pressure_matching, direct_transfer, wmm_residual
+from oracles import build_pressure_matching, direct_transfer, traced_peak, wmm_residual
 
 F1K = Frequency(1000.0)
 RANGE45 = DirectionRangePrior(math.radians(-45.0), math.radians(45.0))
@@ -473,13 +472,9 @@ def test_broadband_greedy_memory_holds_one_generation():
     config = paper_config(broadband=True)
     spec = to_broadband_spec(build_problems(config))
     generation = _generation_bytes([b.coeff_matrix for b in spec.bins])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = greedy_place_broadband(spec, config.lambda_select, n_select=config.n_select)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(
+        greedy_place_broadband, spec, config.lambda_select, n_select=config.n_select
+    )
     assert len(result.indices) == config.n_select
     assert peak < 1.25 * generation
 
@@ -658,13 +653,7 @@ def test_greedy_large_n_memory_holds_one_generation(large_n_problem):
     # holding Q_S C and R Q_S C whole would take 7.6 MB)
     c, w, prior = large_n_problem
     generation = _generation_bytes([c])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = greedy_place(c, w, prior, 1e-5, n_select=100)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(greedy_place, c, w, prior, 1e-5, n_select=100)
     assert len(result.indices) == 100
     assert peak < 1.25 * generation
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from oracles import (
     direct_transfer,
     graf_coeffs,
     sdr,
+    traced_peak,
     weight_matrix_quadrature,
     wmm_residual,
 )
@@ -638,30 +638,21 @@ def test_source_coeff_matrix_memory_is_a_few_image_arrays():
     assert bins[0][0].max_order == 29
     srcs = square_loop(3.0, 200)
     source_coeff_matrix(srcs, bins, PAPER_ROOM)  # builds the room's image table
-    tracemalloc.start()
-    try:
-        source_coeff_matrix(srcs, bins, PAPER_ROOM)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(source_coeff_matrix, srcs, bins, PAPER_ROOM)
     assert peak < 5e6
 
 
 def test_paper_broadband_build_memory_is_bounded():
     # the 20 paper bins in one build: one near-image stream writes each
     # bin's own matrix, and the translation rows come in J blocks of at
-    # most _TRANSLATION_BLOCK_BYTES. The traced peak measured 5.92 MB (6.16
-    # MB with a stream and a J call per bin); a padded all-bin output with
-    # one (134, 4000) J block took 12 to 13.5 MB
+    # most _TRANSLATION_BLOCK_BYTES. The traced peak measured 5.72 MB (5.90
+    # MB with J rows per candidate and negative-order rows from temporaries,
+    # 6.16 MB with a stream and a J call per bin); a padded all-bin output
+    # with one (134, 4000) J block took 12 to 13.5 MB
     config = paper_config(broadband=True)
     cand, bins, room = config.candidate_positions(), _bins(config), config.room_model()
     source_coeff_matrix(cand, bins, room)  # builds the room's image table
-    tracemalloc.start()
-    try:
-        got = source_coeff_matrix(cand, bins, room)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(source_coeff_matrix, cand, bins, room)
     assert all(c.flags.c_contiguous and c.flags.owndata for c in got)
     assert peak < 8e6
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from sfsplace.synthesis import source_coeff_matrix
+from sfsplace.synthesis import region_grid, source_coeff_matrix
 from sfsplace.wavefield import (
     CircularRegion,
     ExpansionCoeffs,
@@ -13,6 +13,7 @@ from sfsplace.wavefield import (
     Frequency,
     PlaneWave,
     Point2,
+    _basis_blocks,
     _basis_matrix,
     expansion_for,
     planewave_coeffs,
@@ -203,6 +204,28 @@ def test_basis_matrix_matches_scipy_at_high_order():
     want = sp.jv(m, kr) * np.exp(1j * m * phi)
     assert basis.shape == want.shape
     assert np.max(np.abs(basis - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 7, 81, 500])
+def test_basis_blocks_equal_the_whole_basis_and_one_point_builds(block):
+    # one J call over the grid's distinct radii (81 points, 28 radii, the
+    # center r = 0 among them; 7 does not divide 81), Miller's recurrence
+    # and upward J both serving (k r up to 27.5 at order 20): every block
+    # equals the whole basis and one-point builds bit for bit
+    cfg = ExpansionConfig(20, REGION.center, valid_radius=REGION.radius)
+    freq = Frequency(3000.0)
+    grid = region_grid(REGION, spacing=0.1)
+    assert len(grid) == 81 and list(REGION.center) in grid.tolist()
+    blocks = list(_basis_blocks(cfg, grid, freq, block))
+    sizes = [min(block, len(grid) - s) for s in range(0, len(grid), block)]
+    assert [b.shape for b in blocks] == [(cfg.size, n) for n in sizes]
+    whole = _basis_matrix(cfg, grid, freq)
+    assert np.array_equal(np.hstack(blocks), whole)
+    assert np.array_equal(whole, np.hstack([_basis_matrix(cfg, p[None], freq) for p in grid]))
+    one = grid[:1]
+    (alone,) = _basis_blocks(cfg, one, freq, block)
+    assert np.array_equal(alone, _basis_matrix(cfg, one, freq))
+    assert np.array_equal(alone, whole[:, :1])
 
 
 @given(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
