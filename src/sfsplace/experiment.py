@@ -33,12 +33,11 @@ from .synthesis import (
     WeightMatrix,
     _circle_weights,
     _coeff_sdr,
-    _point_gram,
+    _lattice_gram,
+    _scaled_solve,
     identity_weight,
     region_grid,
-    solve_wmm,
     source_coeff_matrix,
-    synthesis_lambda,
 )
 from .wavefield import (
     ExpansionConfig,
@@ -77,11 +76,15 @@ def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     pressure-matching cost of the control-point transfer, taken through
     the expansion.
     """
+    spacing = _pm_spacing(config)
+    return region_grid(config.region, spacing=spacing), spacing ** 2
+
+
+def _pm_spacing(config: ExperimentConfig) -> float:
     spacing = config.pm_control_spacing
     if spacing is None:
-        f_max = max(config.frequencies)
-        spacing = 0.25 * config.sound_speed / f_max
-    return region_grid(config.region, spacing=spacing), float(spacing) ** 2
+        spacing = 0.25 * config.sound_speed / max(config.frequencies)
+    return float(spacing)
 
 
 def _bins(config: ExperimentConfig) -> list:
@@ -95,7 +98,8 @@ def _weights(config: ExperimentConfig, bins) -> list[WeightMatrix]:
 
     wmm: closed-form region Gram, every bin from one Bessel call; mode
     matching: identity; pressure matching: Gram of the basis over the
-    control grid (see pm_control_points). Placement and evaluation both
+    control grid (see pm_control_points), from the grid's D4 wedge
+    (synthesis._lattice_gram). Placement and evaluation both
     take their weights from this call over all of a config's bins, so the
     two agree bit for bit.
     """
@@ -103,8 +107,9 @@ def _weights(config: ExperimentConfig, bins) -> list[WeightMatrix]:
         return _circle_weights(config.region, bins)
     if config.method == "mode-matching":
         return [identity_weight(cfg.size) for cfg, _ in bins]
-    ctrl, cell = pm_control_points(config)  # pressure-matching
-    return [_point_gram(cfg, ctrl, freq, cell) for cfg, freq in bins]
+    spacing = _pm_spacing(config)  # pressure-matching
+    ctrl = region_grid(config.region, spacing=spacing)
+    return [WeightMatrix(_lattice_gram(cfg, ctrl, spacing, f, spacing ** 2)) for cfg, f in bins]
 
 
 def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
@@ -183,13 +188,6 @@ TAIL_ORDERS = 6
 # wave to rounding, and a point source at distance d to about (R/d)^(M+12)
 # of its field (measured 1e-10 at 2 R and 1 kHz, 1e-13 at 4 R)
 GRID_ORDERS = 12
-# Largest grid basis block (GRID_ORDERS past M) that evaluation holds at
-# once (_GridEvaluation). On the paper grid (2-core x86, medians of 15
-# repeats), 2 MB blocks (2016 points at 1 kHz, 1579 at 2 kHz) built an
-# evaluation as fast as one whole-grid block, 1 MB blocks 7-19% slower and
-# 512 KB blocks 22-40% slower.
-_GRID_BLOCK_BYTES = 1 << 21
-
 
 class TruncationError(ValueError):
     """The truncated expansion misrepresents a selected source on the grid."""
@@ -241,16 +239,14 @@ class _GridEvaluation:
     X = conj(B) u_des of the desired field (one column per angle) and its
     energy E. Grid fields are formed only for field dumps (grid_fields).
 
-    The basis B_x, GRID_ORDERS orders past M, streams in blocks of grid
-    points (_basis_blocks, at most _GRID_BLOCK_BYTES each), and B is its
-    middle K rows. Since conj(B_m) = (-1)^m B_{-m}, P = conj(B) B_x^T is
-    B B_x^T, summed over the blocks, with its rows reversed and signed,
-    and Gm is P's middle K columns. A plane wave's grid field is B_x^T t_x
-    to rounding (t_x its Jacobi-Anger coefficients to order
-    M + GRID_ORDERS), so X = P t_x and E = G, the grid's point count. A
-    point source's grid field is likewise B_x^T t_x for its own Graf
-    column t_x to order M + GRID_ORDERS, so X = P t_x and E is the energy
-    of that one grid field, formed block by block.
+    All three come from P = conj(B_x) B_x^T, the (K_x x K_x) Gram of the
+    basis B_x GRID_ORDERS orders past M, which the grid's D4 symmetry
+    gives from one wedge of the lattice (synthesis._lattice_gram); Gm is
+    P's middle K x K block. A plane wave's grid field is B_x^T t_x to
+    rounding (t_x its Jacobi-Anger coefficients to order M + GRID_ORDERS),
+    so X = P[mid] t_x and E = G, the grid's point count. A point source's
+    grid field is likewise B_x^T t_x for its own Graf column t_x to order
+    M + GRID_ORDERS, so X = P[mid] t_x and E = t_x^H P t_x.
 
     Also holds the solve-domain targets (order-M coefficients), the
     method's weight (the bin's entry of _weights over all of the config's
@@ -268,38 +264,30 @@ class _GridEvaluation:
         extra = (cols.shape[0] - cfg.size) // 2
         self.coeff = cols[extra : extra + cfg.size]
         self.weight = weight
-        wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
+        self._wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
         mid = slice(GRID_ORDERS, GRID_ORDERS + cfg.size)
-        point = config.evaluation.desired == "point_source"
-        if point:  # the desired source's column, to order M + GRID_ORDERS
-            wave = cols[:, len(self.column) :]
+        if config.evaluation.desired == "point_source":
+            # the desired source's column, to order M + GRID_ORDERS
+            self._source = wave = cols[:, len(self.column) :]
         else:
-            wave = _planewave_matrix(wide, freq, [math.radians(a) for a in angles])
+            self._source = None
+            wave = _planewave_matrix(self._wide, freq, [math.radians(a) for a in angles])
         self.targets = wave[mid]
-        prod = np.zeros((cfg.size, wide.size), dtype=np.complex128)  # B B_x^T
-        desired = []
-        block = max(1, _GRID_BLOCK_BYTES // (16 * wide.size))
-        for basis in _basis_blocks(wide, grid, freq, block):
-            prod += basis[mid] @ basis.T
-            if point:
-                desired.append(basis.T @ wave)
-            del basis  # freed before the next block is built
-        sign = (-1.0) ** np.abs(cfg.orders)[:, None]
-        proj = sign * prod[::-1]
-        self.gram = proj[:, mid]
-        self.cross = proj @ wave
-        if point:
-            self._desired = np.concatenate(desired)
-            self.energy = np.sum(np.abs(self._desired) ** 2, axis=0)
-        else:
-            self._desired = None
+        gram = _lattice_gram(self._wide, grid, config.evaluation.grid_spacing, freq, 1.0)
+        self.gram = gram[mid, mid]
+        self.cross = gram[mid] @ wave
+        if self._source is None:
             self.energy = np.full(len(angles), float(len(grid)))
+        else:
+            self.energy = np.sum(wave.conj() * (gram @ wave), axis=0).real
 
     def coefficients(self, indices) -> np.ndarray:
-        """Expansion coefficients C d of one placement's field, one column per angle."""
+        """Expansion coefficients C d of one placement's field, one column per angle.
+
+        One normal system serves both synthesis_lambda and solve_wmm.
+        """
         c = self.coeff[:, [self.column[i] for i in indices]]
-        lam = synthesis_lambda(c, self.weight, scale=self.config.lambda_synth_scale)
-        return c @ solve_wmm(c, self.weight, self.targets, lam)
+        return c @ _scaled_solve(c, self.weight, self.targets, self.config.lambda_synth_scale)
 
     def sdrs(self, coeffs) -> list[float]:
         """SDR per angle of the field with these expansion coefficients."""
@@ -312,9 +300,12 @@ class _GridEvaluation:
         one its SDRs used. A placement's grid field is basis^T a for its
         coefficients a.
         """
-        desired = self._desired
-        if desired is None:
+        if self._source is None:
             desired = _plane_waves(self.grid, self.freq, self.angles)
+        else:  # in 2 MB blocks: the wide basis is never held whole
+            block = max(1, (1 << 21) // (16 * self._wide.size))
+            blocks = _basis_blocks(self._wide, self.grid, self.freq, block)
+            desired = np.concatenate([basis.T @ self._source for basis in blocks])
         return desired, _basis_matrix(self.cfg, self.grid, self.freq)
 
 

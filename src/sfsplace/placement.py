@@ -13,10 +13,11 @@ bin, the residual Q_S (K x K) and two real quadratic forms per candidate
 column c_n, num_n = z_n^H R z_n and den_n = c_n^H z_n with z_n = Q_S c_n.
 Adding candidate c changes J by -num_c / (lam + den_c). A pick is one
 rank-one update of Q_S, and both forms follow from one (2, K) @ (K, N)
-product with C: each step costs O(K^2 + K N) per bin, the state holds no
-K x N array besides C, and the denominator never falls below lam. The
-forms drift from their direct values faster than Q_S does, so near-best
-candidates are re-costed from Q_S before a tie goes to the lowest index.
+product with C (two matrix-vector products for a large C): each step
+costs O(K^2 + K N) per bin, the state holds no K x N array besides C,
+and the denominator never falls below lam. The forms drift from their
+direct values faster than Q_S does, so near-best candidates are
+re-costed from Q_S before a tie goes to the lowest index.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .synthesis import WeightMatrix
+from .synthesis import _ONE_THREAD_MACS, WeightMatrix
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
@@ -364,9 +365,10 @@ def add_candidate(state: SelectionState, index: int) -> SelectionState:
     """Select one more candidate: rank-one updates of q, num and den.
 
     With z_c = Q c, y_c = R z_c and delta = lam + c^H z_c (O(K^2)),
-    Q' = Q - z_c z_c^H / delta. One (2, K) @ (K, N) product gives
-    w = z_c^H C and v = (Q y_c)^H C, and with u = w / delta every
-    candidate's forms follow in O(N):
+    Q' = Q - z_c z_c^H / delta. One (2, K) @ (K, N) product, or two
+    matrix-vector products for a large C, gives w = z_c^H C and
+    v = (Q y_c)^H C, and with u = w / delta every candidate's forms
+    follow in O(N):
 
         den' = den - Re(conj(u) w),
         num' = num + |u|^2 Re(z_c^H y_c) - 2 Re(conj(u) v).
@@ -385,11 +387,17 @@ def add_candidate(state: SelectionState, index: int) -> SelectionState:
     zy = float(np.vdot(zc, yc).real)
     den = state.lam + max(float(np.vdot(c, zc).real), 0.0)
     state.min_denominator = min(state.min_denominator, den)
-    # one BLAS product for w and v: at K = 59, N = 4000 on a 2-core x86 VM
-    # it took 0.24-0.28 ms idle and 0.95 ms with the other core busy, where
-    # einsum over the same operands took 1.6-1.9 ms either way; w and v are
-    # read re/im interleaved from its float64 view
-    wv = (np.conj([zc, state.q @ yc]) @ state.coeff).view(np.float64)
+    # w and v: one (2, K) @ (K, N) product on one thread up to
+    # _ONE_THREAD_MACS, two matrix-vector products past it (see there)
+    zq = np.conj([zc, state.q @ yc])
+    if 2 * state.coeff.size > _ONE_THREAD_MACS:
+        wv = np.empty((2, state.n_candidates), dtype=np.complex128)
+        np.matmul(zq[0], state.coeff, out=wv[0])
+        np.matmul(zq[1], state.coeff, out=wv[1])
+    else:
+        wv = zq @ state.coeff
+    # read re/im interleaved from the float64 view
+    wv = wv.view(np.float64)
     w_re, w_im, v_re, v_im = wv[0, 0::2], wv[0, 1::2], wv[1, 0::2], wv[1, 1::2]
     w_abs2 = w_re * w_re + w_im * w_im
     state.den -= w_abs2 / den

@@ -79,15 +79,34 @@ def identity_weight(size: int) -> WeightMatrix:
     return WeightMatrix(np.eye(size, dtype=np.complex128))
 
 
-def _point_gram(cfg: ExpansionConfig, points, freq: Frequency, weights) -> WeightMatrix:
-    """Gram matrix of the basis under a point quadrature with the given weights.
+def _lattice_gram(cfg: ExpansionConfig, grid, spacing: float, freq: Frequency, weight: float):
+    """weight * conj(B) B^T for cfg's basis B over a square lattice grid: real, (K x K).
 
-    The field of coefficients a at point p is sum_m a_m b_m(p), so
-    sum_p w_p |u(p)|^2 = a^H W a with W = conj(B) diag(w) B^T.
+    grid is cfg.center + spacing (i, j) for integers i, j, clipped to a disc
+    about cfg.center (region_grid). Over each of its D4 orbits (size mu: 8,
+    or 4 on an axis or diagonal, 1 at the center) the phases
+    e^{i (n - m) phi} sum to mu cos((n - m) phi) if 4 divides n - m and to 0
+    otherwise (Fassler and Stiefel, Group Theoretical Methods and Their
+    Applications, 1992). So the wedge 0 <= j <= i gives P as s s^T, with s
+    the float64 view (Re, Im interleaved) of the wedge's basis, each point
+    scaled by sqrt(weight mu); P is symmetric bit for bit. Raises
+    ValueError for a grid off the lattice or not centered on cfg.center.
     """
-    basis = _basis_matrix(cfg, points, freq)
-    w = (basis.conj() * weights) @ basis.T
-    return WeightMatrix(0.5 * (w + w.conj().T))
+    offset = (np.asarray(grid, dtype=np.float64) - cfg.center) / spacing
+    lattice = np.rint(offset)
+    i, j = lattice.T
+    wedge = (0.0 <= j) & (j <= i)
+    i, j = i[wedge], j[wedge]
+    mu = np.where(i == 0.0, 1.0, np.where((j == 0.0) | (j == i), 4.0, 8.0))
+    if np.abs(offset - lattice).max(initial=0.0) > 1e-6 or mu.sum() != len(offset):
+        raise ValueError("grid is not a square lattice centered on the expansion center")
+    origin = ExpansionConfig(cfg.max_order, (0.0, 0.0))
+    b = _basis_matrix(origin, spacing * np.c_[i, j], freq).view(np.float64)
+    b *= np.repeat(np.sqrt(weight * mu), 2)
+    gram = b @ b.T  # one operand: numpy takes BLAS syrk and mirrors its triangle
+    m = cfg.orders
+    gram[(m[:, None] - m) % 4 != 0] = 0.0
+    return gram
 
 
 def weight_matrix_circle(
@@ -144,7 +163,15 @@ _SIGNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 # OpenBLAS (0.3.31) runs a complex product of at most 2^16 multiply-adds on
 # the calling thread. A larger one wakes a second thread, and while the
 # machine's other core was busy that took 8 to 48 ms where one thread takes
-# 0.4 ms (2-core x86, the paper's 2 kHz translation product).
+# 0.4 ms (2-core x86, the paper's 2 kHz translation product). Greedy's
+# per-pick update (placement.add_candidate) keeps its (2, K) @ (K, N)
+# product up to this limit and takes two matrix-vector products past it:
+# at K = 59, N = 4000 they took 0.15 ms median against 0.21-0.24 ms for the
+# one product, which packs all of C on every call. Below the limit
+# matrix-vector products are not safe: at K = 59, N = 200 (12k complex
+# multiply-adds, enough for OpenBLAS to wake a second thread) up to 59 of
+# 3000 calls took over 1 ms (max 24 ms) in a series on a busy host, where
+# the one product never did.
 _ONE_THREAD_MACS = 1 << 16
 # Largest J block of translation rows (orders 0..p of a run of bins, S
 # columns each) that one Bessel call forms (_translation_runs)
@@ -415,7 +442,6 @@ def _graf_coeffs(orders, kd, z, gains):
     rows = specfun.hankel1_rows(np.reshape(orders, (-1, 1, 1)), kd)
     gz = np.empty_like(z)
     gz[...] = gains
-    gz_parts = gz.view(np.float64).reshape(n_src, n_img, 2)
     sums = np.empty((n_bin, n_src, 2, 2))
     ar, ai, br, bi = (sums[..., i, j] for i in (0, 1) for j in (0, 1))  # a = ar + i ai, b = br + i bi
     pos = np.empty((n_bin, n_src), dtype=np.complex128)
@@ -425,6 +451,7 @@ def _graf_coeffs(orders, kd, z, gains):
     # rows past its own M_b may overflow at its smallest arguments; unused.
     with np.errstate(invalid="ignore", over="ignore"):
         for m, row in zip(range(max(orders) + 1), rows):
+            gz_parts = gz.view(np.float64).reshape(n_src, n_img, 2)
             np.matmul(row.reshape(2, n_bin, n_src, n_img).transpose(1, 2, 0, 3), gz_parts, out=sums)
             # a + i b and conj a + i conj b, part by part
             np.subtract(ar, bi, out=pos.real)
@@ -437,7 +464,9 @@ def _graf_coeffs(orders, kd, z, gains):
                 if m <= n:
                     c[n + m] = p
                     c[n - m] = q
-            gz *= z
+            # out of place: numpy takes an in-place product of one element
+            # as a reduction, rounded unlike its vector loop (_basis_block)
+            gz = gz * z
     for c in out:
         c *= 0.25j
     return out
@@ -471,9 +500,32 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
     A (K, A) target is A right-hand sides sharing one factorization and
     gives (L, A) drivers, one column per target column.
     """
+    return _cholesky_solve(*_normal_system(coeff_matrix, weight, target), lam)
+
+
+def synthesis_lambda(coeff_matrix, weight, scale: float = 1e-3) -> float:
+    """Regularizer proportional to the top eigenvalue of C^H W C.
+
+    Returns 0 for an empty or all-zero system, a regularizer that
+    solve_wmm rejects: such a system has no driving signals.
+    """
+    return _top_lambda(_normal_system(coeff_matrix, weight)[0], scale)
+
+
+def _scaled_solve(coeff_matrix, weight, target, scale: float) -> np.ndarray:
+    """solve_wmm at synthesis_lambda(C, W, scale), bit for bit, from one normal system."""
+    gram, rhs = _normal_system(coeff_matrix, weight, target)
+    return _cholesky_solve(gram, rhs, _top_lambda(gram, scale))
+
+
+def _top_lambda(gram, scale: float) -> float:
+    return scale * float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+
+
+def _cholesky_solve(gram, rhs, lam):
+    """(gram + lam I)^{-1} rhs for solve_wmm; gram is overwritten."""
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("regularization constant must be positive")
-    gram, rhs = _normal_system(coeff_matrix, weight, target)
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("normal equations contain non-finite entries")
     gram[np.diag_indices_from(gram)] += lam
@@ -485,18 +537,6 @@ def solve_wmm(coeff_matrix, weight, target, lam: float) -> np.ndarray:
     if not np.all(np.isfinite(d)):
         raise ConditioningError("solution contains non-finite entries")
     return d
-
-
-def synthesis_lambda(coeff_matrix, weight, scale: float = 1e-3) -> float:
-    """Regularizer proportional to the top eigenvalue of C^H W C.
-
-    Returns 0 for an empty or all-zero system, a regularizer that
-    solve_wmm rejects: such a system has no driving signals.
-    """
-    gram, _ = _normal_system(coeff_matrix, weight)
-    if gram.size == 0:
-        return 0.0
-    return scale * float(np.linalg.eigvalsh(gram)[-1])
 
 
 def region_grid(region: CircularRegion, spacing: float = 0.01) -> np.ndarray:

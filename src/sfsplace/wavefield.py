@@ -13,9 +13,10 @@ images are expanded with Graf's addition theorem by
 synthesis.source_coeff_matrix (valid strictly inside the source
 distance), which is the one propagation model of the package. A field
 is sampled only where a grid needs it, as basis.T @ coefficients for the
-basis J_m(k r') e^{i m phi'} of its points. _basis_blocks builds that
-basis a block of points at a time from one Bessel call over the points'
-distinct radii, so a large grid's basis need not be held whole;
+basis J_m(k r') e^{i m phi'} of its points: in field dumps, and over the
+one wedge of a square lattice grid from which synthesis._lattice_gram
+sums the grid's Gram. _basis_blocks builds that basis a block of points
+at a time from one Bessel call over the points' distinct radii;
 _basis_matrix is its one-block case.
 """
 
@@ -222,7 +223,9 @@ def _basis_blocks(cfg: ExpansionConfig, pts: np.ndarray, freq: Frequency, block:
     One bessel_j_orders call covers the distinct radii r' of all the
     points (a square grid about the center repeats most of them); a J
     value depends on its argument and order limit alone, so each point's
-    column equals a one-point build bit for bit (_basis_block).
+    column equals a one-point build bit for bit (_basis_block). Only a
+    point-source field dump's desired field takes several blocks; other
+    dumps and the lattice Gram's wedge take the one-block case.
     """
     cx, cy = cfg.center
     dx = pts[:, 0] - cx

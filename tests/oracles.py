@@ -8,9 +8,11 @@ Graf expansion of each source's images; direct_transfer (the image sum of
 are the direct models it is checked against. Both take their Bessel and
 Hankel values from scipy.special, never from sfsplace.specfun. The weight
 has a closed form in the library; weight_matrix_quadrature integrates the
-same Gram matrix numerically. The library takes SDRs from expansion
-coefficients; sdr takes them from sampled fields. traced_peak is the
-tests' one memory probe.
+same Gram matrix numerically. The library sums a lattice grid's basis
+Gram over one point per symmetry orbit; point_gram sums it point by
+point. The library takes SDRs from expansion coefficients; sdr
+takes them from sampled fields. traced_peak is the tests' one memory
+probe.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.special
 
 from sfsplace.room import RoomModel, _images
-from sfsplace.synthesis import WeightMatrix, _point_gram, _sdr_db, identity_weight
+from sfsplace.synthesis import WeightMatrix, _sdr_db, identity_weight
 from sfsplace.wavefield import (
     CircularRegion,
     ExpansionCoeffs,
@@ -51,6 +53,17 @@ SPOT_CHECK_POINTS = 128
 # source per block): keeps the (points x sources x images) work arrays at a
 # few MB however many sources a call holds
 _TRANSFER_BLOCK = 1 << 18
+
+
+def point_gram(cfg: ExpansionConfig, points, freq: Frequency, weights) -> WeightMatrix:
+    """Gram matrix of the basis under a point quadrature with the given weights.
+
+    The field of coefficients a at point p is sum_m a_m b_m(p), so
+    sum_p w_p |u(p)|^2 = a^H W a with W = conj(B) diag(w) B^T.
+    """
+    basis = _basis_matrix(cfg, points, freq)
+    w = (basis.conj() * weights) @ basis.T
+    return WeightMatrix(0.5 * (w + w.conj().T))
 
 
 def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
@@ -92,7 +105,7 @@ def weight_matrix_quadrature(
     pts = np.empty((n_radial * n_angular, 2))
     pts[:, 0] = region.center.x + np.outer(r, np.cos(th)).ravel()
     pts[:, 1] = region.center.y + np.outer(r, np.sin(th)).ravel()
-    return _point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
+    return point_gram(cfg, pts, freq, wth * np.repeat(wr, n_angular))
 
 
 def sdr(u_des, u_syn):

@@ -350,12 +350,13 @@ def test_point_source_evaluation_makes_one_graf_build(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("desired", [None, (-1.2, -0.7)])
-def test_grid_evaluation_blocks_match_the_whole_basis(tmp_path, monkeypatch, desired):
-    # each bin's gram, cross and energy, summed over blocks of a few dozen
-    # grid points, against the products of the whole basis B_x (order
-    # M + GRID_ORDERS) with its middle K rows B: P = conj(B) B_x^T, Gm its
-    # middle K columns, X = P t_x, and the energy of the grid field
-    # B_x^T t_x (plane waves: the point count G)
+def test_grid_evaluation_matches_the_whole_basis(tmp_path, monkeypatch, desired):
+    # each bin's gram, cross and energy, from the lattice's D4 wedge,
+    # against the products of the whole basis B_x (order M + GRID_ORDERS)
+    # with its middle K rows B: P = conj(B) B_x^T, Gm its middle K columns,
+    # X = P t_x, and the energy of the grid field B_x^T t_x (plane waves:
+    # the point count G). Grid points per bin: 1961; the top bin's wide
+    # basis takes two 2 MB blocks in a point-source dump
     doc = _tiny_paper(tmp_path, broadband=True).to_dict()
     doc["evaluation"]["grid_spacing"] = 0.02
     if desired is not None:
@@ -371,13 +372,10 @@ def test_grid_evaluation_blocks_match_the_whole_basis(tmp_path, monkeypatch, des
         seen.append((self, args))
 
     monkeypatch.setattr(experiment._GridEvaluation, "__init__", spy)
-    monkeypatch.setattr(experiment, "_GRID_BLOCK_BYTES", 1 << 14)
     evaluate_placements(config, placements)
     assert len(seen) == 3
     for ev, (_, cfg, freq, grid, angles, column, cols, _, _) in seen:
         wide = ExpansionConfig(cfg.max_order + GRID_ORDERS, cfg.center, cfg.valid_radius)
-        block = (1 << 14) // (16 * wide.size)
-        assert 1 < block < len(grid) and len(grid) % block
         whole = _basis_matrix(wide, grid, freq)
         proj = whole[GRID_ORDERS : GRID_ORDERS + cfg.size].conj() @ whole.T
         if desired is None:
@@ -385,7 +383,10 @@ def test_grid_evaluation_blocks_match_the_whole_basis(tmp_path, monkeypatch, des
             energy = np.full(len(angles), float(len(grid)))
         else:
             wave = cols[:, len(column) :]
-            energy = np.sum(np.abs(whole.T @ wave) ** 2, axis=0)
+            field = whole.T @ wave
+            energy = np.sum(np.abs(field) ** 2, axis=0)
+            # the dumps' desired field, formed in blocks of the wide basis
+            assert np.max(np.abs(ev.grid_fields()[0] - field)) <= 1e-13 * np.max(np.abs(field))
         want = (proj[:, GRID_ORDERS : GRID_ORDERS + cfg.size], proj @ wave, energy)
         for got, w in zip((ev.gram, ev.cross, ev.energy), want):
             assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
@@ -474,15 +475,15 @@ def test_truncation_check_covers_the_desired_source(tmp_path, factor, fails):
 
 
 def test_paper_evaluation_memory_is_bounded():
-    # the grid enters only through K-sized products, and its basis only in
-    # blocks of at most _GRID_BLOCK_BYTES: no grid field per placement and
-    # angle (7845 x 91, 45.4 MB) and no whole-grid basis (the basis 12
-    # orders past M, 8.2 MB at 1 kHz and 10.4 MB at 2 kHz, K = 59). Traced
-    # peak measured 3.95 MB at 1 kHz and 4.15 MB at 2 kHz; with the whole
-    # basis it was 11.3 and 14.1 MB.
+    # the grid enters only through K-sized products, and its basis only
+    # over the lattice's D4 wedge (1024 of 7845 points): no grid field per
+    # placement and angle (7845 x 91, 45.4 MB) and no whole-grid basis (the
+    # basis 12 orders past M, 8.2 MB at 1 kHz and 10.4 MB at 2 kHz, K = 59).
+    # Traced peak measured 2.30 MB at 1 kHz and 2.79 MB at 2 kHz; with the
+    # whole basis at once it was 11.3 and 14.1 MB.
     for hz in (1000.0, 2000.0):
         config = dataclasses.replace(paper_config(), frequencies=(hz,))
         placements = _placements(config, build_problems(config))
         (rows, _), peak = traced_peak(evaluate_placements, config, placements)
         assert len(rows) == 3 * len(config.evaluation.angles_deg)
-        assert peak < 6e6, hz
+        assert peak < 4e6, hz

@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from sfsplace import specfun, synthesis
 from sfsplace.config import square_loop
-from sfsplace.experiment import GRID_ORDERS, _bins, paper_config
+from sfsplace.experiment import GRID_ORDERS, _bins, _weights, paper_config, pm_control_points
 from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import (
     SDR_CAP_DB,
     ConditioningError,
     WeightMatrix,
     _coeff_sdr,
+    _lattice_gram,
     _normal_system,
+    _scaled_solve,
     _sdr_db,
     identity_weight,
     region_grid,
@@ -40,6 +42,7 @@ from oracles import (
     build_pressure_matching,
     direct_transfer,
     graf_coeffs,
+    point_gram,
     sdr,
     traced_peak,
     weight_matrix_quadrature,
@@ -190,6 +193,18 @@ def test_solve_wmm_zero_target():
     c, w, _ = _random_system(4)
     d = solve_wmm(c, w, np.zeros(41, dtype=complex), 1e-4)
     assert np.all(d == 0.0)
+
+
+def test_scaled_solve_equals_lambda_then_solve_bit_for_bit():
+    # evaluation's one normal system serves both the regularizer and the
+    # solve, with synthesis_lambda's and solve_wmm's results
+    c, w, b = _random_system(3)
+    targets = np.c_[b, 2j * b[::-1]]
+    for scale in (1e-3, 0.5):
+        want = solve_wmm(c, w, targets, synthesis_lambda(c, w, scale))
+        assert np.array_equal(_scaled_solve(c, w, targets, scale), want)
+    with pytest.raises(ValueError, match="must be positive"):
+        _scaled_solve(np.zeros((41, 2), dtype=complex), w, b, 1e-3)
 
 
 def test_solve_wmm_ridge_shrinkage():
@@ -435,6 +450,55 @@ def test_region_grid_geometry():
     np.testing.assert_allclose(pts - np.array([0.5, 0.3]), base, atol=1e-12)
 
 
+def test_lattice_gram_sums_the_paper_grid_over_its_d4_wedge(monkeypatch):
+    # the wedge 0 <= j <= i holds 1024 of the paper grid's 7845 points, and
+    # its orbit sizes sum to 7845: at a frequency where J_0(k r) is 1 in
+    # float64 and every other order 0 there, P[0, 0] is that sum exactly
+    grid = region_grid(REGION, spacing=0.01)
+    assert len(grid) == 7845
+    wedges = []
+    basis = synthesis._basis_matrix
+
+    def spy(cfg, pts, freq):
+        wedges.append(pts)
+        return basis(cfg, pts, freq)
+
+    monkeypatch.setattr(synthesis, "_basis_matrix", spy)
+    tiny = Frequency(1e-9)
+    gram = _lattice_gram(expansion_for(REGION, tiny), grid, 0.01, tiny, 1.0)
+    ((wedge,),) = [wedges]
+    assert len(wedge) == 1024
+    mid = gram.shape[0] // 2
+    assert gram[mid, mid] == 7845.0
+
+
+@pytest.mark.parametrize("shift", [0.3, 1.0])
+def test_lattice_gram_rejects_an_off_center_grid(shift):
+    # a grid whose points are off the lattice about the expansion center,
+    # and one on it but shifted by a whole cell (its orbit sizes sum to
+    # more than its point count)
+    off = CircularRegion(Point2(REGION.center.x + shift * 0.02, REGION.center.y), REGION.radius)
+    with pytest.raises(ValueError, match="not a square lattice centered"):
+        _lattice_gram(CFG, region_grid(off, spacing=0.02), 0.02, F1K, 1.0)
+
+
+def test_pressure_matching_weight_is_symmetric_and_matches_the_point_sum():
+    # each paper bin's pressure-matching weight, from the control grid's
+    # wedge, is real and symmetric bit for bit, zero where n - m is not a
+    # multiple of 4, and within 1e-13 of the per-point Gram
+    config = paper_config(broadband=True)
+    config = type(config).from_dict(dict(config.to_dict(), method="pressure-matching"))
+    ctrl, cell = pm_control_points(config)
+    bins = _bins(config)
+    for (cfg, freq), weight in zip(bins, _weights(config, bins)):
+        w = weight.entries
+        assert np.array_equal(w, w.T) and not np.any(w.imag)
+        m = cfg.orders
+        assert not np.any(w[(m[:, None] - m) % 4 != 0])
+        want = point_gram(cfg, ctrl, freq, cell).entries
+        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want)), freq.hz
+
+
 # ---------------------------------------------------------------------------
 # cross-domain consistency
 
@@ -626,6 +690,21 @@ def test_source_coeff_matrix_bins_match_one_call_per_bin():
     wide = ExpansionConfig(max_order=5, center=REGION.center, valid_radius=1.6)
     with pytest.raises(ValueError, match="validity disc"):
         source_coeff_matrix(srcs, bins[:1] + [(wide, F1K)], room)
+
+
+def test_one_source_build_equals_its_column_of_a_wider_build():
+    # a one-source free-field build streams a single (source, image)
+    # element, and numpy rounds an in-place product of one element unlike
+    # its vector loop: the image phases must step out of place for its
+    # column to equal the same source's column of a wider build bit for bit
+    rng = np.random.default_rng(30)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 5)
+    dist = rng.uniform(0.8, 2.5, 5)
+    srcs = np.c_[REGION.center.x + dist * np.cos(phi), REGION.center.y + dist * np.sin(phi)]
+    (wide,) = source_coeff_matrix(srcs, [(CFG, F1K)])
+    for s, src in enumerate(srcs):
+        (alone,) = source_coeff_matrix(src[None], [(CFG, F1K)])
+        assert np.array_equal(alone[:, 0], wide[:, s]), s
 
 
 def test_source_coeff_matrix_memory_is_a_few_image_arrays():
