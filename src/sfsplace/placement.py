@@ -15,9 +15,13 @@ Adding candidate c changes J by -num_c / (lam + den_c). A pick is one
 rank-one update of Q_S, and both forms follow from one (2, K) @ (K, N)
 product with C (two matrix-vector products for a large C): each step
 costs O(K^2 + K N) per bin, the state holds no K x N array besides C,
-and the denominator never falls below lam. The forms drift from their
-direct values faster than Q_S does, so near-best candidates are
-re-costed from Q_S before a tie goes to the lowest index.
+and the denominator never falls below lam. One SelectionState holds
+every bin of a problem, its forms as (bins x N) arrays, so a broadband
+pick loops over bins only for the O(K^2) work and the product; the form
+updates, the gamma-weighted sum and the tie screen run once over all
+bins. The forms drift from their direct values faster than Q_S does, so
+near-best candidates are re-costed from Q_S before a tie goes to the
+lowest index.
 """
 
 from __future__ import annotations
@@ -231,7 +235,7 @@ BUILD_BLOCK_BYTES = 256 * 1024
 
 
 def _problem_arrays(coeff_matrix, weight, prior: FieldPrior, lam: float):
-    """Validated (C, W) of one bin as complex arrays."""
+    """Validated (C, W) of one bin as complex arrays; W is not yet hermitized."""
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("regularization constant must be positive")
     c = np.ascontiguousarray(coeff_matrix, dtype=np.complex128)
@@ -240,7 +244,7 @@ def _problem_arrays(coeff_matrix, weight, prior: FieldPrior, lam: float):
         raise ValueError("coefficient and weight shapes are inconsistent")
     if prior.size != c.shape[0]:
         raise ValueError("prior dimension must match coefficient rows")
-    return c, _hermitize(np.asarray(w, dtype=np.complex128))
+    return c, np.asarray(w, dtype=np.complex128)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,109 +270,169 @@ def _gain(num, den, lam: float):
 
 @dataclass(eq=False)
 class SelectionState:
-    """Greedy-selection state of one bin in residual form, updated in place.
+    """Greedy-selection state of a whole problem in residual form, updated in place.
 
-    q is Q_S (K x K). num and den hold the two real quadratic forms the
-    cost change reads, per candidate column c_n: num_n = z_n^H R z_n and
-    den_n = c_n^H z_n with z_n = Q_S c_n. They are built from q a column
-    block of at most BUILD_BLOCK_BYTES at a time, so the state holds no
-    K x N array besides coeff. The state copies the q it is given and
-    never writes to coeff or second_moment; add_candidate updates the
-    state itself.
+    One state serves every frequency bin b of a problem (B = 1 for a
+    single frequency). Bin b keeps its own coeff[b] = C_b (K_b x N),
+    second_moment[b] = R_b and q[b] = Q_S,b (K_b x K_b); gamma holds the
+    bins' weights. num and den are (B, N) arrays of the two real quadratic
+    forms the cost change reads, per bin and candidate column c_n:
+    num[b, n] = z^H R_b z and den[b, n] = c_n^H z with z = Q_S,b c_n. Each
+    bin's rows are built from its q a column block of at most
+    BUILD_BLOCK_BYTES at a time, so the state holds no K x N array besides
+    coeff. The state copies the q it is given and never writes to coeff or
+    second_moment; add_candidate updates the state itself.
 
-    Numerical-health readouts: min_denominator is the smallest update
-    denominator lam + c^H Q_S c of add_candidate, max_drift the largest
-    relative gap between the leading candidate's incremental and direct
-    cost change seen by candidate_deltas, and refreshes counts the
-    rebuilds of num and den from q that drift past SCREEN_RTOL / 10
-    triggered.
+    Numerical-health readouts, (B,) arrays: min_denominator is the
+    smallest update denominator lam + c^H Q_S,b c of add_candidate,
+    max_drift the largest relative gap between the bin's leading
+    candidate's incremental and direct cost change seen by
+    candidate_deltas, and refreshes counts the rebuilds of the bin's num
+    and den rows from q that drift past SCREEN_RTOL / 10 triggered.
     """
 
-    coeff: np.ndarray
-    second_moment: np.ndarray
+    coeff: tuple[np.ndarray, ...]
+    second_moment: tuple[np.ndarray, ...]
     lam: float
-    q: np.ndarray
+    q: list[np.ndarray]
+    gamma: np.ndarray | None = None
     selected: tuple[int, ...] = ()
     num: np.ndarray = field(init=False, repr=False)
     den: np.ndarray = field(init=False, repr=False)
-    min_denominator: float = field(init=False, default=math.inf)
-    max_drift: float = field(init=False, default=0.0)
-    refreshes: int = field(init=False, default=0)
+    min_denominator: np.ndarray = field(init=False)
+    max_drift: np.ndarray = field(init=False)
+    refreshes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.coeff = np.ascontiguousarray(self.coeff, dtype=np.complex128)
-        self.q = np.array(self.q, dtype=np.complex128, order="C")
+        self.coeff = tuple(np.ascontiguousarray(c, dtype=np.complex128) for c in self.coeff)
+        self.second_moment = tuple(self.second_moment)
+        self.q = [np.array(q, dtype=np.complex128, order="C") for q in self.q]
+        bins, n = len(self.coeff), self.n_candidates
+        if len(self.second_moment) != bins or len(self.q) != bins:
+            raise ValueError("every bin needs a coefficient matrix, a second moment and a q")
+        if any(c.shape[1] != n for c in self.coeff):
+            raise ValueError("all bins must share one candidate list")
+        self.gamma = np.ones(bins) if self.gamma is None else np.array(self.gamma, dtype=np.float64)
+        if self.gamma.shape != (bins,):
+            raise ValueError("gamma needs one weight per bin")
         self.selected = tuple(int(i) for i in self.selected)
-        self._build_forms()
+        self.num, self.den = np.empty((bins, n)), np.empty((bins, n))
+        self.min_denominator = np.full(bins, math.inf)
+        self.max_drift = np.zeros(bins)
+        self.refreshes = np.zeros(bins, dtype=np.int64)
+        # per bin, the rows conj(z_c) and conj(Q y_c) of add_candidate's product
+        self._rows = [np.empty((2, c.shape[0]), dtype=np.complex128) for c in self.coeff]
+        for b in range(bins):
+            self._build_forms(b)
 
-    def _build_forms(self) -> None:
-        k, n = self.coeff.shape
-        step = max(1, BUILD_BLOCK_BYTES // (16 * k))
-        self.num, self.den = np.empty(n), np.empty(n)
-        for a in range(0, n, step):
+    def _build_forms(self, b: int) -> None:
+        c, r, q = self.coeff[b], self.second_moment[b], self.q[b]
+        step = max(1, BUILD_BLOCK_BYTES // (16 * c.shape[0]))
+        for a in range(0, c.shape[1], step):
             blk = slice(a, a + step)
-            self.num[blk], self.den[blk] = _forms(self.q, self.second_moment, self.coeff[:, blk])
+            self.num[b, blk], self.den[b, blk] = _forms(q, r, c[:, blk])
 
     @classmethod
-    def from_problem(cls, coeff_matrix, weight, prior: FieldPrior, lam: float) -> "SelectionState":
-        c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
-        return cls(coeff=c, second_moment=prior.second_moment, lam=lam, q=w)
+    def from_problem(cls, coeff_matrix, weight, prior, lam: float, gamma=None) -> "SelectionState":
+        """State of one bin's (C, W, FieldPrior), or of several bins given as
+        equal-length sequences of each, with the bins' weights gamma (1 by
+        default)."""
+        if isinstance(prior, FieldPrior):
+            coeff_matrix, weight, prior = [coeff_matrix], [weight], [prior]
+        bins = [
+            _problem_arrays(c, w, p, lam)
+            for c, w, p in zip(coeff_matrix, weight, prior, strict=True)
+        ]
+        return cls(
+            coeff=[c for c, _ in bins],
+            second_moment=[p.second_moment for p in prior],
+            lam=lam,
+            # hermitized one bin at a time, as the state copies each q
+            q=(_hermitize(w) for _, w in bins),
+            gamma=gamma,
+        )
 
     @property
     def n_candidates(self) -> int:
-        return self.coeff.shape[1]
+        return self.coeff[0].shape[1]
 
 
 def state_cost(state: SelectionState) -> float:
-    """J for the state's current selection: tr(Q_S R), O(K^2)."""
-    return float(np.sum(state.q * state.second_moment.T).real)
+    """J for the state's current selection: sum_b gamma_b tr(Q_S,b R_b), O(K^2) per bin."""
+    # R is Hermitian, so vdot(R, Q) = sum conj(R_ij) Q_ij = tr(Q R)
+    bins = zip(state.gamma, state.second_moment, state.q)
+    return float(sum(g * np.vdot(r, q).real for g, r, q in bins))
 
 
-def _incremental_deltas(state: SelectionState) -> np.ndarray:
-    out = -_gain(state.num, state.den, state.lam)
-    out[list(state.selected)] = np.inf
-    return out
+def _free_gains(state: SelectionState) -> np.ndarray:
+    """(B, N) gains -Delta from the incremental forms; -inf for selected candidates."""
+    gains = _gain(state.num, state.den, state.lam)
+    gains[:, list(state.selected)] = -np.inf
+    return gains
+
+
+def _weighted_deltas(state: SelectionState, gains: np.ndarray) -> np.ndarray:
+    """-sum_b gamma_b gains[b], summed in bin order; +inf where gains are -inf.
+
+    Scales gains in place.
+    """
+    gains *= state.gamma[:, None]
+    deltas = np.sum(gains, axis=0)
+    return np.negative(deltas, out=deltas)
 
 
 def candidate_deltas(state: SelectionState) -> np.ndarray:
     """J change for adding each candidate; +inf for selected ones.
 
-    Delta_n = -num_n / (lam + den_n), read from the state's incremental
-    forms in O(N). Both forms are PSD and clipped at zero, so every change
-    is <= 0 and the denominator never falls below lam. The leading
-    candidate is re-costed from q in O(K^2); when its incremental change
-    is off the direct one by more than SCREEN_RTOL / 10, num and den are
-    rebuilt from q once before the changes are returned.
+    Delta_n = -sum_b gamma_b num[b, n] / (lam + den[b, n]), read from the
+    state's incremental forms in O(B N). Both forms are PSD and clipped at
+    zero, so every change is <= 0 and no denominator falls below lam. Each
+    bin's own leading candidate is re-costed from its q in O(K_b^2); a bin
+    whose incremental change is off the direct one by more than
+    SCREEN_RTOL / 10 has its num and den rows rebuilt from q once before
+    the changes are returned.
     """
-    out = _incremental_deltas(state)
+    gains = _free_gains(state)
     if len(state.selected) == state.n_candidates:
-        return out
-    lead = int(np.argmin(out))
-    direct = float(_direct_deltas(state, [lead])[0])
-    scale = max(-direct, -float(out[lead]))
-    drift = abs(float(out[lead]) - direct) / scale if scale > 0.0 else 0.0
-    state.max_drift = max(state.max_drift, drift)
-    if drift > 0.1 * SCREEN_RTOL:
-        state._build_forms()
-        state.refreshes += 1
-        out = _incremental_deltas(state)
-    return out
+        return _weighted_deltas(state, gains)
+    for b, lead in enumerate(np.argmax(gains, axis=1)):
+        mine, direct = float(gains[b, lead]), _direct_gain(state, b, lead)
+        scale = max(mine, direct)
+        drift = abs(mine - direct) / scale if scale > 0.0 else 0.0
+        state.max_drift[b] = max(state.max_drift[b], drift)
+        if drift > 0.1 * SCREEN_RTOL:
+            state._build_forms(b)
+            state.refreshes[b] += 1
+            gains[b] = _gain(state.num[b], state.den[b], state.lam)
+            gains[b, list(state.selected)] = -np.inf
+    return _weighted_deltas(state, gains)
+
+
+def _direct_gain(state: SelectionState, b: int, index: int) -> float:
+    """Bin b's -Delta for one candidate, recomputed from its q in O(K_b^2)."""
+    c = state.coeff[b][:, index]
+    z = state.q[b] @ c
+    num, den = np.vdot(z, state.second_moment[b] @ z).real, np.vdot(c, z).real
+    return float(_gain(num, den, state.lam))
 
 
 def _direct_deltas(state: SelectionState, indices) -> np.ndarray:
-    """Delta for the given candidates, recomputed from q in O(K^2) each."""
-    cols = np.ascontiguousarray(state.coeff[:, indices])
-    return -_gain(*_forms(state.q, state.second_moment, cols), state.lam)
+    """Delta for the given candidates, recomputed from every bin's q in O(K_b^2) each."""
+    gains = [
+        _gain(*_forms(q, r, np.ascontiguousarray(c[:, indices])), state.lam)
+        for c, r, q in zip(state.coeff, state.second_moment, state.q)
+    ]
+    return _weighted_deltas(state, np.array(gains))
 
 
 def add_candidate(state: SelectionState, index: int) -> SelectionState:
-    """Select one more candidate: rank-one updates of q, num and den.
+    """Select one more candidate: rank-one updates of every bin's q, num and den.
 
-    With z_c = Q c, y_c = R z_c and delta = lam + c^H z_c (O(K^2)),
-    Q' = Q - z_c z_c^H / delta. One (2, K) @ (K, N) product, or two
-    matrix-vector products for a large C, gives w = z_c^H C and
-    v = (Q y_c)^H C, and with u = w / delta every candidate's forms
-    follow in O(N):
+    In bin b, with z_c = Q c, y_c = R z_c and delta = lam + c^H z_c
+    (O(K^2)), Q' = Q - z_c z_c^H / delta. One (2, K) @ (K, N) product of
+    the rows z_c^H and (Q y_c)^H with C, or two matrix-vector products for
+    a large C, gives w = z_c^H C and v = (Q y_c)^H C, and with u = w / delta
+    every candidate's forms follow in O(N), for all bins at once:
 
         den' = den - Re(conj(u) w),
         num' = num + |u|^2 Re(z_c^H y_c) - 2 Re(conj(u) v).
@@ -381,31 +445,38 @@ def add_candidate(state: SelectionState, index: int) -> SelectionState:
         raise ValueError("candidate index out of range")
     if index in state.selected:
         raise ValueError("candidate already selected")
-    c = state.coeff[:, index]
-    zc = state.q @ c
-    yc = state.second_moment @ zc
-    zy = float(np.vdot(zc, yc).real)
-    den = state.lam + max(float(np.vdot(c, zc).real), 0.0)
-    state.min_denominator = min(state.min_denominator, den)
-    # w and v: one (2, K) @ (K, N) product on one thread up to
-    # _ONE_THREAD_MACS, two matrix-vector products past it (see there)
-    zq = np.conj([zc, state.q @ yc])
-    if 2 * state.coeff.size > _ONE_THREAD_MACS:
-        wv = np.empty((2, state.n_candidates), dtype=np.complex128)
-        np.matmul(zq[0], state.coeff, out=wv[0])
-        np.matmul(zq[1], state.coeff, out=wv[1])
-    else:
-        wv = zq @ state.coeff
+    bins = len(state.q)
+    wv = np.empty((bins, 2, state.n_candidates), dtype=np.complex128)
+    dens, zys = np.empty(bins), np.empty(bins)
+    per_bin = zip(state.coeff, state.second_moment, state.q, state._rows)
+    for b, (c, r, q, rows) in enumerate(per_bin):
+        zc = q @ c[:, index]
+        yc = r @ zc
+        zys[b] = np.vdot(zc, yc).real
+        dens[b] = state.lam + max(np.vdot(c[:, index], zc).real, 0.0)
+        np.conjugate(zc, out=rows[0])
+        np.conjugate(q @ yc, out=rows[1])
+        # q - z_c z_c^H / delta bit for bit: numpy divides a complex array
+        # by a real scalar as a product with its reciprocal, and so does the
+        # float64 view here without the complex arithmetic
+        dq = np.multiply.outer(zc, rows[0])
+        np.multiply(dq.view(np.float64), -1.0 / dens[b], out=dq.view(np.float64))
+        q += dq
+        # one (2, K) @ (K, N) product on one thread up to _ONE_THREAD_MACS,
+        # two matrix-vector products past it (see there)
+        if 2 * c.size > _ONE_THREAD_MACS:
+            np.matmul(rows[0], c, out=wv[b, 0])
+            np.matmul(rows[1], c, out=wv[b, 1])
+        else:
+            np.matmul(rows, c, out=wv[b])
+    np.minimum(state.min_denominator, dens, out=state.min_denominator)
     # read re/im interleaved from the float64 view
     wv = wv.view(np.float64)
-    w_re, w_im, v_re, v_im = wv[0, 0::2], wv[0, 1::2], wv[1, 0::2], wv[1, 1::2]
+    w_re, w_im, v_re, v_im = wv[:, 0, 0::2], wv[:, 0, 1::2], wv[:, 1, 0::2], wv[:, 1, 1::2]
     w_abs2 = w_re * w_re + w_im * w_im
-    state.den -= w_abs2 / den
-    state.num += w_abs2 * (zy / (den * den)) - (w_re * v_re + w_im * v_im) * (2.0 / den)
-    # negation is exact, so q + (-b) == q - b bit for bit
-    dq = np.multiply.outer(zc, zc.conj())
-    dq /= -den
-    state.q += dq
+    state.den -= w_abs2 / dens[:, None]
+    zy_scale, v_scale = (zys / (dens * dens))[:, None], (2.0 / dens)[:, None]
+    state.num += w_abs2 * zy_scale - (w_re * v_re + w_im * v_im) * v_scale
     state.selected += (index,)
     return state
 
@@ -500,9 +571,10 @@ def greedy_place_broadband(
     Candidates within SCREEN_RTOL of the best incremental decrease are
     re-costed directly from each Q_S, and ties among those (within
     TIE_RTOL of the best direct decrease) go to the lowest candidate
-    index. Each trace entry is the exact weighted tr(Q_S R). A pick
-    updates each bin's state in place, so memory stays one generation of
-    states (Q_S, num and den per bin) plus one build block.
+    index. Each trace entry is the exact weighted tr(Q_S R). One
+    SelectionState holds every bin and a pick updates it in place, so
+    memory stays one generation (Q_S per bin, num and den) plus one build
+    block.
     """
     n = spec.n_candidates
     if n == 0:
@@ -512,27 +584,30 @@ def greedy_place_broadband(
     limit = n if n_select is None else int(n_select)
     if not 0 <= limit <= n:
         raise ValueError("n_select must lie in [0, n_candidates]")
-    states = [
-        SelectionState.from_problem(b.coeff_matrix, b.weight, b.prior, lam) for b in spec.bins
-    ]
-    gammas = [b.gamma for b in spec.bins]
-    trace = [sum(g * state_cost(s) for g, s in zip(gammas, states))]
+    bins = spec.bins
+    state = SelectionState.from_problem(
+        [b.coeff_matrix for b in bins],
+        [b.weight for b in bins],
+        [b.prior for b in bins],
+        lam,
+        gamma=[b.gamma for b in bins],
+    )
+    trace = [state_cost(state)]
     for _ in range(limit):
-        deltas = sum(g * candidate_deltas(s) for g, s in zip(gammas, states))
+        deltas = candidate_deltas(state)
         best = float(np.min(deltas))
         contenders = np.flatnonzero(deltas <= best + SCREEN_RTOL * abs(best))
         pick, change = int(contenders[0]), best
         if contenders.size > 1:
-            direct = sum(g * _direct_deltas(s, contenders) for g, s in zip(gammas, states))
+            direct = _direct_deltas(state, contenders)
             top = float(np.min(direct))
             i = int(np.flatnonzero(direct <= top + TIE_RTOL * abs(top))[0])
             pick, change = int(contenders[i]), float(direct[i])
         if min_decrease is not None and -change < min_decrease * trace[0]:
             break
-        for state in states:
-            add_candidate(state, pick)
-        trace.append(sum(g * state_cost(s) for g, s in zip(gammas, states)))
-    return PlacementResult(states[0].selected, np.asarray(trace))
+        add_candidate(state, pick)
+        trace.append(state_cost(state))
+    return PlacementResult(state.selected, np.asarray(trace))
 
 
 def greedy_place(
@@ -565,6 +640,7 @@ def exhaustive_place(coeff_matrix, weight, prior: FieldPrior, lam: float, n_sele
     T = C^H W R W C.
     """
     c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
+    w = _hermitize(w)
     n = c.shape[1]
     if not 1 <= n_select <= n:
         raise ValueError("n_select must lie in [1, n_candidates]")

@@ -65,7 +65,14 @@ class WeightMatrix:
         if np.max(np.abs(w - w.conj().T)) > 1e-12 * scale:
             raise ValueError("weight matrix must be Hermitian")
         trace = float(np.trace(w).real)
-        if np.linalg.eigvalsh(w)[0] < -1e-10 * max(trace, 1e-300):
+        diag = w.diagonal()
+        # with every off-diagonal entry exactly zero the eigenvalues are the
+        # real diagonal
+        if np.count_nonzero(w) == np.count_nonzero(diag):
+            low = float(np.min(diag.real))
+        else:
+            low = np.linalg.eigvalsh(w)[0]
+        if low < -1e-10 * max(trace, 1e-300):
             raise ValueError("weight matrix must be positive semidefinite")
         object.__setattr__(self, "entries", w)
 

@@ -92,7 +92,7 @@ def test_criterion_1_incremental_inverse_matches_direct():
             wcs = weight @ coeff[:, sel]
             gram = wcs.conj().T @ coeff[:, sel] + lam * np.eye(len(sel))
             direct_q = weight - wcs @ np.linalg.solve(gram, wcs.conj().T)
-            worst_q = max(worst_q, np.abs(state.q - direct_q).max() / np.abs(weight).max())
+            worst_q = max(worst_q, np.abs(state.q[0] - direct_q).max() / np.abs(weight).max())
             direct = placement_cost(sel, prior, coeff, weight, lam)
             rel = abs(result.cost_trace[step] - direct) / max(abs(direct), 1e-300)
             worst_cost = max(worst_cost, rel)

@@ -18,8 +18,9 @@ from sfsplace.placement import (
     _direct_deltas,
     _direction_range_priors,
     _forms,
-    _incremental_deltas,
+    _free_gains,
     _interval_phase_mean,
+    _weighted_deltas,
     add_candidate,
     broadband_cost,
     candidate_deltas,
@@ -281,13 +282,13 @@ def test_add_candidate_first_pick_and_identity():
     wc = w.entries @ c[:, 7]
     want = w.entries - np.outer(wc, wc.conj()) / (lam + np.vdot(c[:, 7], wc).real)
     scale = np.max(np.abs(w.entries))
-    assert np.max(np.abs(state.q - want)) <= 1e-13 * scale
+    assert np.max(np.abs(state.q[0] - want)) <= 1e-13 * scale
     rng = np.random.default_rng(42)
     for idx in rng.permutation(10)[:6]:
         if idx != 7:
             state = add_candidate(state, int(idx))
     direct = _direct_q(c, w.entries, state.selected, lam)
-    assert np.max(np.abs(state.q - direct)) < 1e-8 * scale
+    assert np.max(np.abs(state.q[0] - direct)) < 1e-8 * scale
 
 
 def test_candidate_deltas_match_direct_cost():
@@ -322,8 +323,8 @@ def test_greedy_completes_on_duplicate_column():
     state = SelectionState.from_problem(c, w, prior, lam)
     for idx in result.indices:
         state = add_candidate(state, idx)
-        assert all(np.all(np.isfinite(a)) for a in (state.q, state.num, state.den))
-    assert state.min_denominator >= lam
+        assert all(np.all(np.isfinite(a)) for a in (state.q[0], state.num, state.den))
+    assert state.min_denominator[0] >= lam
 
 
 def test_add_candidate_matches_the_subtraction_form_bit_for_bit():
@@ -335,18 +336,18 @@ def test_add_candidate_matches_the_subtraction_form_bit_for_bit():
         c, w, prior = _random_problem(46, n=n, dim=19)
         state = SelectionState.from_problem(c, w, prior, 1e-3)
         for index in (5, 0, 11, 3):
-            q = state.q.copy()
-            zc = q @ state.coeff[:, index]
-            den = state.lam + max(float(np.vdot(state.coeff[:, index], zc).real), 0.0)
+            q = state.q[0].copy()
+            zc = q @ state.coeff[0][:, index]
+            den = state.lam + max(float(np.vdot(state.coeff[0][:, index], zc).real), 0.0)
             assert add_candidate(state, index) is state
-            assert np.array_equal(state.q, q - np.outer(zc, zc.conj()) / den)
+            assert np.array_equal(state.q[0], q - np.outer(zc, zc.conj()) / den)
         # a rejected index leaves the state as it was
-        before = [a.copy() for a in (state.q, state.num, state.den)]
+        before = [a.copy() for a in (state.q[0], state.num, state.den)]
         for bad in (n, -1, 11):
             with pytest.raises(ValueError):
                 add_candidate(state, bad)
             assert state.selected == (5, 0, 11, 3)
-            for old, a in zip(before, (state.q, state.num, state.den)):
+            for old, a in zip(before, (state.q[0], state.num, state.den)):
                 assert np.array_equal(old, a)
 
 
@@ -381,10 +382,10 @@ def test_candidate_deltas_match_the_complex_form(problem, lam, n_select):
     for coeff in _layouts(c):
         state = SelectionState.from_problem(coeff, w, prior, lam)
         for _ in range(n_select):
-            fresh = SelectionState(coeff=coeff, second_moment=r, lam=lam, q=state.q,
+            fresh = SelectionState(coeff=[coeff], second_moment=[r], lam=lam, q=state.q,
                                    selected=state.selected)
             deltas = candidate_deltas(fresh)
-            z = state.q @ c
+            z = state.q[0] @ c
             num = np.einsum("kn,kn->n", z.conj(), r @ z).real
             den = np.einsum("kn,kn->n", c.conj(), z).real
             want = -np.maximum(num, 0.0) / (lam + np.maximum(den, 0.0))
@@ -397,18 +398,20 @@ def test_candidate_deltas_match_the_complex_form(problem, lam, n_select):
 def _form_drift(state):
     """Gaps between the incremental and the direct forms of the state's q.
 
-    num and den gaps are fractions of their largest direct value, the
-    change gap a fraction of the best direct change, all over the
-    candidates still free.
+    Rows 0 and 1 hold each bin's num and den gaps, as fractions of the
+    bin's largest direct value; row 2 the gap of the weighted change, as a
+    fraction of the best direct change; all over the candidates still free.
     """
-    fresh = SelectionState(coeff=state.coeff, second_moment=state.second_moment,
-                           lam=state.lam, q=state.q, selected=state.selected)
     free = np.setdiff1d(np.arange(state.n_candidates), state.selected)
+    direct = [_forms(q, r, c) for c, r, q in zip(state.coeff, state.second_moment, state.q)]
     gaps = []
-    for mine, direct in ((state.num, fresh.num), (state.den, fresh.den)):
-        gaps.append(np.max(np.abs(mine[free] - direct[free])) / np.max(np.abs(direct[free])))
+    for mine, rows in ((state.num, [d[0] for d in direct]), (state.den, [d[1] for d in direct])):
+        rows = np.array(rows)[:, free]
+        gaps.append(np.max(np.abs(mine[:, free] - rows), axis=1) / np.max(np.abs(rows), axis=1))
+    fresh = SelectionState(coeff=state.coeff, second_moment=state.second_moment, lam=state.lam,
+                           q=state.q, gamma=state.gamma, selected=state.selected)
     mine, direct = candidate_deltas(state)[free], candidate_deltas(fresh)[free]
-    gaps.append(np.max(np.abs(mine - direct)) / np.max(np.abs(direct)))
+    gaps.append(np.full(len(state.q), np.max(np.abs(mine - direct)) / np.max(np.abs(direct))))
     return np.array(gaps)
 
 
@@ -428,11 +431,11 @@ def test_incremental_forms_track_direct_recomputation(large_n_problem):
         state = SelectionState.from_problem(c, w, prior, 1e-5)
         for _ in range(n_select):
             idx = int(np.argmin(candidate_deltas(state)))
-            assert np.all(_form_drift(state) <= bound)
+            assert np.all(_form_drift(state) <= bound[:, None])
             add_candidate(state, idx)
-        assert state.min_denominator >= state.lam
-        assert (state.refreshes == 0) if large else (1 <= state.refreshes <= 2)
-        assert state.max_drift <= (1e-10 if large else 2e-7)
+        assert state.min_denominator[0] >= state.lam
+        assert (state.refreshes[0] == 0) if large else (1 <= state.refreshes[0] <= 2)
+        assert state.max_drift[0] <= (1e-10 if large else 2e-7)
 
 
 def test_selection_state_owns_its_arrays():
@@ -440,46 +443,103 @@ def test_selection_state_owns_its_arrays():
     lam = 1e-3
     for coeff in (c, *_layouts(c)):
         state = SelectionState.from_problem(coeff, w, prior, lam)
-        assert state.coeff.dtype == np.complex128 and state.coeff.flags.c_contiguous
+        assert state.coeff[0].dtype == np.complex128 and state.coeff[0].flags.c_contiguous
         for a in (state.num, state.den):
-            assert a.dtype == np.float64 and a.shape == (9,)
+            assert a.dtype == np.float64 and a.shape == (1, 9)
     # a state built directly copies the q it is given; no pick writes to
     # any caller array
     built = SelectionState.from_problem(c, w, prior, lam)
     r = prior.second_moment
-    q = built.q.copy()
+    q = built.q[0].copy()
     caller = (c, w.entries, r, q)
     kept = [a.copy() for a in caller]
-    direct = SelectionState(coeff=c, second_moment=r, lam=lam, q=q)
+    direct = SelectionState(coeff=[c], second_moment=[r], lam=lam, q=[q])
     for idx in (3, 0, 7):
         add_candidate(direct, idx)
         add_candidate(built, idx)
     for old, a in zip(kept, caller):
         assert np.array_equal(old, a)
-    assert not np.shares_memory(direct.q, q)
-    for a, b in ((direct.q, built.q), (direct.num, built.num), (direct.den, built.den)):
+    assert not np.shares_memory(direct.q[0], q)
+    for a, b in ((direct.q[0], built.q[0]), (direct.num, built.num), (direct.den, built.den)):
         assert np.array_equal(a, b)
 
 
+def test_stacked_state_is_the_per_bin_state():
+    # one state over three bins of different K, the last past the one-thread
+    # limit (two matrix-vector products per pick), against a state of each
+    # bin alone: after every pick each bin's rows and readouts are the same
+    # bit for bit, and the weighted changes are the gamma-weighted sum of the
+    # bins' changes in bin order
+    bins = [_random_problem(70 + b, n=900, dim=dim) for b, dim in enumerate((7, 19, 41))]
+    assert 2 * bins[1][0].size <= _ONE_THREAD_MACS < 2 * bins[2][0].size
+    lam, gamma = 1e-4, (1.0, 0.3, 2.0)
+    state = SelectionState.from_problem(*zip(*bins), lam, gamma=gamma)
+    alone = [SelectionState.from_problem(c, w, prior, lam) for c, w, prior in bins]
+    for _ in range(12):
+        deltas = candidate_deltas(state)
+        assert np.array_equal(deltas, sum(g * candidate_deltas(a) for g, a in zip(gamma, alone)))
+        idx = int(np.argmin(deltas))
+        add_candidate(state, idx)
+        for b, single in enumerate(alone):
+            add_candidate(single, idx)
+            assert np.array_equal(state.q[b], single.q[0])
+            for mine, own in ((state.num, single.num), (state.den, single.den),
+                              (state.min_denominator, single.min_denominator),
+                              (state.max_drift, single.max_drift),
+                              (state.refreshes, single.refreshes)):
+                assert np.array_equal(mine[b], own[0])
+        assert state_cost(state) == pytest.approx(
+            sum(g * state_cost(a) for g, a in zip(gamma, alone)), rel=1e-15)
+
+
 def _generation_bytes(bins):
-    """One generation of states, Q_S, num and den per bin, plus one build
-    block (Q_S C and R Q_S C over BUILD_BLOCK_BYTES of columns)."""
+    """One generation of the state, Q_S per bin and num and den, plus one
+    build block (Q_S C and R Q_S C over BUILD_BLOCK_BYTES of columns)."""
     per_bin = sum(16 * c.shape[0] ** 2 + 16 * c.shape[1] for c in bins)
     return per_bin + 2 * BUILD_BLOCK_BYTES
 
 
-def test_broadband_greedy_memory_holds_one_generation():
-    # the paper's 20 bins: states are updated in place and hold no K x N
-    # array, so the traced peak stays near one generation (measured 0.94x,
-    # 1.09 MB; holding Q_S C and R Q_S C whole per bin would take 6.4 MB)
+@pytest.fixture(scope="module")
+def paper_broadband():
     config = paper_config(broadband=True)
-    spec = to_broadband_spec(build_problems(config))
+    return config, to_broadband_spec(build_problems(config))
+
+
+def test_broadband_greedy_memory_holds_one_generation(paper_broadband):
+    # the paper's 20 bins: the state is updated in place and holds no K x N
+    # array, so the traced peak stays near one generation (measured 0.91x,
+    # 1.06 MB; holding Q_S C and R Q_S C whole per bin would take 6.4 MB)
+    config, spec = paper_broadband
     generation = _generation_bytes([b.coeff_matrix for b in spec.bins])
     result, peak = traced_peak(
         greedy_place_broadband, spec, config.lambda_select, n_select=config.n_select
     )
     assert len(result.indices) == config.n_select
     assert peak < 1.25 * generation
+
+
+def test_paper_broadband_state_tracks_direct_recomputation(paper_broadband):
+    # the 20-bin paper state as greedy reads it, at every pick: each bin's
+    # num and den against _forms from its q, within the more-sources-than-
+    # modes bounds of test_incremental_forms_track_direct_recomputation
+    # (measured worst num, den and change gaps 2.5e-11, 8.9e-14, 1.2e-11),
+    # and the trace against the direct broadband cost (measured 4.5e-16)
+    config, spec = paper_broadband
+    lam = config.lambda_select
+    result = greedy_place_broadband(spec, lam, n_select=config.n_select)
+    bins = spec.bins
+    state = SelectionState.from_problem([b.coeff_matrix for b in bins], [b.weight for b in bins],
+                                        [b.prior for b in bins], lam, gamma=[b.gamma for b in bins])
+    bound = np.array([5e-8, 5e-12, 1e-7])
+    for step, idx in enumerate(result.indices, start=1):
+        assert int(np.argmin(candidate_deltas(state))) == idx
+        assert np.all(_form_drift(state) <= bound[:, None])
+        add_candidate(state, idx)
+        direct = broadband_cost(spec, result.indices[:step], lam)
+        assert result.cost_trace[step] == pytest.approx(direct, rel=1e-12)
+    assert np.all(state.min_denominator >= lam)
+    assert np.all(state.refreshes == 0)
+    assert np.all(state.max_drift <= 1e-10)
 
 
 def test_add_candidate_rejects_bad_indices():
@@ -552,17 +612,24 @@ def test_greedy_tie_breaks_to_lowest_index():
         c3, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7), 1e-6, n_select=1
     )
     assert near.indices == (5,)
+
+
+@pytest.mark.parametrize(
+    "hz, min_tied", [((1000.0,), 5), ((600.0, 1000.0, 1700.0), 4)], ids=["1-bin", "3-bin"]
+)
+def test_greedy_mirrored_ties_break_to_lowest_index(hz, min_tied):
     # geometric ties, recurring: 12 source pairs mirrored about the
     # horizontal line through the region centre, under a prior symmetric
-    # about 0 deg. Whenever the selection is mirror-symmetric every free
-    # pair is tied, and rounding splits the incremental decreases of a
-    # pair by up to 2e-11 of the best one, past TIE_RTOL. In either listing
-    # order greedy must take the lower index of the pair at each such step.
+    # about 0 deg, at one frequency and summed over three. Whenever the
+    # selection is mirror-symmetric every free pair is tied, and rounding
+    # splits the incremental decreases of a pair by up to 3e-11 of the best
+    # one, past TIE_RTOL (6 such steps in one bin, 4 in three). In either
+    # listing order greedy must take the lower index of the pair at each.
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
-    f1k = Frequency(1000.0)
-    cfg = expansion_for(region, f1k)
-    prior = prior_from_direction_range(RANGE45, cfg, f1k)
-    w = weight_matrix_circle(region, cfg, f1k)
+    freqs = [Frequency(f) for f in hz]
+    cfgs = [expansion_for(region, f) for f in freqs]
+    priors = [prior_from_direction_range(RANGE45, cfg, f) for cfg, f in zip(cfgs, freqs)]
+    weights = [weight_matrix_circle(region, cfg, f) for cfg, f in zip(cfgs, freqs)]
     th = np.radians(np.linspace(100.0, 175.0, 12))
     upper = np.c_[0.5 + 1.5 * np.cos(th), 0.3 + 1.5 * np.sin(th)]
     lower = np.c_[upper[:, 0], 0.6 - upper[:, 1]]
@@ -570,15 +637,19 @@ def test_greedy_tie_breaks_to_lowest_index():
     for first, second in ((upper, lower), (lower, upper)):
         pts = np.empty((24, 2))
         pts[0::2], pts[1::2] = first, second
-        c = source_coeff_matrix(pts, [(cfg, f1k)])[0]
-        picks = greedy_place(c, w, prior, 1e-5, n_select=24).indices
+        coeffs = source_coeff_matrix(pts, list(zip(cfgs, freqs)))
+        spec = BroadbandSpec(tuple(
+            BroadbandBin(c, w, prior, gamma=1.0 / (b + 1))
+            for b, (c, w, prior) in enumerate(zip(coeffs, weights, priors))
+        ))
+        picks = greedy_place_broadband(spec, 1e-5, n_select=24).indices
         tied_steps = 0
         for step, idx in enumerate(picks):
             pairs = [i // 2 for i in picks[:step]]
             if all(pairs.count(p) == 2 for p in pairs):
                 tied_steps += 1
                 assert idx % 2 == 0, (step, picks)
-        assert tied_steps >= 5
+        assert tied_steps >= min_tied
         runs.append(picks)
     assert runs[0] == runs[1]
 
@@ -611,13 +682,13 @@ def test_greedy_more_sources_than_modes():
         for step, idx in enumerate(result.indices, start=1):
             candidate_deltas(state)
             free = np.setdiff1d(np.arange(c.shape[1]), state.selected)
-            for mine, direct in zip((state.num, state.den),
+            for mine, direct in zip((state.num[0], state.den[0]),
                                     _forms(direct_q, prior.second_moment, c)):
                 gap = np.max(np.abs(mine - direct)[free]) / np.max(np.abs(direct[free]))
                 assert gap <= 1e-8
             state = add_candidate(state, idx)
             direct_q = _direct_q(c, w.entries, state.selected, lam)
-            assert np.max(np.abs(state.q - direct_q)) <= 1e-8 * scale
+            assert np.max(np.abs(state.q[0] - direct_q)) <= 1e-8 * scale
             direct = placement_cost(state.selected, prior, c, w, lam)
             assert result.cost_trace[step] == pytest.approx(direct, rel=1e-9)
 
@@ -655,10 +726,11 @@ def test_greedy_large_n_matches_direct_oracles(large_n_problem):
         if step % 10 == 0:
             free = np.setdiff1d(np.arange(c.shape[1]), state.selected)
             direct = _direct_deltas(state, free)
-            gap = np.max(np.abs(_incremental_deltas(state)[free] - direct))
+            incremental = _weighted_deltas(state, _free_gains(state))
+            gap = np.max(np.abs(incremental[free] - direct))
             assert gap <= 1e-8 * np.max(np.abs(direct)), step
     direct_q = _direct_q(c, w.entries, state.selected, lam)
-    assert np.max(np.abs(state.q - direct_q)) <= 1e-8 * np.max(np.abs(w.entries))
+    assert np.max(np.abs(state.q[0] - direct_q)) <= 1e-8 * np.max(np.abs(w.entries))
 
 
 def test_greedy_large_n_memory_holds_one_generation(large_n_problem):

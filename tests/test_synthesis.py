@@ -173,6 +173,31 @@ def test_weight_matrix_validation():
         WeightMatrix(np.full((2, 2), np.nan))
 
 
+def test_weight_matrix_psd_check_on_diagonal_and_dense_weights(monkeypatch):
+    # the smallest eigenvalue is judged against -1e-10 of the trace. A
+    # diagonal weight (the wmm disc, the identity) reads it off the real
+    # diagonal; a dense one (pressure matching) keeps eigvalsh.
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    cases = []
+    for low, ok in ((-1e-12, True), (-1e-9, False), (-0.5, False)):
+        d = np.array([1.0, 0.5, low])
+        dense = u @ np.diag(d) @ u.conj().T
+        cases.append((0.5 * (dense + dense.conj().T), ok))
+        cases.append((np.diag(d + 0j), ok))
+    eigvalsh = np.linalg.eigvalsh
+    for w, ok in cases:
+        diagonal = np.count_nonzero(w - np.diag(w.diagonal())) == 0
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        if ok:
+            assert np.array_equal(WeightMatrix(w).entries, w)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                WeightMatrix(w)
+        assert len(calls) == (0 if diagonal else 1)
+
+
 # ---------------------------------------------------------------------------
 # solvers
 
