@@ -1,6 +1,6 @@
 """Run the built-in reverberant study end to end and print the summary.
 
-Equivalent to `sfsplace reproduce-paper`; takes 0.4 to 0.65 seconds on two cores.
+Equivalent to `sfsplace reproduce-paper`; takes 0.3 to 0.5 seconds on two cores.
 The JSON summary goes to stdout; the wall time and the process's peak
 resident memory (ru_maxrss) go to stderr.
 

@@ -1,23 +1,22 @@
 """Cylindrical Bessel functions J_m, Y_m and the outgoing Hankel function H_m^(1).
 
-Integer orders, real positive arguments. Everything is built from three
-classical pieces (see DLMF chapter 10):
+Integer orders, real positive arguments, float64 throughout. Everything is
+built from three classical pieces (see DLMF chapter 10):
 
-* ascending series for small arguments (Horner over precomputed tables),
-* Hankel's large-argument asymptotic expansion for the order-0/1 seeds,
+* Neumann's expansions of Y_0 and Y_1 in the J_m for the order-0/1 seeds
+  of small arguments,
+* Hankel's large-argument asymptotic expansion for the seeds of large ones,
 * three-term recurrences in the order index: upward recurrence for Y
   always, and for J wherever every order is below the argument
   (x >= limit + 1 for an order limit >= 2), where it is stable; Miller's
   downward recurrence with series normalization for J below that.
 
 Upward J is only as good as its order-0/1 seeds, the same seeds Y recurs
-up from, so the [J_m; Y_m] rows stay as accurate as their Y half already
-was (the Hankel rows measured 4.3e-13 relative to scipy). J is within
-1.5e-13 column-relative of scipy.special.jv for max_order 2..80 and
-max_order + 1 <= x <= 2 max_order + 20, the largest from the longdouble
-series seeds at 6 <= x < 17. Miller's recurrence gave 6e-15 there to
-max_order 29 (4.5e-14 at 40), at about twelve times the columns in the
-20-bin paper build.
+up from, so the [J_m; Y_m] rows stay as accurate as their Y half. The
+Hankel rows measured 8.3e-14 relative to scipy, all of it from the
+expansion at x >= 17 (1.3e-14 below). J is within 7.6e-14
+column-relative of scipy.special.jv for max_order 2..80 and
+max_order + 1 <= x <= 2 max_order + 20.
 
 One row stream, _rows, serves both entry points: it yields one order at
 a time for an array of arguments, as a (1, n) row [J_m] or a (2, n) row
@@ -44,14 +43,14 @@ order: the Graf build streams every bin's near images in one call and
 takes the translation rows of several bins from one J block.
 bessel_j_orders keeps a scalar max_order.
 
-The order-0/1 seeds come from one of five regimes, picked by each
+The order-0/1 seeds come from one of four regimes, picked by each
 argument's own x (never by the other arguments of a call):
 
-* x < 6: ascending series to degree 30 in x^2/4, in float64;
-* 6 <= x < 17: the same series to degree 58 in extended precision
-  (np.longdouble). The series for Y0/Y1 cancels up to ~7 digits by
-  x = 17; on x86 the extra precision keeps the seeds good to ~1e-12
-  relative, which the downstream identity tolerances need;
+* x < 17: J_0 and J_1 from Miller's block to order 57 (the two-term
+  series below 1e-6), and Y_0 and Y_1 from Neumann's expansions over its
+  even and odd orders (_neumann_seeds). One order for every argument keeps
+  each seed a function of its own x. The seeds are within 3.7e-15 of
+  scipy on max(|ref|, sqrt(2 / (pi x))) over 1e-9 < x < 17;
 * x >= 17: Hankel's expansion with the fewest P/Q terms (each, in powers
   of 1/x^2) whose first omitted term is below the float64 floor: 10 terms
   for 17 <= x < 30, 6 for 30 <= x < 60 and 4 for x >= 60. One cos/sin
@@ -76,47 +75,17 @@ import numpy as np
 
 __all__ = ["bessel_j_orders", "hankel1_rows"]
 
-_EULER_GAMMA = float(np.longdouble("0.577215664901532860606512090082"))
+_EULER_GAMMA = 0.5772156649015329
 
 _TINY_X = 1e-6
 
 _RESCALE = 1e250
 
-_SERIES_DEG = 64
+# order of Miller's block behind the seeds below x = 17, J_0..J_57: the
+# Neumann sums stop at J_57(17) = 6.6e-25, far below the float64 floor
+_NEUMANN_TOP = 57
 # Hankel expansion terms (P and Q each) of the widest band, 17 <= x < 30
 _ASYM_MAX_TERMS = 10
-
-
-def _build_series_tables():
-    one = np.longdouble(1.0)
-    g = np.longdouble("0.577215664901532860606512090082")
-    j0 = np.empty(_SERIES_DEG + 1, dtype=np.longdouble)
-    j1 = np.empty_like(j0)
-    y0 = np.empty_like(j0)
-    y1 = np.empty_like(j0)
-    u = one            # (-1)^k / (k!)^2
-    v = one            # (-1)^k / (k! (k+1)!)
-    h = np.longdouble(0.0)
-    j0[0] = u
-    j1[0] = v
-    y0[0] = 0.0
-    y1[0] = one - 2.0 * g
-    for k in range(1, _SERIES_DEG + 1):
-        u = -u / np.longdouble(k * k)
-        v = -v / np.longdouble(k * (k + 1))
-        h = h + one / np.longdouble(k)
-        j0[k] = u
-        j1[k] = v
-        y0[k] = -h * u
-        y1[k] = (2.0 * h + one / np.longdouble(k + 1) - 2.0 * g) * v
-    return j0, j1, y0, y1
-
-
-_J0C, _J1C, _Y0C, _Y1C = _build_series_tables()
-_J0C64 = _J0C.astype(np.float64)
-_J1C64 = _J1C.astype(np.float64)
-_Y0C64 = _Y0C.astype(np.float64)
-_Y1C64 = _Y1C.astype(np.float64)
 
 
 def _build_asym_tables():
@@ -150,34 +119,32 @@ def _horner(coeffs, q):
     return acc
 
 
-def _series_seeds(x, want_y, want_one, dtype, deg):
-    """Ascending series (DLMF 10.2.2, 10.8.1-2) to degree deg in x^2/4."""
-    xl = x.astype(dtype)
-    q = 0.25 * xl * xl
-    ld = dtype is np.longdouble
-    j0 = _horner((_J0C if ld else _J0C64)[: deg + 1], q)
-    half = 0.5 * xl
-    j1 = half * _horner((_J1C if ld else _J1C64)[: deg + 1], q) if (want_one or want_y) else None
+def _neumann_seeds(x, want_y, want_one):
+    """J0 and J1 from Miller's block to order _NEUMANN_TOP, Y0 and Y1 from Neumann's expansions.
+
+    Y_0 = (2/pi)(ln(x/2) + gamma) J_0 - (4/pi) sum_k (-1)^k J_{2k} / k and
+    Y_1 = -Y_0' = (2/pi)((ln(x/2) + gamma) J_1 - J_0 / x)
+    + (2/pi) sum_k (-1)^k (J_{2k-1} - J_{2k+1}) / k, k = 1..28 (Abramowitz
+    and Stegun 9.1.88 and its derivative). The block has one order limit
+    for every argument (_j_fixed: the two-term series below _TINY_X), and
+    the sums run elementwise from the top order down, so each value
+    depends on its own x alone.
+    """
+    j = _j_fixed(_NEUMANN_TOP, x)
+    j0, j1 = j[0].copy(), j[1].copy()  # no view holds the block past the call
     if not want_y:
-        return (
-            j0.astype(np.float64),
-            j1.astype(np.float64) if want_one else None,
-            None,
-            None,
-        )
-    log_half = np.log(half)
-    two_over_pi = 2.0 / np.pi
-    y0 = two_over_pi * ((log_half + _EULER_GAMMA) * j0 + _horner((_Y0C if ld else _Y0C64)[: deg + 1], q))
-    y1 = None
-    if want_one:
-        y1s = _horner((_Y1C if ld else _Y1C64)[: deg + 1], q)
-        y1 = two_over_pi * (log_half * j1 - 1.0 / xl) - (xl / (2.0 * np.pi)) * y1s
-    return (
-        j0.astype(np.float64),
-        j1.astype(np.float64) if want_one else None,
-        y0.astype(np.float64),
-        y1.astype(np.float64) if want_one else None,
-    )
+        return j0, (j1 if want_one else None), None, None
+    s0 = np.zeros_like(x)
+    s1 = np.zeros_like(x)
+    for k in range(_NEUMANN_TOP // 2, 0, -1):
+        s0 += ((-1.0) ** k / k) * j[2 * k]
+        s1 += ((-1.0) ** k / k) * (j[2 * k - 1] - j[2 * k + 1])
+    log_term = np.log(0.5 * x) + _EULER_GAMMA
+    y0 = (2.0 / np.pi) * (log_term * j0 - 2.0 * s0)
+    if not want_one:
+        return j0, None, y0, None
+    y1 = (2.0 / np.pi) * (log_term * j1 - j0 / x + s1)
+    return j0, j1, y0, y1
 
 
 def _asym_seeds(x, want_y, want_one, terms):
@@ -207,8 +174,7 @@ def _asym_seeds(x, want_y, want_one, terms):
 
 # (lower edge, upper edge, seed function) of each regime in the module docstring
 _SEED_REGIMES = (
-    (0.0, 6.0, partial(_series_seeds, dtype=np.float64, deg=30)),
-    (6.0, 17.0, partial(_series_seeds, dtype=np.longdouble, deg=58)),
+    (0.0, 17.0, _neumann_seeds),
     (17.0, 30.0, partial(_asym_seeds, terms=_ASYM_MAX_TERMS)),
     (30.0, 60.0, partial(_asym_seeds, terms=6)),
     (60.0, math.inf, partial(_asym_seeds, terms=4)),
@@ -379,16 +345,21 @@ def _recur(top, x, seeds, fixed, block, width):
     it is requested. Each row is patched as the module docstring says, the
     fixed columns' J to the block's last order, their largest limit.
     Non-finite values are expected (upward J outside its seeded columns,
-    Y past the float64 range) and warn of nothing.
+    Y past the float64 range) and warn of nothing. The seeds are dropped
+    once rows 0 and 1 hold them, before the third generation exists.
     """
-    gens = [np.empty((width, x.size)) for _ in range(min(top + 1, 3))]
+    gens = []
     step = np.empty_like(x)
     for m in range(top + 1):
+        if m < 3:
+            gens.append(np.empty((width, x.size)))
         row = gens[m % 3]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if m < 2:
                 for k in range(width):
                     row[k] = seeds[2 * k + m]
+                if m == 1:
+                    seeds = None
             else:
                 np.divide(2.0 * (m - 1), x, out=step)
                 np.multiply(step, gens[(m - 1) % 3], out=row)

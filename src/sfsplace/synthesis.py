@@ -178,7 +178,9 @@ _SIGNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 # matrix-vector products are not safe: at K = 59, N = 200 (12k complex
 # multiply-adds, enough for OpenBLAS to wake a second thread) up to 59 of
 # 3000 calls took over 1 ms (max 24 ms) in a series on a busy host, where
-# the one product never did.
+# the one product never did. A real product stays on one thread to four
+# times as many multiply-adds: real 8-column blocks (2^18) of the 2 kHz
+# translation kept a p99 of 0.67 ms over 3000 calls with the other core busy.
 _ONE_THREAD_MACS = 1 << 16
 # Largest J block of translation rows (orders 0..p of a run of bins, S
 # columns each) that one Bessel call forms (_translation_runs)
@@ -203,12 +205,15 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     10.23.7; the local-to-local translation of the 2D Helmholtz fast
     multipole method, Rokhlin, J. Comput. Phys. 86(2), 1990). Free field
     is the one-image table, whose image is always near. All the center's
-    bins share one Hankel stream of near images, each argument to its own
-    bin's order, and a few J blocks of translation rows; neither moves a
-    bin's values. The lattice sums run to the largest order of the list
-    and the far split takes its largest validity radius, so through these
-    a bin's values depend on the bin list in the last bits, as
-    _circle_weights' do.
+    bins share one Hankel stream of near images and one of lattice sums,
+    each argument to its own bin's order, and a few J blocks of
+    translation rows; none of these moves a bin's Bessel values. A bin's
+    matrix still depends on the bin list in the last bits, as
+    _circle_weights' do: the far split takes the list's largest validity
+    radius (and the spans follow from it), and each order's contraction is
+    one BLAS product over every bin's rows, whose rounding can follow the
+    row count (each of the 20 paper bins' matrices is within 3.8e-16 of
+    its largest entry of its own one-bin build).
     """
     srcs, table = _source_images(positions, room)
     by_center = {}
@@ -237,15 +242,18 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     own matrix.
 
     Per sign group the far images of y give the lattice sums A_n, their
-    Graf coefficients about c to order N = M + p (_translation_span), all
-    bins from one _graf_coeffs stream. Source s takes them through
+    Graf coefficients about c to order N = M + p (_translation_span). All
+    bins come from one _graf_coeffs stream, in which each bin is a block
+    of the sign groups and runs to its own N. Source s takes them through
     C[m, s] += sum_n A_n J_{n-m}(k delta_s) e^{i (n-m) beta_s}, where
     delta_s e^{i beta_s} = sign * (y - s). The four signs turn e^{i beta}
-    into +-u or +-conj(u), u the unit vector of y - s, so the groups fold
-    into one matrix against the rows J_j(k delta_s) u_s^j (_fold): one
-    (2M + 1, 2p + 1) by (2p + 1, S) product per bin, and no (S, I) array
-    for the far images. The rows J_j of a run of bins come from one J
-    block (_translation_runs) over the distinct delta_s.
+    into +-u or +-conj(u), u the unit vector of y - s, and
+    J_{-j} u^{-j} = (-1)^j conj(J_j u^j), so the groups fold into one real
+    matrix (_real_fold) against the real rows J_j(k delta_s) cos(j beta_s)
+    and J_j(k delta_s) sin(j beta_s), j >= 0: one
+    (2 (2M + 1), 2p + 1) by (2p + 1, S) real product per bin, and no
+    (S, I) array for the far images. The rows J_j of a run of bins come
+    from one J block (_translation_runs) over the distinct delta_s.
     """
     n_src = len(srcs)
     far = np.zeros(table.gain.size, dtype=bool)
@@ -293,15 +301,9 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
         _translation_span(k * spread, cfg.max_order, k * nearest)
         for (cfg, _), k in zip(bins, wavenumber)
     ]
-    top = max(n + p for n, p in zip(orders, spans))
-    # every (bin, sign group) is one pseudo-source of a single block
-    (sums,) = _graf_coeffs(
-        [top],
-        (wavenumber[:, None, None] * reach[rows]).reshape(1, -1, width),
-        np.tile(z_far, (len(bins), 1)),
-        np.tile(gains, (len(bins), 1)),
-    )
-    sums = sums.reshape(2 * top + 1, len(bins), len(groups))
+    # each bin is a block of the sign groups as pseudo-sources, to its own N = M + p
+    tops = [n + p for n, p in zip(orders, spans)]
+    sums = _graf_coeffs(tops, wavenumber[:, None, None] * reach[rows], z_far, gains)
     beta = np.arctan2(shift[:, 1], shift[:, 0])
     phase = np.exp(1j * np.outer(np.arange(max(spans) + 1), beta))  # u_s^j
     signs = [sign for sign, _ in groups]
@@ -316,28 +318,19 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
         )
         for i, b in enumerate(run):
             n, p = orders[b], spans[b]
-            j = block[: p + 1, i * n_dist : (i + 1) * n_dist]
-            # one statement, so a bin's fold and rows are freed before the next's
-            out[b] += _one_thread_product(
-                _fold(sums[top - n - p : top + n + p + 1, b], signs, p),
-                _translation_rows(j[:, which], phase[: p + 1]),
-            )
+            # rows a_j = J_j cos(j beta), j = 0..p, then b_j = J_j sin(j beta),
+            # j = 1..p, formed in place
+            rows = np.empty((2 * p + 1, n_src))
+            np.take(block[: p + 1, i * n_dist : (i + 1) * n_dist], which, axis=1, out=rows[: p + 1])
+            np.multiply(rows[1 : p + 1], phase.imag[1 : p + 1], out=rows[p + 1 :])
+            np.multiply(rows[: p + 1], phase.real[: p + 1], out=rows[: p + 1])
+            far_part = _one_thread_product(_real_fold(sums[b], signs, p), rows)
+            out[b].real += far_part[: 2 * n + 1]
+            out[b].imag += far_part[2 * n + 1 :]
+            # the bin's rows, product and lattice sums go before the next bin's exist
+            del rows, far_part
+            sums[b] = None
     return out
-
-
-def _translation_rows(j, phase):
-    """(2p + 1, S) rows R_j = J_j(k delta) u^j, j = -p..p, of the translation.
-
-    j holds J_0..J_p and phase u^0..u^p; the rows of negative j are
-    J_{-j} u^{-j} = (-1)^j J_j conj(u)^j = (-1)^j conj(R_j), J being real,
-    formed in place.
-    """
-    p = j.shape[0] - 1
-    rows = np.empty((2 * p + 1, j.shape[1]), dtype=np.complex128)
-    np.multiply(j, phase, out=rows[p:])
-    np.conjugate(rows[:p:-1], out=rows[:p])
-    rows[:p] *= (-1.0) ** np.arange(p, 0, -1)[:, None]
-    return rows
 
 
 def _translation_runs(spans, n_dist):
@@ -363,15 +356,18 @@ def _translation_runs(spans, n_dist):
 def _one_thread_product(a, b):
     """a @ b, as column blocks of b that OpenBLAS runs on one thread.
 
-    A block of w columns costs a.size * w complex multiply-adds, at most
-    _ONE_THREAD_MACS (w >= 2: a single column would go to gemv, whose
-    threshold is lower). The blocks are strided views of b and of the
-    result, and the columns a whole block does not cover go in one last
-    block that overlaps the one before, so nothing is padded or copied.
+    A block of w columns costs a.size * w multiply-adds, at most
+    _ONE_THREAD_MACS complex or four times as many real ones (w >= 2: a
+    single column would go to gemv, whose threshold is lower). The blocks
+    are strided views of b and of the result, and the columns a whole
+    block does not cover go in one last block that overlaps the one
+    before, so nothing is padded or copied. The result's dtype is the
+    operands'.
     """
-    width = max(2, _ONE_THREAD_MACS // a.size)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    macs = _ONE_THREAD_MACS if np.iscomplexobj(out) else 4 * _ONE_THREAD_MACS
+    width = max(2, macs // a.size)
     n = b.shape[1]
-    out = np.empty((a.shape[0], n), dtype=np.complex128)
     full = n - n % width
     if full:
         np.matmul(a, _column_blocks(b[:, :full], width), out=_column_blocks(out[:, :full], width))
@@ -406,51 +402,59 @@ def _translation_span(x, top, growth):
     return p
 
 
-def _fold(sums, signs, p):
-    """(2M + 1, 2p + 1) matrix F of the translation C = F R, R_j = J_j(k delta) u^j.
+def _real_fold(sums, signs, p):
+    """(2 (2M + 1), 2p + 1) real matrix X of the far translation [Re C; Im C] = X [a; b].
 
     sums is (2 (M + p) + 1, G): each sign group's lattice sums A_{-N..N}.
-    With window[m, j] = A_{m+j} (m = -M..M, j = n - m = -p..p), a group of
-    sign (sx, sy) has e^{i beta} = sx u when sx = sy, so its rows are
-    sx^j R_j; otherwise e^{i beta} = sx conj(u), and since
-    conj(u)^j J_j = (-1)^j R_{-j}, its rows are (-sx)^j R_{-j}, which is
-    the window mirrored in j.
+    With R_j = J_j(k delta) u^j = a_j + i b_j, R_{-j} = (-1)^j conj(R_j)
+    gives C = sum_{j>=0} G_j a_j + i H_j b_j. A group of sign (sx, sy) has
+    e^{i beta} = sx u if sx = sy, else sx conj(u), and either way adds
+    sx^j (A_{m+j} + (-1)^j A_{m-j}) to G_j (A_m alone at j = 0) and
+    sx sy sx^j (A_{m+j} - (-1)^j A_{m-j}) to H_j. So G and H read four
+    signed sums of the groups' lattice sums (weights 1, sx, sx sy, sy) in
+    a forward and a mirrored window: S_1 and S_xy at even j, S_x and S_y
+    at odd j. X's columns are G_0..G_p, then i H_1..i H_p.
     """
-    order = np.abs(np.arange(-p, p + 1))
-    fold = np.zeros((sums.shape[0] - 2 * p, 2 * p + 1), dtype=np.complex128)
-    for (sx, sy), col in zip(signs, sums.T):
-        window = np.lib.stride_tricks.sliding_window_view(col, 2 * p + 1)
-        if sx == sy:
-            fold += window * sx ** order
-        else:
-            fold += window[:, ::-1] * (-sx) ** order
-    return fold
+    sx, sy = np.array(signs).T
+    s = sums @ np.array([np.ones_like(sx), sx, sx * sy, sy]).T
+    window = np.lib.stride_tricks.sliding_window_view
+    fwd = window(s[p:], p + 1, axis=0)  # (2M + 1, 4, p + 1): S_{m+j}
+    mirror = window(s[: s.shape[0] - p], p + 1, axis=0)[..., ::-1]  # S_{m-j}
+    odd = np.arange(p + 1) % 2 == 1
+    g = np.where(odd, fwd[:, 1] - mirror[:, 1], fwd[:, 0] + mirror[:, 0])
+    g[:, 0] = fwd[:, 0, 0]
+    h = np.where(odd, fwd[:, 3] + mirror[:, 3], fwd[:, 2] - mirror[:, 2])[:, 1:]
+    return np.block([[g.real, -h.imag], [g.imag, h.real]])
 
 
 def _graf_coeffs(orders, kd, z, gains):
     """Graf coefficients of images at k d = kd, e^{-i phi} = z, one matrix per block.
 
     kd is (B, S, I), B blocks of S sources with I images each, and block
-    b's matrix is (2 M_b + 1, S), M_b = orders[b]; z is (S, I), the same in every block, and gains
-    broadcasts to it: (I,) for the near images of S sources, each bin a
-    block, and (S, I) for the lattice sums, one block whose every (bin,
-    sign group) is a pseudo-source with its own gains (_center_coeffs).
-    One Hankel stream, each argument to its own block's M_b, serves every
-    block. Per order, the (2, B S I) row [J_m; Y_m] viewed as (B, S, 2, I)
-    times the float64 view (S, I, 2) of gz = g z^m gives, per block and
-    source, the real and imaginary parts of a = sum_i g J_m z^m and
-    b = sum_i g Y_m z^m in one (B, S, 2, 2) product. While m <= M_b, row
-    M_b + m of block b's matrix is a + i b and row M_b - m is
-    (-1)^m (conj a + i conj b). The Hankel rows stream in one order at a
-    time, so the working memory is a few (B, S, I) arrays whatever the
-    order count.
+    b's matrix is (2 M_b + 1, S), M_b = orders[b]; z is (S, I), the same in
+    every block, and gains broadcasts to it: (I,) for the near images of S
+    sources, each bin a block, and (S, I) for the lattice sums, each bin a
+    block of its sign groups as pseudo-sources with their own gains
+    (_center_coeffs). One Hankel stream, each argument to its own block's
+    M_b, serves every block. Per order, the (2, B S I) row [J_m; Y_m],
+    viewed as (S, 2B, I) (a transposed view, not a copy), times the float64
+    view (S, I, 2) of gz = g z^m gives, per source, the real and imaginary
+    parts of a = sum_i g J_m z^m and b = sum_i g Y_m z^m of every block in
+    one (S, 2B, 2) product: one contraction per source. While m <= M_b,
+    row M_b + m of block b's matrix is a + i b and row M_b - m is
+    (-1)^m (conj a + i conj b), both formed for every block at once as
+    (B, S) arrays. The Hankel rows stream in one order at a time, so the
+    working memory is a few (B, S, I) arrays whatever the order count.
     """
     n_bin, n_src, n_img = kd.shape
     rows = specfun.hankel1_rows(np.reshape(orders, (-1, 1, 1)), kd)
     gz = np.empty_like(z)
     gz[...] = gains
-    sums = np.empty((n_bin, n_src, 2, 2))
-    ar, ai, br, bi = (sums[..., i, j] for i in (0, 1) for j in (0, 1))  # a = ar + i ai, b = br + i bi
+    # the (S, 2B, 2) product, stored (2B, S, 2): each part of a and b is then
+    # a (B, S) array of one stride (numpy buffers an operand of two strides)
+    parts = np.empty((2 * n_bin, n_src, 2))
+    sums = parts.transpose(1, 0, 2)
+    (ar, ai), (br, bi) = parts[:n_bin].transpose(2, 0, 1), parts[n_bin:].transpose(2, 0, 1)
     pos = np.empty((n_bin, n_src), dtype=np.complex128)
     neg = np.empty_like(pos)
     out = [np.empty((2 * n + 1, n_src), dtype=np.complex128) for n in orders]
@@ -459,7 +463,7 @@ def _graf_coeffs(orders, kd, z, gains):
     with np.errstate(invalid="ignore", over="ignore"):
         for m, row in zip(range(max(orders) + 1), rows):
             gz_parts = gz.view(np.float64).reshape(n_src, n_img, 2)
-            np.matmul(row.reshape(2, n_bin, n_src, n_img).transpose(1, 2, 0, 3), gz_parts, out=sums)
+            np.matmul(row.reshape(2 * n_bin, n_src, n_img).transpose(1, 0, 2), gz_parts, out=sums)
             # a + i b and conj a + i conj b, part by part
             np.subtract(ar, bi, out=pos.real)
             np.add(ai, br, out=pos.imag)

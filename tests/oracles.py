@@ -11,8 +11,11 @@ has a closed form in the library; weight_matrix_quadrature integrates the
 same Gram matrix numerically. The library sums a lattice grid's basis
 Gram over one point per symmetry orbit; point_gram sums it point by
 point. The library takes SDRs from expansion coefficients; sdr
-takes them from sampled fields. traced_peak is the tests' one memory
-probe.
+takes them from sampled fields. The library translates the far images'
+lattice sums to each source as one real product; far_translation forms
+the same translation with complex arithmetic, from a fold of the
+lattice sums over every order j = -p..p. traced_peak is the tests' one
+memory probe.
 """
 
 import math
@@ -183,6 +186,31 @@ def graf_coeffs(positions, cfg, freq: Frequency, room: RoomModel | None = None):
     h = scipy.special.hankel1(m, freq.wavenumber * np.hypot(dx, dy))
     phase = np.exp(-1j * m * np.arctan2(dy, dx))
     return 0.25j * np.sum(gains * h * phase, axis=2)
+
+
+def far_translation(sums, signs, j, beta):
+    """(2M + 1, S) far part sum_n A_n J_{n-m}(k delta) e^{i (n-m) beta} of each source's column.
+
+    sums is (2 (M + p) + 1, G), each sign group's lattice sums A_{-N..N}; j
+    is (p + 1, S), J_0..J_p at k delta of each source, and beta the angle of
+    y - s. The rows are R_j = J_j u^j, j = -p..p, with
+    R_{-j} = (-1)^j conj(R_j), and the complex fold F takes every sign
+    group's window A_{m+j} (mirrored in j where sx != sy) with its sign
+    powers, so the part is F R in complex arithmetic.
+    """
+    p = j.shape[0] - 1
+    rows = np.empty((2 * p + 1, j.shape[1]), dtype=np.complex128)
+    rows[p:] = j * np.exp(1j * np.outer(np.arange(p + 1), beta))
+    rows[:p] = rows[:p:-1].conj() * (-1.0) ** np.arange(p, 0, -1)[:, None]
+    order = np.abs(np.arange(-p, p + 1))
+    fold = np.zeros((sums.shape[0] - 2 * p, 2 * p + 1), dtype=np.complex128)
+    for (sx, sy), col in zip(signs, sums.T):
+        window = np.lib.stride_tricks.sliding_window_view(col, 2 * p + 1)
+        if sx == sy:
+            fold += window * sx ** order
+        else:
+            fold += window[:, ::-1] * (-sx) ** order
+    return fold @ rows
 
 
 def spot_check_points(grid, region) -> np.ndarray:

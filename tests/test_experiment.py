@@ -89,10 +89,13 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     # _TRANSLATION_BLOCK_BYTES unless one bin alone exceeds it, then every
     # bin's weight row J(kR) from one bessel_j_orders call and every prior
     # row J(k rho) from one more; the Graf streams run Miller's recurrence
-    # only where some order reaches the argument (3057 columns: 2146 near
-    # images and 911 lattice arguments; 30258 while the direct stream
-    # served x < 2 M + 20)
-    calls, miller = [], []
+    # to the argument's own limit only where some order reaches it (2665
+    # columns: 2146 near images and 519 lattice arguments, each lattice
+    # argument to its own bin's order; 3057 while every lattice argument
+    # ran to the largest, 30258 while the direct stream served
+    # x < 2 M + 20), and to the seeds' fixed order for each argument below
+    # x = 17 (2608 near images and 8 lattice arguments)
+    calls, miller, seeds = [], [], []
     inside = []
 
     def counted(name, fn):
@@ -110,8 +113,8 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     fixed = specfun._j_fixed
 
     def counted_fixed(max_order, x):
-        if not inside:
-            miller.append(x.size)
+        if not inside:  # the seeds' block has one scalar limit, the fixed block an array
+            (seeds if np.ndim(max_order) == 0 else miller).append(x.size)
         return fixed(max_order, x)
 
     monkeypatch.setattr(specfun, "bessel_j_orders", counted("orders", specfun.bessel_j_orders))
@@ -130,7 +133,8 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     assert sum(size for _, size in runs) == 20 * distinct
     assert all(8 * (top + 1) * n <= _TRANSLATION_BLOCK_BYTES or n == distinct for top, n in runs)
     assert [size for name, _, size in calls if name == "orders"] == [20, 20]
-    assert sum(miller) <= 3057
+    assert sum(miller) <= 2665
+    assert seeds == [2608, 8]
 
 
 def test_evaluation_weights_are_the_placement_weights(tmp_path, monkeypatch):

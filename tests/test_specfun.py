@@ -156,7 +156,7 @@ def test_hankel1_rows_stack_to_the_order_block(max_order):
 
 
 def test_every_column_is_its_own_single_column_call():
-    # one call over arguments in all five seed regimes, the tiny series,
+    # one call over arguments in all four seed regimes, the tiny series,
     # Miller columns and upward ones, each to its own order limit: every
     # column to its limit equals its own single-column call at that limit,
     # bit for bit, and the stream's J half equals the J block's
@@ -185,9 +185,9 @@ def test_every_column_is_its_own_single_column_call():
 def test_j_upward_band_matches_scipy():
     # orders 2..80 over max_order + 1 <= x <= 2 max_order + 20, where J now
     # recurs upward from the seeds (Miller's recurrence served it before):
-    # column-relative error measured 1.3e-13 (1.5e-13 at 200 points per
-    # order), from the longdouble series seeds at 6 <= x < 17, which Y
-    # recurs up from too
+    # column-relative error measured 6.4e-14 (7.6e-14 at 200 points per
+    # order; 1.3e-13 from the longdouble series seeds at 6 <= x < 17 that
+    # the Neumann seeds replaced), the seeds Y recurs up from too
     worst = 0.0
     for max_order in range(2, 81):
         x = np.linspace(max_order + 1.0, 2.0 * max_order + 20.0, 60)
@@ -196,7 +196,7 @@ def test_j_upward_band_matches_scipy():
         ref = sp.jv(np.arange(max_order + 1)[:, None], x[None, :])
         err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
         worst = max(worst, float(err.max()))
-    assert worst <= 1e-12
+    assert worst <= 2e-13
 
 
 @pytest.mark.parametrize("max_order, x", [(70, 1e-3), (47, 1e-6)])
@@ -250,7 +250,8 @@ def test_wronskian_identity():
         y = _stacked_rows(m + 1, x)[:, 1]
         w = j[m + 1] * y[m] - j[m] * y[m + 1]
         ref = 2.0 / (np.pi * x)
-        assert np.max(np.abs(w - ref) / ref) < 1e-11
+        # measured 5.1e-15 (1.9e-13 with the longdouble series seeds)
+        assert np.max(np.abs(w - ref) / ref) < 5e-14
 
 
 def test_domain_errors():
@@ -290,20 +291,38 @@ def test_integral_orders_of_any_type_agree(fn):
         assert np.array_equal(fn(order, x), want)
 
 
-# lower edges of the seed regimes: longdouble series, then Hankel's
-# expansion with 10, 6 and 4 terms
-SEED_EDGES = (6.0, 17.0, 30.0, 60.0)
+# edges of the seed regimes: Miller's block under the Neumann seeds takes
+# over from the two-term series at 1e-6, then Hankel's expansion with 10, 6
+# and 4 terms from 17, 30 and 60
+SEED_EDGES = (1e-6, 17.0, 30.0, 60.0)
 
 
 @pytest.mark.parametrize("max_order", [0, 1, 29])
 def test_hankel_matches_scipy_across_seed_regimes(max_order):
-    # both sides of every regime edge plus a log sweep; measured 4.3e-13
-    # (8.3e-14 from x = 17 up, at every order)
+    # both sides of every regime edge plus a log sweep; measured 8.3e-14,
+    # all of it from x = 17 up (below 17, 1.3e-14 at order 29 and 1.6e-15
+    # at orders 0 and 1; 4.3e-13 with the longdouble series seeds)
     edges = [e + d for e in SEED_EDGES for d in (-1e-9, 1e-9)]
     x = np.concatenate([edges, np.logspace(-3.0, math.log10(3000.0), 2000)])
     h = _hankel(max_order, x)
     ref = sp.hankel1(np.arange(max_order + 1)[:, None], x[None, :])
-    assert np.max(np.abs(h - ref) / np.abs(ref)) <= 1e-12
+    assert np.max(np.abs(h - ref) / np.abs(ref)) <= 2e-13
+
+
+def test_seeds_below_17_match_scipy():
+    # the Neumann/Miller seeds over (1e-9, 17), relative to
+    # max(|ref|, sqrt(2 / (pi x))): measured 3.7e-15 (Y0 at 3 < x < 6). The
+    # float64 ascending series reads 1.4e-14 at x < 6 and 4-9e-10 at
+    # 6 <= x < 17, and the longdouble one 5.4e-13 there
+    x = np.concatenate([np.logspace(-9.0, math.log10(17.0), 20000, endpoint=False),
+                        [1e-6 - 1e-9, 1e-6, 17.0 - 1e-9]])
+    j0, j1, y0, y1 = sf._seeds(x, want_y=True, want_one=True)
+    scale = np.sqrt(2.0 / (np.pi * x))
+    for got, ref in ((j0, sp.j0(x)), (j1, sp.j1(x)), (y0, sp.y0(x)), (y1, sp.y1(x))):
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), scale)) <= 1e-14
+    # J alone gives the same J seeds bit for bit
+    only_j = sf._seeds(x, want_y=False, want_one=True)
+    assert np.array_equal(only_j[0], j0) and np.array_equal(only_j[1], j1)
 
 
 def test_hankel_computes_the_seeds_once(monkeypatch):
