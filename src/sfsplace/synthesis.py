@@ -354,19 +354,16 @@ def _translation_runs(spans, n_dist):
 
 
 def _one_thread_product(a, b):
-    """a @ b, as column blocks of b that OpenBLAS runs on one thread.
+    """a @ b of real a and b, as column blocks of b that OpenBLAS runs on one thread.
 
-    A block of w columns costs a.size * w multiply-adds, at most
-    _ONE_THREAD_MACS complex or four times as many real ones (w >= 2: a
-    single column would go to gemv, whose threshold is lower). The blocks
-    are strided views of b and of the result, and the columns a whole
-    block does not cover go in one last block that overlaps the one
-    before, so nothing is padded or copied. The result's dtype is the
-    operands'.
+    A block of w columns costs a.size * w real multiply-adds, at most
+    4 * _ONE_THREAD_MACS (w >= 2: a single column would go to gemv, whose
+    threshold is lower). The blocks are strided views of b and of the
+    result, and the columns a whole block does not cover go in one last
+    block that overlaps the one before, so nothing is padded or copied.
     """
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    macs = _ONE_THREAD_MACS if np.iscomplexobj(out) else 4 * _ONE_THREAD_MACS
-    width = max(2, macs // a.size)
+    out = np.empty((a.shape[0], b.shape[1]))
+    width = max(2, 4 * _ONE_THREAD_MACS // a.size)
     n = b.shape[1]
     full = n - n % width
     if full:

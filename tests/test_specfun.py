@@ -320,6 +320,12 @@ def test_seeds_below_17_match_scipy():
     scale = np.sqrt(2.0 / (np.pi * x))
     for got, ref in ((j0, sp.j0(x)), (j1, sp.j1(x)), (y0, sp.y0(x)), (y1, sp.y1(x))):
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), scale)) <= 1e-14
+    # below 1e-3 that scale is far above |Y0| (800 against 9 at 1e-6), so
+    # there every seed is also held to its plain relative error: measured
+    # 7.1e-16 (Y0), no seed having a zero in (1e-9, 1e-3)
+    small = x < 1e-3
+    for got, ref in ((j0, sp.j0(x)), (j1, sp.j1(x)), (y0, sp.y0(x)), (y1, sp.y1(x))):
+        assert np.max(np.abs(got[small] - ref[small]) / np.abs(ref[small])) <= 2e-15
     # J alone gives the same J seeds bit for bit
     only_j = sf._seeds(x, want_y=False, want_one=True)
     assert np.array_equal(only_j[0], j0) and np.array_equal(only_j[1], j1)
