@@ -16,7 +16,6 @@ from .config import (
     square_loop,
 )
 from .experiment import (
-    FrequencyProblem,
     TruncationError,
     baseline_indices,
     build_problems,
@@ -28,10 +27,10 @@ from .experiment import (
     run_reproduce,
 )
 from .placement import (
-    BroadbandBin,
     BroadbandSpec,
     DirectionRangePrior,
     FieldPrior,
+    FrequencyProblem,
     PlacementResult,
     SelectionState,
     add_candidate,
@@ -60,10 +59,8 @@ from .synthesis import (
 )
 from .wavefield import (
     CircularRegion,
-    ExpansionCoeffs,
     ExpansionConfig,
     Frequency,
-    PlaneWave,
     Point2,
     expansion_for,
     planewave_coeffs,
@@ -73,21 +70,18 @@ from .wavefield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BroadbandBin",
     "BroadbandSpec",
     "CandidateSpec",
     "CircularRegion",
     "ConditioningError",
     "DirectionRangePrior",
     "EvalSpec",
-    "ExpansionCoeffs",
     "ExpansionConfig",
     "ExperimentConfig",
     "FieldPrior",
     "Frequency",
     "FrequencyProblem",
     "PlacementResult",
-    "PlaneWave",
     "Point2",
     "PriorSpec",
     "RoomModel",

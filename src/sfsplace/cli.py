@@ -34,7 +34,7 @@ from .experiment import (
     run_reproduce,
     write_csv,
 )
-from .placement import _direction_range_priors
+from .placement import prior_from_direction_range
 from .wavefield import Frequency, expansion_for
 
 
@@ -91,7 +91,7 @@ def cmd_priors(args) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     bins = _bins(config)
-    for (cfg, freq), prior in zip(bins, _direction_range_priors(config.prior.to_range(), bins)):
+    for (cfg, freq), prior in zip(bins, prior_from_direction_range(config.prior.to_range(), bins)):
         tag = "%g" % freq.hz
         write_csv(
             os.path.join(out, "prior_mu_f%s.csv" % tag),

@@ -395,6 +395,7 @@ class ExperimentConfig(_Spec):
         cx, cy = self.region_center
         r = self.region_radius
         pts = self.candidates.resolve()
+        src = self.evaluation.desired_position
         if self.room is not None:
             model = self.room.to_model()
             hx, hy = 0.5 * model.size_x, 0.5 * model.size_y
@@ -405,7 +406,11 @@ class ExperimentConfig(_Spec):
                     raise ValueError(
                         "candidate (%.6g, %.6g) lies outside the room" % (p[0], p[1])
                     )
-        src = self.evaluation.desired_position
+            if src is not None and not model.contains(src):
+                raise ValueError(
+                    "evaluation.desired_position (%.6g, %.6g) lies on or outside the room "
+                    "walls" % (src[0], src[1])
+                )
         if src is not None and math.hypot(src[0] - cx, src[1] - cy) <= r:
             raise ValueError(
                 "evaluation.desired_position (%.6g, %.6g) lies inside or on the target "

@@ -12,58 +12,39 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import CandidateSpec, EvalSpec, ExperimentConfig, PriorSpec, RoomSpec
 from .placement import (
-    BroadbandBin,
     BroadbandSpec,
-    FieldPrior,
+    FrequencyProblem,
     PlacementResult,
-    _direction_range_priors,
     greedy_place_broadband,
+    prior_from_direction_range,
     regular_placement_a,
     regular_placement_b,
 )
 from .specfun import bessel_j_orders
 from .synthesis import (
     WeightMatrix,
-    _circle_weights,
     _coeff_sdr,
     _lattice_gram,
     _scaled_solve,
     identity_weight,
     region_grid,
     source_coeff_matrix,
+    weight_matrix_circle,
 )
 from .wavefield import (
     ExpansionConfig,
     Frequency,
     _basis_blocks,
     _basis_matrix,
-    _planewave_matrix,
     expansion_for,
+    planewave_coeffs,
 )
-
-
-@dataclass(frozen=True)
-class FrequencyProblem:
-    """Placement inputs for one frequency bin, in the coefficient domain.
-
-    Every method shares the Graf coefficient matrix (one column per
-    candidate) and the direction-range prior; only the weight differs
-    (_weights).
-    """
-
-    freq: Frequency
-    cfg: object
-    coeff: np.ndarray
-    weight: WeightMatrix
-    prior: FieldPrior
-    gamma: float
 
 
 def pm_control_points(config: ExperimentConfig) -> tuple[np.ndarray, float]:
@@ -104,7 +85,7 @@ def _weights(config: ExperimentConfig, bins) -> list[WeightMatrix]:
     two agree bit for bit.
     """
     if config.method == "wmm":
-        return _circle_weights(config.region, bins)
+        return weight_matrix_circle(config.region, bins)
     if config.method == "mode-matching":
         return [identity_weight(cfg.size) for cfg, _ in bins]
     spacing = _pm_spacing(config)  # pressure-matching
@@ -113,13 +94,17 @@ def _weights(config: ExperimentConfig, bins) -> list[WeightMatrix]:
 
 
 def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
-    """One placement problem per configured frequency, over every candidate."""
+    """One placement problem per configured frequency, over every candidate.
+
+    The methods share the Graf columns and the prior; only the weight
+    differs (_weights).
+    """
     bins = _bins(config)
     coeffs = source_coeff_matrix(config.candidate_positions(), bins, room=config.room_model())
     weights = _weights(config, bins)
-    priors = _direction_range_priors(config.prior.to_range(), bins)
+    priors = prior_from_direction_range(config.prior.to_range(), bins)
     return tuple(
-        FrequencyProblem(freq=freq, cfg=cfg, coeff=coeff, weight=weight, prior=prior, gamma=gamma)
+        FrequencyProblem(coeff, weight, prior, gamma, freq=freq, cfg=cfg)
         for (cfg, freq), coeff, weight, prior, gamma in zip(
             bins, coeffs, weights, priors, config.gamma
         )
@@ -127,12 +112,7 @@ def build_problems(config: ExperimentConfig) -> tuple[FrequencyProblem, ...]:
 
 
 def to_broadband_spec(problems) -> BroadbandSpec:
-    return BroadbandSpec(
-        tuple(
-            BroadbandBin(p.coeff, p.weight, p.prior, gamma=p.gamma, frequency=p.freq)
-            for p in problems
-        )
-    )
+    return BroadbandSpec(problems)
 
 
 def place_greedy(config: ExperimentConfig, problems=None) -> PlacementResult:
@@ -271,7 +251,7 @@ class _GridEvaluation:
             self._source = wave = cols[:, len(self.column) :]
         else:
             self._source = None
-            wave = _planewave_matrix(self._wide, freq, [math.radians(a) for a in angles])
+            wave = planewave_coeffs(self._wide, freq, [math.radians(a) for a in angles])
         self.targets = wave[mid]
         gram = _lattice_gram(self._wide, grid, config.evaluation.grid_spacing, freq, 1.0)
         self.gram = gram[mid, mid]

@@ -36,7 +36,6 @@ from .synthesis import _ONE_THREAD_MACS, WeightMatrix
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
-    ExpansionCoeffs,
     Frequency,
     _as_points,
     _ipow,
@@ -53,7 +52,7 @@ __all__ = [
     "candidate_deltas",
     "add_candidate",
     "PlacementResult",
-    "BroadbandBin",
+    "FrequencyProblem",
     "BroadbandSpec",
     "greedy_place",
     "greedy_place_broadband",
@@ -108,7 +107,7 @@ class FieldPrior:
     @classmethod
     def fixed_field(cls, coeffs) -> "FieldPrior":
         """Point-mass prior: one known desired field, zero covariance."""
-        b = np.asarray(coeffs.values if isinstance(coeffs, ExpansionCoeffs) else coeffs)
+        b = np.asarray(coeffs)
         return cls(b, np.zeros((b.size, b.size), dtype=np.complex128))
 
     @property
@@ -152,22 +151,15 @@ def _interval_phase_mean(q, lo: float, hi: float) -> np.ndarray:
     return np.exp(-1j * q * (0.5 * (lo + hi))) * np.sinc(q * half / np.pi)
 
 
-def prior_from_direction_range(
-    p: DirectionRangePrior, cfg: ExpansionConfig, freq: Frequency
-) -> FieldPrior:
-    """Closed-form moments of plane-wave coefficients over a direction range.
+def prior_from_direction_range(p: DirectionRangePrior, bins) -> list[FieldPrior]:
+    """Closed-form moments of plane-wave coefficients over a direction range,
+    one prior per (cfg, freq) bin.
 
     The phase-average integrals reduce to elementary exponentials; a
     non-origin expansion center additionally mixes in a Jacobi-Anger
     series of the center phase factor e^{j k . center} (DLMF 10.12.2),
     truncated well past its k*|center| transition. The second moment is
     center-independent because the center phase has unit modulus.
-    """
-    return _direction_range_priors(p, [(cfg, freq)])[0]
-
-
-def _direction_range_priors(p: DirectionRangePrior, bins) -> list[FieldPrior]:
-    """prior_from_direction_range of each (cfg, freq) bin.
 
     One bessel_j_orders call gives the Jacobi-Anger rows J_q(k rho) of
     every bin with an off-origin center, to the largest truncation any of
@@ -526,14 +518,20 @@ class PlacementResult:
 
 
 @dataclass(frozen=True)
-class BroadbandBin:
-    """One frequency bin of a multi-frequency placement problem."""
+class FrequencyProblem:
+    """Placement inputs of one frequency bin, in the coefficient domain.
 
-    coeff_matrix: np.ndarray
+    coeff holds one expansion column per candidate; gamma weighs the bin
+    in a broadband cost. freq and cfg name the bin's frequency and
+    expansion when it comes from a config (experiment.build_problems).
+    """
+
+    coeff: np.ndarray
     weight: WeightMatrix
     prior: FieldPrior
     gamma: float = 1.0
-    frequency: Frequency | None = None
+    freq: Frequency | None = None
+    cfg: ExpansionConfig | None = None
 
     def __post_init__(self):
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
@@ -542,20 +540,20 @@ class BroadbandBin:
 
 @dataclass(frozen=True)
 class BroadbandSpec:
-    bins: tuple[BroadbandBin, ...]
+    bins: tuple[FrequencyProblem, ...]
 
     def __post_init__(self):
         bins = tuple(self.bins)
         if not bins:
             raise ValueError("broadband spec needs at least one bin")
-        n = bins[0].coeff_matrix.shape[1]
-        if any(b.coeff_matrix.shape[1] != n for b in bins):
+        n = bins[0].coeff.shape[1]
+        if any(b.coeff.shape[1] != n for b in bins):
             raise ValueError("all bins must share one candidate list")
         object.__setattr__(self, "bins", bins)
 
     @property
     def n_candidates(self) -> int:
-        return self.bins[0].coeff_matrix.shape[1]
+        return self.bins[0].coeff.shape[1]
 
 
 def greedy_place_broadband(
@@ -586,7 +584,7 @@ def greedy_place_broadband(
         raise ValueError("n_select must lie in [0, n_candidates]")
     bins = spec.bins
     state = SelectionState.from_problem(
-        [b.coeff_matrix for b in bins],
+        [b.coeff for b in bins],
         [b.weight for b in bins],
         [b.prior for b in bins],
         lam,
@@ -619,14 +617,14 @@ def greedy_place(
     min_decrease: float | None = None,
 ) -> PlacementResult:
     """Single-frequency greedy placement; see greedy_place_broadband."""
-    spec = BroadbandSpec((BroadbandBin(np.asarray(coeff_matrix, dtype=np.complex128), weight, prior),))
+    spec = BroadbandSpec((FrequencyProblem(np.asarray(coeff_matrix), weight, prior),))
     return greedy_place_broadband(spec, lam, n_select=n_select, min_decrease=min_decrease)
 
 
 def broadband_cost(spec: BroadbandSpec, selected, lam: float) -> float:
     """Gamma-weighted sum of per-bin placement costs."""
     return sum(
-        b.gamma * placement_cost(selected, b.prior, b.coeff_matrix, b.weight, lam)
+        b.gamma * placement_cost(selected, b.prior, b.coeff, b.weight, lam)
         for b in spec.bins
     )
 

@@ -26,7 +26,6 @@ from .room import RoomModel, _source_images
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
-    ExpansionCoeffs,
     Frequency,
     _basis_matrix,
 )
@@ -116,24 +115,16 @@ def _lattice_gram(cfg: ExpansionConfig, grid, spacing: float, freq: Frequency, w
     return gram
 
 
-def weight_matrix_circle(
-    region: CircularRegion, cfg: ExpansionConfig, freq: Frequency
-) -> WeightMatrix:
-    """Closed-form Gram matrix for a disc concentric with the expansion.
+def weight_matrix_circle(region: CircularRegion, bins) -> list[WeightMatrix]:
+    """Closed-form Gram matrix of each (cfg, freq) bin, for a disc concentric
+    with the expansion.
 
     Angular orthogonality kills every off-diagonal entry and
-    W_mm = pi R^2 [J_m(kR)^2 - J_{m-1}(kR) J_{m+1}(kR)].
-    """
-    return _circle_weights(region, [(cfg, freq)])[0]
-
-
-def _circle_weights(region: CircularRegion, bins) -> list[WeightMatrix]:
-    """weight_matrix_circle of each (cfg, freq) bin, from one J block.
-
-    One bessel_j_orders call covers every bin's J(kR) row up to the
-    largest order any bin needs. A bin's values depend on its own argument
-    and that top order, so weights that must agree bit for bit come from
-    bin lists with the same largest order.
+    W_mm = pi R^2 [J_m(kR)^2 - J_{m-1}(kR) J_{m+1}(kR)]. One
+    bessel_j_orders call covers every bin's J(kR) row up to the largest
+    order any bin needs. A bin's values depend on its own argument and
+    that top order, so weights that must agree bit for bit come from bin
+    lists with the same largest order.
     """
     for cfg, _ in bins:
         cx, cy = cfg.center
@@ -209,7 +200,7 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     each argument to its own bin's order, and a few J blocks of
     translation rows; none of these moves a bin's Bessel values. A bin's
     matrix still depends on the bin list in the last bits, as
-    _circle_weights' do: the far split takes the list's largest validity
+    weight_matrix_circle's do: the far split takes the list's largest validity
     radius (and the spans follow from it), and each order's contraction is
     one BLAS product over every bin's rows, whose rounding can follow the
     row count (each of the 20 paper bins' matrices is within 3.8e-16 of
@@ -493,7 +484,7 @@ def _normal_system(coeff_matrix, weight, target=None):
     gram = 0.5 * (gram + gram.conj().T)
     if target is None:
         return gram, None
-    b = np.asarray(target.values if isinstance(target, ExpansionCoeffs) else target)
+    b = np.asarray(target)
     if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
         raise ValueError("target rows must match coefficient rows")
     return gram, wc.conj().T @ b

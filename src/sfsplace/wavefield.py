@@ -36,8 +36,6 @@ __all__ = [
     "Frequency",
     "CircularRegion",
     "ExpansionConfig",
-    "ExpansionCoeffs",
-    "PlaneWave",
     "truncation_order",
     "expansion_for",
     "planewave_coeffs",
@@ -135,38 +133,6 @@ class ExpansionConfig:
         return 2 * self.max_order + 1
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
-    """Coefficient vector a_m, m = -max_order..max_order, about config.center."""
-
-    values: np.ndarray
-    config: ExpansionConfig
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size != self.config.size:
-            raise ValueError(
-                f"coefficient vector must have length {self.config.size}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """Unit-amplitude-by-default plane wave propagating at angle direction (rad)."""
-
-    direction: float
-    amplitude: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not math.isfinite(self.direction):
-            raise ValueError("direction must be finite")
-        if not np.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-
-
 def truncation_order(freq: Frequency, region: CircularRegion) -> int:
     """Expansion order M = ceil(k R) + 10 for a disc of radius R."""
     return int(math.ceil(freq.wavenumber * region.radius)) + 10
@@ -189,16 +155,12 @@ def _ipow(m):
     return _IPOW[np.mod(m, 4)]
 
 
-def planewave_coeffs(pw: PlaneWave, cfg: ExpansionConfig, freq: Frequency) -> ExpansionCoeffs:
-    """Expansion coefficients of a plane wave (Jacobi-Anger).
+def planewave_coeffs(cfg: ExpansionConfig, freq: Frequency, directions, amplitude=1.0 + 0.0j):
+    """Expansion coefficients (2M+1, A) of plane waves, one column per direction (rad).
 
-    a_m = A i^m exp(-i m phi_pw) exp(i k_vec . center), |a_m| = |A| for all m.
+    Jacobi-Anger: a_m = A i^m exp(-i m phi) exp(i k_vec . center), so
+    |a_m| = |A| for every m.
     """
-    return ExpansionCoeffs(_planewave_matrix(cfg, freq, [pw.direction], pw.amplitude)[:, 0], cfg)
-
-
-def _planewave_matrix(cfg: ExpansionConfig, freq: Frequency, directions, amplitude=1.0 + 0.0j):
-    """planewave_coeffs of one amplitude for every direction (rad): (2M+1, A)."""
     k = freq.wavenumber
     m = cfg.orders
     cx, cy = cfg.center

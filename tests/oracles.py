@@ -28,7 +28,6 @@ from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import WeightMatrix, _sdr_db, identity_weight
 from sfsplace.wavefield import (
     CircularRegion,
-    ExpansionCoeffs,
     ExpansionConfig,
     Frequency,
     _as_points,
@@ -73,7 +72,7 @@ def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> flo
     """Regularized weighted residual F(d); the quantity solve_wmm minimizes."""
     c = np.asarray(coeff_matrix, dtype=np.complex128)
     w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
-    b = np.asarray(target.values if isinstance(target, ExpansionCoeffs) else target)
+    b = np.asarray(target)
     d = np.asarray(drivers)
     r = c @ d - b
     val = float((r.conj() @ (w @ r)).real) + lam * float((d.conj() @ d).real)

@@ -30,7 +30,6 @@ from sfsplace.specfun import hankel1_rows
 from sfsplace.synthesis import source_coeff_matrix, weight_matrix_circle
 from sfsplace.wavefield import (
     CircularRegion,
-    ExpansionCoeffs,
     Frequency,
     _basis_matrix,
     expansion_for,
@@ -126,10 +125,10 @@ def test_criterion_2_greedy_vs_exhaustive():
             [region.center[0] + ring * np.cos(angles), region.center[1] + ring * np.sin(angles)]
         )
         coeff = source_coeff_matrix(cands, [(cfg, freq)])[0]
-        weight = weight_matrix_circle(region, cfg, freq)
+        (weight,) = weight_matrix_circle(region, [(cfg, freq)])
         lo = rng.uniform(-np.pi, np.pi)
-        prior = prior_from_direction_range(
-            DirectionRangePrior(lo, lo + rng.uniform(0.3, 2.0)), cfg, freq
+        (prior,) = prior_from_direction_range(
+            DirectionRangePrior(lo, lo + rng.uniform(0.3, 2.0)), [(cfg, freq)]
         )
         greedy = greedy_place(coeff, weight, prior, lam, n_select=3)
         _TRACES.append(greedy.cost_trace)
@@ -162,14 +161,14 @@ def test_criterion_3_expansion_fidelity():
 
     basis = _basis_matrix(cfg, points, freq).T
     direct = direct_transfer(points, [source], freq)[:, 0]
-    coeffs = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)])[0][:, 0], cfg)
-    series = basis @ coeffs.values
+    coeffs = source_coeff_matrix([source], [(cfg, freq)])[0][:, 0]
+    series = basis @ coeffs
     err_free = float(np.max(np.abs(series - direct) / np.abs(direct)))
 
     room = RoomSpec(5.0, 4.0, 0.8, max_reflection_order=3).to_model()
     direct_room = direct_transfer(points, [source], freq, room)[:, 0]
-    coeffs_room = ExpansionCoeffs(source_coeff_matrix([source], [(cfg, freq)], room)[0][:, 0], cfg)
-    series_room = basis @ coeffs_room.values
+    coeffs_room = source_coeff_matrix([source], [(cfg, freq)], room)[0][:, 0]
+    series_room = basis @ coeffs_room
     err_room = float(np.max(np.abs(series_room - direct_room) / np.abs(direct_room)))
 
     elapsed = time.perf_counter() - t0
@@ -190,7 +189,7 @@ def test_criterion_4_weight_closed_form_vs_quadrature():
     for f_hz in np.arange(100.0, 2001.0, 100.0):
         freq = Frequency(f_hz)
         cfg = expansion_for(REGION, freq)
-        w_closed = weight_matrix_circle(REGION, cfg, freq).entries
+        w_closed = weight_matrix_circle(REGION, [(cfg, freq)])[0].entries
         w_quad = weight_matrix_quadrature(REGION, cfg, freq).entries
         diag_c = np.real(np.diag(w_closed))
         diag_q = np.real(np.diag(w_quad))
@@ -219,9 +218,9 @@ def test_criterion_5_cost_matches_monte_carlo():
     angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     cands = 1.8 * np.column_stack([np.cos(angles), np.sin(angles)])
     coeff = source_coeff_matrix(cands, [(cfg, freq)])[0]
-    weight = weight_matrix_circle(region, cfg, freq)
-    prior = prior_from_direction_range(
-        DirectionRangePrior(np.deg2rad(-40.0), np.deg2rad(40.0)), cfg, freq
+    (weight,) = weight_matrix_circle(region, [(cfg, freq)])
+    (prior,) = prior_from_direction_range(
+        DirectionRangePrior(np.deg2rad(-40.0), np.deg2rad(40.0)), [(cfg, freq)]
     )
     lam = 1e-4
     selected = (0, 2, 5)

@@ -20,19 +20,25 @@ MODULES = sorted(
 # scipy-based oracles); the row-blocked update of the K x N greedy
 # arrays, since the greedy state keeps two length-N forms instead; and the
 # selftest checks of platform-independent algebra, which the tests assert,
-# with the two oracles only they and the tests used (in tests/oracles.py)
+# with the two oracles only they and the tests used (in tests/oracles.py);
+# the one-bin twins of the bin-list weight and prior builders, the
+# plane-wave and coefficient wrapper types, and the second record of a
+# frequency bin, since FrequencyProblem is the one
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
                 "hankel1_orders", "bessel_y_orders"),
     "wavefield": ("green2d", "evaluate_expansion", "green2d_many", "_COINCIDENT_TOL",
-                  "evaluate_expansion_many"),
+                  "evaluate_expansion_many", "_planewave_matrix", "PlaneWave",
+                  "ExpansionCoeffs"),
     "experiment": ("field_grids",),
-    "placement": ("_subtract_outer", "UPDATE_BLOCK_BYTES"),
+    "placement": ("_subtract_outer", "UPDATE_BLOCK_BYTES", "_direction_range_priors",
+                  "BroadbandBin"),
     "room": ("room_transfer", "transfer_matrix", "_TRANSFER_BLOCK", "room_transfer_many",
              "image_sources", "ImageSource"),
     "synthesis": ("solve_mode_matching", "synthesize_field", "wmm_residual",
-                  "build_pressure_matching", "weight_matrix_quadrature", "sdr"),
+                  "build_pressure_matching", "weight_matrix_quadrature", "sdr",
+                  "_circle_weights"),
     "cli": ("_check_weight_quadrature", "_check_greedy_vs_exhaustive",
             "_check_greedy_state_vs_direct", "_check_planewave_expansion",
             "_check_coefficient_sdr"),

@@ -38,7 +38,6 @@ from sfsplace.synthesis import (
 )
 from sfsplace.wavefield import (
     Frequency,
-    PlaneWave,
     _basis_matrix,
     expansion_for,
     planewave_coeffs,
@@ -334,13 +333,13 @@ def _direct_sdrs(config, problem, indices, angles):
         if pm:
             b = np.exp(1j * (ctrl @ kvec))
         else:
-            b = planewave_coeffs(PlaneWave(phi), problem.cfg, freq).values
+            b = planewave_coeffs(problem.cfg, freq, [phi])[:, 0]
         d = solve_wmm(c, weight, b, lam)
         out.append(sdr(np.exp(1j * (grid @ kvec)), transfer @ d))
     return out
 
 
-@pytest.mark.parametrize("method", ["wmm", "pressure-matching"])
+@pytest.mark.parametrize("method", ["wmm", "mode-matching", "pressure-matching"])
 def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
     config = ExperimentConfig.from_dict(_room_doc(tmp_path / "run", method))
     problems = build_problems(config)
@@ -358,7 +357,7 @@ def test_expansion_evaluation_matches_direct_room_transfer(tmp_path, method):
             assert got[(name, angle)] == pytest.approx(w, abs=1e-4)
 
 
-@pytest.mark.parametrize("method", ["wmm", "pressure-matching"])
+@pytest.mark.parametrize("method", ["wmm", "mode-matching", "pressure-matching"])
 def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     config = ExperimentConfig.from_dict(_room_doc(tmp_path / "run", method))
     # evaluation's own columns (the middle K rows of one Graf build past M)
@@ -478,7 +477,7 @@ def test_priors_subcommand_matches_library(tmp_path):
     config = ExperimentConfig.from_dict(_toy_doc(out))
     freq = Frequency(500.0)
     cfgx = expansion_for(config.region, freq)
-    prior = prior_from_direction_range(config.prior.to_range(), cfgx, freq)
+    (prior,) = prior_from_direction_range(config.prior.to_range(), [(cfgx, freq)])
     mu = np.loadtxt(out / "prior_mu_f500.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(mu[:, 1] + 1j * mu[:, 2], prior.mean, atol=1e-15)
     assert mu[0, 0] == -cfgx.max_order

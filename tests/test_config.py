@@ -162,6 +162,23 @@ def test_point_source_inside_or_on_the_region_is_rejected_at_load(position):
     assert "(%g, %g)" % position in msg and "center (0.5, 0.3), radius 0.5" in msg
 
 
+@pytest.mark.parametrize("position", [(2.0, 0.0), (1.5, 0.0), (0.0, -1.3)],
+                         ids=["outside", "on-side-wall", "on-bottom-wall"])
+def test_point_source_outside_the_room_is_rejected_at_load(position):
+    # the Graf builder would reject it only at evaluation, under a column
+    # index the user never gave
+    room = {"size_x": 3.0, "size_y": 2.6, "reflection": 0.5}
+    doc = _toy_doc(room=room, evaluation={"desired": "point_source",
+                                          "desired_position": list(position)})
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(doc)
+    msg = str(err.value)
+    assert "evaluation.desired_position" in msg and "(%g, %g)" % position in msg
+    assert "room" in msg
+    doc["evaluation"]["desired_position"] = [1.4, 0.0]
+    assert ExperimentConfig.from_dict(doc).evaluation.desired_position == (1.4, 0.0)
+
+
 def test_point_source_outside_the_region_loads():
     doc = paper_config().to_dict()
     doc["evaluation"].update(desired="point_source", desired_position=[1.5, 0.3])

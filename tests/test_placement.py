@@ -10,13 +10,12 @@ from sfsplace import specfun
 from sfsplace.experiment import _bins, build_problems, paper_config, to_broadband_spec
 from sfsplace.placement import (
     BUILD_BLOCK_BYTES,
-    BroadbandBin,
     BroadbandSpec,
     DirectionRangePrior,
     FieldPrior,
+    FrequencyProblem,
     SelectionState,
     _direct_deltas,
-    _direction_range_priors,
     _forms,
     _free_gains,
     _interval_phase_mean,
@@ -46,7 +45,6 @@ from sfsplace.wavefield import (
     CircularRegion,
     ExpansionConfig,
     Frequency,
-    PlaneWave,
     Point2,
     _ipow,
     expansion_for,
@@ -88,8 +86,8 @@ def _planewave_batch(cfg, freq, phis, amplitude=1.0):
 
 def test_prior_full_circle_moments():
     cfg = ExpansionConfig(max_order=8, center=Point2(0.0, 0.0))
-    prior = prior_from_direction_range(
-        DirectionRangePrior(0.0, 2.0 * math.pi), cfg, F1K
+    (prior,) = prior_from_direction_range(
+        DirectionRangePrior(0.0, 2.0 * math.pi), [(cfg, F1K)]
     )
     want_mu = np.zeros(17, dtype=complex)
     want_mu[8] = 1.0
@@ -100,7 +98,7 @@ def test_prior_full_circle_moments():
 @pytest.mark.parametrize("center", [Point2(0.0, 0.0), Point2(0.5, 0.3)])
 def test_prior_moments_match_monte_carlo(center):
     cfg = ExpansionConfig(max_order=8, center=center)
-    prior = prior_from_direction_range(RANGE45, cfg, F1K)
+    (prior,) = prior_from_direction_range(RANGE45, [(cfg, F1K)])
     rng = np.random.default_rng(21)
     mu_acc = np.zeros(17, dtype=complex)
     r_acc = np.zeros((17, 17), dtype=complex)
@@ -121,7 +119,7 @@ def test_prior_moments_match_monte_carlo(center):
 @pytest.mark.parametrize("m", [-5, 0, 7])
 def test_prior_offset_mean_matches_adaptive_quadrature(m):
     cfg = ExpansionConfig(max_order=8, center=Point2(0.5, 0.3))
-    prior = prior_from_direction_range(RANGE45, cfg, F1K)
+    (prior,) = prior_from_direction_range(RANGE45, [(cfg, F1K)])
     k = F1K.wavenumber
 
     def integrand(phi, part):
@@ -151,7 +149,7 @@ def test_bin_list_priors_match_the_elementwise_phase_means():
     k_rho = np.array([f.wavenumber * math.hypot(*c.center) for c, f in bins])
     tops = [int(math.ceil(x)) + 20 for x in k_rho]
     j_all = specfun.bessel_j_orders(max(tops[:-1]), k_rho)
-    for b, ((cfg, _), prior) in enumerate(zip(bins, _direction_range_priors(directions, bins))):
+    for b, ((cfg, _), prior) in enumerate(zip(bins, prior_from_direction_range(directions, bins))):
         m = cfg.orders
         if b == len(bins) - 1:
             mu = amp * _ipow(m) * _interval_phase_mean(m, lo, hi)
@@ -169,18 +167,18 @@ def test_bin_list_priors_match_the_elementwise_phase_means():
 def test_prior_degenerate_width_is_point_mass():
     cfg = ExpansionConfig(max_order=6, center=Point2(0.0, 0.0))
     phi0 = 0.35
-    prior = prior_from_direction_range(
-        DirectionRangePrior(phi0, phi0 + 1e-9, amplitude=2.0 - 1.0j), cfg, F1K
+    (prior,) = prior_from_direction_range(
+        DirectionRangePrior(phi0, phi0 + 1e-9, amplitude=2.0 - 1.0j), [(cfg, F1K)]
     )
-    b0 = planewave_coeffs(PlaneWave(phi0, 2.0 - 1.0j), cfg, F1K).values
+    b0 = planewave_coeffs(cfg, F1K, [phi0], 2.0 - 1.0j)[:, 0]
     np.testing.assert_allclose(prior.mean, b0, atol=1e-6)
     assert np.max(np.abs(prior.covariance)) < 1e-6
 
 
 def test_prior_second_moment_diagonal_is_squared_amplitude():
     cfg = ExpansionConfig(max_order=5, center=Point2(0.2, -0.4))
-    prior = prior_from_direction_range(
-        DirectionRangePrior(-0.3, 1.1, amplitude=2.0 - 1.0j), cfg, F1K
+    (prior,) = prior_from_direction_range(
+        DirectionRangePrior(-0.3, 1.1, amplitude=2.0 - 1.0j), [(cfg, F1K)]
     )
     np.testing.assert_allclose(np.diag(prior.second_moment).real, 5.0, rtol=1e-12)
     # averaging unit-modulus phases can only shrink the mean
@@ -510,7 +508,7 @@ def test_broadband_greedy_memory_holds_one_generation(paper_broadband):
     # array, so the traced peak stays near one generation (measured 0.91x,
     # 1.06 MB; holding Q_S C and R Q_S C whole per bin would take 6.4 MB)
     config, spec = paper_broadband
-    generation = _generation_bytes([b.coeff_matrix for b in spec.bins])
+    generation = _generation_bytes([b.coeff for b in spec.bins])
     result, peak = traced_peak(
         greedy_place_broadband, spec, config.lambda_select, n_select=config.n_select
     )
@@ -528,7 +526,7 @@ def test_paper_broadband_state_tracks_direct_recomputation(paper_broadband):
     lam = config.lambda_select
     result = greedy_place_broadband(spec, lam, n_select=config.n_select)
     bins = spec.bins
-    state = SelectionState.from_problem([b.coeff_matrix for b in bins], [b.weight for b in bins],
+    state = SelectionState.from_problem([b.coeff for b in bins], [b.weight for b in bins],
                                         [b.prior for b in bins], lam, gamma=[b.gamma for b in bins])
     bound = np.array([5e-8, 5e-12, 1e-7])
     for step, idx in enumerate(result.indices, start=1):
@@ -628,8 +626,8 @@ def test_greedy_mirrored_ties_break_to_lowest_index(hz, min_tied):
     region = CircularRegion(Point2(0.5, 0.3), 0.5)
     freqs = [Frequency(f) for f in hz]
     cfgs = [expansion_for(region, f) for f in freqs]
-    priors = [prior_from_direction_range(RANGE45, cfg, f) for cfg, f in zip(cfgs, freqs)]
-    weights = [weight_matrix_circle(region, cfg, f) for cfg, f in zip(cfgs, freqs)]
+    priors = prior_from_direction_range(RANGE45, list(zip(cfgs, freqs)))
+    weights = weight_matrix_circle(region, list(zip(cfgs, freqs)))
     th = np.radians(np.linspace(100.0, 175.0, 12))
     upper = np.c_[0.5 + 1.5 * np.cos(th), 0.3 + 1.5 * np.sin(th)]
     lower = np.c_[upper[:, 0], 0.6 - upper[:, 1]]
@@ -639,7 +637,7 @@ def test_greedy_mirrored_ties_break_to_lowest_index(hz, min_tied):
         pts[0::2], pts[1::2] = first, second
         coeffs = source_coeff_matrix(pts, list(zip(cfgs, freqs)))
         spec = BroadbandSpec(tuple(
-            BroadbandBin(c, w, prior, gamma=1.0 / (b + 1))
+            FrequencyProblem(c, w, prior, gamma=1.0 / (b + 1))
             for b, (c, w, prior) in enumerate(zip(coeffs, weights, priors))
         ))
         picks = greedy_place_broadband(spec, 1e-5, n_select=24).indices
@@ -702,8 +700,9 @@ def large_n_problem():
     cfg = expansion_for(region, f2k)
     assert cfg.size == 59
     c = source_coeff_matrix(square_loop(3.0, 4000), [(cfg, f2k)])[0]
-    w = weight_matrix_circle(region, cfg, f2k)
-    return c, w, prior_from_direction_range(RANGE45, cfg, f2k)
+    (w,) = weight_matrix_circle(region, [(cfg, f2k)])
+    (prior,) = prior_from_direction_range(RANGE45, [(cfg, f2k)])
+    return c, w, prior
 
 
 def test_greedy_large_n_matches_direct_oracles(large_n_problem):
@@ -772,7 +771,7 @@ def test_broadband_single_bin_matches_narrowband():
     lam = 1e-3
     nb = greedy_place(c, w, prior, lam, n_select=4)
     bb = greedy_place_broadband(
-        BroadbandSpec((BroadbandBin(c, w, prior, gamma=1.0),)), lam, n_select=4
+        BroadbandSpec((FrequencyProblem(c, w, prior, gamma=1.0),)), lam, n_select=4
     )
     assert nb.indices == bb.indices
     np.testing.assert_allclose(nb.cost_trace, bb.cost_trace, rtol=1e-13)
@@ -782,8 +781,8 @@ def test_broadband_gamma_scaling_and_additivity():
     c1, w1, p1 = _random_problem(58, n=9)
     c2, w2, p2 = _random_problem(59, n=9)
     lam = 1e-3
-    spec = BroadbandSpec((BroadbandBin(c1, w1, p1, 1.0), BroadbandBin(c2, w2, p2, 2.5)))
-    scaled = BroadbandSpec((BroadbandBin(c1, w1, p1, 7.0), BroadbandBin(c2, w2, p2, 17.5)))
+    spec = BroadbandSpec((FrequencyProblem(c1, w1, p1, 1.0), FrequencyProblem(c2, w2, p2, 2.5)))
+    scaled = BroadbandSpec((FrequencyProblem(c1, w1, p1, 7.0), FrequencyProblem(c2, w2, p2, 17.5)))
     r1 = greedy_place_broadband(spec, lam, n_select=4)
     r2 = greedy_place_broadband(scaled, lam, n_select=4)
     assert r1.indices == r2.indices
@@ -801,9 +800,9 @@ def test_broadband_spec_validation():
     with pytest.raises(ValueError):
         BroadbandSpec(())
     with pytest.raises(ValueError):
-        BroadbandSpec((BroadbandBin(c1, w1, p1, 1.0), BroadbandBin(c2, w2, p2, 1.0)))
+        BroadbandSpec((FrequencyProblem(c1, w1, p1, 1.0), FrequencyProblem(c2, w2, p2, 1.0)))
     with pytest.raises(ValueError):
-        BroadbandBin(c1, w1, p1, gamma=0.0)
+        FrequencyProblem(c1, w1, p1, gamma=0.0)
 
 
 def test_exhaustive_edge_cases():
@@ -884,11 +883,11 @@ def test_pressure_matching_cost_tracks_regional_error():
     cfg = expansion_for(region, freq)
     phis = 2.0 * math.pi * np.arange(8) / 8.0
     srcs = np.c_[2.0 * np.cos(phis), 2.0 * np.sin(phis)]
-    pw = PlaneWave(math.radians(15.0), 1.0)
-    b = planewave_coeffs(pw, cfg, freq)
+    direction = math.radians(15.0)
+    b = planewave_coeffs(cfg, freq, [direction])[:, 0]
     c_coeff = source_coeff_matrix(srcs, [(cfg, freq)])[0]
-    w_coeff = weight_matrix_circle(region, cfg, freq)
-    kvec = freq.wavenumber * np.array([math.cos(pw.direction), math.sin(pw.direction)])
+    (w_coeff,) = weight_matrix_circle(region, [(cfg, freq)])
+    kvec = freq.wavenumber * np.array([math.cos(direction), math.sin(direction)])
 
     spacing = 0.0625  # about 200 control points over the disc
     ctrl = region_grid(region, spacing=spacing)
