@@ -379,6 +379,8 @@ class ExperimentConfig(_Spec):
             raise ValueError("region radius must be positive")
         if not 1 <= self.n_select <= self.candidates.count:
             raise ValueError("n_select must lie in [1, candidate count]")
+        if self.min_decrease is not None and self.min_decrease < 0.0:
+            raise ValueError("min_decrease must be non-negative, got %r" % self.min_decrease)
         if self.lambda_select <= 0.0 or self.lambda_synth_scale <= 0.0:
             raise ValueError("regularizers must be positive")
         if self.method not in _METHODS:

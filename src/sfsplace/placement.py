@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -54,10 +53,8 @@ __all__ = [
     "PlacementResult",
     "FrequencyProblem",
     "BroadbandSpec",
-    "greedy_place",
     "greedy_place_broadband",
     "broadband_cost",
-    "exhaustive_place",
     "regular_placement_a",
     "regular_placement_b",
 ]
@@ -226,19 +223,6 @@ SCREEN_RTOL = 1e-8
 BUILD_BLOCK_BYTES = 256 * 1024
 
 
-def _problem_arrays(coeff_matrix, weight, prior: FieldPrior, lam: float):
-    """Validated (C, W) of one bin as complex arrays; W is not yet hermitized."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("regularization constant must be positive")
-    c = np.ascontiguousarray(coeff_matrix, dtype=np.complex128)
-    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
-    if c.ndim != 2 or w.shape != (c.shape[0], c.shape[0]):
-        raise ValueError("coefficient and weight shapes are inconsistent")
-    if prior.size != c.shape[0]:
-        raise ValueError("prior dimension must match coefficient rows")
-    return c, np.asarray(w, dtype=np.complex128)
-
-
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re sum_k conj(a_kn) b_kn per column of two complex arrays.
 
@@ -325,23 +309,24 @@ class SelectionState:
             self.num[b, blk], self.den[b, blk] = _forms(q, r, c[:, blk])
 
     @classmethod
-    def from_problem(cls, coeff_matrix, weight, prior, lam: float, gamma=None) -> "SelectionState":
-        """State of one bin's (C, W, FieldPrior), or of several bins given as
-        equal-length sequences of each, with the bins' weights gamma (1 by
-        default)."""
-        if isinstance(prior, FieldPrior):
-            coeff_matrix, weight, prior = [coeff_matrix], [weight], [prior]
-        bins = [
-            _problem_arrays(c, w, p, lam)
-            for c, w, p in zip(coeff_matrix, weight, prior, strict=True)
-        ]
+    def from_problem(cls, spec: BroadbandSpec, lam: float) -> SelectionState:
+        """State of every bin of spec before any pick: bin b's coeff, its
+        weight as the starting q, its prior's second moment and its gamma."""
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError("regularization constant must be positive")
+        for b in spec.bins:
+            k = b.coeff.shape[0]
+            if b.coeff.ndim != 2 or b.weight.entries.shape != (k, k):
+                raise ValueError("coefficient and weight shapes are inconsistent")
+            if b.prior.size != k:
+                raise ValueError("prior dimension must match coefficient rows")
         return cls(
-            coeff=[c for c, _ in bins],
-            second_moment=[p.second_moment for p in prior],
+            coeff=[b.coeff for b in spec.bins],
+            second_moment=[b.prior.second_moment for b in spec.bins],
             lam=lam,
             # hermitized one bin at a time, as the state copies each q
-            q=(_hermitize(w) for _, w in bins),
-            gamma=gamma,
+            q=(_hermitize(b.weight.entries) for b in spec.bins),
+            gamma=[b.gamma for b in spec.bins],
         )
 
     @property
@@ -484,7 +469,7 @@ def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float
     lam I)^{-1} W before it does.
     """
     c = np.asarray(coeff_matrix, dtype=np.complex128)
-    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
+    w = weight.entries
     sel = [int(i) for i in selected]
     if len(set(sel)) != len(sel) or any(not 0 <= i < c.shape[1] for i in sel):
         raise ValueError("selected indices must be unique and in range")
@@ -506,7 +491,7 @@ def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float
 
 
 # ---------------------------------------------------------------------------
-# greedy and exhaustive selection
+# greedy selection
 
 
 @dataclass(frozen=True)
@@ -540,6 +525,8 @@ class FrequencyProblem:
 
 @dataclass(frozen=True)
 class BroadbandSpec:
+    """The bins of one placement problem, one or many, sharing one candidate list."""
+
     bins: tuple[FrequencyProblem, ...]
 
     def __post_init__(self):
@@ -562,14 +549,15 @@ def greedy_place_broadband(
     n_select: int | None = None,
     min_decrease: float | None = None,
 ) -> PlacementResult:
-    """Greedy selection on the gamma-weighted multi-bin cost sum.
+    """Greedy selection on the gamma-weighted cost sum over spec's bins.
 
+    The one greedy entry point: a single frequency is a spec of one bin.
     Stops after n_select picks, or earlier once the best available cost
-    decrease falls below min_decrease relative to the empty-set cost.
-    Candidates within SCREEN_RTOL of the best incremental decrease are
-    re-costed directly from each Q_S, and ties among those (within
-    TIE_RTOL of the best direct decrease) go to the lowest candidate
-    index. Each trace entry is the exact weighted tr(Q_S R). One
+    decrease falls below min_decrease (finite, >= 0) relative to the
+    empty-set cost. Candidates within SCREEN_RTOL of the best incremental
+    decrease are re-costed directly from each Q_S, and ties among those
+    (within TIE_RTOL of the best direct decrease) go to the lowest
+    candidate index. Each trace entry is the exact weighted tr(Q_S R). One
     SelectionState holds every bin and a pick updates it in place, so
     memory stays one generation (Q_S per bin, num and den) plus one build
     block.
@@ -579,17 +567,12 @@ def greedy_place_broadband(
         raise ValueError("empty candidate set")
     if n_select is None and min_decrease is None:
         raise ValueError("a stopping rule is required")
+    if min_decrease is not None and not 0.0 <= min_decrease < math.inf:
+        raise ValueError("min_decrease must be finite and non-negative, got %r" % (min_decrease,))
     limit = n if n_select is None else int(n_select)
     if not 0 <= limit <= n:
         raise ValueError("n_select must lie in [0, n_candidates]")
-    bins = spec.bins
-    state = SelectionState.from_problem(
-        [b.coeff for b in bins],
-        [b.weight for b in bins],
-        [b.prior for b in bins],
-        lam,
-        gamma=[b.gamma for b in bins],
-    )
+    state = SelectionState.from_problem(spec, lam)
     trace = [state_cost(state)]
     for _ in range(limit):
         deltas = candidate_deltas(state)
@@ -608,55 +591,12 @@ def greedy_place_broadband(
     return PlacementResult(state.selected, np.asarray(trace))
 
 
-def greedy_place(
-    coeff_matrix,
-    weight,
-    prior: FieldPrior,
-    lam: float,
-    n_select: int | None = None,
-    min_decrease: float | None = None,
-) -> PlacementResult:
-    """Single-frequency greedy placement; see greedy_place_broadband."""
-    spec = BroadbandSpec((FrequencyProblem(np.asarray(coeff_matrix), weight, prior),))
-    return greedy_place_broadband(spec, lam, n_select=n_select, min_decrease=min_decrease)
-
-
 def broadband_cost(spec: BroadbandSpec, selected, lam: float) -> float:
     """Gamma-weighted sum of per-bin placement costs."""
     return sum(
         b.gamma * placement_cost(selected, b.prior, b.coeff, b.weight, lam)
         for b in spec.bins
     )
-
-
-def exhaustive_place(coeff_matrix, weight, prior: FieldPrior, lam: float, n_select: int):
-    """Globally optimal n_select-subset by full enumeration (oracle scale).
-
-    Returns (indices, cost); ties resolve to the lexicographically first
-    subset. Guarded to at most 10^6 subsets. Each subset costs
-    J = tr(W R) - tr((G_SS + lam I)^{-1} T_SS) with G = C^H W C and
-    T = C^H W R W C.
-    """
-    c, w = _problem_arrays(coeff_matrix, weight, prior, lam)
-    w = _hermitize(w)
-    n = c.shape[1]
-    if not 1 <= n_select <= n:
-        raise ValueError("n_select must lie in [1, n_candidates]")
-    if math.comb(n, n_select) > 10 ** 6:
-        raise ValueError("subset count exceeds the enumeration guard")
-    wc = w @ c
-    gram = _hermitize(c.conj().T @ wc)
-    tmat = _hermitize(wc.conj().T @ (prior.second_moment @ wc))
-    j_empty = float(np.sum(w * prior.second_moment.T).real)
-    eye = lam * np.eye(n_select)
-    best_idx, best_cost = None, np.inf
-    for combo in combinations(range(n), n_select):
-        sel = list(combo)
-        a = np.linalg.inv(gram[np.ix_(sel, sel)] + eye)
-        cost = j_empty - float(np.sum(a * tmat[np.ix_(sel, sel)].T).real)
-        if cost < best_cost:
-            best_idx, best_cost = combo, cost
-    return best_idx, best_cost
 
 
 # ---------------------------------------------------------------------------

@@ -471,11 +471,11 @@ def _graf_coeffs(orders, kd, z, gains):
     return out
 
 
-def _normal_system(coeff_matrix, weight, target=None):
+def _normal_system(coeff_matrix, weight: WeightMatrix, target=None):
     c = np.asarray(coeff_matrix, dtype=np.complex128)
     if c.ndim != 2:
         raise ValueError("coefficient matrix must be 2D")
-    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
+    w = weight.entries
     if w.shape != (c.shape[0], c.shape[0]):
         raise ValueError("weight matrix size must match coefficient rows")
     with np.errstate(invalid="ignore", over="ignore"):

@@ -14,16 +14,20 @@ point. The library takes SDRs from expansion coefficients; sdr
 takes them from sampled fields. The library translates the far images'
 lattice sums to each source as one real product; far_translation forms
 the same translation with complex arithmetic, from a fold of the
-lattice sums over every order j = -p..p. traced_peak is the tests' one
-memory probe.
+lattice sums over every order j = -p..p. The library places greedily;
+exhaustive_place enumerates every subset for the optimum at toy sizes.
+traced_peak is the tests' one memory probe, and one_bin wraps one bin's
+(C, W, prior) as the problem greedy selection takes.
 """
 
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import scipy.special
 
+from sfsplace.placement import BroadbandSpec, FrequencyProblem, _hermitize
 from sfsplace.room import RoomModel, _images
 from sfsplace.synthesis import WeightMatrix, _sdr_db, identity_weight
 from sfsplace.wavefield import (
@@ -47,6 +51,11 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak
 
 
+def one_bin(coeff, weight, prior) -> BroadbandSpec:
+    """The problem of one frequency bin, as greedy_place_broadband and SelectionState take it."""
+    return BroadbandSpec((FrequencyProblem(np.asarray(coeff), weight, prior),))
+
+
 # grid points of the direct truncation check: half the outermost (truncation
 # error peaks at the rim), half an even stride over the whole grid
 SPOT_CHECK_POINTS = 128
@@ -68,15 +77,45 @@ def point_gram(cfg: ExpansionConfig, points, freq: Frequency, weights) -> Weight
     return WeightMatrix(0.5 * (w + w.conj().T))
 
 
-def wmm_residual(coeff_matrix, weight, target, drivers, lam: float = 0.0) -> float:
+def wmm_residual(coeff_matrix, weight: WeightMatrix, target, drivers, lam: float = 0.0) -> float:
     """Regularized weighted residual F(d); the quantity solve_wmm minimizes."""
     c = np.asarray(coeff_matrix, dtype=np.complex128)
-    w = weight.entries if isinstance(weight, WeightMatrix) else np.asarray(weight)
+    w = weight.entries
     b = np.asarray(target)
     d = np.asarray(drivers)
     r = c @ d - b
     val = float((r.conj() @ (w @ r)).real) + lam * float((d.conj() @ d).real)
     return val
+
+
+def exhaustive_place(coeff_matrix, weight: WeightMatrix, prior, lam: float, n_select: int):
+    """Globally optimal n_select-subset by full enumeration (toy sizes only).
+
+    Returns (indices, cost); ties resolve to the lexicographically first
+    subset. Guarded to at most 10^6 subsets. Each subset costs
+    J = tr(W R) - tr((G_SS + lam I)^{-1} T_SS) with G = C^H W C and
+    T = C^H W R W C.
+    """
+    c = np.asarray(coeff_matrix, dtype=np.complex128)
+    w = _hermitize(weight.entries)
+    n = c.shape[1]
+    if not 1 <= n_select <= n:
+        raise ValueError("n_select must lie in [1, n_candidates]")
+    if math.comb(n, n_select) > 10 ** 6:
+        raise ValueError("subset count exceeds the enumeration guard")
+    wc = w @ c
+    gram = _hermitize(c.conj().T @ wc)
+    tmat = _hermitize(wc.conj().T @ (prior.second_moment @ wc))
+    j_empty = float(np.sum(w * prior.second_moment.T).real)
+    eye = lam * np.eye(n_select)
+    best_idx, best_cost = None, np.inf
+    for combo in combinations(range(n), n_select):
+        sel = list(combo)
+        a = np.linalg.inv(gram[np.ix_(sel, sel)] + eye)
+        cost = j_empty - float(np.sum(a * tmat[np.ix_(sel, sel)].T).real)
+        if cost < best_cost:
+            best_idx, best_cost = combo, cost
+    return best_idx, best_cost
 
 
 def weight_matrix_quadrature(

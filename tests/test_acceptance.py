@@ -21,13 +21,12 @@ from sfsplace.placement import (
     FieldPrior,
     SelectionState,
     add_candidate,
-    exhaustive_place,
-    greedy_place,
+    greedy_place_broadband,
     placement_cost,
     prior_from_direction_range,
 )
 from sfsplace.specfun import hankel1_rows
-from sfsplace.synthesis import source_coeff_matrix, weight_matrix_circle
+from sfsplace.synthesis import WeightMatrix, source_coeff_matrix, weight_matrix_circle
 from sfsplace.wavefield import (
     CircularRegion,
     Frequency,
@@ -35,7 +34,7 @@ from sfsplace.wavefield import (
     expansion_for,
 )
 
-from oracles import direct_transfer, weight_matrix_quadrature
+from oracles import direct_transfer, exhaustive_place, one_bin, weight_matrix_quadrature
 
 # the reference study geometry used by criteria 3, 4 and 6
 REGION = CircularRegion((0.5, 0.3), 0.5)
@@ -79,19 +78,20 @@ def test_criterion_1_incremental_inverse_matches_direct():
     worst_cost = 0.0
     for _ in range(100):
         coeff = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
-        weight = np.diag(rng.uniform(0.5, 2.0, dim))
+        weight = WeightMatrix(np.diag(rng.uniform(0.5, 2.0, dim)))
+        w = weight.entries
         prior = _random_prior(rng, dim)
-        result = greedy_place(coeff, weight, prior, lam, n_select=n_select)
+        result = greedy_place_broadband(one_bin(coeff, weight, prior), lam, n_select=n_select)
         _TRACES.append(result.cost_trace)
         # replay the picks so every intermediate residual state is inspected
-        state = SelectionState.from_problem(coeff, weight, prior, lam)
+        state = SelectionState.from_problem(one_bin(coeff, weight, prior), lam)
         for step, idx in enumerate(result.indices, start=1):
             state = add_candidate(state, idx)
             sel = list(state.selected)
-            wcs = weight @ coeff[:, sel]
+            wcs = w @ coeff[:, sel]
             gram = wcs.conj().T @ coeff[:, sel] + lam * np.eye(len(sel))
-            direct_q = weight - wcs @ np.linalg.solve(gram, wcs.conj().T)
-            worst_q = max(worst_q, np.abs(state.q[0] - direct_q).max() / np.abs(weight).max())
+            direct_q = w - wcs @ np.linalg.solve(gram, wcs.conj().T)
+            worst_q = max(worst_q, np.abs(state.q[0] - direct_q).max() / np.abs(w).max())
             direct = placement_cost(sel, prior, coeff, weight, lam)
             rel = abs(result.cost_trace[step] - direct) / max(abs(direct), 1e-300)
             worst_cost = max(worst_cost, rel)
@@ -130,7 +130,7 @@ def test_criterion_2_greedy_vs_exhaustive():
         (prior,) = prior_from_direction_range(
             DirectionRangePrior(lo, lo + rng.uniform(0.3, 2.0)), [(cfg, freq)]
         )
-        greedy = greedy_place(coeff, weight, prior, lam, n_select=3)
+        greedy = greedy_place_broadband(one_bin(coeff, weight, prior), lam, n_select=3)
         _TRACES.append(greedy.cost_trace)
         j_greedy = placement_cost(greedy.indices, prior, coeff, weight, lam)
         opt_idx, j_opt = exhaustive_place(coeff, weight, prior, lam, 3)
@@ -307,9 +307,10 @@ def test_criterion_7_monotone_traces_and_determinism(study, tmp_path):
     # fresh instances so the check stands alone even under test selection
     for _ in range(20):
         coeff = rng.normal(size=(10, 24)) + 1j * rng.normal(size=(10, 24))
-        weight = np.diag(rng.uniform(0.5, 2.0, 10))
+        weight = WeightMatrix(np.diag(rng.uniform(0.5, 2.0, 10)))
         prior = _random_prior(rng, 10)
-        traces.append(greedy_place(coeff, weight, prior, 1e-4, n_select=8).cost_trace)
+        result = greedy_place_broadband(one_bin(coeff, weight, prior), 1e-4, n_select=8)
+        traces.append(result.cost_trace)
     for name in ("cost_trace_narrowband.csv", "cost_trace_broadband.csv"):
         traces.append(np.loadtxt(study["out"] / name, delimiter=",", skiprows=1)[:, 1])
     monotone = all(np.all(np.diff(t) <= 0.0) for t in traces)

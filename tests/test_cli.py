@@ -28,7 +28,7 @@ from sfsplace.experiment import (
     run_place,
     run_reproduce,
 )
-from sfsplace.placement import FieldPrior, greedy_place, prior_from_direction_range
+from sfsplace.placement import FieldPrior, greedy_place_broadband, prior_from_direction_range
 from sfsplace.synthesis import (
     ConditioningError,
     WeightMatrix,
@@ -43,7 +43,7 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import direct_transfer, sdr
+from oracles import direct_transfer, one_bin, sdr
 
 
 def _toy_doc(out, **over):
@@ -411,8 +411,8 @@ def test_pressure_matching_matches_dense_control_grid_problem(tmp_path):
     r = basis.T @ problem.prior.second_moment @ basis.conj()
     r = 0.5 * (r + r.conj().T)
     prior = FieldPrior(mu, r - np.outer(mu, mu.conj()), second_moment=r)
-    direct = greedy_place(
-        c, WeightMatrix(cell * np.eye(len(ctrl))), prior, config.lambda_select,
+    direct = greedy_place_broadband(
+        one_bin(c, WeightMatrix(cell * np.eye(len(ctrl))), prior), config.lambda_select,
         n_select=config.n_select,
     )
     got = place_greedy(config, (problem,))

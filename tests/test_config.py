@@ -179,6 +179,21 @@ def test_point_source_outside_the_room_is_rejected_at_load(position):
     assert ExperimentConfig.from_dict(doc).evaluation.desired_position == (1.4, 0.0)
 
 
+@pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_min_decrease_is_rejected_at_load(value, tmp_path):
+    # neither would ever stop greedy: place would select every candidate
+    with pytest.raises(ValueError, match="min_decrease"):
+        ExperimentConfig.from_dict(_toy_doc(min_decrease=value))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_toy_doc()))
+    with pytest.raises(ValueError, match="min_decrease"):
+        load_config(str(path), environ={"SFSPLACE_MIN_DECREASE": repr(value)})
+
+
+def test_zero_min_decrease_loads():
+    assert ExperimentConfig.from_dict(_toy_doc(min_decrease=0.0)).min_decrease == 0.0
+
+
 def test_point_source_outside_the_region_loads():
     doc = paper_config().to_dict()
     doc["evaluation"].update(desired="point_source", desired_position=[1.5, 0.3])

@@ -23,8 +23,6 @@ from sfsplace.placement import (
     add_candidate,
     broadband_cost,
     candidate_deltas,
-    exhaustive_place,
-    greedy_place,
     greedy_place_broadband,
     placement_cost,
     prior_from_direction_range,
@@ -51,7 +49,14 @@ from sfsplace.wavefield import (
     planewave_coeffs,
 )
 
-from oracles import build_pressure_matching, direct_transfer, traced_peak, wmm_residual
+from oracles import (
+    build_pressure_matching,
+    direct_transfer,
+    exhaustive_place,
+    one_bin,
+    traced_peak,
+    wmm_residual,
+)
 
 F1K = Frequency(1000.0)
 RANGE45 = DirectionRangePrior(math.radians(-45.0), math.radians(45.0))
@@ -275,7 +280,7 @@ def _direct_q(c, w, sel, lam):
 def test_add_candidate_first_pick_and_identity():
     c, w, prior = _random_problem(41, n=10)
     lam = 1e-3
-    state = SelectionState.from_problem(c, w, prior, lam)
+    state = SelectionState.from_problem(one_bin(c, w, prior), lam)
     state = add_candidate(state, 7)
     wc = w.entries @ c[:, 7]
     want = w.entries - np.outer(wc, wc.conj()) / (lam + np.vdot(c[:, 7], wc).real)
@@ -292,7 +297,7 @@ def test_add_candidate_first_pick_and_identity():
 def test_candidate_deltas_match_direct_cost():
     c, w, prior = _random_problem(43, n=9)
     lam = 1e-3
-    state = SelectionState.from_problem(c, w, prior, lam)
+    state = SelectionState.from_problem(one_bin(c, w, prior), lam)
     for idx in (2, 6):
         state = add_candidate(state, idx)
     base = state_cost(state)
@@ -314,11 +319,11 @@ def test_greedy_completes_on_duplicate_column():
     w = identity_weight(9)
     prior = FieldPrior.fixed_field(rng.standard_normal(9) + 0j)
     lam = 1e-13 * float(np.linalg.norm(c[:, 0]) ** 2)
-    result = greedy_place(c, w, prior, lam, n_select=4)
+    result = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=4)
     assert sorted(result.indices) == [0, 1, 2, 3]
     assert np.all(np.isfinite(result.cost_trace))
     assert np.all(np.diff(result.cost_trace) <= 0.0)
-    state = SelectionState.from_problem(c, w, prior, lam)
+    state = SelectionState.from_problem(one_bin(c, w, prior), lam)
     for idx in result.indices:
         state = add_candidate(state, idx)
         assert all(np.all(np.isfinite(a)) for a in (state.q[0], state.num, state.den))
@@ -332,7 +337,7 @@ def test_add_candidate_matches_the_subtraction_form_bit_for_bit():
     # blocks, the last partial.
     for n in (12, 3000):
         c, w, prior = _random_problem(46, n=n, dim=19)
-        state = SelectionState.from_problem(c, w, prior, 1e-3)
+        state = SelectionState.from_problem(one_bin(c, w, prior), 1e-3)
         for index in (5, 0, 11, 3):
             q = state.q[0].copy()
             zc = q @ state.coeff[0][:, index]
@@ -378,7 +383,7 @@ def test_candidate_deltas_match_the_complex_form(problem, lam, n_select):
     c, w, prior = problem
     r = prior.second_moment
     for coeff in _layouts(c):
-        state = SelectionState.from_problem(coeff, w, prior, lam)
+        state = SelectionState.from_problem(one_bin(coeff, w, prior), lam)
         for _ in range(n_select):
             fresh = SelectionState(coeff=[coeff], second_moment=[r], lam=lam, q=state.q,
                                    selected=state.selected)
@@ -426,7 +431,7 @@ def test_incremental_forms_track_direct_recomputation(large_n_problem):
     for (c, w, prior), n_select in runs:
         large = n_select == 100
         bound = np.array([2e-11, 5e-15, 5e-10] if large else [5e-8, 5e-12, 1e-7])
-        state = SelectionState.from_problem(c, w, prior, 1e-5)
+        state = SelectionState.from_problem(one_bin(c, w, prior), 1e-5)
         for _ in range(n_select):
             idx = int(np.argmin(candidate_deltas(state)))
             assert np.all(_form_drift(state) <= bound[:, None])
@@ -440,13 +445,13 @@ def test_selection_state_owns_its_arrays():
     c, w, prior = _random_problem(48, n=9)
     lam = 1e-3
     for coeff in (c, *_layouts(c)):
-        state = SelectionState.from_problem(coeff, w, prior, lam)
+        state = SelectionState.from_problem(one_bin(coeff, w, prior), lam)
         assert state.coeff[0].dtype == np.complex128 and state.coeff[0].flags.c_contiguous
         for a in (state.num, state.den):
             assert a.dtype == np.float64 and a.shape == (1, 9)
     # a state built directly copies the q it is given; no pick writes to
     # any caller array
-    built = SelectionState.from_problem(c, w, prior, lam)
+    built = SelectionState.from_problem(one_bin(c, w, prior), lam)
     r = prior.second_moment
     q = built.q[0].copy()
     caller = (c, w.entries, r, q)
@@ -471,8 +476,9 @@ def test_stacked_state_is_the_per_bin_state():
     bins = [_random_problem(70 + b, n=900, dim=dim) for b, dim in enumerate((7, 19, 41))]
     assert 2 * bins[1][0].size <= _ONE_THREAD_MACS < 2 * bins[2][0].size
     lam, gamma = 1e-4, (1.0, 0.3, 2.0)
-    state = SelectionState.from_problem(*zip(*bins), lam, gamma=gamma)
-    alone = [SelectionState.from_problem(c, w, prior, lam) for c, w, prior in bins]
+    spec = BroadbandSpec(tuple(FrequencyProblem(*b, gamma=g) for b, g in zip(bins, gamma)))
+    state = SelectionState.from_problem(spec, lam)
+    alone = [SelectionState.from_problem(one_bin(c, w, prior), lam) for c, w, prior in bins]
     for _ in range(12):
         deltas = candidate_deltas(state)
         assert np.array_equal(deltas, sum(g * candidate_deltas(a) for g, a in zip(gamma, alone)))
@@ -525,9 +531,7 @@ def test_paper_broadband_state_tracks_direct_recomputation(paper_broadband):
     config, spec = paper_broadband
     lam = config.lambda_select
     result = greedy_place_broadband(spec, lam, n_select=config.n_select)
-    bins = spec.bins
-    state = SelectionState.from_problem([b.coeff for b in bins], [b.weight for b in bins],
-                                        [b.prior for b in bins], lam, gamma=[b.gamma for b in bins])
+    state = SelectionState.from_problem(spec, lam)
     bound = np.array([5e-8, 5e-12, 1e-7])
     for step, idx in enumerate(result.indices, start=1):
         assert int(np.argmin(candidate_deltas(state))) == idx
@@ -542,7 +546,7 @@ def test_paper_broadband_state_tracks_direct_recomputation(paper_broadband):
 
 def test_add_candidate_rejects_bad_indices():
     c, w, prior = _random_problem(45, n=4)
-    state = SelectionState.from_problem(c, w, prior, 1e-3)
+    state = SelectionState.from_problem(one_bin(c, w, prior), 1e-3)
     for bad in (4, -1):
         with pytest.raises(ValueError):
             add_candidate(state, bad)
@@ -557,7 +561,7 @@ def test_add_candidate_rejects_bad_indices():
 
 def test_greedy_single_candidate():
     c, w, prior = _random_problem(51, n=1)
-    result = greedy_place(c, w, prior, 1e-3, n_select=1)
+    result = greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=1)
     assert result.indices == (0,)
     assert len(result.cost_trace) == 2
 
@@ -565,7 +569,7 @@ def test_greedy_single_candidate():
 def test_greedy_trace_monotone_and_matches_direct():
     c, w, prior = _random_problem(52, n=14)
     lam = 1e-3
-    result = greedy_place(c, w, prior, lam, n_select=8)
+    result = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=8)
     assert len(result.indices) == 8
     assert len(set(result.indices)) == 8
     assert len(result.cost_trace) == 9
@@ -581,7 +585,7 @@ def test_greedy_trace_monotone_and_matches_direct():
 def test_greedy_matches_exhaustive_properties():
     c, w, prior = _random_problem(53, n=12)
     lam = 1e-3
-    greedy = greedy_place(c, w, prior, lam, n_select=3)
+    greedy = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=3)
     opt_idx, opt_cost = exhaustive_place(c, w, prior, lam, 3)
     assert opt_cost <= greedy.cost_trace[-1] * (1.0 + 1e-12)
     first_idx, first_cost = exhaustive_place(c, w, prior, lam, 1)
@@ -592,22 +596,22 @@ def test_greedy_matches_exhaustive_properties():
 def test_greedy_tie_breaks_to_lowest_index():
     rng = np.random.default_rng(54)
     c = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
-    base = greedy_place(
-        c, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7), 1e-6, n_select=1
+    base = greedy_place_broadband(
+        one_bin(c, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7)), 1e-6, n_select=1
     )
     assert base.indices == (2,)  # candidate 2 can null the field by itself
     c2 = c.copy()
     c2[:, 5] = c2[:, 2]  # bit-identical twin later in the list
-    tied = greedy_place(
-        c2, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7), 1e-6, n_select=1
+    tied = greedy_place_broadband(
+        one_bin(c2, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7)), 1e-6, n_select=1
     )
     assert tied.indices == (2,)
     # a near-twin better by 5e-11 of the decrease, inside SCREEN_RTOL but
     # outside TIE_RTOL, is no tie: the better, higher index wins
     c3 = c.copy()
     c3[:, 5] = c3[:, 2] * (1.0 + 5e-4)
-    near = greedy_place(
-        c3, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7), 1e-6, n_select=1
+    near = greedy_place_broadband(
+        one_bin(c3, identity_weight(9), FieldPrior.fixed_field(c[:, 2] * 1.7)), 1e-6, n_select=1
     )
     assert near.indices == (5,)
 
@@ -672,10 +676,10 @@ def test_greedy_more_sources_than_modes():
     runs = [(_more_sources_than_modes_problem(seed, 8, 40), 30) for seed in range(20)]
     runs.append((_unnormalized_problem(2, 6, 20), 12))
     for (c, w, prior), n_select in runs:
-        result = greedy_place(c, w, prior, lam, n_select=n_select)
+        result = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=n_select)
         assert np.all(np.diff(result.cost_trace) <= 0.0)
         scale = np.max(np.abs(w.entries))
-        state = SelectionState.from_problem(c, w, prior, lam)
+        state = SelectionState.from_problem(one_bin(c, w, prior), lam)
         direct_q = w.entries
         for step, idx in enumerate(result.indices, start=1):
             candidate_deltas(state)
@@ -708,7 +712,7 @@ def large_n_problem():
 def test_greedy_large_n_matches_direct_oracles(large_n_problem):
     c, w, prior = large_n_problem
     lam = 1e-5
-    result = greedy_place(c, w, prior, lam, n_select=100)
+    result = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=100)
     assert len(result.indices) == 100
     for step in range(10, 101, 10):
         direct = placement_cost(result.indices[:step], prior, c, w, lam)
@@ -719,7 +723,7 @@ def test_greedy_large_n_matches_direct_oracles(large_n_problem):
     # recomputed from q. Measured worst gap 2.2e-10 of the best decrease, at
     # pick 100.
     assert 2 * c.size > _ONE_THREAD_MACS
-    state = SelectionState.from_problem(c, w, prior, lam)
+    state = SelectionState.from_problem(one_bin(c, w, prior), lam)
     for step, idx in enumerate(result.indices, start=1):
         state = add_candidate(state, idx)
         if step % 10 == 0:
@@ -738,43 +742,56 @@ def test_greedy_large_n_memory_holds_one_generation(large_n_problem):
     # holding Q_S C and R Q_S C whole would take 7.6 MB)
     c, w, prior = large_n_problem
     generation = _generation_bytes([c])
-    result, peak = traced_peak(greedy_place, c, w, prior, 1e-5, n_select=100)
+    result, peak = traced_peak(greedy_place_broadband, one_bin(c, w, prior), 1e-5, n_select=100)
     assert len(result.indices) == 100
     assert peak < 1.25 * generation
 
 
 def test_greedy_min_decrease_stopping():
     c, w, prior = _random_problem(55, n=10)
-    halted = greedy_place(c, w, prior, 1e-3, n_select=5, min_decrease=2.0)
+    halted = greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=5, min_decrease=2.0)
     assert halted.indices == ()
     assert len(halted.cost_trace) == 1
-    full = greedy_place(c, w, prior, 1e-3, n_select=5, min_decrease=1e-15)
+    full = greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=5, min_decrease=1e-15)
     assert len(full.indices) == 5
-    open_ended = greedy_place(c, w, prior, 1e-3, min_decrease=1e-4)
+    open_ended = greedy_place_broadband(one_bin(c, w, prior), 1e-3, min_decrease=1e-4)
     assert 1 <= len(open_ended.indices) <= 10
+    # zero is a threshold no decrease falls below: every candidate is taken
+    assert len(greedy_place_broadband(one_bin(c, w, prior), 1e-3, min_decrease=0.0).indices) == 10
+    # a negative or non-finite threshold would never stop a run
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="min_decrease"):
+            greedy_place_broadband(one_bin(c, w, prior), 1e-3, min_decrease=bad)
+        with pytest.raises(ValueError, match="min_decrease"):
+            greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=2, min_decrease=bad)
 
 
 def test_greedy_input_validation():
     c, w, prior = _random_problem(56, n=3)
     with pytest.raises(ValueError):
-        greedy_place(c, w, prior, 1e-3)  # no stopping rule
+        greedy_place_broadband(one_bin(c, w, prior), 1e-3)  # no stopping rule
     with pytest.raises(ValueError):
-        greedy_place(c, w, prior, 1e-3, n_select=4)
+        greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=4)
     with pytest.raises(ValueError):
-        greedy_place(c[:, :0], w, prior, 1e-3, n_select=1)
+        greedy_place_broadband(one_bin(c[:, :0], w, prior), 1e-3, n_select=1)
     with pytest.raises(ValueError):
-        greedy_place(c, w, prior, 0.0, n_select=1)
+        greedy_place_broadband(one_bin(c, w, prior), 0.0, n_select=1)
 
 
 def test_broadband_single_bin_matches_narrowband():
+    # a spec of one bin is the narrowband problem: its picks are those of a
+    # greedy that costs every free candidate directly with placement_cost
+    # (measured trace gap 4.4e-16)
     c, w, prior = _random_problem(57, n=11)
     lam = 1e-3
-    nb = greedy_place(c, w, prior, lam, n_select=4)
-    bb = greedy_place_broadband(
-        BroadbandSpec((FrequencyProblem(c, w, prior, gamma=1.0),)), lam, n_select=4
-    )
-    assert nb.indices == bb.indices
-    np.testing.assert_allclose(nb.cost_trace, bb.cost_trace, rtol=1e-13)
+    bb = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=4)
+    picks, trace = [], [placement_cost((), prior, c, w, lam)]
+    for _ in range(4):
+        costs = {i: placement_cost(picks + [i], prior, c, w, lam) for i in range(11) if i not in picks}
+        picks.append(min(costs, key=costs.get))
+        trace.append(costs[picks[-1]])
+    assert bb.indices == tuple(picks)
+    np.testing.assert_allclose(bb.cost_trace, trace, rtol=1e-13)
 
 
 def test_broadband_gamma_scaling_and_additivity():

@@ -265,9 +265,16 @@ def test_solve_wmm_rejects_bad_inputs():
     c_bad[0, 0] = np.inf
     with pytest.raises(ConditioningError):
         solve_wmm(c_bad, w, b, 1e-4)
-    # a raw indefinite weight makes C^H W C + lam I indefinite
+    # 8 columns spanning 4 dimensions: C^H C is singular, and a lam of
+    # 1e-300 leaves its rounding-sized eigenvalues to fail the factorization
+    rng = np.random.default_rng(7)
+    span = rng.standard_normal((41, 4)) + 1j * rng.standard_normal((41, 4))
+    c_low = span @ (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
     with pytest.raises(ConditioningError, match="not positive definite"):
-        solve_wmm(c, -np.eye(c.shape[0]), b, 1e-4)
+        solve_wmm(c_low, identity_weight(41), b, 1e-300)
+    # an indefinite weight is rejected before it reaches a solve
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        WeightMatrix(-np.eye(c.shape[0]))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-8, 1e-12])
