@@ -9,6 +9,7 @@ config.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -289,8 +290,8 @@ class _GridEvaluation:
         return desired, _basis_matrix(self.cfg, self.grid, self.freq)
 
 
-def _evaluations(config, grid, angles, selections):
-    """One _GridEvaluation per configured bin, in order.
+def _evaluations(config, grid, selections):
+    """One _GridEvaluation per configured bin, in order, over _eval_angles(config).
 
     selections maps each placement's name to its candidate indices; every
     placement must hold at least one index, and distinct indices in [0, N).
@@ -341,7 +342,7 @@ def _evaluations(config, grid, angles, selections):
         worst.append(float(err[: len(union)].max(initial=0.0)))
     column = {i: j for j, i in enumerate(union)}
     for (cfg, freq), c, weight, err in zip(bins, cols, _weights(config, bins), worst):
-        yield _GridEvaluation(config, cfg, freq, grid, angles, column, c, weight, err)
+        yield _GridEvaluation(config, cfg, freq, grid, _eval_angles(config), column, c, weight, err)
 
 
 def _eval_angles(config) -> tuple:
@@ -351,7 +352,9 @@ def _eval_angles(config) -> tuple:
     return tuple(config.evaluation.angles_deg)
 
 
-def evaluate_placements(config: ExperimentConfig, placements: dict, field_dir=None) -> Evaluation:
+def evaluate_placements(
+    config: ExperimentConfig, placements: dict, field_dir=None, tag=""
+) -> Evaluation:
     """SDR rows (angle_deg | None, freq_hz, sdr_db, method), canonically sorted,
     and the largest estimated truncation error (_truncation_errors) of a
     selected source over the frequencies.
@@ -362,24 +365,25 @@ def evaluate_placements(config: ExperimentConfig, placements: dict, field_dir=No
     of the selected sources' columns over the bin list (_evaluations), one
     solve for all angles per placement, and the SDRs from the coefficients
     through the grid Gram and the desired field's projection, without a
-    grid field. With field_dir, each bin's field dumps (see
-    write_field_set) are written there from the same evaluation and the
-    same solves; only then are grid fields formed.
+    grid field. With field_dir, each bin's field dumps are written there
+    from the same evaluation and the same solves, and only then are grid
+    fields formed: per angle the desired field, and per placement the
+    synthesized field and the error normalized by the desired field's
+    rms, in files named field<tag>_f<hz>_a<angle>_*.
     """
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    angles = _eval_angles(config)
     names = sorted(placements)
     grid_text = None if field_dir is None else _grid_text(grid)
     rows = []
     worst = 0.0
-    for ev in _evaluations(config, grid, angles, placements):
+    for ev in _evaluations(config, grid, placements):
         worst = max(worst, ev.truncation_error)
-        dump = None if field_dir is None else _field_writer(field_dir, config, ev, grid_text)
+        dump = None if field_dir is None else _field_writer(field_dir, config, ev, grid_text, tag)
         for name in names:
             coeffs = ev.coefficients(placements[name])
             if dump is not None:
                 dump(name, coeffs)
-            rows.extend((a, ev.freq.hz, s, name) for a, s in zip(angles, ev.sdrs(coeffs)))
+            rows.extend((a, ev.freq.hz, s, name) for a, s in zip(ev.angles, ev.sdrs(coeffs)))
         del ev, dump  # one evaluation at a time: this bin's goes before the next is built
     rows.sort(key=lambda r: (r[3], r[1], -math.inf if r[0] is None else r[0]))
     return Evaluation(rows, worst)
@@ -517,21 +521,6 @@ def _field_writer(out_dir, config, ev, grid_text, tag=""):
     return write
 
 
-def write_field_set(out_dir, config, placements, angles, tag=""):
-    """Field dumps of every configured frequency: per angle the desired
-    field, and per placement the synthesized field and the error normalized
-    by the desired field's rms. Per bin one evaluation and one solve per
-    placement serve every angle.
-    """
-    grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    grid_text = _grid_text(grid)
-    for ev in _evaluations(config, grid, angles, placements):
-        dump = _field_writer(out_dir, config, ev, grid_text, tag)
-        for name, indices in placements.items():
-            dump(name, ev.coefficients(indices))
-        del ev, dump
-
-
 # ---------------------------------------------------------------------------
 # runners
 
@@ -548,7 +537,8 @@ def _echo_config(config, out, name="config.json"):
 
 
 def run_place(config: ExperimentConfig, out_dir=None):
-    """Greedy placement (plus flagged baselines); writes placement + trace."""
+    """Greedy placement (plus flagged baselines, placed first); writes placement + trace."""
+    base = {name: baseline_indices(config, name) for name in config.baselines}
     out = _ensure_out(config, out_dir)
     _echo_config(config, out)
     problems = build_problems(config)
@@ -556,18 +546,14 @@ def run_place(config: ExperimentConfig, out_dir=None):
     positions = config.candidate_positions()
     write_placement_csv(os.path.join(out, "placement.csv"), result.indices, positions)
     write_trace_csv(os.path.join(out, "cost_trace.csv"), result.cost_trace)
-    placements = {"proposed": result.indices}
-    for name in config.baselines:
-        idx = baseline_indices(config, name)
+    for name, idx in base.items():
         write_placement_csv(os.path.join(out, "placement_%s.csv" % name), idx, positions)
-        placements[name] = idx
+    placements = dict(proposed=result.indices, **base)
     return {"result": result, "problems": problems, "placements": placements, "out": out}
 
 
 def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None):
     """Evaluate a placement (plus flagged baselines); writes the SDR table."""
-    out = _ensure_out(config, out_dir)
-    _echo_config(config, out)
     if indices is None:
         indices = config.evaluation.placement
     if indices is None:
@@ -575,6 +561,8 @@ def run_evaluate(config: ExperimentConfig, indices=None, out_dir=None):
     placements = {"proposed": tuple(int(i) for i in indices)}
     for name in config.baselines:
         placements[name] = baseline_indices(config, name)
+    out = _ensure_out(config, out_dir)
+    _echo_config(config, out)
     field_dir = out if config.evaluation.write_fields else None
     rows, truncation_error = evaluate_placements(config, placements, field_dir)
     write_sdr_csv(os.path.join(out, "sdr.csv"), rows)
@@ -636,9 +624,9 @@ def run_reproduce(out_dir="paper_out"):
     _echo_config(cfg_bb, out, "config_broadband.json")
     positions = cfg_nb.candidate_positions()
 
+    base = {name: baseline_indices(cfg_nb, name) for name in cfg_nb.baselines}
     result_nb = place_greedy(cfg_nb)
     result_bb = place_greedy(cfg_bb)
-    base = {name: baseline_indices(cfg_nb, name) for name in cfg_nb.baselines}
 
     write_placement_csv(
         os.path.join(out, "placement_proposed_nb.csv"), result_nb.indices, positions
@@ -659,7 +647,8 @@ def run_reproduce(out_dir="paper_out"):
     rows_bb = evaluate_placements(cfg_bb, bb_placements).rows
     write_sdr_csv(os.path.join(out, "sdr_broadband.csv"), rows_bb)
 
-    write_field_set(out, cfg_nb, nb_placements, (0.0,), tag="_nb")
+    at_0 = dataclasses.replace(cfg_nb.evaluation, angles_deg=(0.0,))
+    evaluate_placements(dataclasses.replace(cfg_nb, evaluation=at_0), nb_placements, out, "_nb")
 
     per_bin = {}
     for angle, f, s, name in rows_bb:

@@ -27,7 +27,7 @@ lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,20 +244,20 @@ def _gain(num, den, lam: float):
     return np.maximum(num, 0.0) / (lam + np.maximum(den, 0.0))
 
 
-@dataclass(eq=False)
 class SelectionState:
     """Greedy-selection state of a whole problem in residual form, updated in place.
 
     One state serves every frequency bin b of a problem (B = 1 for a
-    single frequency). Bin b keeps its own coeff[b] = C_b (K_b x N),
-    second_moment[b] = R_b and q[b] = Q_S,b (K_b x K_b); gamma holds the
-    bins' weights. num and den are (B, N) arrays of the two real quadratic
-    forms the cost change reads, per bin and candidate column c_n:
-    num[b, n] = z^H R_b z and den[b, n] = c_n^H z with z = Q_S,b c_n. Each
-    bin's rows are built from its q a column block of at most
-    BUILD_BLOCK_BYTES at a time, so the state holds no K x N array besides
-    coeff. The state copies the q it is given and never writes to coeff or
-    second_moment; add_candidate updates the state itself.
+    single frequency), and from_problem is the one way to build it. Bin b
+    keeps its own coeff[b] = C_b (K_b x N), second_moment[b] = R_b and
+    q[b] = Q_S,b (K_b x K_b); gamma holds the bins' weights. num and den
+    are (B, N) arrays of the two real quadratic forms the cost change
+    reads, per bin and candidate column c_n: num[b, n] = z^H R_b z and
+    den[b, n] = c_n^H z with z = Q_S,b c_n. Each bin's rows are built from
+    its q a column block of at most BUILD_BLOCK_BYTES at a time, so the
+    state holds no K x N array besides coeff. coeff and second_moment are
+    the spec's arrays, never written to; add_candidate updates q and the
+    forms in place.
 
     Numerical-health readouts, (B,) arrays: min_denominator is the
     smallest update denominator lam + c^H Q_S,b c of add_candidate,
@@ -267,39 +267,30 @@ class SelectionState:
     and den rows from q that drift past SCREEN_RTOL / 10 triggered.
     """
 
-    coeff: tuple[np.ndarray, ...]
-    second_moment: tuple[np.ndarray, ...]
-    lam: float
-    q: list[np.ndarray]
-    gamma: np.ndarray | None = None
-    selected: tuple[int, ...] = ()
-    num: np.ndarray = field(init=False, repr=False)
-    den: np.ndarray = field(init=False, repr=False)
-    min_denominator: np.ndarray = field(init=False)
-    max_drift: np.ndarray = field(init=False)
-    refreshes: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.coeff = tuple(np.ascontiguousarray(c, dtype=np.complex128) for c in self.coeff)
-        self.second_moment = tuple(self.second_moment)
-        self.q = [np.array(q, dtype=np.complex128, order="C") for q in self.q]
-        bins, n = len(self.coeff), self.n_candidates
-        if len(self.second_moment) != bins or len(self.q) != bins:
-            raise ValueError("every bin needs a coefficient matrix, a second moment and a q")
-        if any(c.shape[1] != n for c in self.coeff):
-            raise ValueError("all bins must share one candidate list")
-        self.gamma = np.ones(bins) if self.gamma is None else np.array(self.gamma, dtype=np.float64)
-        if self.gamma.shape != (bins,):
-            raise ValueError("gamma needs one weight per bin")
-        self.selected = tuple(int(i) for i in self.selected)
-        self.num, self.den = np.empty((bins, n)), np.empty((bins, n))
-        self.min_denominator = np.full(bins, math.inf)
-        self.max_drift = np.zeros(bins)
-        self.refreshes = np.zeros(bins, dtype=np.int64)
+    @classmethod
+    def from_problem(cls, spec: BroadbandSpec, lam: float) -> SelectionState:
+        """State of every bin of spec before any pick: bin b's coeff, its
+        weight as the starting q, its prior's second moment and its gamma.
+        The spec's bins were checked when built; only lam is checked here.
+        """
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError("regularization constant must be positive")
+        state = cls.__new__(cls)
+        bins, n = len(spec.bins), spec.n_candidates
+        state.lam, state.selected = lam, ()
+        state.coeff = tuple(b.coeff for b in spec.bins)
+        state.second_moment = tuple(b.prior.second_moment for b in spec.bins)
+        state.q = [_hermitize(b.weight.entries) for b in spec.bins]
+        state.gamma = np.array([b.gamma for b in spec.bins], dtype=np.float64)
+        state.num, state.den = np.empty((bins, n)), np.empty((bins, n))
+        state.min_denominator = np.full(bins, math.inf)
+        state.max_drift = np.zeros(bins)
+        state.refreshes = np.zeros(bins, dtype=np.int64)
         # per bin, the rows conj(z_c) and conj(Q y_c) of add_candidate's product
-        self._rows = [np.empty((2, c.shape[0]), dtype=np.complex128) for c in self.coeff]
+        state._rows = [np.empty((2, c.shape[0]), dtype=np.complex128) for c in state.coeff]
         for b in range(bins):
-            self._build_forms(b)
+            state._build_forms(b)
+        return state
 
     def _build_forms(self, b: int) -> None:
         c, r, q = self.coeff[b], self.second_moment[b], self.q[b]
@@ -307,27 +298,6 @@ class SelectionState:
         for a in range(0, c.shape[1], step):
             blk = slice(a, a + step)
             self.num[b, blk], self.den[b, blk] = _forms(q, r, c[:, blk])
-
-    @classmethod
-    def from_problem(cls, spec: BroadbandSpec, lam: float) -> SelectionState:
-        """State of every bin of spec before any pick: bin b's coeff, its
-        weight as the starting q, its prior's second moment and its gamma."""
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError("regularization constant must be positive")
-        for b in spec.bins:
-            k = b.coeff.shape[0]
-            if b.coeff.ndim != 2 or b.weight.entries.shape != (k, k):
-                raise ValueError("coefficient and weight shapes are inconsistent")
-            if b.prior.size != k:
-                raise ValueError("prior dimension must match coefficient rows")
-        return cls(
-            coeff=[b.coeff for b in spec.bins],
-            second_moment=[b.prior.second_moment for b in spec.bins],
-            lam=lam,
-            # hermitized one bin at a time, as the state copies each q
-            q=(_hermitize(b.weight.entries) for b in spec.bins),
-            gamma=[b.gamma for b in spec.bins],
-        )
 
     @property
     def n_candidates(self) -> int:
@@ -502,6 +472,10 @@ class PlacementResult:
     cost_trace: np.ndarray
 
 
+def _bin_name(freq: Frequency | None) -> str:
+    return "bin" if freq is None else "bin at %g Hz" % freq.hz
+
+
 @dataclass(frozen=True)
 class FrequencyProblem:
     """Placement inputs of one frequency bin, in the coefficient domain.
@@ -509,6 +483,9 @@ class FrequencyProblem:
     coeff holds one expansion column per candidate; gamma weighs the bin
     in a broadband cost. freq and cfg name the bin's frequency and
     expansion when it comes from a config (experiment.build_problems).
+    The one place a bin is checked, with a ValueError naming the bin: a
+    finite 2-D coeff (K x N, N >= 1, kept contiguous complex128), a
+    WeightMatrix, FieldPrior and cfg of size K, and a positive gamma.
     """
 
     coeff: np.ndarray
@@ -519,13 +496,28 @@ class FrequencyProblem:
     cfg: ExpansionConfig | None = None
 
     def __post_init__(self):
+        name = _bin_name(self.freq)
+        c = np.ascontiguousarray(self.coeff, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[1] == 0 or not np.all(np.isfinite(c)):
+            raise ValueError("%s: coefficients must be a finite 2-D matrix with columns" % name)
+        k = c.shape[0]
+        if not (isinstance(self.weight, WeightMatrix) and self.weight.size == k):
+            raise ValueError("%s: weight must be a WeightMatrix of size %d" % (name, k))
+        if not (isinstance(self.prior, FieldPrior) and self.prior.size == k):
+            raise ValueError("%s: prior must be a FieldPrior of size %d" % (name, k))
+        if self.cfg is not None and self.cfg.size != k:
+            raise ValueError("%s: expansion size %d is not %d" % (name, self.cfg.size, k))
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("bin weight gamma must be positive")
+            raise ValueError("%s: bin weight gamma must be positive" % name)
+        object.__setattr__(self, "coeff", c)
 
 
 @dataclass(frozen=True)
 class BroadbandSpec:
-    """The bins of one placement problem, one or many, sharing one candidate list."""
+    """The bins of one placement problem, one or many, sharing one candidate list.
+
+    Each bin is checked when it is built (FrequencyProblem).
+    """
 
     bins: tuple[FrequencyProblem, ...]
 
@@ -534,8 +526,10 @@ class BroadbandSpec:
         if not bins:
             raise ValueError("broadband spec needs at least one bin")
         n = bins[0].coeff.shape[1]
-        if any(b.coeff.shape[1] != n for b in bins):
-            raise ValueError("all bins must share one candidate list")
+        odd = [b for b in bins if b.coeff.shape[1] != n]
+        if odd:
+            msg = "all bins must share one candidate list: %s has %d candidates, the first %d"
+            raise ValueError(msg % (_bin_name(odd[0].freq), odd[0].coeff.shape[1], n))
         object.__setattr__(self, "bins", bins)
 
     @property
@@ -563,8 +557,6 @@ def greedy_place_broadband(
     block.
     """
     n = spec.n_candidates
-    if n == 0:
-        raise ValueError("empty candidate set")
     if n_select is None and min_decrease is None:
         raise ValueError("a stopping rule is required")
     if min_decrease is not None and not 0.0 <= min_decrease < math.inf:
@@ -669,6 +661,7 @@ def regular_placement_a(
         raise ValueError("no candidate lies on the admissible arc")
     ordered = admissible[np.argsort(keys[admissible], kind="stable")]
     if n_select > ordered.size:
-        raise ValueError("n_select exceeds the admissible candidate count")
+        msg = "regular_a: n_select %d exceeds the %d candidates on its admissible arc"
+        raise ValueError(msg % (n_select, ordered.size))
     picks = np.round(np.linspace(0.0, ordered.size - 1.0, n_select)).astype(int)
     return tuple(int(ordered[p]) for p in picks)

@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves, and deleted ones stay gone."""
 
 import importlib
+import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -40,7 +42,8 @@ MODULES = sorted(
 # plane-wave and coefficient wrapper types, and the second record of a
 # frequency bin, since FrequencyProblem is the one; and the one-bin greedy
 # wrapper, since greedy_place_broadband takes a spec of any number of bins,
-# with the exhaustive search only tests call (in tests/oracles.py)
+# with the exhaustive search only tests call (in tests/oracles.py); and
+# the second field-dump entry point, since evaluate_placements dumps fields
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
@@ -48,7 +51,7 @@ DELETED = {
     "wavefield": ("green2d", "evaluate_expansion", "green2d_many", "_COINCIDENT_TOL",
                   "evaluate_expansion_many", "_planewave_matrix", "PlaneWave",
                   "ExpansionCoeffs"),
-    "experiment": ("field_grids",),
+    "experiment": ("field_grids", "write_field_set"),
     "placement": ("_subtract_outer", "UPDATE_BLOCK_BYTES", "_direction_range_priors",
                   "BroadbandBin", "greedy_place", "exhaustive_place", "_problem_arrays"),
     "room": ("room_transfer", "transfer_matrix", "_TRANSFER_BLOCK", "room_transfer_many",
@@ -93,32 +96,55 @@ def test_package_root_exports_the_runners_and_the_config_only():
 
 def test_raw_array_weights_are_rejected():
     # only a WeightMatrix carries the Hermitian and PSD checks; a raw array
-    # must raise rather than reach a cost or a solve
+    # must raise rather than reach a cost or a solve, and a bin built with
+    # one is rejected where it is built
     rng = np.random.default_rng(4)
     c = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     raw, prior = np.eye(5), FieldPrior.fixed_field(b)
     with pytest.raises(AttributeError, match="entries"):
         placement_cost([0, 2], prior, c, raw, 1e-3)
-    with pytest.raises(AttributeError, match="entries"):
-        SelectionState.from_problem(one_bin(c, raw, prior), 1e-3)
+    with pytest.raises(ValueError, match="^bin: weight must be a WeightMatrix"):
+        one_bin(c, raw, prior)
     with pytest.raises(AttributeError, match="entries"):
         solve_wmm(c, raw, b, 1e-3)
 
 
-def test_toy_script_runs_from_the_package_root(tmp_path):
+def test_selection_state_has_no_field_by_field_constructor():
+    # SelectionState.from_problem, over checked bins, is the one way to
+    # build a greedy state
+    with pytest.raises(TypeError):
+        SelectionState(coeff=[np.eye(2)], second_moment=[np.eye(2)], lam=1e-3, q=[np.eye(2)])
+
+
+def _run_script(name, out):
     # scripts/ are the only code that imports names from the package root
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(REPO, "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(REPO, "scripts", "run_toy_freefield.py"),
-         "--out", str(tmp_path)],
+        [sys.executable, os.path.join(REPO, "scripts", name), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_toy_script_runs_from_the_package_root(tmp_path):
+    proc = _run_script("run_toy_freefield.py", tmp_path)
     picks = read_placement_csv(tmp_path / "placement.csv")
     assert len(picks) == 6 and "greedy picks: %s" % list(picks) in proc.stdout
     rows = read_sdr_csv(tmp_path / "sdr.csv")
     assert sorted({r[3] for r in rows}) == ["proposed", "regular_a", "regular_b"]
     assert len(rows) == 21
+
+
+def test_study_script_runs_end_to_end(tmp_path):
+    # the bundled reverberant study, as sfsplace reproduce-paper runs it:
+    # the JSON summary on stdout, the wall time and peak RSS on stderr
+    proc = _run_script("reproduce_study.py", tmp_path)
+    summary = json.loads(proc.stdout)
+    assert sorted(summary) == ["broadband", "narrowband"]
+    assert sorted(summary["narrowband"]) == ["proposed", "regular_a", "regular_b"]
+    assert re.fullmatch(r"wall \d+\.\d\d s, peak RSS \d+\.\d MB\n", proc.stderr)
+    assert (tmp_path / "summary.json").exists()

@@ -151,7 +151,7 @@ def test_evaluate_rejects_bad_indices(tmp_path):
         with pytest.raises(ValueError, match="placement 'p'"):
             evaluate_placements(config, {"ok": (0, 7), "p": bad}, field_dir=str(out))
         with pytest.raises(ValueError, match="placement 'p'"):
-            experiment.write_field_set(str(out), config, {"p": bad}, (0.0,))
+            evaluate_placements(config, {"p": bad}, str(out), "_nb")
     assert not list(out.glob("field_*")) and not (out / "sdr.csv").exists()
 
 
@@ -274,8 +274,11 @@ def test_field_dumps_with_sidecars(tmp_path, monkeypatch):
 
     table = {(name, a, f): v for a, f, v, name in read_sdr_csv(str(out / "sdr.csv"))}
     for angle, tag in ((-15.0, "m15"), (0.0, "0"), (15.0, "15")):
+        one = dataclasses.replace(config.evaluation, angles_deg=(angle,))
         for name, idx in placements.items():
-            for ev in experiment._evaluations(config, grid, (angle,), {name: idx}):
+            for ev in experiment._evaluations(
+                dataclasses.replace(config, evaluation=one), grid, {name: idx}
+            ):
                 freq = ev.freq
                 stem = "field_f%g_a%s" % (freq.hz, tag)
                 desired, basis = ev.grid_fields()
@@ -370,7 +373,7 @@ def test_evaluation_builds_only_the_placements_columns(tmp_path, method):
     assert len(union) < config.candidates.count
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
     angles = config.evaluation.angles_deg
-    (ev,) = experiment._evaluations(config, grid, angles, placements)
+    (ev,) = experiment._evaluations(config, grid, placements)
     got, ref = ev.coeff, full.coeff[:, union]
     assert got.shape == ref.shape
     assert np.all(np.linalg.norm(got - ref, axis=0) <= 1e-12 * np.linalg.norm(ref, axis=0))
@@ -542,9 +545,7 @@ def test_evaluation_needs_no_placement_problems():
     assert "columns" not in inspect.signature(build_problems).parameters
     assert "columns" not in {f.name for f in dataclasses.fields(FrequencyProblem)}
     params = inspect.signature(evaluate_placements).parameters
-    assert list(params) == ["config", "placements", "field_dir"]
-    params = inspect.signature(experiment.write_field_set).parameters
-    assert list(params) == ["out_dir", "config", "placements", "angles", "tag"]
+    assert list(params) == ["config", "placements", "field_dir", "tag"]
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -316,6 +316,25 @@ def test_free_field_placement_is_invariant_under_a_translation(broadband):
     _assert_same_placement(ExperimentConfig.from_dict(doc), config)
 
 
+def test_an_unplaceable_baseline_fails_before_anything_is_written(tmp_path, monkeypatch):
+    # the paper arc facing [-45, 45] deg holds 91 of the 200 candidates, so
+    # regular_a cannot place 150: place raises before greedy runs, and
+    # place and evaluate before any file is written
+    config = dataclasses.replace(paper_config(output_dir=str(tmp_path / "run")), n_select=150)
+
+    def never(*args, **kwargs):
+        raise AssertionError("greedy ran before the baselines were placed")
+
+    monkeypatch.setattr(experiment, "place_greedy", never)
+    message = "regular_a: n_select 150 exceeds the 91 candidates"
+    with pytest.raises(ValueError, match=message):
+        experiment.run_place(config)
+    assert not (tmp_path / "run" / "placement.csv").exists()
+    with pytest.raises(ValueError, match=message):
+        experiment.run_evaluate(config, indices=range(150))
+    assert not (tmp_path / "run").exists()
+
+
 def _paper_placements(config, problems):
     greedy = place_greedy(config, problems).indices
     return [greedy] + [baseline_indices(config, b) for b in config.baselines]
@@ -446,7 +465,7 @@ def test_point_source_evaluation_makes_one_graf_build(tmp_path, monkeypatch):
     np.testing.assert_array_equal(positions, want)
     grid = region_grid(config.region, spacing=0.05)
     room = config.room_model()
-    for ev in experiment._evaluations(config, grid, (None,), info["placements"]):
+    for ev in experiment._evaluations(config, grid, info["placements"]):
         (alone,) = graf([[-1.2, -0.7]], [(ev.cfg, ev.freq)], room)
         assert np.max(np.abs(ev.targets - alone)) <= 1e-12 * np.linalg.norm(alone)
 
@@ -517,7 +536,7 @@ def _assert_coefficient_sdrs_match_grid(config, placements):
     bins = experiment._bins(config)
     assert len(got) == len(rows) == len(placements) * len(bins) * len(angles)
     grid = region_grid(config.region, spacing=config.evaluation.grid_spacing)
-    for ev in experiment._evaluations(config, grid, angles, placements):
+    for ev in experiment._evaluations(config, grid, placements):
         basis = ev.grid_fields()[1]
         desired = _exact_desired(config, grid, ev.freq, angles)
         for name, idx in placements.items():

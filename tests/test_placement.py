@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -377,17 +378,15 @@ def _more_sources_than_modes_problem(seed, k=8, n=40):
     ids=["random", "more-sources-than-modes"],
 )
 def test_candidate_deltas_match_the_complex_form(problem, lam, n_select):
-    # a state freshly built from q (float64-view reductions over column
-    # blocks) against the complex quadratic forms of the same q, along a
-    # greedy run (past L = K on the second problem)
+    # a state's forms rebuilt from its q (float64-view reductions over
+    # column blocks) against the complex quadratic forms of the same q,
+    # along a greedy run (past L = K on the second problem)
     c, w, prior = problem
     r = prior.second_moment
     for coeff in _layouts(c):
         state = SelectionState.from_problem(one_bin(coeff, w, prior), lam)
         for _ in range(n_select):
-            fresh = SelectionState(coeff=[coeff], second_moment=[r], lam=lam, q=state.q,
-                                   selected=state.selected)
-            deltas = candidate_deltas(fresh)
+            deltas = candidate_deltas(_rebuilt(state))
             z = state.q[0] @ c
             num = np.einsum("kn,kn->n", z.conj(), r @ z).real
             den = np.einsum("kn,kn->n", c.conj(), z).real
@@ -396,6 +395,14 @@ def test_candidate_deltas_match_the_complex_form(problem, lam, n_select):
             assert np.all(deltas[list(state.selected)] == np.inf)
             np.testing.assert_allclose(deltas[free], want[free], rtol=1e-13, atol=0.0)
             add_candidate(state, int(np.argmin(candidate_deltas(state))))
+
+
+def _rebuilt(state):
+    """A copy of the state with every bin's forms built afresh from its q."""
+    fresh = copy.deepcopy(state)
+    for b in range(len(fresh.q)):
+        fresh._build_forms(b)
+    return fresh
 
 
 def _form_drift(state):
@@ -411,9 +418,7 @@ def _form_drift(state):
     for mine, rows in ((state.num, [d[0] for d in direct]), (state.den, [d[1] for d in direct])):
         rows = np.array(rows)[:, free]
         gaps.append(np.max(np.abs(mine[:, free] - rows), axis=1) / np.max(np.abs(rows), axis=1))
-    fresh = SelectionState(coeff=state.coeff, second_moment=state.second_moment, lam=state.lam,
-                           q=state.q, gamma=state.gamma, selected=state.selected)
-    mine, direct = candidate_deltas(state)[free], candidate_deltas(fresh)[free]
+    mine, direct = candidate_deltas(state)[free], candidate_deltas(_rebuilt(state))[free]
     gaps.append(np.full(len(state.q), np.max(np.abs(mine - direct)) / np.max(np.abs(direct))))
     return np.array(gaps)
 
@@ -447,24 +452,18 @@ def test_selection_state_owns_its_arrays():
     for coeff in (c, *_layouts(c)):
         state = SelectionState.from_problem(one_bin(coeff, w, prior), lam)
         assert state.coeff[0].dtype == np.complex128 and state.coeff[0].flags.c_contiguous
+        assert state.q[0].flags.c_contiguous
         for a in (state.num, state.den):
             assert a.dtype == np.float64 and a.shape == (1, 9)
-    # a state built directly copies the q it is given; no pick writes to
-    # any caller array
-    built = SelectionState.from_problem(one_bin(c, w, prior), lam)
-    r = prior.second_moment
-    q = built.q[0].copy()
-    caller = (c, w.entries, r, q)
+    # q is the state's own array; no pick writes to any caller array
+    state = SelectionState.from_problem(one_bin(c, w, prior), lam)
+    assert not np.shares_memory(state.q[0], w.entries)
+    caller = (c, w.entries, prior.second_moment)
     kept = [a.copy() for a in caller]
-    direct = SelectionState(coeff=[c], second_moment=[r], lam=lam, q=[q])
     for idx in (3, 0, 7):
-        add_candidate(direct, idx)
-        add_candidate(built, idx)
+        add_candidate(state, idx)
     for old, a in zip(kept, caller):
         assert np.array_equal(old, a)
-    assert not np.shares_memory(direct.q[0], q)
-    for a, b in ((direct.q[0], built.q[0]), (direct.num, built.num), (direct.den, built.den)):
-        assert np.array_equal(a, b)
 
 
 def test_stacked_state_is_the_per_bin_state():
@@ -773,8 +772,6 @@ def test_greedy_input_validation():
     with pytest.raises(ValueError):
         greedy_place_broadband(one_bin(c, w, prior), 1e-3, n_select=4)
     with pytest.raises(ValueError):
-        greedy_place_broadband(one_bin(c[:, :0], w, prior), 1e-3, n_select=1)
-    with pytest.raises(ValueError):
         greedy_place_broadband(one_bin(c, w, prior), 0.0, n_select=1)
 
 
@@ -812,14 +809,48 @@ def test_broadband_gamma_scaling_and_additivity():
 
 
 def test_broadband_spec_validation():
+    # a candidate count that differs names the first bin that has it
     c1, w1, p1 = _random_problem(60, n=9)
     c2, w2, p2 = _random_problem(61, n=8)
     with pytest.raises(ValueError):
         BroadbandSpec(())
-    with pytest.raises(ValueError):
-        BroadbandSpec((FrequencyProblem(c1, w1, p1, 1.0), FrequencyProblem(c2, w2, p2, 1.0)))
-    with pytest.raises(ValueError):
+    bins = [FrequencyProblem(c, w, p, freq=Frequency(hz))
+            for (c, w, p), hz in (((c1, w1, p1), 100.0), ((c2, w2, p2), 200.0),
+                                  ((c2, w2, p2), 300.0))]
+    with pytest.raises(ValueError, match="bin at 200 Hz has 8 candidates, the first 9"):
+        BroadbandSpec(tuple(bins))
+    with pytest.raises(ValueError, match="bin: bin weight gamma must be positive"):
         FrequencyProblem(c1, w1, p1, gamma=0.0)
+
+
+def test_a_bad_bin_is_rejected_where_it_is_built():
+    # every rule of a bin raises a ValueError naming the bin as the bin is
+    # built, so no state or greedy run ever reads a bad one
+    c, w, prior = _random_problem(62, n=9)
+    nan = c.copy()
+    nan[3, 4] = np.nan
+    cfg = ExpansionConfig(max_order=8, center=Point2(0.0, 0.0), valid_radius=0.5)
+    bad = [
+        ("weight must be a WeightMatrix of size 17", (c, w.entries, prior), {}),
+        ("weight must be a WeightMatrix of size 17", (c, identity_weight(15), prior), {}),
+        ("coefficients must be a finite 2-D matrix", (c[:, 0], w, prior), {}),
+        ("coefficients must be a finite 2-D matrix", (nan, w, prior), {}),
+        ("coefficients must be a finite 2-D matrix", (c[:, :0], w, prior), {}),
+        ("prior must be a FieldPrior of size 17", (c, w, FieldPrior.fixed_field(np.ones(16))), {}),
+        ("prior must be a FieldPrior of size 17", (c, w, prior.second_moment), {}),
+        ("expansion size 15 is not 17", (c, w, prior),
+         {"cfg": ExpansionConfig(7, Point2(0.0, 0.0), 0.5)}),
+        ("bin weight gamma must be positive", (c, w, prior), {"gamma": math.inf}),
+    ]
+    for message, args, kwargs in bad:
+        for freq, name in ((None, "bin"), (Frequency(1000.0), "bin at 1000 Hz")):
+            with pytest.raises(ValueError, match="^%s: %s" % (name, message)):
+                FrequencyProblem(*args, freq=freq, **kwargs)
+    # the same bin with its rules kept builds, and keeps its coeff as
+    # contiguous complex128 without a copy when it already is one
+    good = FrequencyProblem(c, w, prior, freq=Frequency(1000.0), cfg=cfg)
+    assert good.coeff is c
+    assert FrequencyProblem(np.asfortranarray(c), w, prior).coeff.flags.c_contiguous
 
 
 def test_exhaustive_edge_cases():
