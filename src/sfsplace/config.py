@@ -403,12 +403,11 @@ class ExperimentConfig(_Spec):
             hx, hy = 0.5 * model.size_x, 0.5 * model.size_y
             if abs(cx) + r >= hx or abs(cy) + r >= hy:
                 raise ValueError("target region must lie inside the room")
-            for p in pts:
-                if not model.contains(p):
-                    raise ValueError(
-                        "candidate (%.6g, %.6g) lies outside the room" % (p[0], p[1])
-                    )
-            if src is not None and not model.contains(src):
+            outside = np.flatnonzero(~model.contains(pts))
+            if outside.size:
+                p = pts[outside[0]]
+                raise ValueError("candidate (%.6g, %.6g) lies outside the room" % (p[0], p[1]))
+            if src is not None and not model.contains(src)[0]:
                 raise ValueError(
                     "evaluation.desired_position (%.6g, %.6g) lies on or outside the room "
                     "walls" % (src[0], src[1])

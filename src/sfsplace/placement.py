@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synthesis import _ONE_THREAD_MACS, WeightMatrix
+from .synthesis import _ONE_THREAD_MACS, WeightMatrix, _check_hermitian_psd
 from .wavefield import (
     CircularRegion,
     ExpansionConfig,
@@ -84,18 +84,16 @@ class FieldPrior:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sig))):
             raise ValueError("prior moments must be finite")
         scale = max(float(np.max(np.abs(sig))), float(np.max(np.abs(mu))) ** 2, 1e-300)
-        if np.max(np.abs(sig - sig.conj().T)) > 1e-12 * scale:
-            raise ValueError("covariance must be Hermitian")
         # near-degenerate priors: judge negativity against the overall
         # moment scale, not the (possibly vanishing) covariance trace
-        if np.linalg.eigvalsh(sig)[0] < -1e-10 * scale:
-            raise ValueError("covariance must be positive semidefinite")
+        _check_hermitian_psd(sig, scale, 1e-10 * scale, "covariance")
         r = self.second_moment
         if r is None:
             r = sig + np.outer(mu, mu.conj())
         else:
             r = np.ascontiguousarray(r, dtype=np.complex128)
-            if np.max(np.abs(r - (sig + np.outer(mu, mu.conj())))) > 1e-12 * scale:
+            gap = np.abs(r - (sig + np.outer(mu, mu.conj()))) if r.shape == sig.shape else np.nan
+            if not np.all(gap <= 1e-12 * scale):
                 raise ValueError("second moment inconsistent with mean and covariance")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "covariance", sig)
@@ -428,18 +426,21 @@ def add_candidate(state: SelectionState, index: int) -> SelectionState:
     return state
 
 
-def placement_cost(selected, prior: FieldPrior, coeff_matrix, weight, lam: float) -> float:
-    """Reference J(S) = tr(Q_S R) by a direct factorization.
+def placement_cost(problem: FrequencyProblem, selected, lam: float) -> float:
+    """Reference J(S) = tr(Q_S R) of one checked bin by a direct factorization.
 
     With W = B B^H and the full SVD B^H C_S = U diag(s) V^H,
     Q_S = (B U) diag(f) (B U)^H, f_i = lam / (s_i^2 + lam) (1 past the
     rank). Nothing cancels, so Q_S stays accurate on both sides of L = K:
     the Woodbury form W - W C_S A C_S^H W loses digits once the selection
     spans the mode space, and the push-through form lam (W C_S C_S^H +
-    lam I)^{-1} W before it does.
+    lam I)^{-1} W before it does. The bin's gamma is not applied.
     """
-    c = np.asarray(coeff_matrix, dtype=np.complex128)
-    w = weight.entries
+    if not isinstance(problem, FrequencyProblem):
+        raise ValueError("placement_cost takes a FrequencyProblem")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("regularization constant must be positive")
+    c, w, prior = problem.coeff, problem.weight.entries, problem.prior
     sel = [int(i) for i in selected]
     if len(set(sel)) != len(sel) or any(not 0 <= i < c.shape[1] for i in sel):
         raise ValueError("selected indices must be unique and in range")
@@ -585,10 +586,7 @@ def greedy_place_broadband(
 
 def broadband_cost(spec: BroadbandSpec, selected, lam: float) -> float:
     """Gamma-weighted sum of per-bin placement costs."""
-    return sum(
-        b.gamma * placement_cost(selected, b.prior, b.coeff, b.weight, lam)
-        for b in spec.bins
-    )
+    return sum(b.gamma * placement_cost(b, selected, lam) for b in spec.bins)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .wavefield import _as_points, _as_xy
+from .wavefield import _as_points
 
 __all__ = ["RoomModel"]
 
@@ -61,9 +61,10 @@ class RoomModel:
         """All four walls share one reflection coefficient."""
         return cls(size_x, size_y, (reflection,) * 4, max_reflection_order)
 
-    def contains(self, point) -> bool:
-        x, y = _as_xy(point)
-        return abs(x) < 0.5 * self.size_x and abs(y) < 0.5 * self.size_y
+    def contains(self, points) -> np.ndarray:
+        """Bool array: which of the (n, 2) points lie strictly inside the walls."""
+        half = 0.5 * np.array([self.size_x, self.size_y])
+        return np.all(np.abs(_as_points(points)) < half, axis=1)
 
 
 class _ImageTable(NamedTuple):
@@ -140,8 +141,7 @@ def _source_images(sources, room: RoomModel | None):
     srcs = _as_points(sources)
     if room is None:
         return srcs, _FREE_FIELD
-    half = 0.5 * np.array([room.size_x, room.size_y])
-    outside = np.flatnonzero(np.any(np.abs(srcs) >= half, axis=1))
+    outside = np.flatnonzero(~room.contains(srcs))
     if outside.size:
         raise ValueError(
             "source %d at (%.6g, %.6g) must lie strictly inside the room"

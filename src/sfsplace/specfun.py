@@ -25,23 +25,22 @@ one upward recurrence. hankel1_rows hands the [J_m; Y_m] rows out as
 they are to the one caller that needs Hankel functions, the Graf
 contraction in synthesis (the near images, and the far images' lattice
 sums), which consumes an order and drops it. bessel_j_orders copies the
-[J_m] rows into a (max_order + 1) x n block for the grid basis, the disc
-Gram, the prior's Jacobi-Anger rows and the rim rows of evaluation's
-truncation check; its unchecked core, _j_block, gives the Graf
-translation rows J_j(k delta), which take the lattice sums to each
-source.
+[J_m] rows into a block of every order for the grid basis, the disc
+Gram, the prior's Jacobi-Anger rows, the rim rows of evaluation's
+truncation check and the Graf translation rows J_j(k delta), which take
+the lattice sums to each source.
 
-Each argument has its own order limit: hankel1_rows and _j_block take
-max_order as an int or an int array broadcasting against x, and run to
-the largest. The limit picks the argument's J method (upward from the
-seeds where x >= limit + 1, Miller's recurrence below, the two-term
-series below 1e-6), and Miller's recurrence starts each column past its
-own max(limit, ceil x). An argument's values to its own limit thus
-depend on its x and that limit alone, never on the other arguments of
-the call, and one call serves many frequency bins, each to its own
-order: the Graf build streams every bin's near images in one call and
-takes the translation rows of several bins from one J block.
-bessel_j_orders keeps a scalar max_order.
+Each argument has its own order limit: both entry points take max_order
+as an int or an int array broadcasting against x, and run to the
+largest. The limit picks the argument's J method (upward from the seeds
+where x >= limit + 1, Miller's recurrence below, the two-term series
+below 1e-6), and Miller's recurrence starts each column past its own
+max(limit, ceil x). An argument's values to its own limit thus depend on
+its x and that limit alone, never on the other arguments of the call,
+and its rows past that limit are unused. So one call serves many
+frequency bins, each to its own order: the Graf build streams every
+bin's near images in one call and takes the translation rows of several
+bins from one J block.
 
 The order-0/1 seeds come from one of four regimes, picked by each
 argument's own x (never by the other arguments of a call):
@@ -284,7 +283,7 @@ def _j_seeded(max_order, x):
 
 def _top(max_order) -> int:
     """The largest order limit of an int or an int array."""
-    return int(max_order.max()) if isinstance(max_order, np.ndarray) else int(max_order)
+    return int(max_order.max(initial=0)) if isinstance(max_order, np.ndarray) else int(max_order)
 
 
 def _j_fixed(max_order, x):
@@ -303,15 +302,21 @@ def _j_fixed(max_order, x):
     return out
 
 
-def _as_order(max_order) -> int:
-    """max_order as an int; booleans, non-integral and negative values raise."""
+def _as_orders(max_order, shape):
+    """max_order as an int, or flat int64 limits broadcast to the arguments' shape.
+
+    Booleans, non-integral or negative limits and a shape that does not
+    broadcast raise ValueError."""
+    m = np.asarray(max_order)
+    ok = m.dtype.kind in "iuf" and np.all(np.isfinite(m) & (m >= 0) & (m == np.floor(m)))
     try:
-        m = int(max_order)
-    except (TypeError, ValueError, OverflowError):
-        m = None
-    if isinstance(max_order, (bool, np.bool_)) or m is None or m != max_order or m < 0:
-        raise ValueError("max_order must be a nonnegative integer, got %r" % (max_order,))
-    return m
+        m = np.broadcast_to(m, shape) if m.ndim else m
+    except ValueError:
+        ok = False
+    if not ok:
+        msg = "max_order must be a nonnegative integer or integer array broadcasting against x"
+        raise ValueError("%s, got %r" % (msg, max_order))
+    return m.astype(np.int64).ravel() if m.ndim else int(m)
 
 
 def _rows(max_order, x, want_y):
@@ -371,41 +376,35 @@ def _recur(top, x, seeds, fixed, block, width):
         yield row
 
 
-def _j_block(max_order, x):
-    """J block of orders 0..max(max_order) at the 1-d arguments x (unchecked).
-
-    max_order is an int or an int array broadcasting against x. Each
-    column's rows to its own limit equal bessel_j_orders' at that limit,
-    bit for bit; rows past it are unused.
-    """
-    if not _j_seeded(max_order, x).any():
-        return _j_fixed(max_order, x)  # Miller and the tiny series serve every column
-    out = np.empty((_top(max_order) + 1, x.size))
-    for dest, row in zip(out, _rows(max_order, x, want_y=False)):
-        dest[...] = row[0]
-    return out
-
-
 def bessel_j_orders(max_order, x):
-    """J_m(x) for all orders m = 0..max_order.
+    """J_m(x) for all orders m = 0..max(max_order).
 
     Parameters
     ----------
-    max_order : int, >= 0 (an integral float is accepted)
+    max_order : int >= 0, or an int array broadcasting against x, each
+        argument's own order limit (integral floats are accepted)
     x : array_like, nonnegative
 
     Returns
     -------
-    ndarray, shape (max_order + 1,) + shape(x)
+    ndarray, shape (max(max_order) + 1,) + shape(x). Each argument's rows
+    to its own limit equal its single-argument call at that limit, bit
+    for bit; rows past it are unused.
     """
-    max_order = _as_order(max_order)
     arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr).ravel()
+    order = _as_orders(max_order, arr.shape)
+    flat = arr.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("x must be finite")
     if np.any(flat < 0.0):
         raise ValueError("x must be nonnegative")
-    return _j_block(max_order, flat).reshape((max_order + 1,) + arr.shape)
+    if not _j_seeded(order, flat).any():
+        out = _j_fixed(order, flat)  # Miller and the tiny series serve every column
+    else:
+        out = np.empty((_top(order) + 1, flat.size))
+        for dest, row in zip(out, _rows(order, flat, want_y=False)):
+            dest[...] = row[0]
+    return out.reshape(out.shape[:1] + arr.shape)
 
 
 def hankel1_rows(max_order, x):

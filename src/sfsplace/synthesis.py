@@ -60,24 +60,28 @@ class WeightMatrix:
             raise ValueError("weight matrix must be square")
         if not np.all(np.isfinite(w)):
             raise ValueError("weight matrix entries must be finite")
-        scale = float(np.max(np.abs(w))) or 1.0
-        if np.max(np.abs(w - w.conj().T)) > 1e-12 * scale:
-            raise ValueError("weight matrix must be Hermitian")
-        trace = float(np.trace(w).real)
-        diag = w.diagonal()
-        # with every off-diagonal entry exactly zero the eigenvalues are the
-        # real diagonal
-        if np.count_nonzero(w) == np.count_nonzero(diag):
-            low = float(np.min(diag.real))
-        else:
-            low = np.linalg.eigvalsh(w)[0]
-        if low < -1e-10 * max(trace, 1e-300):
-            raise ValueError("weight matrix must be positive semidefinite")
+        psd_tol = 1e-10 * max(float(np.trace(w).real), 1e-300)
+        _check_hermitian_psd(w, float(np.max(np.abs(w))) or 1.0, psd_tol, "weight matrix")
         object.__setattr__(self, "entries", w)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_hermitian_psd(a, scale: float, psd_tol: float, what: str) -> None:
+    """Raise ValueError unless the finite square a is Hermitian and PSD.
+
+    Hermitian: no entry of a - a^H exceeds 1e-12 scale. PSD: a + psd_tol I
+    has a Cholesky factor, the same decision as eigvalsh(a)[0] >= -psd_tol
+    from one O(K^3 / 3) factorization of a's lower triangle.
+    """
+    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
+        raise ValueError("%s must be Hermitian" % what)
+    try:
+        np.linalg.cholesky(a + psd_tol * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError("%s must be positive semidefinite" % what) from None
 
 
 def identity_weight(size: int) -> WeightMatrix:
@@ -197,8 +201,8 @@ def source_coeff_matrix(positions, bins, room: RoomModel | None = None) -> list[
     multipole method, Rokhlin, J. Comput. Phys. 86(2), 1990). Free field
     is the one-image table, whose image is always near. All the center's
     bins share one Hankel stream of near images and one of lattice sums,
-    each argument to its own bin's order, and a few J blocks of
-    translation rows; none of these moves a bin's Bessel values. A bin's
+    each argument to its own bin's order, and a few bessel_j_orders blocks
+    of translation rows; none of these moves a bin's Bessel values. A bin's
     matrix still depends on the bin list in the last bits, as
     weight_matrix_circle's do: the far split takes the list's largest validity
     radius (and the spans follow from it), and each order's contraction is
@@ -244,7 +248,7 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     and J_j(k delta_s) sin(j beta_s), j >= 0: one
     (2 (2M + 1), 2p + 1) by (2p + 1, S) real product per bin, and no
     (S, I) array for the far images. The rows J_j of a run of bins come
-    from one J block (_translation_runs) over the distinct delta_s.
+    from one bessel_j_orders call (_translation_runs) over the delta_s.
     """
     n_src = len(srcs)
     far = np.zeros(table.gain.size, dtype=bool)
@@ -304,7 +308,7 @@ def _center_coeffs(srcs, table, center, bins) -> list[np.ndarray]:
     n_dist = len(dists)
     for run in _translation_runs(spans, n_dist):
         # rows J_j(k delta), j = 0..p, of the run's bins from one J block
-        block = specfun._j_block(
+        block = specfun.bessel_j_orders(
             np.repeat([spans[b] for b in run], n_dist), (wavenumber[run, None] * dists).ravel()
         )
         for i, b in enumerate(run):

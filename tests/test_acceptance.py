@@ -19,6 +19,7 @@ from sfsplace.experiment import run_reproduce
 from sfsplace.placement import (
     DirectionRangePrior,
     FieldPrior,
+    FrequencyProblem,
     SelectionState,
     add_candidate,
     greedy_place_broadband,
@@ -92,7 +93,7 @@ def test_criterion_1_incremental_inverse_matches_direct():
             gram = wcs.conj().T @ coeff[:, sel] + lam * np.eye(len(sel))
             direct_q = w - wcs @ np.linalg.solve(gram, wcs.conj().T)
             worst_q = max(worst_q, np.abs(state.q[0] - direct_q).max() / np.abs(w).max())
-            direct = placement_cost(sel, prior, coeff, weight, lam)
+            direct = placement_cost(FrequencyProblem(coeff, weight, prior), sel, lam)
             rel = abs(result.cost_trace[step] - direct) / max(abs(direct), 1e-300)
             worst_cost = max(worst_cost, rel)
     elapsed = time.perf_counter() - t0
@@ -132,7 +133,7 @@ def test_criterion_2_greedy_vs_exhaustive():
         )
         greedy = greedy_place_broadband(one_bin(coeff, weight, prior), lam, n_select=3)
         _TRACES.append(greedy.cost_trace)
-        j_greedy = placement_cost(greedy.indices, prior, coeff, weight, lam)
+        j_greedy = placement_cost(FrequencyProblem(coeff, weight, prior), greedy.indices, lam)
         opt_idx, j_opt = exhaustive_place(coeff, weight, prior, lam, 3)
         scale = max(abs(j_greedy), abs(j_opt), 1e-300)
         optimal_ok += j_opt <= j_greedy + 1e-9 * scale
@@ -225,7 +226,7 @@ def test_criterion_5_cost_matches_monte_carlo():
     lam = 1e-4
     selected = (0, 2, 5)
     t0 = time.perf_counter()
-    j_cost = placement_cost(selected, prior, coeff, weight, lam)
+    j_cost = placement_cost(FrequencyProblem(coeff, weight, prior), selected, lam)
 
     # residual quadratic form of the regularized solve on this selection
     w = weight.entries

@@ -1,7 +1,9 @@
-"""The public surface: every exported name resolves, and deleted ones stay gone."""
+"""The public surface: every exported name resolves, deleted ones stay gone,
+and malformed input to the checked entry points raises ValueError."""
 
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -10,11 +12,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sfsplace
+from sfsplace.config import ExperimentConfig
 from sfsplace.experiment import read_placement_csv, read_sdr_csv
-from sfsplace.placement import FieldPrior, SelectionState, placement_cost
-from sfsplace.synthesis import solve_wmm
+from sfsplace.placement import FieldPrior, FrequencyProblem, SelectionState, placement_cost
+from sfsplace.room import RoomModel
+from sfsplace.specfun import bessel_j_orders
+from sfsplace.synthesis import WeightMatrix, identity_weight, solve_wmm, source_coeff_matrix
+from sfsplace.wavefield import CircularRegion, Frequency, expansion_for
 
 from oracles import one_bin
 
@@ -43,11 +50,13 @@ MODULES = sorted(
 # frequency bin, since FrequencyProblem is the one; and the one-bin greedy
 # wrapper, since greedy_place_broadband takes a spec of any number of bins,
 # with the exhaustive search only tests call (in tests/oracles.py); and
-# the second field-dump entry point, since evaluate_placements dumps fields
+# the second field-dump entry point, since evaluate_placements dumps fields;
+# and the unchecked J block and scalar order check, since bessel_j_orders
+# takes per-argument order limits
 DELETED = {
     "specfun": ("bessel_j", "bessel_y", "hankel1", "_scalar_series_j", "_check_order",
                 "_check_scalar_x", "_recur_up", "_j_rows", "_y_rows", "_hankel_rows",
-                "hankel1_orders", "bessel_y_orders"),
+                "hankel1_orders", "bessel_y_orders", "_j_block", "_as_order"),
     "wavefield": ("green2d", "evaluate_expansion", "green2d_many", "_COINCIDENT_TOL",
                   "evaluate_expansion_many", "_planewave_matrix", "PlaneWave",
                   "ExpansionCoeffs"),
@@ -102,12 +111,151 @@ def test_raw_array_weights_are_rejected():
     c = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     raw, prior = np.eye(5), FieldPrior.fixed_field(b)
-    with pytest.raises(AttributeError, match="entries"):
-        placement_cost([0, 2], prior, c, raw, 1e-3)
+    with pytest.raises(ValueError, match="^bin: weight must be a WeightMatrix"):
+        placement_cost(FrequencyProblem(c, raw, prior), [0, 2], 1e-3)
+    with pytest.raises(ValueError, match="takes a FrequencyProblem"):
+        placement_cost((c, identity_weight(5), prior), [0, 2], 1e-3)
     with pytest.raises(ValueError, match="^bin: weight must be a WeightMatrix"):
         one_bin(c, raw, prior)
     with pytest.raises(AttributeError, match="entries"):
         solve_wmm(c, raw, b, 1e-3)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _spoil(data, a):
+    """a with one entry made NaN or +-inf."""
+    a = np.array(a)
+    a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(_NON_FINITE)
+    return a
+
+
+def _hermitian(data, size):
+    """Random Hermitian matrices of one eigenbasis: a function of the
+    eigenvalue the others (in [0.1, 1]) sit beside."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
+    rest = rng.uniform(0.1, 1.0, size - 1)
+
+    def with_low(low):
+        a = (u * np.r_[low, rest]) @ u.conj().T
+        return 0.5 * (a + a.conj().T)
+
+    return with_low
+
+
+def _bad_orders(data):
+    x = np.array([1.0, 40.0])
+    order = data.draw(st.one_of(
+        st.booleans(),
+        st.integers(max_value=-1),
+        st.floats(0.0, 100.0).filter(lambda v: v != math.floor(v)),
+        _NON_FINITE,
+        st.text(max_size=2),
+        st.none(),
+        st.lists(st.integers(0, 5), min_size=3, max_size=4),
+    ))
+    return lambda: bessel_j_orders(order, x)
+
+
+def _bad_arguments(data):
+    x = data.draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        x = _spoil(data, x)
+    else:
+        x = np.r_[x, -data.draw(st.floats(1e-300, 1e3))]
+    order = data.draw(st.integers(0, 8))
+    return lambda: bessel_j_orders(order, x)
+
+
+def _bad_weight(data):
+    # non-finite, or 2 to 1000 times past the PSD tolerance 1e-10 tr(W)
+    with_low = _hermitian(data, data.draw(st.integers(2, 5)))
+    w = with_low(0.0)
+    if data.draw(st.booleans()):
+        return lambda: WeightMatrix(_spoil(data, w))
+    dip = data.draw(st.floats(2.0, 1e3)) * 1e-10 * np.trace(w).real
+    return lambda: WeightMatrix(with_low(-dip))
+
+
+def _bad_prior(data):
+    # non-finite moments, or a covariance 2 to 1000 times past the PSD
+    # tolerance 1e-10 max(|Sigma|, |mu|^2)
+    size = data.draw(st.integers(2, 5))
+    mu = np.full(size, data.draw(st.floats(0.0, 3.0)) + 0j)
+    with_low = _hermitian(data, size)
+    sig = with_low(0.0)
+    if data.draw(st.booleans()):
+        return lambda: FieldPrior(_spoil(data, mu), sig)
+    if data.draw(st.booleans()):
+        return lambda: FieldPrior(mu, _spoil(data, sig))
+    # the dip moves |Sigma| by far less than the margin
+    dip = data.draw(st.floats(2.0, 1e3)) * 1e-10 * max(np.abs(sig).max(), np.abs(mu).max() ** 2)
+    return lambda: FieldPrior(mu, with_low(-dip))
+
+
+def _bad_cost(data):
+    # a non-finite coefficient, or a regularizer that is not positive and finite
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    c = np.ones((k, n)) + 1j * np.arange(n)
+    w, prior, lam = identity_weight(k), FieldPrior.fixed_field(np.ones(k)), 1e-3
+    if data.draw(st.booleans()):
+        c = _spoil(data, c)
+    else:
+        lam = data.draw(st.one_of(_NON_FINITE, st.floats(-1e3, 0.0)))
+    return lambda: placement_cost(FrequencyProblem(c, w, prior), [0], lam)
+
+
+def _bad_position(data):
+    # a loudspeaker on a wall (or a corner) of the room, or not finite:
+    # for the image table's sources and for a config's candidates
+    sx, sy = data.draw(st.floats(1.0, 8.0)), data.draw(st.floats(1.0, 8.0))
+    room = RoomModel.uniform(sx, sy, 0.5)
+    inside = [[0.45 * sx, 0.45 * sy], [-0.45 * sx, 0.45 * sy], [0.45 * sx, -0.45 * sy]]
+    axis = data.draw(st.integers(0, 1))
+    point = [data.draw(st.floats(-0.5, 0.5)) * sx, data.draw(st.floats(-0.5, 0.5)) * sy]
+    point[axis] = data.draw(st.sampled_from([-0.5, 0.5])) * (sx, sy)[axis]
+    if data.draw(st.booleans()):
+        point = _spoil(data, point).tolist()
+    if data.draw(st.booleans()):
+        freq = Frequency(500.0)
+        bins = [(expansion_for(CircularRegion((0.0, 0.0), 0.3), freq), freq)]
+        return lambda: source_coeff_matrix(inside + [point], bins, room)
+    doc = {
+        "candidates": {"positions": inside + [point]},
+        "region": {"center": [0.0, 0.0], "radius": 0.3},
+        "prior": {"angle_min_deg": -45.0, "angle_max_deg": 45.0},
+        "frequencies": [500.0],
+        "n_select": 3,
+        "room": {"size_x": sx, "size_y": sy, "reflection": [0.5] * 4},
+    }
+    return lambda: ExperimentConfig.from_dict(doc)
+
+
+MALFORMED = {
+    "order limits": _bad_orders,
+    "Bessel arguments": _bad_arguments,
+    "weight": _bad_weight,
+    "prior": _bad_prior,
+    "placement cost": _bad_cost,
+    "loudspeaker position": _bad_position,
+}
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_malformed_input_raises_value_error(data):
+    # the order limits and arguments of bessel_j_orders, the Hermitian-PSD
+    # check of WeightMatrix and FieldPrior, placement_cost's bin and the
+    # room's containment rule: malformed input raises ValueError, never a
+    # TypeError, an AttributeError or numpy's LinAlgError (itself a
+    # ValueError) from deeper in
+    case = data.draw(st.sampled_from(sorted(MALFORMED)))
+    call = MALFORMED[case](data)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, np.linalg.LinAlgError), case
 
 
 def test_selection_state_has_no_field_by_field_constructor():

@@ -84,7 +84,8 @@ def test_build_problems_builds_the_image_table_once(tmp_path, monkeypatch):
 def test_paper_broadband_build_bessel_work(monkeypatch):
     # the 20-bin build takes the translation rows J_j(k delta) over the
     # candidates' distinct distances delta from the layout's midpoint (62 of
-    # 200) in a few calls over runs of bins, each J block within
+    # 200) in a few bessel_j_orders calls over runs of bins, each with an
+    # array of per-argument order limits and each J block within
     # _TRANSLATION_BLOCK_BYTES unless one bin alone exceeds it, then every
     # bin's weight row J(kR) from one bessel_j_orders call and every prior
     # row J(k rho) from one more; the Graf streams run Miller's recurrence
@@ -97,10 +98,10 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     calls, miller, seeds = [], [], []
     inside = []
 
-    def counted(name, fn):
+    def counted(fn):
         def call(max_order, x):
             if not inside:
-                calls.append((name, int(np.max(max_order)), np.size(x)))
+                calls.append((np.ndim(max_order) > 0, int(np.max(max_order)), np.size(x)))
             inside.append(True)
             try:
                 return fn(max_order, x)
@@ -116,8 +117,7 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
             (seeds if np.ndim(max_order) == 0 else miller).append(x.size)
         return fixed(max_order, x)
 
-    monkeypatch.setattr(specfun, "bessel_j_orders", counted("orders", specfun.bessel_j_orders))
-    monkeypatch.setattr(specfun, "_j_block", counted("block", specfun._j_block))
+    monkeypatch.setattr(specfun, "bessel_j_orders", counted(specfun.bessel_j_orders))
     monkeypatch.setattr(specfun, "_j_fixed", counted_fixed)
     config = paper_config(broadband=True)
     problems = build_problems(config)
@@ -126,12 +126,12 @@ def test_paper_broadband_build_bessel_work(monkeypatch):
     mid = 0.5 * (cand.min(axis=0) + cand.max(axis=0))
     distinct = np.unique(np.hypot(*(mid - cand).T)).size
     assert distinct == 62
-    runs = [(top, size) for name, top, size in calls if name == "block"]
-    assert [name for name, _, _ in calls] == ["block"] * len(runs) + ["orders", "orders"]
+    runs = [(top, size) for array, top, size in calls if array]
+    assert [array for array, _, _ in calls] == [True] * len(runs) + [False, False]
     assert 1 < len(runs) < 20
     assert sum(size for _, size in runs) == 20 * distinct
     assert all(8 * (top + 1) * n <= _TRANSLATION_BLOCK_BYTES or n == distinct for top, n in runs)
-    assert [size for name, _, size in calls if name == "orders"] == [20, 20]
+    assert [size for array, _, size in calls if not array] == [20, 20]
     assert sum(miller) <= 2665
     assert seeds == [2608, 8]
 

@@ -198,11 +198,41 @@ def test_field_prior_validation():
         FieldPrior(np.zeros(2), -np.eye(2))
     with pytest.raises(ValueError):
         FieldPrior(np.ones(2), np.eye(2), second_moment=np.eye(2))
+    # a second moment that is not finite, or not of the covariance's
+    # shape, is inconsistent too
+    for r in (np.full((2, 2), np.nan), np.zeros(2)):
+        with pytest.raises(ValueError, match="second moment inconsistent"):
+            FieldPrior(np.zeros(2), np.zeros((2, 2)), second_moment=r)
     fixed = FieldPrior.fixed_field(np.array([1.0 + 1j, 0.0]))
     assert np.all(fixed.covariance == 0.0)
     np.testing.assert_allclose(
         fixed.second_moment, np.outer(fixed.mean, fixed.mean.conj()), atol=1e-15
     )
+
+
+@pytest.mark.parametrize("cov_size, mean_size", [(1.0, 0.0), (0.0, 2.0)])
+def test_field_prior_psd_tolerance(cov_size, mean_size):
+    # the covariance may dip below zero by 1e-10 of the moment scale,
+    # max(|Sigma|, |mu|^2): up to that it is accepted, past it rejected, for
+    # a covariance of unit size and for a vanishing one under a mean of
+    # size 2
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    base = cov_size * (u @ np.diag([1.0, 0.5, 0.25, 0.0]) @ u.conj().T)
+    edge = np.outer(u[:, 3], u[:, 3].conj())
+    scale = max(np.abs(base).max(), mean_size ** 2)
+    mu = np.full(4, mean_size + 0j)
+    for factor, ok in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
+        sig = base - factor * 1e-10 * scale * edge
+        sig = 0.5 * (sig + sig.conj().T)
+        if ok:
+            assert np.array_equal(FieldPrior(mu, sig).covariance, sig)
+        else:
+            with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
+                FieldPrior(mu, sig)
+    # a point mass at zero: no moment at all, still a prior
+    zero = FieldPrior.fixed_field(np.zeros(5))
+    assert not zero.second_moment.any()
 
 
 def test_direction_range_prior_validation():
@@ -219,7 +249,9 @@ def test_direction_range_prior_validation():
 def test_placement_cost_empty_is_trace_of_weighted_second_moment():
     c, w, prior = _random_problem(31)
     want = float(np.trace(w.entries @ prior.second_moment).real)
-    assert placement_cost((), prior, c, w, 1e-4) == pytest.approx(want, rel=1e-12)
+    assert placement_cost(FrequencyProblem(c, w, prior), (), 1e-4) == pytest.approx(
+        want, rel=1e-12
+    )
 
 
 def test_placement_cost_fixed_field_equals_solver_residual():
@@ -231,7 +263,9 @@ def test_placement_cost_fixed_field_equals_solver_residual():
     sel = [0, 2, 5]
     d = solve_wmm(c[:, sel], w, b, lam)
     want = wmm_residual(c[:, sel], w, b, d, lam)
-    assert placement_cost(sel, prior, c, w, lam) == pytest.approx(want, rel=1e-10)
+    assert placement_cost(FrequencyProblem(c, w, prior), sel, lam) == pytest.approx(
+        want, rel=1e-10
+    )
 
 
 def test_placement_cost_matches_monte_carlo_mean():
@@ -240,7 +274,7 @@ def test_placement_cost_matches_monte_carlo_mean():
     c, w, prior = _random_problem(33)
     lam = 1e-2
     sel = [0, 1, 4]
-    cost = placement_cost(sel, prior, c, w, lam)
+    cost = placement_cost(FrequencyProblem(c, w, prior), sel, lam)
     evals, vecs = np.linalg.eigh(prior.covariance)
     half = vecs * np.sqrt(np.clip(evals, 0.0, None))
     rng = np.random.default_rng(77)
@@ -257,14 +291,24 @@ def test_placement_cost_matches_monte_carlo_mean():
     assert cost == pytest.approx(float(np.mean(f)), rel=0.01)
 
 
+def test_placement_cost_rejects_a_nan_coefficient_where_the_bin_is_built():
+    # the reference reads a checked bin, so a NaN entry is the bin's
+    # ValueError, not an SVD that does not converge
+    c, w, prior = _random_problem(34, n=4, dim=5)
+    c[2, 1] = np.nan
+    with pytest.raises(ValueError, match="^bin: coefficients must be a finite 2-D matrix"):
+        placement_cost(FrequencyProblem(c, w, prior), [0, 1], 1e-3)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_placement_cost_nonnegative(seed):
     c, w, prior = _random_problem(seed, n=5, dim=9)
     rng = np.random.default_rng(seed + 1)
     sel = rng.permutation(5)[: rng.integers(0, 6)]
-    j = placement_cost(sel, prior, c, w, 10.0 ** rng.uniform(-8, 0))
-    assert j >= -1e-10 * placement_cost((), prior, c, w, 1e-4)
+    problem = FrequencyProblem(c, w, prior)
+    j = placement_cost(problem, sel, 10.0 ** rng.uniform(-8, 0))
+    assert j >= -1e-10 * placement_cost(problem, (), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +351,7 @@ def test_candidate_deltas_match_direct_cost():
         if nu in state.selected:
             assert deltas[nu] == np.inf
             continue
-        direct = placement_cost([2, 6, nu], prior, c, w, lam)
+        direct = placement_cost(FrequencyProblem(c, w, prior), [2, 6, nu], lam)
         assert base + deltas[nu] == pytest.approx(direct, rel=1e-10)
 
 
@@ -573,11 +617,11 @@ def test_greedy_trace_monotone_and_matches_direct():
     assert len(set(result.indices)) == 8
     assert len(result.cost_trace) == 9
     assert result.cost_trace[0] == pytest.approx(
-        placement_cost((), prior, c, w, lam), rel=1e-12
+        placement_cost(FrequencyProblem(c, w, prior), (), lam), rel=1e-12
     )
     assert np.all(np.diff(result.cost_trace) <= 0.0)
     for l in range(1, 9):
-        direct = placement_cost(result.indices[:l], prior, c, w, lam)
+        direct = placement_cost(FrequencyProblem(c, w, prior), result.indices[:l], lam)
         assert result.cost_trace[l] == pytest.approx(direct, rel=1e-9)
 
 
@@ -690,7 +734,7 @@ def test_greedy_more_sources_than_modes():
             state = add_candidate(state, idx)
             direct_q = _direct_q(c, w.entries, state.selected, lam)
             assert np.max(np.abs(state.q[0] - direct_q)) <= 1e-8 * scale
-            direct = placement_cost(state.selected, prior, c, w, lam)
+            direct = placement_cost(FrequencyProblem(c, w, prior), state.selected, lam)
             assert result.cost_trace[step] == pytest.approx(direct, rel=1e-9)
 
 
@@ -714,7 +758,7 @@ def test_greedy_large_n_matches_direct_oracles(large_n_problem):
     result = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=100)
     assert len(result.indices) == 100
     for step in range(10, 101, 10):
-        direct = placement_cost(result.indices[:step], prior, c, w, lam)
+        direct = placement_cost(FrequencyProblem(c, w, prior), result.indices[:step], lam)
         assert result.cost_trace[step] == pytest.approx(direct, rel=1e-9)
     # above the one-thread limit, add_candidate updates the forms from two
     # matrix-vector products; every tenth pick, each free candidate's
@@ -782,9 +826,10 @@ def test_broadband_single_bin_matches_narrowband():
     c, w, prior = _random_problem(57, n=11)
     lam = 1e-3
     bb = greedy_place_broadband(one_bin(c, w, prior), lam, n_select=4)
-    picks, trace = [], [placement_cost((), prior, c, w, lam)]
+    problem = FrequencyProblem(c, w, prior)
+    picks, trace = [], [placement_cost(problem, (), lam)]
     for _ in range(4):
-        costs = {i: placement_cost(picks + [i], prior, c, w, lam) for i in range(11) if i not in picks}
+        costs = {i: placement_cost(problem, picks + [i], lam) for i in range(11) if i not in picks}
         picks.append(min(costs, key=costs.get))
         trace.append(costs[picks[-1]])
     assert bb.indices == tuple(picks)
@@ -803,8 +848,8 @@ def test_broadband_gamma_scaling_and_additivity():
     np.testing.assert_allclose(7.0 * r1.cost_trace, r2.cost_trace, rtol=1e-12)
     want = broadband_cost(spec, r1.indices, lam)
     assert r1.cost_trace[-1] == pytest.approx(want, rel=1e-9)
-    j1 = placement_cost(r1.indices, p1, c1, w1, lam)
-    j2 = placement_cost(r1.indices, p2, c2, w2, lam)
+    j1 = placement_cost(FrequencyProblem(c1, w1, p1), r1.indices, lam)
+    j2 = placement_cost(FrequencyProblem(c2, w2, p2), r1.indices, lam)
     assert want == pytest.approx(1.0 * j1 + 2.5 * j2, rel=1e-12)
 
 
@@ -946,9 +991,11 @@ def test_pressure_matching_cost_tracks_regional_error():
     cell = spacing ** 2
     lam = 1e-6
     sel = [0, 2, 5]
-    j_coeff = placement_cost(sel, FieldPrior.fixed_field(b), c_coeff, w_coeff, lam)
+    j_coeff = placement_cost(
+        FrequencyProblem(c_coeff, w_coeff, FieldPrior.fixed_field(b)), sel, lam
+    )
     j_pm = cell * placement_cost(
-        sel, FieldPrior.fixed_field(b_pm), c_pm, w_pm, lam / cell
+        FrequencyProblem(c_pm, w_pm, FieldPrior.fixed_field(b_pm)), sel, lam / cell
     )
     assert j_pm == pytest.approx(j_coeff, rel=0.10)
 

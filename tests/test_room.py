@@ -4,7 +4,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from sfsplace import specfun
-from sfsplace.config import square_loop
+from sfsplace.config import ExperimentConfig, square_loop
 from sfsplace.room import RoomModel, _image_table, _images
 from sfsplace.synthesis import source_coeff_matrix
 from sfsplace.wavefield import CircularRegion, Frequency, Point2, _basis_matrix, expansion_for
@@ -165,9 +165,33 @@ def test_image_positions_distinct_and_exterior(seed):
     imgs = _image_list(room, src)
     keys = {(round(x, 9), round(y, 9)) for x, y, _, _ in imgs}
     assert len(keys) == len(imgs)
+    assert not room.contains([(x, y) for x, y, _, _ in imgs[1:]]).any()
     for x, y, gain, order in imgs[1:]:
-        assert not room.contains((x, y))
         assert 0.0 < gain <= max(room.reflection) ** order
+
+
+def test_a_candidate_on_each_wall_is_rejected_by_both_callers():
+    # contains is the one containment rule: a point on a wall is outside,
+    # for the image table's sources and for the config's candidates alike
+    walls = [(2.0, 0.3), (-2.0, 0.3), (0.4, 1.5), (0.4, -1.5)]
+    room = RoomModel.uniform(4.0, 3.0, 0.5)
+    inside = [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]
+    assert room.contains(inside).all()
+    assert not room.contains(walls).any()
+    assert room.contains(np.nextafter(walls, 0.0)).all()
+    for wall in walls:
+        with pytest.raises(ValueError, match="source 3 at .* strictly inside the room"):
+            _images(inside + [wall], room)
+        doc = {
+            "candidates": {"positions": [list(p) for p in inside + [wall]]},
+            "region": {"center": [0.0, 0.0], "radius": 0.3},
+            "prior": {"angle_min_deg": -45.0, "angle_max_deg": 45.0},
+            "frequencies": [500.0],
+            "n_select": 3,
+            "room": {"size_x": 4.0, "size_y": 3.0, "reflection": [0.5] * 4},
+        }
+        with pytest.raises(ValueError, match=r"candidate \(.*\) lies outside the room"):
+            ExperimentConfig.from_dict(doc)
 
 
 def test_room_transfer_is_gain_weighted_image_sum():

@@ -168,7 +168,7 @@ def test_every_column_is_its_own_single_column_call():
     orders = np.r_[0, 5, 1, 12, rng.integers(0, 45, x.size - 4)]
     seeded = sf._j_seeded(orders, x)
     assert seeded.any() and (~seeded & (x >= 1e-6)).any()  # upward and Miller columns
-    block = sf._j_block(orders, x)
+    block = sf.bessel_j_orders(orders, x)
     assert block.shape == (orders.max() + 1, x.size)
     for i, (order, xi) in enumerate(zip(orders, x)):
         assert np.array_equal(block[: order + 1, i], sf.bessel_j_orders(int(order), xi))
@@ -276,10 +276,14 @@ ORDER_BLOCKS = [sf.bessel_j_orders]
 
 @pytest.mark.parametrize("fn", ORDER_BLOCKS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
-    "order", [2.5, 0.5, True, np.True_, -1, -1.0, np.int64(-2), math.nan, math.inf, "3", None]
+    "order", [2.5, 0.5, True, np.True_, -1, -1.0, np.int64(-2), math.nan, math.inf, "3", None,
+              # per-argument limits: each checked as a scalar one, and
+              # broadcasting against x
+              np.array([True, False]), [2, 2.5], [3, -1], [0, math.nan], [4, math.inf],
+              ["3", "4"], [1, 2, 3], [[1], [2]]]
 )
 def test_order_must_be_a_nonnegative_integer(fn, order):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_order"):
         fn(order, np.array([1.0, 40.0]))
 
 
@@ -289,6 +293,21 @@ def test_integral_orders_of_any_type_agree(fn):
     want = fn(3, x)
     for order in (np.int64(3), np.int32(3), 3.0, np.float64(3.0)):
         assert np.array_equal(fn(order, x), want)
+
+
+def test_order_limits_broadcast_against_x():
+    # limits of any broadcasting shape give x's shape, and each argument's
+    # rows to its own limit are its single-argument call's, bit for bit
+    x = np.array([[0.5, 8.0, 25.0], [3e-7, 17.0, 90.0]])
+    want = sf.bessel_j_orders(6, x)
+    for orders in (np.int64(6), np.array([6]), np.full((1, 3), 6.0), np.full(x.shape, 6)):
+        assert np.array_equal(sf.bessel_j_orders(orders, x), want)
+    limits = [2, 6, 0]
+    got = sf.bessel_j_orders(np.array([limits]), x)
+    assert got.shape == (7, 2, 3)
+    for i, j in np.ndindex(x.shape):
+        order = limits[j]
+        assert np.array_equal(got[: order + 1, i, j], sf.bessel_j_orders(order, x[i, j]))
 
 
 # edges of the seed regimes: Miller's block under the Neumann seeds takes
